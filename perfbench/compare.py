@@ -4,9 +4,10 @@
 Run from the repository root:
 
   python3 perfbench/compare.py collect DIR [--workloads a,b] [--seeds 1-10]
-                                           [--seconds N] [--trace 0|1]
-      Runs `bash perfbench/run.sh` once per workload and seed and stores
-      each run's output as DIR/<workload>/<seed>.out (last line: result).
+                                           [--trace 0|1]
+      Runs the command of BENCHMARK.json for its run_seconds once per
+      workload and seed and stores each run's output as
+      DIR/<workload>/<seed>.out (last line: result).
 
   python3 perfbench/compare.py spread DIR
       Per workload and metric: median, quartiles, and the spread
@@ -18,7 +19,11 @@ Run from the repository root:
       neither) and a median gap wider than the parent's IQR.  A regression
       is a change median worse than the parent's by more than the bound.
       A metric whose spread exceeds its bound on either side is
-      unresolved unless every change run beats every parent run.
+      unresolved unless every change run beats every parent run.  A
+      workload whose change runs fail more often than the parent's fails.
+
+Only runs that passed their oracle with no failed operation count
+towards a metric; `spread` and `compare` report the others.
 """
 
 import argparse
@@ -81,12 +86,20 @@ def load_set(directory):
     return results
 
 
+def failed_seeds(runs):
+    """Seeds whose run failed its oracle or had failed operations."""
+    return sorted(s for s, r in runs.items() if r.get("correct") is not True or r.get("failed"))
+
+
 def metric_values(runs, metric):
-    return {
-        seed: run["metrics"][metric]["value"]
+    """{seed: value} over the runs that passed, skipping missing values."""
+    bad = set(failed_seeds(runs))
+    values = {
+        seed: run.get("metrics", {}).get(metric, {}).get("value")
         for seed, run in runs.items()
-        if metric in run.get("metrics", {})
+        if seed not in bad
     }
+    return {seed: value for seed, value in values.items() if value is not None}
 
 
 def metric_specs(definition):
@@ -127,7 +140,7 @@ def cmd_collect(args):
     workloads = args.workloads.split(",") if args.workloads else [
         w["name"] for w in definition["workloads"]
     ]
-    seconds = args.seconds or definition["run_seconds"]
+    seconds = definition["run_seconds"]
     failures = 0
     for workload in workloads:
         os.makedirs(os.path.join(args.dir, workload), exist_ok=True)
@@ -153,10 +166,10 @@ def cmd_spread(args):
     print(f"{'workload':<16} {'metric':<34} {'n':>3} {'median':>14} "
           f"{'q1':>14} {'q3':>14} {'spread':>8} {'bound':>6}  check")
     for workload, runs in results.items():
-        bad = [s for s, r in runs.items() if not r.get("correct") or r.get("failed")]
+        bad = failed_seeds(runs)
         if bad:
             status = 1
-            print(f"{workload}: incorrect or failed runs for seeds {bad}")
+            print(f"{workload}: incorrect or failed runs for seeds {bad}, left out")
         for name, _, bound in metric_specs(definition):
             values = list(metric_values(runs, name).values())
             if not values:
@@ -164,7 +177,7 @@ def cmd_spread(args):
             q1, median, q3 = quartiles(values)
             s = spread(values)
             check = ""
-            if bound is not None and name != "setup_s":
+            if bound is not None:
                 check = "steady" if s < bound / 3 else ("ok" if s <= bound else "TOO WIDE")
                 status |= s > bound
             print(f"{workload:<16} {name:<34} {len(values):>3} {median:>14.6g} "
@@ -180,6 +193,12 @@ def cmd_compare(args):
     print(f"{'workload':<16} {'metric':<34} {'parent med':>12} {'[q1, q3]':>27} "
           f"{'change med':>12} {'delta':>8} {'wins':>6}  verdict")
     for workload in sorted(set(parent) & set(change)):
+        p_bad, c_bad = failed_seeds(parent[workload]), failed_seeds(change[workload])
+        if p_bad or c_bad:
+            failed = len(c_bad) > len(p_bad)
+            status |= failed
+            print(f"{workload:<16} incorrect or failed runs: parent {len(p_bad)}, "
+                  f"change {len(c_bad)}, left out{'  FAILED' if failed else ''}")
         for name, better, bound in metric_specs(definition):
             p = metric_values(parent[workload], name)
             c = metric_values(change[workload], name)
@@ -203,7 +222,6 @@ def main(argv=None):
     collect.add_argument("dir")
     collect.add_argument("--workloads", default="")
     collect.add_argument("--seeds", default="1-10")
-    collect.add_argument("--seconds", type=int, default=0)
     collect.add_argument("--trace", type=int, choices=(0, 1), default=0)
     collect.set_defaults(run=cmd_collect)
     summary = sub.add_parser("spread")

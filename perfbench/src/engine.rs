@@ -3,7 +3,7 @@
 
 use crate::report::Report;
 use crate::trace::{finish_trace, traced_cycle, ModeTally, Tracer};
-use crate::{gen, probes, procfs, stats, Run, SKETCH_SEED};
+use crate::{gen, probes, procfs, stats, Run, SETUP_PAUSE, SKETCH_SEED};
 use knw_cluster::{ClusterUpdate, SketchSpec};
 use knw_core::{CardinalityEstimator, F0Config, KnwF0Sketch};
 use knw_engine::{EngineConfig, RoutingPolicy, ShardedF0Engine};
@@ -18,7 +18,7 @@ const POOL: usize = 1 << 22;
 const CHUNK: usize = 1 << 16;
 /// `insert_batch` calls between two estimates (one loop cycle).
 const CHUNKS_PER_QUERY: usize = 8;
-const SETUP_REPS: usize = 21;
+const SETUP_REPS: usize = 101;
 
 pub fn run(run: &Run) -> Result<Report, String> {
     let mut report = Report::default();
@@ -40,6 +40,7 @@ pub fn run(run: &Run) -> Result<Report, String> {
 
     // Set-up: engine construction (shard threads) to the first answer.
     for _ in 0..SETUP_REPS {
+        std::thread::sleep(SETUP_PAUSE);
         let start = Instant::now();
         let mut engine = new_engine();
         let first = engine.estimate();
@@ -102,7 +103,7 @@ pub fn run(run: &Run) -> Result<Report, String> {
     let elapsed = start.elapsed();
     report.attempted = (pos / CHUNK + queries.len()) as u64;
     report.throughput_ups = tally[0].rate();
-    report.query_us.push(queries_us);
+    report.query_us = queries_us;
     report.peak_rss_bytes = procfs::memory(me, "VmHWM")
         .unwrap_or(0)
         .saturating_sub(rss_before) as f64;

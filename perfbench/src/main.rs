@@ -24,13 +24,18 @@ mod store;
 mod trace;
 
 use report::{json_str, Report};
-use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
 /// Seed of every sketch's hash functions: part of the system's
 /// configuration, fixed across runs; `--seed` varies the inputs.
 pub const SKETCH_SEED: u64 = 7;
+
+/// Pause before each set-up repetition.  Back to back, the repetitions of
+/// one run fall into a few milliseconds of the machine's state, and their
+/// median moves by a quarter from run to run; spaced out, each starts idle
+/// and together they span a fraction of a second.
+pub const SETUP_PAUSE: Duration = Duration::from_millis(5);
 
 /// Where traced runs write their spans, relative to the working directory.
 pub const OUT_DIR: &str = "perfbench/out";
@@ -81,44 +86,6 @@ fn parse_args() -> Result<Run, String> {
     })
 }
 
-/// FNV-1a over every file under `crates/` plus the root manifest and lock
-/// file, in path order: identifies the source measured when the checkout
-/// is not a git repository.
-fn source_digest() -> String {
-    fn walk(dir: &Path, files: &mut Vec<std::path::PathBuf>) {
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                walk(&path, files);
-            } else {
-                files.push(path);
-            }
-        }
-    }
-    let mut files = vec!["Cargo.toml".into(), "Cargo.lock".into()];
-    walk(Path::new("crates"), &mut files);
-    files.sort();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for path in &files {
-        let Ok(bytes) = std::fs::read(path) else {
-            continue;
-        };
-        for &b in path
-            .to_string_lossy()
-            .as_bytes()
-            .iter()
-            .chain([0u8].iter())
-            .chain(&bytes)
-        {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    format!("fnv1a64:{hash:016x} over {} files", files.len())
-}
-
 fn command_output(program: &str, args: &[&str]) -> String {
     std::process::Command::new(program)
         .args(args)
@@ -151,7 +118,6 @@ fn provenance(run: &Run, report: &Report) -> Vec<(String, String)> {
             "git_commit".to_string(),
             json_str(&command_output("git", &["rev-parse", "HEAD"])),
         ),
-        ("source_digest".to_string(), json_str(&source_digest())),
     ];
     let params: Vec<(String, String)> = report
         .params

@@ -68,9 +68,9 @@ pub struct Report {
     /// Updates per second: the median over the timed phase's loop cycles
     /// of each cycle's rate (concurrent sessions' medians summed).
     pub throughput_ups: f64,
-    /// Estimate-query latencies in microseconds, one time-ordered series
-    /// per client thread.
-    pub query_us: Vec<Vec<f64>>,
+    /// Estimate-query latencies in microseconds, pooled over the client
+    /// threads in the order the answers arrived.
+    pub query_us: Vec<f64>,
     /// Launch-to-first-answer times, seconds, one per set-up repetition.
     pub setup_s: Vec<f64>,
     /// Peak resident memory of the processes under test, bytes.
@@ -100,11 +100,10 @@ impl Report {
 }
 
 /// The tail rule: the highest percentile with this many samples beyond it,
-/// taken per window of at least `TAIL_WINDOW` consecutive queries (at
-/// most `TAIL_WINDOWS` per client thread), median over the windows.
+/// taken per window of exactly `TAIL_WINDOW` consecutive queries (p90),
+/// median over the windows.
 const TAIL_BEYOND: usize = 10;
 const TAIL_WINDOW: usize = 100;
-const TAIL_WINDOWS: usize = 32;
 
 /// A JSON string literal.
 pub fn json_str(s: &str) -> String {
@@ -161,13 +160,12 @@ pub fn render(report: &Report, trace: bool, provenance: &[(String, String)]) -> 
             format!("[{}]", not_applicable.join(", ")),
         ));
     } else {
-        let all: Vec<f64> = report.query_us.concat();
-        let tail = stats::windowed_tail(&report.query_us, TAIL_BEYOND, TAIL_WINDOW, TAIL_WINDOWS);
+        let tail = stats::windowed_tail(&report.query_us, TAIL_BEYOND, TAIL_WINDOW);
         let (tail_value, tail_pct) = tail.map_or((f64::NAN, f64::NAN), |t| (t.value, t.percentile));
         for &(name, unit) in END_TO_END {
             let value = match name {
                 "throughput_mups" => report.throughput_ups / 1e6,
-                "query_p50_us" => stats::median(&all).unwrap_or(f64::NAN),
+                "query_p50_us" => stats::median(&report.query_us).unwrap_or(f64::NAN),
                 "query_tail_us" => tail_value,
                 "setup_s" => stats::median(&report.setup_s).unwrap_or(f64::NAN),
                 "peak_rss_mb" => report.peak_rss_bytes / 1e6,
@@ -180,7 +178,7 @@ pub fn render(report: &Report, trace: bool, provenance: &[(String, String)]) -> 
             "query_tail_windows".into(),
             tail.map_or(0, |t| t.windows).to_string(),
         ));
-        info.push(("query_samples".into(), all.len().to_string()));
+        info.push(("query_samples".into(), report.query_us.len().to_string()));
         info.push(("setup_repetitions".into(), report.setup_s.len().to_string()));
     }
     info.push(("abs_rel_error".into(), json_num(report.abs_rel_error)));
@@ -197,17 +195,15 @@ pub fn render(report: &Report, trace: bool, provenance: &[(String, String)]) -> 
         let _ = writeln!(out, "{name:<36} {value:>18.6} {unit}");
     }
     if !trace {
-        if let Some(t) =
-            stats::windowed_tail(&report.query_us, TAIL_BEYOND, TAIL_WINDOW, TAIL_WINDOWS)
-        {
+        if let Some(t) = stats::windowed_tail(&report.query_us, TAIL_BEYOND, TAIL_WINDOW) {
             let _ = writeln!(
                 out,
                 "query_tail_us is the median over {} windows of each window's p{:.3} \
-                 ({TAIL_BEYOND} of >= {} samples beyond it); {} queries in all",
+                 ({TAIL_BEYOND} of {} samples beyond it); {} queries in all",
                 t.windows,
                 t.percentile,
                 t.window_samples,
-                report.query_us.iter().map(Vec::len).sum::<usize>()
+                report.query_us.len()
             );
         }
     }
@@ -282,7 +278,7 @@ mod tests {
             correct: true,
             attempted: 12,
             throughput_ups: 2.5e6,
-            query_us: vec![(1..=20).map(f64::from).collect()],
+            query_us: (1..=20).map(f64::from).collect(),
             setup_s: vec![0.2, 0.1, 0.3],
             peak_rss_bytes: 3e6,
             ..Report::default()
@@ -307,7 +303,7 @@ mod tests {
         let report = Report {
             correct: true,
             attempted: 3,
-            query_us: vec![vec![1.0, 2.0]],
+            query_us: vec![1.0, 2.0],
             setup_s: vec![0.1],
             ..Report::default()
         };

@@ -9,7 +9,7 @@
 
 use crate::report::Report;
 use crate::trace::{finish_trace, traced_cycle, ModeTally, Tracer};
-use crate::{gen, probes, procfs, prom, stats, Run, OUT_DIR, SKETCH_SEED};
+use crate::{gen, probes, procfs, prom, stats, Run, OUT_DIR, SETUP_PAUSE, SKETCH_SEED};
 use knw_cluster::{
     encode_frame, read_frame_into, ClusterUpdate, Frame, FrameBuf, FrameView, HelloConfig,
     SketchSpec,
@@ -29,8 +29,6 @@ const UNIVERSE: u64 = 1 << 24;
 const EPSILON: f64 = 0.05;
 const WORKERS: usize = 2;
 const SESSIONS: usize = 2;
-/// Launches per run: each measures set-up; the last one serves the load.
-const LAUNCHES: usize = 7;
 /// Bound on every socket read or write, on waiting for the banner and on
 /// waiting for the process to exit: a stall fails the run, never hangs it.
 const IO_DEADLINE: Duration = Duration::from_secs(20);
@@ -42,6 +40,8 @@ struct Shape {
     pool_per_session: usize,
     routing: RoutingPolicy,
     aggregate_args: &'static [&'static str],
+    /// Launches per run: each measures set-up; the last one serves the load.
+    launches: usize,
 }
 
 /// A stream model the serve workloads drive.
@@ -123,6 +123,8 @@ pub fn run_f0(run: &Run) -> Result<Report, String> {
         pool_per_session: 1 << 21,
         routing: RoutingPolicy::RoundRobin,
         aggregate_args: &[],
+        // A launch takes a few milliseconds, so many are cheap.
+        launches: 31,
     };
     run_serve::<u64>(run, &shape)
 }
@@ -134,6 +136,8 @@ pub fn run_l0(run: &Run) -> Result<Report, String> {
         pool_per_session: 1 << 20,
         routing: RoutingPolicy::HashAffine { seed: 0 },
         aggregate_args: &["--precoalesce", "--routing", "hash-affine"],
+        // A launch takes about half a second (the L0 shards are large).
+        launches: 7,
     };
     run_serve::<(u64, i64)>(run, &shape)
 }
@@ -333,7 +337,8 @@ struct SessionOutcome {
     stream: Option<TcpStream>,
     batches_sent: u64,
     end: Option<Instant>,
-    latencies_us: Vec<f64>,
+    /// (reply time, latency in microseconds) of each snapshot query.
+    latencies_us: Vec<(Instant, f64)>,
     tally: [ModeTally; 2],
     tracer: Tracer,
     attempted: u64,
@@ -417,7 +422,7 @@ fn drive_session(
                 return out;
             }
         }
-        out.latencies_us.push((q1 - q0).as_secs_f64() * 1e6);
+        out.latencies_us.push((q1, (q1 - q0).as_secs_f64() * 1e6));
         let updates = shape.snapshot_every as u64 * batch;
         out.end = Some(q1);
         out.tally[usize::from(traced)].add(updates, cycle_start, q1);
@@ -476,7 +481,7 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
     report.param("batches_per_snapshot", shape.snapshot_every);
     report.param("pool_updates_per_session", shape.pool_per_session);
     report.param("aggregate_args", shape.aggregate_args.join(" "));
-    report.param("launches", LAUNCHES);
+    report.param("launches", shape.launches);
 
     let exe = sibling_exe("knw-aggregate")?;
     let pools: Vec<Vec<U>> = (0..SESSIONS)
@@ -509,8 +514,9 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
     // all but the last then exit after that one session.
     let mut buf = FrameBuf::new();
     let mut serving = None;
-    for launch in 0..LAUNCHES {
-        let last = launch + 1 == LAUNCHES;
+    for launch in 0..shape.launches {
+        let last = launch + 1 == shape.launches;
+        std::thread::sleep(SETUP_PAUSE);
         let launched = Instant::now();
         let mut aggregate = Aggregate::launch(
             &exe,
@@ -596,10 +602,11 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
     let mut rates = (0.0, 0.0);
     let mut sessions_sent = Vec::new();
     let mut replies = Vec::new();
+    let mut latencies = Vec::new();
     for outcome in outcomes {
         report.attempted += outcome.attempted;
         report.failed += outcome.failed;
-        report.query_us.push(outcome.latencies_us);
+        latencies.extend(outcome.latencies_us);
         rates.0 += outcome.tally[0].rate();
         rates.1 += outcome.tally[1].rate();
         tracer.absorb(outcome.tracer);
@@ -620,6 +627,8 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
         }
     }
     report.throughput_ups = rates.0;
+    latencies.sort_by_key(|&(at, _)| at);
+    report.query_us = latencies.into_iter().map(|(_, us)| us).collect();
     if report.failed == 0 {
         aggregate.wait_exit()?;
     }

@@ -49,48 +49,35 @@ pub fn tail(samples: &[f64], min_beyond: usize) -> Option<Tail> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowedTail {
     pub value: f64,
-    /// The median window's percentile.
+    /// Every window's percentile (they are all the same size).
     pub percentile: f64,
     pub windows: usize,
-    /// Samples per window (the smallest window).
+    /// Samples per window.
     pub window_samples: usize,
 }
 
 /// The [`tail`] (at least `min_beyond` samples beyond) of each window of
-/// each time-ordered series, and their median.  Each series is cut into as
-/// many consecutive windows of at least `min_window` samples as fit, up to
-/// `max_windows`; a series shorter than `min_window` is one window.  A
-/// burst of interference then moves one window's tail, not the run's.
-pub fn windowed_tail(
-    series: &[Vec<f64>],
-    min_beyond: usize,
-    min_window: usize,
-    max_windows: usize,
-) -> Option<WindowedTail> {
-    let mut tails: Vec<Tail> = Vec::new();
-    for samples in series {
-        let windows = (samples.len() / min_window.max(1)).clamp(1, max_windows);
-        let size = samples.len() / windows;
-        for w in 0..windows {
-            let end = if w + 1 == windows {
-                samples.len()
-            } else {
-                (w + 1) * size
-            };
-            tails.extend(tail(&samples[w * size..end], min_beyond));
-        }
-    }
-    if tails.is_empty() {
-        return None;
-    }
-    tails.sort_by(|a, b| a.value.total_cmp(&b.value));
-    let mid = tails[(tails.len() - 1) / 2];
+/// exactly `window` consecutive samples of one time-ordered series, and
+/// their median.  The samples after the last full window are left out, so
+/// the percentile depends on `window` alone, not on how many queries a run
+/// made; a series shorter than `window` is one window of its own.  A burst
+/// of interference moves one window's tail, not the run's.
+pub fn windowed_tail(samples: &[f64], min_beyond: usize, window: usize) -> Option<WindowedTail> {
+    let windows: Vec<&[f64]> = if samples.len() < window {
+        vec![samples]
+    } else {
+        samples.chunks_exact(window).collect()
+    };
+    let tails: Vec<Tail> = windows
+        .iter()
+        .map(|w| tail(w, min_beyond))
+        .collect::<Option<_>>()?;
     let value = median(&tails.iter().map(|t| t.value).collect::<Vec<_>>())?;
     Some(WindowedTail {
         value,
-        percentile: mid.percentile,
+        percentile: tails[0].percentile,
         windows: tails.len(),
-        window_samples: tails.iter().map(|t| t.samples).min()?,
+        window_samples: tails[0].samples,
     })
 }
 
@@ -138,21 +125,37 @@ mod tests {
 
     #[test]
     fn windowed_tail_is_the_median_window_tail() {
-        // Three windows of 100: tails 90, 190 (a burst), 290 → median 190;
-        // a second, short series is one window of its own.
+        // Three windows of 100: tails 90, 190 (a burst), 290 → median 190.
         let long: Vec<f64> = (1..=300).map(f64::from).collect();
-        let short: Vec<f64> = (1..=20).map(|x| f64::from(x) * 100.0).collect();
-        let tail = windowed_tail(std::slice::from_ref(&long), 10, 100, 8).expect("windows");
+        let tail = windowed_tail(&long, 10, 100).expect("windows");
         assert_eq!(tail.value, 190.0);
         assert_eq!(tail.windows, 3);
         assert_eq!(tail.window_samples, 100);
         assert_eq!(tail.percentile, 90.0);
-        let capped = windowed_tail(std::slice::from_ref(&long), 10, 100, 2).expect("windows");
-        assert_eq!((capped.windows, capped.window_samples), (2, 150));
-        let both = windowed_tail(&[long, short], 10, 100, 8).expect("windows");
-        assert_eq!(both.windows, 4);
-        assert_eq!(both.value, (190.0 + 290.0) / 2.0);
-        assert_eq!(windowed_tail(&[vec![1.0; 5]], 10, 100, 8), None);
+    }
+
+    #[test]
+    fn windowed_tail_percentile_does_not_move_with_the_query_count() {
+        // Twice the queries: twice the windows, the same percentile; the
+        // samples after the last full window are left out.
+        let short: Vec<f64> = (1..=250).map(f64::from).collect();
+        let long: Vec<f64> = (1..=550).map(f64::from).collect();
+        let a = windowed_tail(&short, 10, 100).expect("windows");
+        let b = windowed_tail(&long, 10, 100).expect("windows");
+        assert_eq!((a.windows, b.windows), (2, 5));
+        assert_eq!((a.percentile, b.percentile), (90.0, 90.0));
+        assert_eq!(a.value, (90.0 + 190.0) / 2.0);
+    }
+
+    #[test]
+    fn windowed_tail_of_a_short_series_is_one_window() {
+        let few: Vec<f64> = (1..=54).map(f64::from).collect();
+        let tail = windowed_tail(&few, 10, 100).expect("one window");
+        assert_eq!(
+            (tail.windows, tail.window_samples, tail.value),
+            (1, 54, 44.0)
+        );
+        assert_eq!(windowed_tail(&[1.0; 5], 10, 100), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::report::Report;
 use crate::trace::{finish_trace, traced_cycle, ModeTally, Tracer};
-use crate::{gen, procfs, Run, SKETCH_SEED};
+use crate::{gen, procfs, Run, SETUP_PAUSE, SKETCH_SEED};
 use knw_core::F0Config;
 use knw_store::{F0SketchStore, StoreConfig};
 use std::collections::{BTreeMap, HashSet};
@@ -26,7 +26,7 @@ const BATCH: usize = 1 << 14;
 const SAMPLE: usize = 32;
 /// Seed of the Zipf key stream, fixed across runs.
 const KEY_STREAM_SEED: u64 = 1;
-const SETUP_BLOCKS: usize = 21;
+const SETUP_BLOCKS: usize = 101;
 const SETUP_PER_BLOCK: usize = 1000;
 
 fn config(budget: usize) -> StoreConfig<F0Config> {
@@ -70,6 +70,7 @@ pub fn run(run: &Run) -> Result<Report, String> {
     // each sample is the mean over a block of launches.
     let mut answered = 0usize;
     for _ in 0..SETUP_BLOCKS {
+        std::thread::sleep(SETUP_PAUSE);
         let start = Instant::now();
         for _ in 0..SETUP_PER_BLOCK {
             let store = F0SketchStore::<u64>::new(config(BUDGET_BYTES));
@@ -135,7 +136,7 @@ pub fn run(run: &Run) -> Result<Report, String> {
     let elapsed = start.elapsed();
     report.attempted = (pos / BATCH) as u64 + queries;
     report.throughput_ups = tally[0].rate();
-    report.query_us.push(queries_us);
+    report.query_us = queries_us;
     report.peak_rss_bytes = procfs::memory(me, "VmHWM")
         .unwrap_or(0)
         .saturating_sub(rss_before) as f64;

@@ -1,5 +1,7 @@
 """Tests of compare.py: run with `python3 -m unittest discover perfbench`."""
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -71,6 +73,52 @@ class LoadSetTest(unittest.TestCase):
             loaded = compare.load_set(root)
             self.assertEqual(loaded, {"f0_engine": {3: result}})
             self.assertEqual(compare.metric_values(loaded["f0_engine"], "setup_s"), {3: 0.5})
+
+
+def run_result(value, correct=True, failed=0):
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {"throughput_mups": {"value": value, "unit": "Mupd/s"}}}
+
+
+def write_set(root, runs):
+    os.makedirs(os.path.join(root, "f0_engine"))
+    for seed, result in runs.items():
+        with open(os.path.join(root, "f0_engine", f"{seed}.out"), "w") as f:
+            f.write(json.dumps(result) + "\n")
+
+
+class FailedRunTest(unittest.TestCase):
+    def test_failed_runs_and_null_values_are_left_out(self):
+        runs = {1: run_result(1.0), 2: run_result(9.0, correct=False),
+                3: run_result(9.0, failed=2), 4: run_result(None)}
+        self.assertEqual(compare.failed_seeds(runs), [2, 3])
+        self.assertEqual(compare.metric_values(runs, "throughput_mups"), {1: 1.0})
+
+    def compare_sets(self, parent, change):
+        with tempfile.TemporaryDirectory() as root:
+            write_set(os.path.join(root, "p"), parent)
+            write_set(os.path.join(root, "c"), change)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                status = compare.main(["compare", os.path.join(root, "p"),
+                                       os.path.join(root, "c")])
+            return status, out.getvalue()
+
+    def test_more_failures_in_the_change_fail_the_workload(self):
+        parent = {s: run_result(100.0 + s) for s in range(1, 11)}
+        # Faster on every seed, but two runs failed their oracle: no gain.
+        change = {s: run_result(200.0 + s, correct=s > 2) for s in range(1, 11)}
+        status, out = self.compare_sets(parent, change)
+        self.assertEqual(status, 1)
+        self.assertIn("parent 0, change 2, left out  FAILED", out)
+
+    def test_failures_no_worse_than_the_parent_do_not_fail(self):
+        parent = {s: run_result(100.0 + s, failed=int(s == 1)) for s in range(1, 11)}
+        change = {s: run_result(100.0 + s, failed=int(s == 2)) for s in range(1, 11)}
+        status, out = self.compare_sets(parent, change)
+        self.assertEqual(status, 0)
+        self.assertIn("parent 1, change 1, left out", out)
+        self.assertNotIn("FAILED", out)
 
 
 class DefinitionTest(unittest.TestCase):
