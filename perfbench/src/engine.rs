@@ -52,8 +52,9 @@ pub fn run(run: &Run) -> Result<Report, String> {
 
     let _ = procfs::reset_own_high_water();
     let me = std::process::id();
-    let rss_before = procfs::memory(me, "VmRSS").unwrap_or(0);
-    let cpu_before = procfs::stat(me).map_or(0, |s| s.cpu_ticks);
+    let clock = procfs::CpuClock::new(&[me])?;
+    let cpu_before = clock.ns()?;
+    let mut cpu = procfs::CpuWindows::start(clock.clone(), 0)?;
 
     let mut engine = new_engine();
     let mut tracer = Tracer::new(Instant::now(), 0);
@@ -96,18 +97,18 @@ pub fn run(run: &Run) -> Result<Report, String> {
         if traced {
             tracer.close_parent("cycle", first_span, cycle_start, end, updates);
         }
+        cpu.mark(pos as u64)?;
         if start.elapsed() >= run.seconds {
             break;
         }
     }
     let elapsed = start.elapsed();
+    let cpu_ingest = (clock.ns()? - cpu_before) as f64 / 1e9;
     report.attempted = (pos / CHUNK + queries.len()) as u64;
+    report.cpu_ns_per_update = cpu.median_ns_per_unit();
     report.throughput_ups = tally[0].rate();
     report.query_us = queries_us;
-    report.peak_rss_bytes = procfs::memory(me, "VmHWM")
-        .unwrap_or(0)
-        .saturating_sub(rss_before) as f64;
-    let cpu_after = procfs::stat(me).map_or(0, |s| s.cpu_ticks);
+    report.peak_rss_bytes = procfs::memory(me, "VmHWM").unwrap_or(0) as f64;
     drop(engine);
 
     // Oracle: every estimate equals a single-process sketch built from the
@@ -169,14 +170,7 @@ pub fn run(run: &Run) -> Result<Report, String> {
             stats::median(&snapshot_ns).unwrap_or(0.0) / 1e3,
         );
         let rates = (tally[0].rate(), tally[1].rate());
-        finish_trace(
-            run,
-            &mut report,
-            &tracer,
-            rates,
-            cpu_after - cpu_before,
-            elapsed,
-        );
+        finish_trace(run, &mut report, &tracer, rates, cpu_ingest, elapsed);
     }
     Ok(report)
 }

@@ -1,17 +1,11 @@
-//! `/proc` readers: CPU time, memory high-water marks and the process tree
-//! of the processes under test.
-
-/// Clock ticks per second of the `utime`/`stime` fields (`USER_HZ`, fixed at
-/// 100 on every Linux ABI the benchmark runs on).
-pub const CLOCK_TICKS: f64 = 100.0;
+//! Process readers: CPU-time clocks, and from `/proc` the memory high-water
+//! marks and the process tree of the processes under test.
 
 /// The fields of `/proc/<pid>/stat` the benchmark uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stat {
     pub state: char,
     pub ppid: i32,
-    /// `utime + stime`, in clock ticks.
-    pub cpu_ticks: u64,
 }
 
 /// Parses a `/proc/<pid>/stat` line.  The command name (field 2) may hold
@@ -19,12 +13,10 @@ pub struct Stat {
 pub fn parse_stat(line: &str) -> Option<Stat> {
     let after = &line[line.rfind(')')? + 1..];
     let fields: Vec<&str> = after.split_whitespace().collect();
-    // `fields[0]` is field 3 (state); utime and stime are fields 14 and 15.
-    let tick = |i: usize| fields.get(i)?.parse::<u64>().ok();
+    // `fields[0]` is field 3 (state), `fields[1]` field 4 (ppid).
     Some(Stat {
         state: fields.first()?.chars().next()?,
         ppid: fields.get(1)?.parse().ok()?,
-        cpu_ticks: tick(11)? + tick(12)?,
     })
 }
 
@@ -48,6 +40,106 @@ pub fn cpu_model(cpuinfo: &str) -> Option<String> {
 
 pub fn stat(pid: u32) -> Option<Stat> {
     parse_stat(&std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?)
+}
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_getcpuclockid(pid: i32, clock: *mut i32) -> i32;
+    fn clock_gettime(clock: i32, time: *mut Timespec) -> i32;
+}
+
+/// The CPU-time clocks of a set of live processes (all their threads), read
+/// to the nanosecond.  The kernel charges a process only the time it ran,
+/// not the time the host took from the virtual CPU (steal), so CPU time
+/// does not move with the host's load the way wall time does.
+#[derive(Debug, Clone)]
+pub struct CpuClock {
+    clocks: Vec<(u32, i32)>,
+}
+
+impl CpuClock {
+    pub fn new(pids: &[u32]) -> Result<Self, String> {
+        let clocks = pids
+            .iter()
+            .map(|&pid| {
+                let mut clock = 0;
+                // SAFETY: the call writes one integer through a pointer to a
+                // live local.
+                match unsafe { clock_getcpuclockid(pid as i32, &mut clock) } {
+                    0 => Ok((pid, clock)),
+                    errno => Err(format!("CPU clock of process {pid}: error {errno}")),
+                }
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(CpuClock { clocks })
+    }
+
+    /// CPU time the processes have spent so far, in nanoseconds.
+    pub fn ns(&self) -> Result<u64, String> {
+        self.clocks.iter().try_fold(0, |sum, &(pid, clock)| {
+            let mut time = Timespec {
+                tv_sec: 0,
+                tv_nsec: 0,
+            };
+            // SAFETY: the call writes one `struct timespec` (two 64-bit
+            // fields on the 64-bit Linux ABIs) through a pointer to a live
+            // local of that layout.
+            if unsafe { clock_gettime(clock, &mut time) } != 0 {
+                return Err(format!("CPU clock of process {pid} is gone"));
+            }
+            Ok(sum + time.tv_sec as u64 * 1_000_000_000 + time.tv_nsec as u64)
+        })
+    }
+}
+
+/// CPU time per unit of work over consecutive windows of a closed loop.
+/// Each window is charged the CPU time the clock counts across it, divided
+/// by the units of work (updates, queries) it completed; the run reports
+/// the median window, so a burst of interference moves one window, not
+/// the run.
+#[derive(Debug)]
+pub struct CpuWindows {
+    clock: CpuClock,
+    last: (u64, u64),
+    per_unit_ns: Vec<f64>,
+}
+
+impl CpuWindows {
+    /// Opens the first window with `units` already done.
+    pub fn start(clock: CpuClock, units: u64) -> Result<Self, String> {
+        let now = clock.ns()?;
+        Ok(CpuWindows {
+            clock,
+            last: (now, units),
+            per_unit_ns: Vec::new(),
+        })
+    }
+
+    /// Closes the window at `units` done in all, and opens the next.
+    pub fn mark(&mut self, units: u64) -> Result<(), String> {
+        let now = self.clock.ns()?;
+        self.close(now, units);
+        Ok(())
+    }
+
+    fn close(&mut self, now: u64, units: u64) {
+        let (then, done) = self.last;
+        if units > done {
+            self.per_unit_ns
+                .push(now.saturating_sub(then) as f64 / (units - done) as f64);
+        }
+        self.last = (now, units);
+    }
+
+    /// The median window's CPU nanoseconds per unit (NaN without one).
+    pub fn median_ns_per_unit(&self) -> f64 {
+        crate::stats::median(&self.per_unit_ns).unwrap_or(f64::NAN)
+    }
 }
 
 /// A `kB` field of the live process's status, in bytes.
@@ -96,10 +188,9 @@ mod tests {
             Stat {
                 state: 'S',
                 ppid: 4200,
-                cpu_ticks: 200,
             }
         );
-        assert_eq!(parse_stat("4242 (cut) S 1 2"), None);
+        assert_eq!(parse_stat("4242 (cut) S"), None);
     }
 
     #[test]
@@ -109,6 +200,42 @@ mod tests {
         assert!(!ended(std::process::id()));
         assert!(ended(u32::MAX), "no such process");
         assert!(memory(std::process::id(), "VmHWM").expect("own VmHWM") > 0);
+    }
+
+    #[test]
+    fn cpu_clock_counts_busy_time_and_not_sleep() {
+        let mut sleeper = std::process::Command::new("sleep")
+            .arg("10")
+            .spawn()
+            .expect("spawn sleep");
+        let asleep = CpuClock::new(&[sleeper.id()]).expect("child's clock");
+        let own = CpuClock::new(&[std::process::id()]).expect("own clock");
+        let (a0, o0) = (asleep.ns().expect("readable"), own.ns().expect("readable"));
+        let busy = std::time::Instant::now();
+        while busy.elapsed() < std::time::Duration::from_millis(50) {
+            std::hint::black_box(0);
+        }
+        let (a1, o1) = (asleep.ns().expect("readable"), own.ns().expect("readable"));
+        sleeper.kill().expect("kill sleep");
+        sleeper.wait().expect("reap sleep");
+        assert!(a1 - a0 < 5_000_000, "asleep: {} ns", a1 - a0);
+        assert!(o1 - o0 >= 40_000_000, "busy: {} ns", o1 - o0);
+        assert!(asleep.ns().is_err(), "a reaped process has no clock");
+    }
+
+    #[test]
+    fn cpu_windows_report_the_median_window_per_unit() {
+        let clock = CpuClock::new(&[std::process::id()]).expect("own clock");
+        let mut windows = CpuWindows::start(clock, 0).expect("readable");
+        windows.last = (1_000, 0);
+        windows.close(2_000, 10); // 100 ns per unit
+        windows.close(2_000, 10); // no unit done: no window
+        windows.close(12_000, 20); // a burst: 1,000 ns per unit
+        windows.close(14_000, 30); // 200 ns per unit
+        assert_eq!(windows.per_unit_ns.len(), 3);
+        assert_eq!(windows.median_ns_per_unit(), 200.0);
+        windows.mark(31).expect("readable");
+        assert_eq!(windows.per_unit_ns.len(), 4);
     }
 
     #[test]

@@ -7,9 +7,7 @@ use std::fmt::Write as _;
 
 /// End-to-end metrics, printed by untraced runs.
 pub const END_TO_END: &[(&str, &str)] = &[
-    ("throughput_mups", "Mupd/s"),
-    ("query_p50_us", "us"),
-    ("query_tail_us", "us"),
+    ("cpu_ns_per_update", "ns"),
     ("setup_s", "s"),
     ("peak_rss_mb", "MB"),
 ];
@@ -65,11 +63,16 @@ pub struct Report {
     pub attempted: u64,
     /// Of those, failed, refused or timed out.
     pub failed: u64,
-    /// Updates per second: the median over the timed phase's loop cycles
-    /// of each cycle's rate (concurrent sessions' medians summed).
+    /// CPU time of the processes under test per update, the cadence
+    /// queries included: the median over windows of the closed loop.
+    pub cpu_ns_per_update: f64,
+    /// Wall-clock updates per second: the median over the loop cycles of
+    /// each cycle's rate (concurrent sessions' medians summed).  Reported,
+    /// not bounded.
     pub throughput_ups: f64,
-    /// Estimate-query latencies in microseconds, pooled over the client
-    /// threads in the order the answers arrived.
+    /// Wall-clock estimate-query latencies, in microseconds, pooled over
+    /// the client threads in the order the answers arrived.  Reported, not
+    /// bounded.
     pub query_us: Vec<f64>,
     /// Launch-to-first-answer times, seconds, one per set-up repetition.
     pub setup_s: Vec<f64>,
@@ -160,25 +163,37 @@ pub fn render(report: &Report, trace: bool, provenance: &[(String, String)]) -> 
             format!("[{}]", not_applicable.join(", ")),
         ));
     } else {
-        let tail = stats::windowed_tail(&report.query_us, TAIL_BEYOND, TAIL_WINDOW);
-        let (tail_value, tail_pct) = tail.map_or((f64::NAN, f64::NAN), |t| (t.value, t.percentile));
         for &(name, unit) in END_TO_END {
             let value = match name {
-                "throughput_mups" => report.throughput_ups / 1e6,
-                "query_p50_us" => stats::median(&report.query_us).unwrap_or(f64::NAN),
-                "query_tail_us" => tail_value,
+                "cpu_ns_per_update" => report.cpu_ns_per_update,
                 "setup_s" => stats::median(&report.setup_s).unwrap_or(f64::NAN),
                 "peak_rss_mb" => report.peak_rss_bytes / 1e6,
                 _ => unreachable!("every end-to-end metric is computed above"),
             };
             values.push((name, unit, value));
         }
-        info.push(("query_tail_percentile".into(), json_num(tail_pct)));
+        let tail = stats::windowed_tail(&report.query_us, TAIL_BEYOND, TAIL_WINDOW);
+        let median = |samples: &[f64]| json_num(stats::median(samples).unwrap_or(f64::NAN));
         info.push((
-            "query_tail_windows".into(),
-            tail.map_or(0, |t| t.windows).to_string(),
+            "wall_throughput_mups".into(),
+            json_num(report.throughput_ups / 1e6),
         ));
-        info.push(("query_samples".into(), report.query_us.len().to_string()));
+        if !report.query_us.is_empty() {
+            info.push(("query_p50_us".into(), median(&report.query_us)));
+            info.push((
+                "query_tail_us".into(),
+                json_num(tail.map_or(f64::NAN, |t| t.value)),
+            ));
+            info.push((
+                "query_tail_percentile".into(),
+                json_num(tail.map_or(f64::NAN, |t| t.percentile)),
+            ));
+            info.push((
+                "query_tail_windows".into(),
+                tail.map_or(0, |t| t.windows).to_string(),
+            ));
+            info.push(("query_samples".into(), report.query_us.len().to_string()));
+        }
         info.push(("setup_repetitions".into(), report.setup_s.len().to_string()));
     }
     info.push(("abs_rel_error".into(), json_num(report.abs_rel_error)));
@@ -198,8 +213,12 @@ pub fn render(report: &Report, trace: bool, provenance: &[(String, String)]) -> 
         if let Some(t) = stats::windowed_tail(&report.query_us, TAIL_BEYOND, TAIL_WINDOW) {
             let _ = writeln!(
                 out,
-                "query_tail_us is the median over {} windows of each window's p{:.3} \
-                 ({TAIL_BEYOND} of {} samples beyond it); {} queries in all",
+                "wall clock (not bounded): {:.6} Mupd/s; query p50 {:.3} us, \
+                 tail {:.3} us = median over {} windows of each window's p{:.3} \
+                 ({TAIL_BEYOND} of {} samples beyond it), {} queries in all",
+                report.throughput_ups / 1e6,
+                stats::median(&report.query_us).unwrap_or(f64::NAN),
+                t.value,
                 t.windows,
                 t.percentile,
                 t.window_samples,
@@ -277,6 +296,7 @@ mod tests {
         let report = Report {
             correct: true,
             attempted: 12,
+            cpu_ns_per_update: 12.5,
             throughput_ups: 2.5e6,
             query_us: (1..=20).map(f64::from).collect(),
             setup_s: vec![0.2, 0.1, 0.3],
@@ -289,20 +309,22 @@ mod tests {
         assert_eq!(
             last,
             "{\"correct\": true, \"attempted\": 12, \"failed\": 0, \"metrics\": {\
-             \"throughput_mups\": {\"value\": 2.5, \"unit\": \"Mupd/s\"}, \
-             \"query_p50_us\": {\"value\": 10.5, \"unit\": \"us\"}, \
-             \"query_tail_us\": {\"value\": 10, \"unit\": \"us\"}, \
+             \"cpu_ns_per_update\": {\"value\": 12.5, \"unit\": \"ns\"}, \
              \"setup_s\": {\"value\": 0.2, \"unit\": \"s\"}, \
              \"peak_rss_mb\": {\"value\": 3, \"unit\": \"MB\"}}}"
         );
         assert!(out.contains("median over 1 windows of each window's p50.000"));
+        assert!(out.contains(
+            "\"wall_throughput_mups\": 2.5, \"query_p50_us\": 10.5, \"query_tail_us\": 10,"
+        ));
     }
 
     #[test]
-    fn too_few_queries_make_the_run_incorrect() {
+    fn a_run_without_cpu_windows_is_incorrect() {
         let report = Report {
             correct: true,
             attempted: 3,
+            cpu_ns_per_update: f64::NAN,
             query_us: vec![1.0, 2.0],
             setup_s: vec![0.1],
             ..Report::default()

@@ -1,5 +1,5 @@
 //! The serve workloads: `knw-aggregate --serve` with a pipe-worker fleet,
-//! driven over the frame protocol by two client sessions on two threads.
+//! driven over the frame protocol by client sessions, one thread each.
 //!
 //! Each session is a closed loop: it writes `snapshot_every` pre-encoded
 //! `Batch` frames, then a `Snapshot`, and waits for the `Shard` reply
@@ -21,6 +21,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::unix::process::CommandExt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -28,13 +29,14 @@ use std::time::{Duration, Instant};
 const UNIVERSE: u64 = 1 << 24;
 const EPSILON: f64 = 0.05;
 const WORKERS: usize = 2;
-const SESSIONS: usize = 2;
 /// Bound on every socket read or write, on waiting for the banner and on
 /// waiting for the process to exit: a stall fails the run, never hangs it.
 const IO_DEADLINE: Duration = Duration::from_secs(20);
 
 /// How one serve workload drives the service.
 struct Shape {
+    /// Client sessions, one thread each.
+    sessions: usize,
     batch: usize,
     snapshot_every: usize,
     pool_per_session: usize,
@@ -42,6 +44,8 @@ struct Shape {
     aggregate_args: &'static [&'static str],
     /// Launches per run: each measures set-up; the last one serves the load.
     launches: usize,
+    /// The first session's loop cycles per CPU window (see `CpuWindows`).
+    cycles_per_window: usize,
 }
 
 /// A stream model the serve workloads drive.
@@ -118,6 +122,7 @@ impl Served for (u64, i64) {
 
 pub fn run_f0(run: &Run) -> Result<Report, String> {
     let shape = Shape {
+        sessions: 2,
         batch: 1024,
         snapshot_every: 256,
         pool_per_session: 1 << 21,
@@ -125,12 +130,19 @@ pub fn run_f0(run: &Run) -> Result<Report, String> {
         aggregate_args: &[],
         // A launch takes a few milliseconds, so many are cheap.
         launches: 31,
+        // About a third of a second: updates the other session has sent but
+        // not yet had answered blur a window by at most one of its cycles.
+        cycles_per_window: 32,
     };
     run_serve::<u64>(run, &shape)
 }
 
 pub fn run_l0(run: &Run) -> Result<Report, String> {
     let shape = Shape {
+        // One session: snapshot requests of two sessions that arrive in the
+        // same tick share one merge, and merges are most of this workload's
+        // CPU time, so with two its cost per update moved with their timing.
+        sessions: 1,
         batch: 4096,
         snapshot_every: 16,
         pool_per_session: 1 << 20,
@@ -138,6 +150,8 @@ pub fn run_l0(run: &Run) -> Result<Report, String> {
         aggregate_args: &["--precoalesce", "--routing", "hash-affine"],
         // A launch takes about half a second (the L0 shards are large).
         launches: 7,
+        // A cycle takes about half a second and is the only one in flight.
+        cycles_per_window: 1,
     };
     run_serve::<(u64, i64)>(run, &shape)
 }
@@ -341,40 +355,47 @@ struct SessionOutcome {
     latencies_us: Vec<(Instant, f64)>,
     tally: [ModeTally; 2],
     tracer: Tracer,
+    /// The fleet's CPU time per update, measured by the first session.
+    cpu: Option<procfs::CpuWindows>,
     attempted: u64,
     failed: u64,
     error: Option<String>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn drive_session(
-    index: u32,
-    addr: &str,
-    hello: &[u8],
-    frames: &[Vec<u8>],
-    shape: &Shape,
-    run: &Run,
-    barrier: &Barrier,
+/// What every session of one run shares.
+struct Load<'a> {
+    addr: &'a str,
+    shape: &'a Shape,
+    run: &'a Run,
+    barrier: &'a Barrier,
     origin: Instant,
-) -> SessionOutcome {
+    /// Updates answered so far, summed over the sessions.
+    acked: &'a AtomicU64,
+    /// The CPU clock of the service's processes.
+    fleet: &'a procfs::CpuClock,
+}
+
+fn drive_session(index: u32, hello: &[u8], frames: &[Vec<u8>], load: &Load) -> SessionOutcome {
+    let (shape, run) = (load.shape, load.run);
     let mut out = SessionOutcome {
         stream: None,
         batches_sent: 0,
         end: None,
         latencies_us: Vec::new(),
         tally: Default::default(),
-        tracer: Tracer::new(origin, index),
+        tracer: Tracer::new(load.origin, index),
+        cpu: None,
         attempted: 0,
         failed: 0,
         error: None,
     };
-    let opened = connect(addr).and_then(|mut stream| {
+    let opened = connect(load.addr).and_then(|mut stream| {
         stream
             .write_all(hello)
             .map_err(|e| format!("hello: {e}"))
             .map(|()| stream)
     });
-    barrier.wait();
+    load.barrier.wait();
     let mut stream = match opened {
         Ok(stream) => stream,
         Err(e) => {
@@ -382,6 +403,15 @@ fn drive_session(
             return out;
         }
     };
+    if index == 0 {
+        match procfs::CpuWindows::start(load.fleet.clone(), load.acked.load(Ordering::SeqCst)) {
+            Ok(cpu) => out.cpu = Some(cpu),
+            Err(e) => {
+                out.error = Some(e);
+                return out;
+            }
+        }
+    }
     let snapshot = encode_frame(&Frame::Snapshot).expect("tiny frame");
     let mut buf = FrameBuf::new();
     let start = Instant::now();
@@ -424,6 +454,15 @@ fn drive_session(
         }
         out.latencies_us.push((q1, (q1 - q0).as_secs_f64() * 1e6));
         let updates = shape.snapshot_every as u64 * batch;
+        let acked = load.acked.fetch_add(updates, Ordering::SeqCst) + updates;
+        let window_ends = (cycle + 1) % shape.cycles_per_window as u64 == 0;
+        if let Some(cpu) = out.cpu.as_mut().filter(|_| window_ends) {
+            if let Err(e) = cpu.mark(acked) {
+                out.failed += 1;
+                out.error = Some(e);
+                return out;
+            }
+        }
         out.end = Some(q1);
         out.tally[usize::from(traced)].add(updates, cycle_start, q1);
         if traced {
@@ -462,13 +501,6 @@ fn sibling_exe(name: &str) -> Result<PathBuf, String> {
     }
 }
 
-fn cpu_ticks(pids: &[u32]) -> u64 {
-    pids.iter()
-        .filter_map(|&pid| procfs::stat(pid))
-        .map(|s| s.cpu_ticks)
-        .sum()
-}
-
 fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
     let spec = U::spec();
     let mut report = Report::default();
@@ -476,15 +508,16 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
     report.param("epsilon", spec.epsilon);
     report.param("universe", spec.universe);
     report.param("workers", format!("{WORKERS} (pipe)"));
-    report.param("sessions", SESSIONS);
+    report.param("sessions", shape.sessions);
     report.param("updates_per_batch", shape.batch);
     report.param("batches_per_snapshot", shape.snapshot_every);
     report.param("pool_updates_per_session", shape.pool_per_session);
     report.param("aggregate_args", shape.aggregate_args.join(" "));
     report.param("launches", shape.launches);
+    report.param("cycles_per_cpu_window", shape.cycles_per_window);
 
     let exe = sibling_exe("knw-aggregate")?;
-    let pools: Vec<Vec<U>> = (0..SESSIONS)
+    let pools: Vec<Vec<U>> = (0..shape.sessions)
         .map(|s| U::generate(shape.pool_per_session, gen::derive(run.seed, s as u64)))
         .collect();
     let frames: Vec<Vec<Vec<u8>>> = pools
@@ -522,12 +555,12 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
             &exe,
             &spec,
             shape,
-            if last { 1 + SESSIONS } else { 1 },
+            if last { 1 + shape.sessions } else { 1 },
             &log,
         )?;
         let mut stream = connect(&aggregate.serve_addr)?;
         stream
-            .write_all(&hello(SESSIONS)?)
+            .write_all(&hello(shape.sessions)?)
             .map_err(|e| format!("hello: {e}"))?;
         round_trip(&mut stream, &snapshot, &mut buf)?;
         report.setup_s.push(launched.elapsed().as_secs_f64());
@@ -549,24 +582,35 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
     }
     let mut fleet = vec![aggregate.pid()];
     fleet.extend(&aggregate.workers);
-    let me = std::process::id();
-    let cpu_before = (
-        cpu_ticks(&fleet[..1]),
-        cpu_ticks(&fleet[1..]),
-        cpu_ticks(&[me]),
+    let fleet_clock = procfs::CpuClock::new(&fleet)?;
+    // (aggregator, workers, client) CPU clocks, for the busy fractions.
+    let clocks = (
+        procfs::CpuClock::new(&fleet[..1])?,
+        procfs::CpuClock::new(&fleet[1..])?,
+        procfs::CpuClock::new(&[std::process::id()])?,
     );
+    let read = |(a, w, c): &(procfs::CpuClock, procfs::CpuClock, procfs::CpuClock)| {
+        Ok::<_, String>((a.ns()?, w.ns()?, c.ns()?))
+    };
+    let cpu_before = read(&clocks)?;
 
-    let hellos: Vec<Vec<u8>> = (0..SESSIONS).map(hello).collect::<Result<_, _>>()?;
-    let barrier = Barrier::new(SESSIONS + 1);
-    let origin = Instant::now();
+    let hellos: Vec<Vec<u8>> = (0..shape.sessions).map(hello).collect::<Result<_, _>>()?;
+    let barrier = Barrier::new(shape.sessions + 1);
+    let acked = AtomicU64::new(0);
+    let load = Load {
+        addr: &aggregate.serve_addr,
+        shape,
+        run,
+        barrier: &barrier,
+        origin: Instant::now(),
+        acked: &acked,
+        fleet: &fleet_clock,
+    };
     let (start, outcomes) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..SESSIONS)
+        let handles: Vec<_> = (0..shape.sessions)
             .map(|i| {
-                let (addr, hello, frames) = (&aggregate.serve_addr, &hellos[i], &frames[i]);
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    drive_session(i as u32, addr, hello, frames, shape, run, barrier, origin)
-                })
+                let (hello, frames, load) = (&hellos[i], &frames[i], &load);
+                scope.spawn(move || drive_session(i as u32, hello, frames, load))
             })
             .collect();
         barrier.wait();
@@ -582,11 +626,8 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
         .filter_map(|o| o.end)
         .max()
         .map_or(Duration::ZERO, |end| end - start);
-    let cpu_after = (
-        cpu_ticks(&fleet[..1]),
-        cpu_ticks(&fleet[1..]),
-        cpu_ticks(&[me]),
-    );
+    let cpu_after = read(&clocks)?;
+    let busy_s = |after: u64, before: u64| (after - before) as f64 / 1e9;
     report.peak_rss_bytes = fleet
         .iter()
         .filter_map(|&pid| procfs::memory(pid, "VmHWM"))
@@ -597,12 +638,13 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
         None
     };
 
-    let mut tracer = Tracer::new(origin, 0);
+    let mut tracer = Tracer::new(load.origin, 0);
     // Concurrent sessions add their rates: (untraced, traced) updates/s.
     let mut rates = (0.0, 0.0);
     let mut sessions_sent = Vec::new();
     let mut replies = Vec::new();
     let mut latencies = Vec::new();
+    let mut cpu = None;
     for outcome in outcomes {
         report.attempted += outcome.attempted;
         report.failed += outcome.failed;
@@ -611,6 +653,7 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
         rates.1 += outcome.tally[1].rate();
         tracer.absorb(outcome.tracer);
         sessions_sent.push(outcome.batches_sent);
+        cpu = cpu.or(outcome.cpu);
         if let Some(error) = outcome.error {
             report.notes.push(format!("session failed: {error}"));
         }
@@ -627,6 +670,7 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
         }
     }
     report.throughput_ups = rates.0;
+    report.cpu_ns_per_update = cpu.map_or(f64::NAN, |cpu| cpu.median_ns_per_unit());
     latencies.sort_by_key(|&(at, _)| at);
     report.query_us = latencies.into_iter().map(|(_, us)| us).collect();
     if report.failed == 0 {
@@ -667,7 +711,7 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
             "printed merged estimate {merged_line:?} vs single-process {expected}"
         ));
     }
-    report.correct = report.failed == 0 && replies.len() == SESSIONS && mismatches.is_empty();
+    report.correct = report.failed == 0 && replies.len() == shape.sessions && mismatches.is_empty();
     report.notes.extend(mismatches);
     let exact = U::exact(&sent);
     report.abs_rel_error = (expected - exact).abs() / exact;
@@ -675,16 +719,19 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
     if run.trace {
         let first_pass = sent_batches(&pools[0], shape.batch, frames[0].len() as u64).concat();
         U::model_probes(&mut report, &first_pass, shape, reference_ns);
-        let shard_of = |n: usize| -> Result<Vec<u8>, String> {
+        // Two shards over the halves of what was sent (with two sessions,
+        // about one session's batches each).
+        let shard_of = |part: &[&[U]]| -> Result<Vec<u8>, String> {
             let mut shard = U::build(&spec).map_err(|e| e.to_string())?;
-            for batch in sent_batches(&pools[n], shape.batch, sessions_sent[n]) {
+            for batch in part {
                 U::apply(&mut *shard, batch);
             }
             Ok(U::shard_bytes(&*shard))
         };
+        let (a, b) = sent.split_at(sent.len() / 2);
         report.layer(
             U::MERGE_METRIC,
-            probes::merge_us::<U>(&spec, &shard_of(0)?, &shard_of(1)?, 5)?,
+            probes::merge_us::<U>(&spec, &shard_of(a)?, &shard_of(b)?, 5)?,
         );
         report.layer(
             "engine.route_ns_per_update",
@@ -736,14 +783,14 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
             prom::sum(&samples, "knw_serve_write_queue_peak_bytes"),
         );
 
-        let wall = elapsed.as_secs_f64() * procfs::CLOCK_TICKS;
+        let wall = elapsed.as_secs_f64();
         report.layer(
             "cpu.aggregator_busy_frac",
-            (cpu_after.0 - cpu_before.0) as f64 / wall,
+            busy_s(cpu_after.0, cpu_before.0) / wall,
         );
         report.layer(
             "cpu.workers_busy_frac",
-            (cpu_after.1 - cpu_before.1) as f64 / wall,
+            busy_s(cpu_after.1, cpu_before.1) / wall,
         );
         let writes = tracer.durations_ns("client.batch_write");
         report.layer(
@@ -759,7 +806,7 @@ fn run_serve<U: Served>(run: &Run, shape: &Shape) -> Result<Report, String> {
             &mut report,
             &tracer,
             rates,
-            cpu_after.2 - cpu_before.2,
+            busy_s(cpu_after.2, cpu_before.2),
             elapsed,
         );
     }

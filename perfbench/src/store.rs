@@ -87,16 +87,24 @@ pub fn run(run: &Run) -> Result<Report, String> {
     }
 
     let _ = procfs::reset_own_high_water();
-    let me = std::process::id();
-    let rss_before = procfs::memory(me, "VmRSS").unwrap_or(0);
-    let cpu_before = procfs::stat(me).map_or(0, |s| s.cpu_ticks);
-
     let mut store = F0SketchStore::<u64>::new(config(BUDGET_BYTES));
+    // Warm-up, untimed: one pass over the inputs.  The first pass fills the
+    // store and its cost per update climbs from a third of the steady cost
+    // as eviction sets in; later passes cost the same as each other.
+    for batch in updates.chunks(BATCH) {
+        store.ingest_batch(batch);
+    }
+    let warm_up = POOL;
+
+    let me = std::process::id();
+    let clock = procfs::CpuClock::new(&[me])?;
+    let cpu_before = clock.ns()?;
+    let mut cpu = procfs::CpuWindows::start(clock.clone(), warm_up as u64)?;
     let mut tracer = Tracer::new(Instant::now(), 0);
     let mut tally: [ModeTally; 2] = Default::default();
     let mut queries_us = Vec::new();
     let mut last_estimates: Vec<Option<f64>> = vec![None; sample.len()];
-    let mut pos = 0usize;
+    let mut pos = warm_up;
     let mut queries = 0u64;
     let start = Instant::now();
     for cycle in 0.. {
@@ -129,18 +137,18 @@ pub fn run(run: &Run) -> Result<Report, String> {
         if traced {
             tracer.close_parent("cycle", first_span, cycle_start, end, BATCH as u64);
         }
+        cpu.mark(pos as u64)?;
         if start.elapsed() >= run.seconds {
             break;
         }
     }
     let elapsed = start.elapsed();
-    report.attempted = (pos / BATCH) as u64 + queries;
+    let cpu_ingest = (clock.ns()? - cpu_before) as f64 / 1e9;
+    report.attempted = ((pos - warm_up) / BATCH) as u64 + queries;
+    report.cpu_ns_per_update = cpu.median_ns_per_unit();
     report.throughput_ups = tally[0].rate();
     report.query_us = queries_us;
-    report.peak_rss_bytes = procfs::memory(me, "VmHWM")
-        .unwrap_or(0)
-        .saturating_sub(rss_before) as f64;
-    let cpu_after = procfs::stat(me).map_or(0, |s| s.cpu_ticks);
+    report.peak_rss_bytes = procfs::memory(me, "VmHWM").unwrap_or(0) as f64;
     let store_stats = store.stats();
     drop(store);
 
@@ -198,14 +206,7 @@ pub fn run(run: &Run) -> Result<Report, String> {
             store_stats.budget_high_water as f64 / 1e6,
         );
         let rates = (tally[0].rate(), tally[1].rate());
-        finish_trace(
-            run,
-            &mut report,
-            &tracer,
-            rates,
-            cpu_after - cpu_before,
-            elapsed,
-        );
+        finish_trace(run, &mut report, &tracer, rates, cpu_ingest, elapsed);
     }
     Ok(report)
 }

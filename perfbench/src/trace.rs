@@ -7,7 +7,7 @@
 //! closed loop; its layer calls are its child spans.
 
 use crate::report::Report;
-use crate::{procfs, Run, OUT_DIR};
+use crate::{Run, OUT_DIR};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -184,13 +184,10 @@ pub fn finish_trace(
     report: &mut Report,
     tracer: &Tracer,
     rates: (f64, f64),
-    cpu_ticks: u64,
+    client_cpu_s: f64,
     elapsed: Duration,
 ) {
-    report.layer(
-        "cpu.client_busy_frac",
-        cpu_ticks as f64 / procfs::CLOCK_TICKS / elapsed.as_secs_f64(),
-    );
+    report.layer("cpu.client_busy_frac", client_cpu_s / elapsed.as_secs_f64());
     report.layer("accuracy.abs_rel_error", report.abs_rel_error);
     report.layer(
         "accuracy.failed_ops_frac",
