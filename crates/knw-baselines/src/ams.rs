@@ -17,8 +17,7 @@ use knw_hash::rng::SplitMix64;
 use knw_hash::SpaceUsage;
 
 /// The AMS constant-factor F0 estimator (median over repetitions).
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct AmsEstimator {
     hashes: Vec<PairwiseHash>,
     max_levels: Vec<u32>,

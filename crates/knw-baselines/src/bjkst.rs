@@ -20,8 +20,7 @@ use knw_hash::SpaceUsage;
 use std::collections::HashSet;
 
 /// The BJKST distinct-elements sketch.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct BjkstSketch {
     /// Fingerprints of the sampled items (fingerprint collisions are part of
     /// the analysis and folded into the error budget).

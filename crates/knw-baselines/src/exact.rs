@@ -7,8 +7,7 @@ use knw_hash::SpaceUsage;
 use std::collections::HashSet;
 
 /// An exact distinct counter backed by a hash set.
-#[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct ExactCounter {
     seen: HashSet<u64>,
 }
@@ -67,8 +66,7 @@ impl CardinalityEstimator for ExactCounter {
 
 /// An exact L0 (Hamming norm) counter maintaining the full frequency vector,
 /// used as ground truth by the turnstile experiments.
-#[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct ExactL0Counter {
     frequencies: std::collections::HashMap<u64, i64>,
     nonzero: u64,

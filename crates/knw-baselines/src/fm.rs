@@ -16,8 +16,7 @@ use knw_hash::SpaceUsage;
 const PHI: f64 = 0.77351;
 
 /// A PCSA (Probabilistic Counting with Stochastic Averaging) sketch.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FlajoletMartin {
     /// One 64-bit bitmap per group.
     bitmaps: Vec<u64>,

@@ -25,8 +25,7 @@ use knw_hash::pairwise::PairwiseHash;
 use knw_hash::rng::SplitMix64;
 
 /// A Ganguly-style multi-level L0 estimator (non-negative frequencies only).
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct GangulyL0 {
     /// Row-major cells: `(log n + 1) × k` signed frequency sums.
     cells: Vec<i64>,

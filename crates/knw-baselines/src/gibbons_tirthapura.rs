@@ -18,8 +18,7 @@ use knw_hash::SpaceUsage;
 use std::collections::HashSet;
 
 /// The Gibbons–Tirthapura distinct-sampling sketch.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct GibbonsTirthapura {
     /// Sampled item identifiers (full identifiers — this is the point of the
     /// comparison with BJKST).

@@ -17,8 +17,7 @@ use knw_vla::bitvec::FixedWidthVec;
 use knw_vla::SpaceUsage as VlaSpaceUsage;
 
 /// A HyperLogLog sketch.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct HyperLogLog {
     registers: FixedWidthVec,
     hash: SimpleTabulation,

@@ -13,8 +13,7 @@ use knw_hash::SpaceUsage;
 use std::collections::BTreeSet;
 
 /// A bottom-k (K-minimum-values) sketch.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct KMinValues {
     /// The k smallest hash values seen so far (a set, so duplicates collapse).
     smallest: BTreeSet<u64>,

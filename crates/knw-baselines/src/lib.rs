@@ -2,7 +2,7 @@
 //!
 //! Figure 1 of the paper compares the new algorithm against the prior art on
 //! the distinct-elements problem.  To regenerate that comparison empirically
-//! (experiment E1 in `DESIGN.md`) — and to have something meaningful to race
+//! (experiment E1, knw-bench's `table1_comparison`) — and to have something meaningful to race
 //! in the throughput benches (E13) — this crate implements the main rows of
 //! that table from scratch:
 //!

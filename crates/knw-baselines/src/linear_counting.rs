@@ -18,8 +18,7 @@ use knw_vla::bitvec::BitVec;
 use knw_vla::SpaceUsage as VlaSpaceUsage;
 
 /// A linear-counting bitmap sketch.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct LinearCounting {
     bits: BitVec,
     set_bits: u64,

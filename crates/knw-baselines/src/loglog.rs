@@ -16,8 +16,7 @@ use knw_vla::bitvec::FixedWidthVec;
 use knw_vla::SpaceUsage as VlaSpaceUsage;
 
 /// A LogLog sketch with `m` 6-bit registers.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct LogLog {
     registers: FixedWidthVec,
     hash: SimpleTabulation,

@@ -2,8 +2,8 @@
 //!
 //! The paper's analysis uses a `Θ(log(1/ε)/log log(1/ε))`-wise independent
 //! family (Lemma 2); its O(1)-time implementation substitutes Siegel/Pagh–Pagh
-//! machinery, which this reproduction replaces with tabulation hashing
-//! (DESIGN.md §3).  This ablation runs the full F0 sketch under both options
+//! machinery, which this reproduction replaces with tabulation hashing (the
+//! `knw_hash::tabulation` module docs give the argument).  This ablation runs the full F0 sketch under both options
 //! and compares accuracy and update throughput, demonstrating that the
 //! substitution does not change the estimator's behaviour while being faster
 //! per update.

@@ -1,7 +1,7 @@
 //! Measurement harness for the KNW reproduction experiments.
 //!
-//! The experiment binaries in `src/bin/` (one per experiment id in
-//! `DESIGN.md` §5) use this library for three things:
+//! The experiment binaries in `src/bin/` (one per experiment, its id in the
+//! file header) use this library for three things:
 //!
 //! * [`accuracy`] — collecting relative-error distributions and success rates
 //!   against ground truth;

@@ -43,7 +43,7 @@ use crate::recovery::{RecoveryPolicy, WorkerRegistry};
 use crate::spec::{build_f0, build_l0, f0_shard_from_bytes, l0_shard_from_bytes};
 use crate::spec::{WireF0Sketch, WireL0Sketch};
 use crate::transport::{
-    PipeTransport, PoolTransport, TcpClusterConfig, TcpTransport, Transport, WorkerConnection,
+    PipeTransport, TcpClusterConfig, TcpTransport, Transport, WorkerConnection,
 };
 use knw_core::{DynMergeableCardinalityEstimator, DynMergeableTurnstileEstimator, SketchError};
 use knw_engine::{BatcherMetrics, EngineConfig, Routable, RoutingPolicy, ShardBatcher};
@@ -1125,7 +1125,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         if live < needed {
             return Err(ClusterError::PoolExhausted { needed, live });
         }
-        let transport = PoolTransport::new(Arc::clone(registry));
+        let pool_only =
+            TcpClusterConfig::new(Vec::<String>::new()).with_registry(Arc::clone(registry));
+        let transport = TcpTransport::new(&pool_only);
         Self::start(Box::new(transport), engine, spec, recovery).map_err(|e| match e {
             // A draw that lost the race against other consumers (or a probe
             // that failed between the pre-check and the dial) reports the

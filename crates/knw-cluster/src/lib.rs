@@ -42,7 +42,9 @@
 //!   **already-running** workers (`knw-worker --listen <addr>`, the
 //!   [`serve`] loop) over TCP sockets with bounded connect/read/write
 //!   timeouts: the multi-host topology.  `knw-aggregate --transport tcp
-//!   --connect host:port …` is the CLI front.
+//!   --connect host:port …` is the CLI front.  The same transport places
+//!   [`ClusterAggregator::from_pool`] fleets, drawing every address from a
+//!   [`WorkerRegistry`] pool instead of a static list.
 //!
 //! # The frame protocol
 //!
@@ -320,8 +322,8 @@ pub use spec::{
     l0_shard_from_bytes, WireF0Sketch, WireL0Sketch,
 };
 pub use transport::{
-    probe_worker, spawn_listening_worker, ListeningWorkerFleet, PipeTransport, PoolTransport,
-    TcpClusterConfig, TcpTransport, Transport, WorkerConnection, BANNER_DEADLINE,
-    DEFAULT_CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT,
+    probe_worker, spawn_listening_worker, ListeningWorkerFleet, PipeTransport, TcpClusterConfig,
+    TcpTransport, Transport, WorkerConnection, BANNER_DEADLINE, DEFAULT_CONNECT_TIMEOUT,
+    DEFAULT_IO_TIMEOUT,
 };
 pub use worker::{run_worker, serve, serve_connection, ServeOptions, DEFAULT_MAX_ACCEPT_RETRIES};

@@ -212,8 +212,7 @@ fn connect_first(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 }
 
 /// Opens a configured framed TCP link to `addr`, attributing failure to
-/// worker `index` — the connection-building body shared by [`TcpTransport`]
-/// and [`PoolTransport`].
+/// worker `index`.
 fn open_tcp_link(
     index: usize,
     addr: &str,
@@ -580,11 +579,20 @@ impl TcpClusterConfig {
 /// The multi-host transport: connect to already-running workers
 /// (`knw-worker --listen <addr>`) over TCP.
 ///
+/// Worker addresses come from the static list, from an attached
+/// [`WorkerRegistry`] pool of `knw-worker --listen --register` spares, or
+/// both.  An index beyond the static list — every index of a fleet built
+/// with an empty list, as `from_pool` does — is placed by popping pool
+/// addresses until one passes the connect-and-greet liveness probe
+/// ([`probe_worker`]) and connects.
+///
 /// Recovery re-resolution: [`reopen`](Transport::reopen) first re-dials the
-/// worker's current address; if that stays unreachable and a
-/// [`WorkerRegistry`] is attached, it pops registered replacement
-/// addresses until one connects, and remembers the substitution so later
-/// faults on the same worker dial the replacement directly.
+/// worker's current address; if that stays unreachable and a registry is
+/// attached, it draws a replacement from the pool the same way, and
+/// remembers the substitution so later faults on the same worker dial the
+/// replacement directly.  [`retire`](Transport::retire) — a scale-down
+/// removed the slot — hands the worker's address back to the pool, so a
+/// later grow can re-adopt the still-serving worker.
 #[derive(Debug)]
 pub struct TcpTransport {
     addrs: Vec<String>,
@@ -698,138 +706,6 @@ impl Transport for TcpTransport {
             if let Some(addr) = expired.or_else(|| self.addrs.get(index).cloned()) {
                 registry.return_address(addr);
             }
-        }
-    }
-}
-
-// --------------------------------------------------------------------- pool
-
-/// The placement transport: **no static address list at all** — every
-/// worker slot is filled by drawing a probed-healthy address from a
-/// [`WorkerRegistry`] pool of `knw-worker --listen --register` spares.
-///
-/// Opening worker `index` pops pool addresses until one passes the
-/// connect-and-greet liveness probe ([`probe_worker`]) and connects, then
-/// remembers the assignment; [`reopen`](Transport::reopen) re-dials the
-/// assigned address first (a supervisor may have restarted the process in
-/// place) and falls back to a fresh draw.  [`retire`](Transport::retire)
-/// — a scale-down removed the slot — forgets the assignment and returns
-/// the address to the pool, so a later grow can re-adopt the
-/// still-serving worker.
-#[derive(Debug)]
-pub struct PoolTransport {
-    registry: Arc<WorkerRegistry>,
-    connect_timeout: Duration,
-    io_timeout: Option<Duration>,
-    /// Pool addresses by the worker index they were placed on.
-    assigned: Mutex<HashMap<usize, String>>,
-}
-
-impl PoolTransport {
-    /// Creates a pool transport drawing from `registry` with the default
-    /// timeouts.
-    #[must_use]
-    pub fn new(registry: Arc<WorkerRegistry>) -> Self {
-        Self {
-            registry,
-            connect_timeout: DEFAULT_CONNECT_TIMEOUT,
-            io_timeout: Some(DEFAULT_IO_TIMEOUT),
-            assigned: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Sets the connect timeout.
-    #[must_use]
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-link read/write timeout (`None` blocks forever).
-    #[must_use]
-    pub fn with_io_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.io_timeout = timeout;
-        self
-    }
-
-    /// The registry this transport draws placements from.
-    #[must_use]
-    pub fn registry(&self) -> &Arc<WorkerRegistry> {
-        &self.registry
-    }
-
-    /// The pool address currently placed on worker `index`, if any.
-    #[must_use]
-    pub fn assigned_addr(&self, index: usize) -> Option<String> {
-        self.assigned
-            .lock()
-            .expect("pool assignments lock")
-            .get(&index)
-            .cloned()
-    }
-
-    /// Draws probed-healthy pool addresses until one connects, recording
-    /// the assignment.
-    fn draw(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        while let Some(addr) = self.registry.take_address() {
-            if !probe_worker(
-                &addr,
-                self.connect_timeout,
-                self.io_timeout.unwrap_or(DEFAULT_IO_TIMEOUT),
-            ) {
-                continue;
-            }
-            match open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout) {
-                Ok(conn) => {
-                    self.assigned
-                        .lock()
-                        .expect("pool assignments lock")
-                        .insert(index, addr);
-                    return Ok(conn);
-                }
-                Err(_) => continue,
-            }
-        }
-        Err(ClusterError::PoolExhausted {
-            needed: 1,
-            live: self.registry.live_available(),
-        })
-    }
-}
-
-impl Transport for PoolTransport {
-    fn open(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        match self.assigned_addr(index) {
-            Some(addr) => open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout),
-            None => self.draw(index),
-        }
-    }
-
-    fn reopen(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        if let Some(addr) = self.assigned_addr(index) {
-            match open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout) {
-                Ok(conn) => return Ok(conn),
-                Err(_) => {
-                    // The placed worker is gone for good; forget it before
-                    // drawing a replacement.
-                    self.assigned
-                        .lock()
-                        .expect("pool assignments lock")
-                        .remove(&index);
-                }
-            }
-        }
-        self.draw(index)
-    }
-
-    fn retire(&self, index: usize) {
-        if let Some(addr) = self
-            .assigned
-            .lock()
-            .expect("pool assignments lock")
-            .remove(&index)
-        {
-            self.registry.return_address(addr);
         }
     }
 }

@@ -7,8 +7,8 @@
 //! (`RecoveryExhausted`, `JournalOverflow`) and bounded — never a hang,
 //! never a partial merge.
 //!
-//! Runs in CI (`cargo test -p knw-cluster --test cluster_recovery`, plain
-//! and `--features serde`); needs only process spawning and loopback.
+//! Runs in CI (`cargo test -p knw-cluster --test cluster_recovery`); needs
+//! only process spawning and loopback.
 
 use knw_cluster::{
     build_f0, build_l0, f0_estimator_names, l0_estimator_names, spawn_listening_worker,

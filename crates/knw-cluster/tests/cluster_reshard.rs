@@ -9,8 +9,8 @@
 //! typed when the pool cannot cover it, and retired workers return to
 //! the pool for later grows to re-adopt.
 //!
-//! Runs in CI (`cargo test -p knw-cluster --test cluster_reshard`, plain
-//! and `--features serde`); needs only process spawning and loopback.
+//! Runs in CI (`cargo test -p knw-cluster --test cluster_reshard`); needs
+//! only process spawning and loopback.
 //!
 //! [`from_pool`]: F0ClusterAggregator::from_pool
 

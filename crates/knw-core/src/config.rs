@@ -4,8 +4,7 @@ use knw_hash::bits::{bits_for_universe, next_power_of_two};
 use knw_hash::uniform::HashStrategy;
 
 /// Configuration of the KNW F0 sketch (Figure 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct F0Config {
     /// Target relative accuracy `ε` (the sketch aims for a `(1 ± O(ε))`
     /// approximation with constant probability).
@@ -79,8 +78,7 @@ impl F0Config {
 }
 
 /// Configuration of the KNW L0 sketch (Section 4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct L0Config {
     /// Target relative accuracy `ε`.
     pub epsilon: f64,

@@ -36,9 +36,10 @@
 //!   the paper's value.  Smaller divisors keep more items per level, trading
 //!   a strictly-constant-factor increase in counter bits for a smaller
 //!   constant in front of `ε` (see the ablation experiment E16).
-//! * Reporting uses the hardware natural logarithm by default; the Lemma 7
-//!   lookup table is implemented and validated separately
-//!   ([`crate::ln_table`]), see DESIGN.md §3.
+//! * Reporting uses the hardware natural logarithm by default: it is already
+//!   `O(1)` on real hardware, so Lemma 7's lookup table only matters in the
+//!   paper's word-RAM model.  The table is implemented and validated
+//!   separately ([`crate::ln_table`], experiment E11).
 //! * Batched ingestion ([`KnwF0Sketch::insert_batch`]) hoists the update
 //!   counter and the FAIL-guard check out of the per-item loop; the guard is
 //!   still evaluated before every rebase and at batch end, so the sticky
@@ -66,8 +67,7 @@ use knw_vla::{SpaceUsage as VlaSpaceUsage, Vla};
 pub const PAPER_SUBSAMPLE_DIVISOR: u64 = 32;
 
 /// The space-optimal KNW F0 (distinct elements) sketch.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct KnwF0Sketch {
     config: F0Config,
     /// Number of counters `K = 1/ε²` (power of two).
@@ -332,13 +332,12 @@ impl KnwF0Sketch {
     /// state-independent hashing — the main level hash `h1` and every rough
     /// sub-estimator level hash — runs through the batched kernels
     /// (`hash_batch`), and only the per-item reactions (counter writes,
-    /// bucket hashes of surviving items, rebases) stay scalar.  Under the
-    /// `simd` cargo feature the batched kernels are the unrolled eight-lane
-    /// versions; either way the kernels are bit-identical to per-key hashing
-    /// (the knw-hash contract), levels are pure functions of the item, and
-    /// each item's filter still reads the *current* base — which may move
-    /// mid-block via `react_to_rough` — so the resulting sketch state is
-    /// bit-identical to the per-item path in both configurations.
+    /// bucket hashes of surviving items, rebases) stay scalar.  The batched
+    /// kernels are bit-identical to per-key hashing (the knw-hash contract),
+    /// levels are pure functions of the item, and each item's filter still
+    /// reads the *current* base — which may move mid-block via
+    /// `react_to_rough` — so the resulting sketch state is bit-identical to
+    /// the per-item path.
     pub fn insert_batch(&mut self, items: &[u64]) {
         self.updates += items.len() as u64;
         let small_active = !self.small.large_certified();

@@ -27,8 +27,7 @@ use knw_hash::uniform::{BucketHash, HashStrategy};
 use knw_hash::{SpaceUsage, LANES};
 
 /// The Lemma 6 counter matrix plus the hash functions that address it.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct L0Matrix {
     /// `h1 ∈ H_2([n], [0, n−1])` — row (level) selection via `lsb`.
     h1: PairwiseHash,
@@ -78,7 +77,7 @@ impl L0Matrix {
         // interval still contains Θ(D/log D) primes, far more than the number
         // of prime factors ≥ D that any of the ≤ K relevant frequencies can
         // have, so the "p divides a nonzero frequency" failure stays
-        // negligible (see DESIGN.md §3).
+        // negligible.
         let d = (100 * k * u64::from(log_mm.max(1))).max(1 << 10);
         let hi = d.saturating_mul(8).min((1u64 << 61) - 1);
         let prime = random_prime_in_range(d, hi, rng);
@@ -130,8 +129,7 @@ impl L0Matrix {
 
     /// Applies a batch of updates.  All four addressing hashes (`h1`, `h2`,
     /// `h3`, `h4`) are pure functions of the item, so eight-lane blocks are
-    /// pre-hashed through the batched kernels (unrolled under the `simd`
-    /// cargo feature, bit-identical either way) and the field arithmetic on
+    /// pre-hashed through the batched kernels and the field arithmetic on
     /// the addressed cells is applied per lane in order — bit-identical to
     /// per-item [`update`](Self::update) calls.
     pub fn update_batch(&mut self, updates: &[(u64, i64)]) {

@@ -43,8 +43,7 @@ const EXACT_CAPACITY: u64 = 100;
 
 /// The single-row intermediate structure: `2K` Lemma 6 counters with no
 /// subsampling, the turnstile analogue of the Section 3.3 bit array.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct MidRangeRow {
     h2: PairwiseHash,
     h3: BucketHash,
@@ -160,8 +159,7 @@ impl MidRangeRow {
 /// The KNW L0 (Hamming norm) sketch: `(1 ± O(ε))`-approximation of
 /// `|{i : x_i ≠ 0}|` under turnstile updates, with O(1) update and reporting
 /// time (Theorem 10).
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct KnwL0Sketch {
     config: L0Config,
     k: u64,
@@ -248,8 +246,8 @@ impl KnwL0Sketch {
     ///
     /// The coalesced sequence is materialized once and fed to each component
     /// separately: the counter matrix and the mid-range row consume it
-    /// through their eight-lane batched paths (unrolled hash kernels under
-    /// the `simd` cargo feature, bit-identical either way), while the rough
+    /// through their eight-lane batched paths (bit-identical to per-key
+    /// hashing by the knw-hash contract), while the rough
     /// oracle and the exact structure take it per item.  The four components
     /// share no state, so per-component passes over the same sequence leave
     /// the sketch bit-identical to the interleaved per-item run.

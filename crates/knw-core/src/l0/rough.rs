@@ -34,8 +34,7 @@ pub const LEVEL_CAPACITY: u64 = 141;
 pub const LEVEL_THRESHOLD: u64 = 8;
 
 /// The constant-factor (Theorem 11) rough L0 estimator.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RoughL0Estimator {
     /// The level-splitting pairwise hash.
     level_hash: PairwiseHash,

@@ -31,8 +31,7 @@ use knw_hash::rng::SplitMix64;
 use knw_hash::SpaceUsage;
 
 /// One trial of the Lemma 8 structure.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct Trial {
     /// Pairwise hash from the universe into the buckets.
     hash: PairwiseHash,
@@ -95,8 +94,7 @@ impl Trial {
 }
 
 /// The Lemma 8 exact small-L0 structure.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ExactSmallL0 {
     trials: Vec<Trial>,
     capacity: u64,

@@ -35,8 +35,7 @@ pub const RHO: f64 = 0.99 * (1.0 - 0.716_531_310_573_789_3); // 1 - e^{-1/3}
 const COPIES: usize = 3;
 
 /// One of the three sub-estimators of Figure 2.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 struct RoughSub {
     /// `h1 ∈ H_2([n], [0, n−1])` — level hash (via `lsb`).
     h1: PairwiseHash,
@@ -166,8 +165,7 @@ impl RoughSub {
 /// The Figure 2 RoughEstimator: an `O(log n)`-bit structure whose estimate is,
 /// with probability `1 − o(1)`, within `[F0(t), 8·F0(t)]` simultaneously for
 /// all times `t` at which `F0(t) ≥ K_RE`.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct RoughEstimator {
     log_n: u32,
     k_re: u64,
@@ -186,8 +184,8 @@ impl RoughEstimator {
     ///
     /// `HashStrategy::PolynomialKWise` follows Figure 2 literally
     /// (`2·K_RE`-wise polynomial); `HashStrategy::Tabulation` follows the
-    /// O(1)-time variant of Lemma 5 (Pagh–Pagh replaced by tabulation, see
-    /// DESIGN.md §3).
+    /// O(1)-time variant of Lemma 5 (Pagh–Pagh replaced by twisted
+    /// tabulation; `knw_hash::tabulation` gives the substitution argument).
     #[must_use]
     pub fn with_strategy(universe: u64, seed: u64, strategy: HashStrategy) -> Self {
         let universe_pow2 = universe.max(2).next_power_of_two();

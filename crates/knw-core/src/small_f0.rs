@@ -41,8 +41,7 @@ pub enum SmallF0Estimate {
 }
 
 /// The Section 3.3 small-cardinality estimator.
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct SmallF0Estimator {
     /// First [`EXACT_CAPACITY`] distinct indices seen, sorted for O(log 100)
     /// membership tests.

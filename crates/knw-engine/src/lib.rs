@@ -181,8 +181,7 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 
 /// Sizing and routing knobs shared by [`ShardedEngine`], [`ShardRouter`]
 /// and the `knw-cluster` multi-process aggregator.
-#[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
 pub struct EngineConfig {
     /// Number of shards (worker threads / sequential sub-sketches /
     /// worker processes).

@@ -41,8 +41,7 @@ use knw_metrics::{Counter, MetricsRegistry};
 use std::sync::Arc;
 
 /// Which shard-assignment discipline a router uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum RoutingPolicy {
     /// Consecutive batches go to shards cyclically (the default).
     #[default]

@@ -21,8 +21,7 @@ use crate::{SpaceUsage, LANES};
 /// A hash function drawn from an exactly `k`-wise independent family.
 ///
 /// The function maps `u64` keys to values in `[0, range)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct KWiseHash {
     /// Polynomial coefficients over `GF(2^61 − 1)`, degree `k − 1`, c[0] is the
     /// constant term.
@@ -98,35 +97,15 @@ impl KWiseHash {
 
     /// Evaluates [`hash_full`](Self::hash_full) on eight keys at once,
     /// bit-identical to eight per-key calls (see the crate docs on the
-    /// `simd` feature contract).
+    /// batched-kernel contract).
     #[inline]
     #[must_use]
     pub fn hash_full_batch(&self, xs: &[u64; LANES]) -> [u64; LANES] {
-        #[cfg(feature = "simd")]
-        {
-            // Horner's rule with the loops interchanged: each coefficient is
-            // loaded once and applied to all eight lanes, whose multiply-add
-            // chains are independent and pipeline across lanes.
-            let mut xr = [0u64; LANES];
-            for (r, &x) in xr.iter_mut().zip(xs) {
-                *r = Mersenne61::reduce(x);
-            }
-            let mut acc = [0u64; LANES];
-            for &c in self.coeffs.iter().rev() {
-                for (a, &x) in acc.iter_mut().zip(&xr) {
-                    *a = Mersenne61::add(Mersenne61::mul(*a, x), c);
-                }
-            }
-            acc
+        let mut out = [0u64; LANES];
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.hash_full(x);
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            let mut out = [0u64; LANES];
-            for (o, &x) in out.iter_mut().zip(xs) {
-                *o = self.hash_full(x);
-            }
-            out
-        }
+        out
     }
 
     /// Evaluates [`hash`](Self::hash) on eight keys at once, bit-identical to

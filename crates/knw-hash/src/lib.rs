@@ -16,7 +16,7 @@
 //! * [`pairwise`] — the 2-wise specialization used for `h1`, `h2` and `h4`.
 //! * [`tabulation`] — simple and twisted tabulation hashing, our practical
 //!   stand-in for Siegel's construction (Theorem 7) and the Pagh–Pagh uniform
-//!   family (Theorem 6); see `DESIGN.md` §3 for the substitution argument.
+//!   family (Theorem 6); its module docs give the substitution argument.
 //! * [`uniform`] — the [`HashStrategy`](uniform::HashStrategy) switch that lets
 //!   callers pick between the provably `k`-wise family and the fast tabulation
 //!   family for the bucket hash `h3`.
@@ -29,30 +29,23 @@
 //! in bits via [`SpaceUsage`], so that the bench harness can account for hash
 //! function storage exactly as the paper does.
 //!
-//! # Batched kernels and the `simd` feature
+//! # Batched kernels
 //!
 //! Every hash family exposes, next to its per-key `hash`/`hash_full`, an
 //! eight-lane batched form (`hash_batch`/`hash_full_batch`) operating on
-//! `[u64; `[`LANES`]`]` blocks.  The batched APIs exist in **every** build, so
-//! call sites are feature-independent; the `simd` cargo feature only selects
-//! the kernel behind them:
-//!
-//! * **scalar fallback (default, normative)** — a plain loop over the
-//!   per-key `hash`.  This is the reference semantics; the per-key functions
-//!   are what the paper's analysis speaks about.
-//! * **`simd`** — manually unrolled eight-lane kernels: field reductions and
-//!   range masks run as lane-parallel passes the compiler can vectorize, the
-//!   `u128` Mersenne products run as eight independent dependency chains the
-//!   CPU pipelines, and the tabulation families do gather-style lookups (all
-//!   lanes per table, one table at a time).  No target-specific intrinsics
-//!   are used, so the feature is portable.
+//! `[u64; `[`LANES`]`]` blocks.  `hash_full_batch` is a plain loop over the
+//! per-key `hash_full`, the function the paper's analysis speaks about;
+//! `hash_batch` applies the range reduction to its output lane by lane.
 //!
 //! The contract is **bit-identity, not estimate-identity**: for every family,
 //! every key block and every draw of the function, `hash_batch(xs)[i] ==
-//! hash(xs[i])` (and likewise for `hash_full_batch`) in both configurations.
-//! The `batch_identity` property tests pin this, and CI runs them with the
-//! feature off and on; any sketch built on the batched kernels therefore
-//! produces bit-identical state under either configuration.
+//! hash(xs[i])` (and likewise for `hash_full_batch`); the `batch_identity`
+//! property tests pin it per family.  The pairwise kernels the F0 hot loop
+//! uses (`hash_full_batch_prereduced`, `hash_zero_mask_prereduced`, fed by
+//! [`Mersenne61::reduce_batch`]) are held to the same contract, which the
+//! workspace's sketch-level identity tests check through `insert_batch`.  Any
+//! sketch built on the batched kernels therefore has the same state as one
+//! built item by item.
 
 /// Number of keys a batched hash call (`hash_batch` / `hash_full_batch`)
 /// processes at once.

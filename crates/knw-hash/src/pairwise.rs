@@ -20,8 +20,7 @@ use crate::{SpaceUsage, LANES};
 
 /// A pairwise-independent hash function `x ↦ ((a·x + b) mod p) mod range` (or
 /// masked when `range` is a power of two), with `p = 2^61 − 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PairwiseHash {
     a: u64,
     b: u64,
@@ -85,22 +84,15 @@ impl PairwiseHash {
 
     /// Evaluates [`hash_full`](Self::hash_full) on eight keys at once,
     /// bit-identical to eight per-key calls (see the crate docs on the
-    /// `simd` feature contract).
+    /// batched-kernel contract).
     #[inline]
     #[must_use]
     pub fn hash_full_batch(&self, xs: &[u64; LANES]) -> [u64; LANES] {
-        #[cfg(feature = "simd")]
-        {
-            self.hash_full_batch_prereduced(&Mersenne61::reduce_batch(xs))
+        let mut out = [0u64; LANES];
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.hash_full(x);
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            let mut out = [0u64; LANES];
-            for (o, &x) in out.iter_mut().zip(xs) {
-                *o = self.hash_full(x);
-            }
-            out
-        }
+        out
     }
 
     /// Evaluates [`hash_full`](Self::hash_full) on eight keys already

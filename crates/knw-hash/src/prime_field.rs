@@ -185,8 +185,7 @@ impl Mersenne61 {
 /// structure (Lemma 8).  Multiplication goes through `u128`, so no
 /// precomputed Barrett/Montgomery constants are required; the counters perform
 /// only a handful of field multiplications per stream update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DynField {
     p: u64,
 }

@@ -76,8 +76,7 @@ pub trait Rng64 {
 /// a finalizing mix.  Because the mix is a bijection, distinct counters yield
 /// distinct outputs, which makes SplitMix64 particularly suitable for deriving
 /// families of sub-seeds from a master seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -179,8 +178,7 @@ pub fn split_parent(shards: usize) -> usize {
 ///
 /// Used where long streams of pseudo-random words are consumed, e.g. the
 /// synthetic workload generators in `knw-stream`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }

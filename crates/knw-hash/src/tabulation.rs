@@ -7,11 +7,11 @@
 //! Pagh–Pagh structure is a multi-level perfect-hashing scheme that nobody
 //! deploys for 2K-element support sets.
 //!
-//! Our substitution (documented in `DESIGN.md` §3) is **tabulation hashing**:
-//! the key is split into 8-bit characters, each character indexes a table of
-//! random 64-bit words, and the results are XOR-ed.  Simple tabulation is only
-//! 3-wise independent, but Pătraşcu and Thorup showed it obeys Chernoff-style
-//! concentration for balls-and-bins-type quantities, which is exactly the
+//! Our substitution is **tabulation hashing**: the key is split into 8-bit
+//! characters, each character indexes a table of random 64-bit words, and the
+//! results are XOR-ed.  Simple tabulation is only 3-wise independent, but
+//! Pătraşcu and Thorup showed it obeys Chernoff-style concentration for
+//! balls-and-bins-type quantities, which is exactly the
 //! property the paper needs from `h3` (uniformity on an unknown set of `O(K)`
 //! keys).  [`TwistedTabulation`] additionally "twists" the final character,
 //! strengthening the tail bounds.  Both evaluate in a constant number of table
@@ -26,8 +26,7 @@ use crate::{SpaceUsage, LANES};
 const CHARS: usize = 8;
 
 /// Simple tabulation hashing over 8-bit characters of a 64-bit key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SimpleTabulation {
     /// `tables[c][b]` is the random word for character position `c`, byte value `b`.
     tables: Vec<[u64; 256]>,
@@ -86,32 +85,15 @@ impl SimpleTabulation {
 
     /// Evaluates [`hash_full`](Self::hash_full) on eight keys at once,
     /// bit-identical to eight per-key calls (see the crate docs on the
-    /// `simd` feature contract).
+    /// batched-kernel contract).
     #[inline]
     #[must_use]
     pub fn hash_full_batch(&self, xs: &[u64; LANES]) -> [u64; LANES] {
-        #[cfg(feature = "simd")]
-        {
-            // Gather-style loop interchange: one character position (i.e. one
-            // 2 KiB table) at a time, eight independent lookups per table, so
-            // the loads overlap instead of serializing per key.
-            let mut acc = [0u64; LANES];
-            for (c, table) in self.tables.iter().enumerate() {
-                let shift = 8 * c;
-                for (a, &x) in acc.iter_mut().zip(xs) {
-                    *a ^= table[((x >> shift) & 0xFF) as usize];
-                }
-            }
-            acc
+        let mut out = [0u64; LANES];
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.hash_full(x);
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            let mut out = [0u64; LANES];
-            for (o, &x) in out.iter_mut().zip(xs) {
-                *o = self.hash_full(x);
-            }
-            out
-        }
+        out
     }
 
     /// Evaluates [`hash`](Self::hash) on eight keys at once, bit-identical to
@@ -134,8 +116,7 @@ impl SpaceUsage for SimpleTabulation {
 /// Like simple tabulation, but the last character's table additionally yields a
 /// "twist" that is XOR-ed into the key before the final lookup, giving stronger
 /// minwise/concentration properties at the cost of one extra lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TwistedTabulation {
     /// Tables for the first `CHARS − 1` characters, each entry 64 bits of hash.
     head: Vec<[u64; 256]>,
@@ -201,40 +182,15 @@ impl TwistedTabulation {
 
     /// Evaluates [`hash_full`](Self::hash_full) on eight keys at once,
     /// bit-identical to eight per-key calls (see the crate docs on the
-    /// `simd` feature contract).
+    /// batched-kernel contract).
     #[inline]
     #[must_use]
     pub fn hash_full_batch(&self, xs: &[u64; LANES]) -> [u64; LANES] {
-        #[cfg(feature = "simd")]
-        {
-            // The twist lookups first (one gather over the twist table), then
-            // the head tables one character position at a time, eight lookups
-            // per table, as in the simple-tabulation kernel.
-            let mask = (1u64 << (8 * (CHARS - 1))) - 1;
-            let mut twisted = [0u64; LANES];
-            let mut acc = [0u64; LANES];
-            for ((t, a), &x) in twisted.iter_mut().zip(&mut acc).zip(xs) {
-                let top = ((x >> (8 * (CHARS - 1))) & 0xFF) as usize;
-                let (tw, h_top) = self.twist[top];
-                *t = x ^ (tw & mask);
-                *a = h_top;
-            }
-            for (c, table) in self.head.iter().enumerate() {
-                let shift = 8 * c;
-                for (a, &t) in acc.iter_mut().zip(&twisted) {
-                    *a ^= table[((t >> shift) & 0xFF) as usize];
-                }
-            }
-            acc
+        let mut out = [0u64; LANES];
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.hash_full(x);
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            let mut out = [0u64; LANES];
-            for (o, &x) in out.iter_mut().zip(xs) {
-                *o = self.hash_full(x);
-            }
-            out
-        }
+        out
     }
 
     /// Evaluates [`hash`](Self::hash) on eight keys at once, bit-identical to

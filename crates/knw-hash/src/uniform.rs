@@ -10,8 +10,8 @@
 //!   an unknown set of `≤ 2·K_RE` keys via Pagh–Pagh (Theorem 6).
 //!
 //! [`BucketHash`] packages both options behind one enum so the sketches can be
-//! configured either way, and the ablation experiment (E15 in `DESIGN.md`)
-//! compares them.  The default is the Carter–Wegman `k`-wise family, i.e. the
+//! configured either way, and the ablation experiment E15 (knw-bench's
+//! `hash_ablation`) compares them.  The default is the Carter–Wegman `k`-wise family, i.e. the
 //! configuration whose correctness follows verbatim from the paper's lemmas.
 
 use crate::kwise::KWiseHash;
@@ -20,8 +20,7 @@ use crate::tabulation::TwistedTabulation;
 use crate::{SpaceUsage, LANES};
 
 /// Which construction backs the high-independence bucket hash `h3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum HashStrategy {
     /// Carter–Wegman polynomial, exactly `k`-wise independent, `O(k)` evaluation.
     ///
@@ -32,14 +31,13 @@ pub enum HashStrategy {
     /// Twisted tabulation, `O(1)` evaluation, Chernoff-style concentration.
     ///
     /// This is the practical stand-in for Siegel/Pagh–Pagh (Theorems 6–7); see
-    /// `DESIGN.md` §3 for why the substitution preserves the behaviour the
-    /// analysis needs.
+    /// the [`crate::tabulation`] module docs for why the substitution
+    /// preserves the behaviour the analysis needs.
     Tabulation,
 }
 
 /// The bucket hash `h3 : [u] → [K]`, drawn according to a [`HashStrategy`].
-#[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub enum BucketHash {
     /// Carter–Wegman polynomial variant.
     Poly(KWiseHash),
@@ -78,7 +76,7 @@ impl BucketHash {
     }
 
     /// Evaluates [`hash`](Self::hash) on eight keys at once, bit-identical to
-    /// eight per-key calls (see the crate docs on the `simd` feature contract).
+    /// eight per-key calls (see the crate docs on the batched-kernel contract).
     #[inline]
     #[must_use]
     pub fn hash_batch(&self, xs: &[u64; LANES]) -> [u64; LANES] {

@@ -1,9 +1,7 @@
-//! Property tests pinning the `simd` feature contract: for every hash family,
+//! Property tests pinning the batched-kernel contract: for every hash family,
 //! the eight-lane batched evaluation is **bit-identical** to eight per-key
-//! evaluations — not merely statistically equivalent.  CI runs this file with
-//! the feature off (scalar fallback, trivially identical) and on (unrolled
-//! kernels, where the identity is the actual claim under test), so any batch
-//! kernel that diverges from the normative per-key path fails here.
+//! evaluations — not merely statistically equivalent — so any batch kernel
+//! that diverges from the normative per-key path fails here.
 
 use knw_hash::rng::SplitMix64;
 use knw_hash::uniform::{BucketHash, HashStrategy};

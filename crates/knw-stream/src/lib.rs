@@ -7,8 +7,7 @@
 //! selectivity estimates), and data cleaning via the Hamming norm (columns
 //! that are "mostly similar").  The original traces are long gone and were
 //! proprietary anyway; this crate provides synthetic equivalents that exercise
-//! the same code paths and the same cardinality-growth shapes (DESIGN.md §3
-//! documents the substitution).
+//! the same code paths and the same cardinality-growth shapes.
 //!
 //! * [`generator`] — element-distribution generators (uniform, Zipfian,
 //!   sequential, clustered, duplicate-heavy) behind one [`StreamGenerator`]

@@ -10,8 +10,7 @@
 use crate::SpaceUsage;
 
 /// A growable packed bit vector.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub struct BitVec {
     words: Vec<u64>,
     /// Length in bits.
@@ -192,8 +191,7 @@ impl SpaceUsage for BitVec {
 }
 
 /// A vector of packed integers, each exactly `width` bits wide.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FixedWidthVec {
     bits: BitVec,
     width: u32,

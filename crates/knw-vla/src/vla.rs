@@ -43,8 +43,7 @@ fn bit_len(value: u64) -> u32 {
 /// A variable-bit-length array of `u64` values.
 ///
 /// All entries start at value `0`, which occupies zero data bits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Vla {
     /// Per-entry widths, 7 bits each.
     widths: FixedWidthVec,

@@ -1,6 +1,6 @@
-//! Failure-injection and edge-case integration tests: the paths DESIGN.md §7
-//! lists explicitly (FAIL guard, saturation, degenerate configurations,
-//! boundary universes) exercised end to end.
+//! Failure-injection and edge-case integration tests: the FAIL guard,
+//! saturation, degenerate configurations and boundary universes, exercised
+//! end to end.
 
 use knw::core::{
     CardinalityEstimator, F0Config, KnwF0Sketch, KnwL0Sketch, L0Config, SketchError,

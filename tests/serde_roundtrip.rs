@@ -5,10 +5,7 @@
 //! The invariant under test is stronger than "deserializes without error":
 //! for every mergeable F0 and L0 sketch, `deserialize(serialize(shard))`
 //! must merge *exactly* like the in-memory shard does, and the merged
-//! estimate must be bit-identical to the single-stream run.  Runs only with
-//! `--features serde` (exercised by CI).
-
-#![cfg(feature = "serde")]
+//! estimate must be bit-identical to the single-stream run.
 
 use knw::baselines::{
     AmsEstimator, BjkstSketch, ExactCounter, ExactL0Counter, FlajoletMartin, GangulyL0,

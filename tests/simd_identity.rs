@@ -2,13 +2,12 @@
 //! ingestion paths (`insert_batch` / `update_batch`) must leave each
 //! sketch in a state indistinguishable from the per-item path.
 //!
-//! This is the test that pins the `simd` feature contract.  The per-item
-//! reference path (`insert` / `update`) never touches the batched hash
-//! kernels, so it computes the same bytes with and without the feature;
-//! the batched path selects the eight-lane kernels when `simd` is on.
-//! CI runs this file under both feature configurations, so a green run
-//! under `--features simd` proves the vectorized kernels reproduce the
-//! scalar sketch state bit for bit — not merely a close estimate.
+//! This is the test that pins the batched-kernel contract at sketch level.
+//! The per-item reference path (`insert` / `update`) never touches the
+//! batched hash kernels, while the batched path runs every eight-lane block
+//! through them (including the fused pre-reduced pairwise kernels of the F0
+//! hot loop), so a green run proves the batched kernels reproduce the
+//! per-item sketch state bit for bit — not merely a close estimate.
 //!
 //! Identity is checked at two strengths:
 //!
