@@ -50,7 +50,9 @@ use knw_core::{
     F0Config, KnwF0Sketch, KnwL0Sketch, L0Config, MergeableEstimator, SketchError, SpaceUsage,
 };
 
-/// Fixed per-entry accounting overhead (enum tag, `Vec` header, map node).
+/// Fixed per-entry accounting overhead (enum tag, `Vec` header). An
+/// accounting constant, not a measured size: it stays fixed when the
+/// store's layout changes, so budgets and eviction points do too.
 const ENTRY_OVERHEAD_BYTES: usize = 48;
 
 /// One kind of per-key estimator managed by the store.
@@ -83,6 +85,22 @@ pub trait SketchFamily: 'static {
         entry_seed: u64,
         promote_threshold: usize,
     );
+
+    /// Applies a run of updates for one key, in order, exactly as repeated
+    /// [`apply`](Self::apply) would in every estimate. The default is that
+    /// loop; families override it to feed a promoted entry's sketch in one
+    /// batched call.
+    fn apply_run(
+        entry: &mut Self::Entry,
+        updates: &[Self::Update],
+        config: &Self::SketchConfig,
+        entry_seed: u64,
+        promote_threshold: usize,
+    ) {
+        for &update in updates {
+            Self::apply(entry, update, config, entry_seed, promote_threshold);
+        }
+    }
 
     /// Current estimate: exact while sparse, the KNW estimate once promoted.
     fn estimate(entry: &Self::Entry) -> f64;
@@ -118,6 +136,38 @@ pub trait SketchFamily: 'static {
     /// Returns [`SketchError::IncompatibleConfig`] (field `"entry_bytes"`)
     /// on truncated or malformed input.
     fn unspill(bytes: &[u8]) -> Result<Self::Entry, SketchError>;
+}
+
+/// Encoded header of a sparse entry: a `u32` variant tag and a `u64` item
+/// count; the fixed-width items follow.
+const SPARSE_HEADER_BYTES: usize = 4 + 8;
+
+/// Serializes an entry into a buffer of `capacity` bytes, sized by the
+/// caller so that a sparse entry's spill allocates once.
+fn spill_sized<T: Serialize>(entry: &T, capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    entry.serialize(&mut out);
+    out
+}
+
+/// Applies `updates` one at a time while `entry` is sparse and returns the
+/// rest of the run once it has promoted (empty if it never does).
+fn apply_while_sparse<'a, F: SketchFamily>(
+    entry: &mut F::Entry,
+    updates: &'a [F::Update],
+    config: &F::SketchConfig,
+    entry_seed: u64,
+    promote_threshold: usize,
+) -> &'a [F::Update] {
+    let mut rest = updates;
+    while let Some((&update, tail)) = rest.split_first() {
+        if F::is_promoted(entry) {
+            break;
+        }
+        F::apply(entry, update, config, entry_seed, promote_threshold);
+        rest = tail;
+    }
+    rest
 }
 
 fn unspill_error(family: &'static str, err: &serde::Error) -> SketchError {
@@ -187,6 +237,22 @@ impl SketchFamily for F0Family {
         }
     }
 
+    /// One update at a time while sparse, then the rest of the run through
+    /// [`KnwF0Sketch::insert_batch`], whose estimates equal the per-item
+    /// path's.
+    fn apply_run(
+        entry: &mut F0Entry,
+        items: &[u64],
+        config: &F0Config,
+        entry_seed: u64,
+        promote_threshold: usize,
+    ) {
+        let rest = apply_while_sparse::<Self>(entry, items, config, entry_seed, promote_threshold);
+        if let F0Entry::Promoted(sketch) = entry {
+            sketch.insert_batch(rest);
+        }
+    }
+
     fn estimate(entry: &F0Entry) -> f64 {
         match entry {
             F0Entry::Sparse(items) => items.len() as f64,
@@ -242,7 +308,11 @@ impl SketchFamily for F0Family {
     }
 
     fn spill(entry: &F0Entry) -> Vec<u8> {
-        serde::to_bytes(entry)
+        let items = match entry {
+            F0Entry::Sparse(items) => items.len(),
+            F0Entry::Promoted(_) => 0,
+        };
+        spill_sized(entry, SPARSE_HEADER_BYTES + items * 8)
     }
 
     fn unspill(bytes: &[u8]) -> Result<F0Entry, SketchError> {
@@ -347,6 +417,22 @@ impl SketchFamily for L0Family {
         }
     }
 
+    /// One update at a time while sparse, then the rest of the run through
+    /// [`KnwL0Sketch::update_batch`], bit-identical to the per-update path.
+    fn apply_run(
+        entry: &mut L0Entry,
+        updates: &[(u64, i64)],
+        config: &L0Config,
+        entry_seed: u64,
+        promote_threshold: usize,
+    ) {
+        let rest =
+            apply_while_sparse::<Self>(entry, updates, config, entry_seed, promote_threshold);
+        if let L0Entry::Promoted(sketch) = entry {
+            sketch.update_batch(rest);
+        }
+    }
+
     fn estimate(entry: &L0Entry) -> f64 {
         match entry {
             L0Entry::Sparse(items) => items.iter().filter(|&&(_, net)| net != 0).count() as f64,
@@ -406,7 +492,11 @@ impl SketchFamily for L0Family {
     }
 
     fn spill(entry: &L0Entry) -> Vec<u8> {
-        serde::to_bytes(entry)
+        let items = match entry {
+            L0Entry::Sparse(items) => items.len(),
+            L0Entry::Promoted(_) => 0,
+        };
+        spill_sized(entry, SPARSE_HEADER_BYTES + items * 16)
     }
 
     fn unspill(bytes: &[u8]) -> Result<L0Entry, SketchError> {
@@ -491,6 +581,43 @@ mod tests {
     }
 
     #[test]
+    fn batched_runs_match_per_update_apply_across_promotion() {
+        // Runs that promote midway: the sparse head goes one by one, the
+        // promoted tail through the sketch's batch path.
+        let f0 = F0Config::new(0.25, 1 << 20);
+        let (mut run, mut each) = (F0Family::empty_entry(), F0Family::empty_entry());
+        let items: Vec<u64> = (0..300u64).map(|i| i * 7 % 211).collect();
+        for chunk in items.chunks(37) {
+            F0Family::apply_run(&mut run, chunk, &f0, 5, 16);
+            for &item in chunk {
+                F0Family::apply(&mut each, item, &f0, 5, 16);
+            }
+        }
+        assert!(F0Family::is_promoted(&run));
+        assert_eq!(F0Family::estimate(&run), F0Family::estimate(&each));
+
+        let l0 = L0Config::new(0.25, 1 << 20);
+        let (mut run, mut each) = (L0Family::empty_entry(), L0Family::empty_entry());
+        let updates: Vec<(u64, i64)> = (0..60u64).map(|i| (i % 23, 2 - (i % 5) as i64)).collect();
+        for chunk in updates.chunks(13) {
+            L0Family::apply_run(&mut run, chunk, &l0, 5, 16);
+            for &update in chunk {
+                L0Family::apply(&mut each, update, &l0, 5, 16);
+            }
+        }
+        assert!(L0Family::is_promoted(&run));
+        assert_eq!(L0Family::spill(&run), L0Family::spill(&each));
+
+        let sparse = L0Entry::Sparse(vec![(1, 2), (3, 0)]);
+        let bytes = L0Family::spill(&sparse);
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "a sparse spill allocates once"
+        );
+    }
+
+    #[test]
     fn entry_spill_roundtrips() {
         let config = F0Config::new(0.25, 1 << 20);
         let mut entry = F0Family::empty_entry();
@@ -498,6 +625,11 @@ mod tests {
             F0Family::apply(&mut entry, i, &config, 3, 64);
         }
         let bytes = F0Family::spill(&entry);
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "a sparse spill allocates once"
+        );
         let back = F0Family::unspill(&bytes).expect("roundtrip");
         assert_eq!(F0Family::estimate(&back), F0Family::estimate(&entry));
         assert!(F0Family::unspill(&bytes[..bytes.len() - 1]).is_err());

@@ -1,13 +1,13 @@
 //! Key trait for the keyed sketch store.
 //!
-//! A store key must be totally ordered (the store keeps its resident and
-//! cold tiers in [`BTreeMap`](std::collections::BTreeMap)s so every walk —
-//! snapshots, wire encoding, merges — visits keys in one global order),
-//! serializable (keys travel in the store wire format and the cold-tier
-//! spill records), and reducible to a stable `u64` routing key so the store
-//! shards across [`ShardedEngine`](knw_engine::ShardedEngine) and
-//! `knw-cluster` workers through the same single
-//! [`shard_for_key`](knw_hash::rng::shard_for_key) used everywhere else.
+//! A store key must be hashable (the store finds a key's slot through a
+//! hash index), totally ordered (every walk — snapshots, wire encoding,
+//! merges, estimate sums — sorts the keys and visits them in one global
+//! order), serializable (keys travel in the store wire format), and
+//! reducible to a stable `u64` routing key so the store shards across
+//! [`ShardedEngine`](knw_engine::ShardedEngine) and `knw-cluster` workers
+//! through the same single [`shard_for_key`](knw_hash::rng::shard_for_key)
+//! used everywhere else.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +22,13 @@ use knw_hash::rng::mix64;
 /// Shard placement, the per-key sketch seed, and therefore per-key sketch
 /// *state* all derive from it, so a non-deterministic implementation would
 /// break the store's bit-identical shard-merge guarantee.
-pub trait StoreKey: Clone + Ord + Send + Serialize + Deserialize + 'static {
+///
+/// `Hash` (consistent with `Eq`) only indexes keys: the store's hasher is
+/// randomly seeded per store, and no observable order, seed or byte ever
+/// depends on a hash value. `Ord` alone orders every walk.
+pub trait StoreKey:
+    Clone + Ord + std::hash::Hash + Send + Serialize + Deserialize + 'static
+{
     /// Stable 64-bit routing key for sharding and per-key seed derivation.
     fn route_key(&self) -> u64;
 }

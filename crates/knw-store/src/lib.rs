@@ -34,22 +34,29 @@
 //!
 //! ## Budgeted residency and the cold tier
 //!
+//! Every key owns one slot for life, found through a hash index; the slot
+//! holds either the resident entry or, once evicted, its serialized bytes
+//! (the **cold tier** — the serde-shim wire encoding is the spill format).
 //! The store accounts an approximate footprint for every resident entry;
-//! when the total exceeds [`budget_bytes`](StoreConfig::budget_bytes) it
-//! evicts cold keys (clock second-chance over a ring of resident keys) to a
-//! **cold tier** of serialized entry bytes — the serde-shim wire encoding
-//! is the spill format. Eviction is exact: reload reconstructs the entry
+//! when the total exceeds [`budget_bytes`](StoreConfig::budget_bytes) at
+//! the end of a mutation it evicts cold keys (clock second-chance over a
+//! ring of resident slots), swapping each slot to its bytes in place; a
+//! touch swaps it back. Eviction is exact: reload reconstructs the entry
 //! bit-for-bit, so evict → reload → continue never perturbs an estimate.
 //! Reads ([`estimate`](SketchStore::estimate),
 //! [`for_each_estimate`](SketchStore::for_each_estimate)) decode cold
-//! entries transiently without touching residency.
+//! entries transiently without touching residency. The hash index never
+//! orders anything: batches apply their key runs in ascending key order,
+//! and walks (estimates, wire snapshots, merges) sort the keys first, so
+//! eviction choices, wire bytes and estimate sums are deterministic.
 //!
 //! ## Batch ingest and sharding
 //!
 //! [`ingest_batch`](SketchStore::ingest_batch) groups a batch by key before
 //! touching any entry — the same coalescing trick the engines use, one
-//! level up — so a batch with heavy key repetition costs one map lookup per
-//! distinct key. Keyed updates `(key, item)` / `(key, item, delta)`
+//! level up — so a batch with heavy key repetition costs one index lookup
+//! per distinct key, and a promoted key's run reaches its sketch as one
+//! batched call. Keyed updates `(key, item)` / `(key, item, delta)`
 //! implement `knw_engine::Routable`, and the store itself implements
 //! `ShardSketch`, so a `ShardedEngine` of per-shard stores routes keyed
 //! streams with the shared `shard_for_key` and merges exactly; store
@@ -101,11 +108,7 @@ impl ShardSketch<(u64, u64)> for F0SketchStore<u64> {
 /// updates.
 impl ShardSketch<(u64, u64, i64)> for L0SketchStore<u64> {
     fn apply_batch(&mut self, batch: &[(u64, u64, i64)]) {
-        let repacked: Vec<(u64, (u64, i64))> = batch
-            .iter()
-            .map(|&(key, item, delta)| (key, (item, delta)))
-            .collect();
-        self.ingest_batch(&repacked);
+        self.ingest_grouped(batch, |u| &u.0, |&(_, item, delta)| (item, delta));
     }
 
     fn shard_estimate(&self) -> f64 {

@@ -4,7 +4,8 @@
 //! eviction semantics.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -46,7 +47,11 @@ pub struct StoreConfig<C> {
     pub sketch: C,
     /// A sparse entry promotes when its item set *exceeds* this many items.
     pub promote_threshold: usize,
-    /// Resident-tier memory budget in bytes; crossing it evicts cold keys.
+    /// Resident-tier memory budget in bytes, enforced at the end of each
+    /// mutation: crossing it evicts cold keys once the mutation's updates
+    /// are applied, so one [`ingest_batch`](SketchStore::ingest_batch) can
+    /// overshoot it by the entries that batch grows or reloads (see
+    /// [`StoreStats::budget_high_water`]).
     pub budget_bytes: usize,
     /// Store seed, folded into every per-key sketch seed.
     pub seed: u64,
@@ -131,14 +136,17 @@ impl StoreMetrics {
     }
 }
 
-/// A resident (hot-tier) entry with its accounting and clock state.
+/// One key's state: a resident entry with its accounted footprint, or its
+/// spilled bytes.
 #[derive(Debug, Clone)]
-struct Resident<E> {
-    entry: E,
-    /// Accounted footprint (entry bytes + fixed per-key overhead).
-    bytes: usize,
-    /// Clock reference bit: set on touch, cleared on a clock pass.
-    referenced: bool,
+enum Slot<E> {
+    Resident {
+        entry: E,
+        /// Accounted footprint (entry bytes + fixed per-key overhead).
+        bytes: usize,
+    },
+    /// Cold tier: spilled entry bytes, reloadable exactly.
+    Cold(Vec<u8>),
 }
 
 /// Millions of tiny per-key KNW sketches behind one memory budget.
@@ -151,13 +159,19 @@ struct Resident<E> {
 /// the next touch, exactly. See the crate docs for the full contract.
 pub struct SketchStore<K: StoreKey, F: SketchFamily> {
     config: StoreConfig<F::SketchConfig>,
-    /// Hot tier. A `BTreeMap` (not a hash map) so every walk is in one
-    /// deterministic global key order.
-    resident: BTreeMap<K, Resident<F::Entry>>,
-    /// Cold tier: spilled entry bytes, reloadable exactly.
-    cold: BTreeMap<K, Vec<u8>>,
-    /// Clock ring over resident keys (front = next eviction candidate).
-    clock: VecDeque<K>,
+    /// Key → slot. Keys are never removed, so a key keeps its slot for
+    /// life; walks that need key order sort slots by key when they run.
+    index: HashMap<K, u32>,
+    /// The key of each slot.
+    keys: Vec<K>,
+    /// Each key's entry, resident or spilled, indexed like `keys`.
+    slots: Vec<Slot<F::Entry>>,
+    /// Clock ring over resident slots (front = next eviction candidate).
+    clock: VecDeque<u32>,
+    /// Clock reference bit of each slot: set on touch, cleared on a clock
+    /// pass. Kept apart from `slots` so a clock pass reads a dense array.
+    referenced: Vec<bool>,
+    resident_len: usize,
     resident_bytes: usize,
     cold_bytes: usize,
     stats: StoreStats,
@@ -169,9 +183,12 @@ impl<K: StoreKey, F: SketchFamily> Clone for SketchStore<K, F> {
     fn clone(&self) -> Self {
         Self {
             config: self.config,
-            resident: self.resident.clone(),
-            cold: self.cold.clone(),
+            index: self.index.clone(),
+            keys: self.keys.clone(),
+            slots: self.slots.clone(),
             clock: self.clock.clone(),
+            referenced: self.referenced.clone(),
+            resident_len: self.resident_len,
             resident_bytes: self.resident_bytes,
             cold_bytes: self.cold_bytes,
             stats: self.stats,
@@ -185,8 +202,8 @@ impl<K: StoreKey, F: SketchFamily> std::fmt::Debug for SketchStore<K, F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SketchStore")
             .field("family", &F::NAME)
-            .field("resident_keys", &self.resident.len())
-            .field("cold_keys", &self.cold.len())
+            .field("resident_keys", &self.resident_len())
+            .field("cold_keys", &self.cold_len())
             .field("resident_bytes", &self.resident_bytes)
             .field("cold_bytes", &self.cold_bytes)
             .field("stats", &self.stats)
@@ -195,7 +212,10 @@ impl<K: StoreKey, F: SketchFamily> std::fmt::Debug for SketchStore<K, F> {
 }
 
 impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
-    /// Fixed accounted overhead per resident key (map node + clock slot).
+    /// Fixed accounted overhead per resident key (index entry, slot, ring
+    /// position). An accounting constant, not a measured size: it stays
+    /// fixed when the store's layout changes, so a given budget admits the
+    /// same keys and evicts at the same points.
     const KEY_OVERHEAD: usize = std::mem::size_of::<K>() + 48;
 
     /// Creates an empty store.
@@ -203,9 +223,12 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
     pub fn new(config: StoreConfig<F::SketchConfig>) -> Self {
         Self {
             config,
-            resident: BTreeMap::new(),
-            cold: BTreeMap::new(),
+            index: HashMap::new(),
+            keys: Vec::new(),
+            slots: Vec::new(),
             clock: VecDeque::new(),
+            referenced: Vec::new(),
+            resident_len: 0,
             resident_bytes: 0,
             cold_bytes: 0,
             stats: StoreStats::default(),
@@ -233,22 +256,22 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
 
     /// Total number of tracked keys (resident + cold).
     pub fn len(&self) -> usize {
-        self.resident.len() + self.cold.len()
+        self.slots.len()
     }
 
     /// Whether the store tracks no keys at all.
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty() && self.cold.is_empty()
+        self.slots.is_empty()
     }
 
     /// Number of keys in the resident (hot) tier.
     pub fn resident_len(&self) -> usize {
-        self.resident.len()
+        self.resident_len
     }
 
     /// Number of keys spilled to the cold tier.
     pub fn cold_len(&self) -> usize {
-        self.cold.len()
+        self.slots.len() - self.resident_len
     }
 
     /// Accounted resident-tier footprint in bytes.
@@ -263,7 +286,8 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
 
     /// Applies one update to one key.
     pub fn update(&mut self, key: K, update: F::Update) {
-        self.apply_run(key, &[update]);
+        let found = self.index.get(&key).copied();
+        self.apply_run(&key, found, &[update]);
         self.finish_mutation();
     }
 
@@ -271,34 +295,44 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
     /// then applies each key's updates in their original relative order.
     ///
     /// Grouping is the same coalescing trick the engines use, one level up:
-    /// one resident-tier lookup (and at most one cold-tier reload) per
-    /// distinct key in the batch instead of per update.
+    /// one index lookup (and at most one cold-tier reload) per distinct key
+    /// in the batch instead of per update. Runs are applied in ascending key
+    /// order, so the clock ring order is a function of the batch contents.
     pub fn ingest_batch(&mut self, batch: &[(K, F::Update)]) {
+        self.ingest_grouped(batch, |u| &u.0, |u| u.1);
+    }
+
+    /// [`ingest_batch`](Self::ingest_batch) over any update record, read
+    /// through `key` and `update` in place rather than repacked.
+    pub(crate) fn ingest_grouped<T>(
+        &mut self,
+        batch: &[T],
+        key: impl Fn(&T) -> &K,
+        update: impl Fn(&T) -> F::Update,
+    ) {
         if batch.is_empty() {
             return;
         }
-        // Sort indices by (key, position): groups duplicates while keeping
+        // Stable sort of positions by key: groups duplicates while keeping
         // each key's updates in arrival order (not that entry state depends
         // on it — see the promotion contract — but determinism is free).
-        let mut order: Vec<u32> = (0..batch.len() as u32).collect();
-        order.sort_by(|&a, &b| {
-            batch[a as usize]
-                .0
-                .cmp(&batch[b as usize].0)
-                .then(a.cmp(&b))
-        });
+        let mut order: Vec<usize> = (0..batch.len()).collect();
+        order.sort_by(|&a, &b| key(&batch[a]).cmp(key(&batch[b])));
+        let groups: Vec<&[usize]> = order
+            .chunk_by(|&a, &b| key(&batch[a]) == key(&batch[b]))
+            .collect();
+        // Look every run's key up before touching any entry: independent
+        // lookups overlap their cache misses. Runs hold distinct keys, so
+        // a slot added for one run never changes another's lookup.
+        let found: Vec<Option<u32>> = groups
+            .iter()
+            .map(|group| self.index.get(key(&batch[group[0]])).copied())
+            .collect();
         let mut run: Vec<F::Update> = Vec::new();
-        let mut start = 0;
-        while start < order.len() {
-            let key = &batch[order[start] as usize].0;
-            let mut end = start;
+        for (group, found) in groups.into_iter().zip(found) {
             run.clear();
-            while end < order.len() && batch[order[end] as usize].0 == *key {
-                run.push(batch[order[end] as usize].1);
-                end += 1;
-            }
-            self.apply_run(key.clone(), &run);
-            start = end;
+            run.extend(group.iter().map(|&i| update(&batch[i])));
+            self.apply_run(key(&batch[group[0]]), found, &run);
         }
         self.finish_mutation();
     }
@@ -309,36 +343,16 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
     /// Cold keys are decoded transiently — a read does not touch residency
     /// or the clock.
     pub fn estimate(&self, key: &K) -> Option<f64> {
-        if let Some(resident) = self.resident.get(key) {
-            return Some(F::estimate(&resident.entry));
-        }
-        self.cold.get(key).map(|bytes| {
-            let entry = F::unspill(bytes).expect("cold-tier bytes are store-written");
-            F::estimate(&entry)
-        })
+        self.index
+            .get(key)
+            .map(|&slot| self.slot_estimate(slot as usize))
     }
 
     /// Visits every key's estimate in global key order (resident and cold
-    /// tiers interleaved into one sorted walk).
+    /// slots alike).
     pub fn for_each_estimate(&self, mut visit: impl FnMut(&K, f64)) {
-        let mut resident = self.resident.iter().peekable();
-        let mut cold = self.cold.iter().peekable();
-        loop {
-            // The tiers are disjoint, so plain `<` picks a unique side.
-            let take_resident = match (resident.peek(), cold.peek()) {
-                (Some((rk, _)), Some((ck, _))) => rk < ck,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if take_resident {
-                let (key, entry) = resident.next().expect("peeked");
-                visit(key, F::estimate(&entry.entry));
-            } else {
-                let (key, bytes) = cold.next().expect("peeked");
-                let entry = F::unspill(bytes).expect("cold-tier bytes are store-written");
-                visit(key, F::estimate(&entry));
-            }
+        for slot in self.slots_by_key() {
+            visit(&self.keys[slot], self.slot_estimate(slot));
         }
     }
 
@@ -350,91 +364,114 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
         total
     }
 
-    /// Applies a run of updates for one key against its resident entry.
+    /// The estimate held in `slot`; a cold slot is decoded transiently.
+    fn slot_estimate(&self, slot: usize) -> f64 {
+        match &self.slots[slot] {
+            Slot::Resident { entry, .. } => F::estimate(entry),
+            Slot::Cold(bytes) => {
+                F::estimate(&F::unspill(bytes).expect("cold-tier bytes are store-written"))
+            }
+        }
+    }
+
+    /// Every slot, sorted by key: the global key order of every walk.
+    fn slots_by_key(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.slots.len()).collect();
+        order.sort_unstable_by(|&a, &b| self.keys[a].cmp(&self.keys[b]));
+        order
+    }
+
+    /// Applies a run of updates for one key against its resident entry;
+    /// `found` is the key's slot as the index holds it.
     ///
     /// Callers follow up with [`finish_mutation`](Self::finish_mutation)
     /// once per externally-visible mutation.
-    fn apply_run(&mut self, key: K, updates: &[F::Update]) {
-        let sketch_config = self.config.sketch;
-        let threshold = self.config.promote_threshold;
-        let seed = entry_seed(self.config.seed, key.route_key());
-        self.ensure_resident(&key);
-        let resident = self
-            .resident
-            .get_mut(&key)
-            .expect("ensure_resident left the key resident");
-        resident.referenced = true;
-        let was_promoted = F::is_promoted(&resident.entry);
-        for &update in updates {
-            F::apply(&mut resident.entry, update, &sketch_config, seed, threshold);
-        }
-        let promoted_now = !was_promoted && F::is_promoted(&resident.entry);
-        let new_bytes = F::entry_bytes(&resident.entry) + Self::KEY_OVERHEAD;
-        self.resident_bytes = self.resident_bytes - resident.bytes + new_bytes;
-        resident.bytes = new_bytes;
-        if promoted_now {
-            self.stats.promotions += 1;
-            if let Some(metrics) = &self.metrics {
-                metrics.promotions.inc();
-            }
-        }
+    fn apply_run(&mut self, key: &K, found: Option<u32>, updates: &[F::Update]) {
+        self.mutate(key, found, |entry, config, seed, threshold| {
+            F::apply_run(entry, updates, config, seed, threshold);
+        });
     }
 
     /// Merges one foreign entry (same key, different stream segment) into
     /// this store, promoting at the merge boundary when the union crosses
     /// the threshold.
-    fn merge_entry(&mut self, key: K, other: &F::Entry) -> Result<(), SketchError> {
-        let sketch_config = self.config.sketch;
-        let threshold = self.config.promote_threshold;
+    fn merge_entry(&mut self, key: &K, other: &F::Entry) -> Result<(), SketchError> {
+        let found = self.index.get(key).copied();
+        self.mutate(key, found, |entry, config, seed, threshold| {
+            F::merge(entry, other, config, seed, threshold)
+        })
+    }
+
+    /// Makes `key` resident, marks it referenced, runs `change` on its
+    /// entry (with the sketch configuration, the key's entry seed and the
+    /// promotion threshold), then re-accounts its bytes and counts a
+    /// promotion if `change` made one.
+    fn mutate<R>(
+        &mut self,
+        key: &K,
+        found: Option<u32>,
+        change: impl FnOnce(&mut F::Entry, &F::SketchConfig, u64, usize) -> R,
+    ) -> R {
         let seed = entry_seed(self.config.seed, key.route_key());
-        self.ensure_resident(&key);
-        let resident = self
-            .resident
-            .get_mut(&key)
-            .expect("ensure_resident left the key resident");
-        resident.referenced = true;
-        let was_promoted = F::is_promoted(&resident.entry);
-        F::merge(&mut resident.entry, other, &sketch_config, seed, threshold)?;
-        let promoted_now = !was_promoted && F::is_promoted(&resident.entry);
-        let new_bytes = F::entry_bytes(&resident.entry) + Self::KEY_OVERHEAD;
-        self.resident_bytes = self.resident_bytes - resident.bytes + new_bytes;
-        resident.bytes = new_bytes;
+        let slot = self.resident_slot(key, found);
+        self.referenced[slot] = true;
+        let Slot::Resident { entry, bytes } = &mut self.slots[slot] else {
+            unreachable!("resident_slot leaves the key resident");
+        };
+        let was_promoted = F::is_promoted(entry);
+        let result = change(
+            entry,
+            &self.config.sketch,
+            seed,
+            self.config.promote_threshold,
+        );
+        let promoted_now = !was_promoted && F::is_promoted(entry);
+        let new_bytes = F::entry_bytes(entry) + Self::KEY_OVERHEAD;
+        self.resident_bytes = self.resident_bytes - *bytes + new_bytes;
+        *bytes = new_bytes;
         if promoted_now {
             self.stats.promotions += 1;
             if let Some(metrics) = &self.metrics {
                 metrics.promotions.inc();
             }
         }
-        Ok(())
+        result
     }
 
-    /// Makes `key` resident: reloads it from the cold tier if spilled,
-    /// otherwise starts a fresh sparse entry.
-    fn ensure_resident(&mut self, key: &K) {
-        if self.resident.contains_key(key) {
-            return;
-        }
-        let entry = if let Some(bytes) = self.cold.remove(key) {
+    /// The slot of `key`, made resident: a cold slot is reloaded in place,
+    /// and a never-seen key gets a new slot holding a fresh sparse entry.
+    fn resident_slot(&mut self, key: &K, found: Option<u32>) -> usize {
+        let Some(slot) = found else {
+            let slot = self.slots.len();
+            let id = u32::try_from(slot).expect("a store holds fewer than 2^32 keys");
+            self.index.insert(key.clone(), id);
+            self.keys.push(key.clone());
+            self.referenced.push(true);
+            let resident = self.admit(id, F::empty_entry());
+            self.slots.push(resident);
+            return slot;
+        };
+        if let Slot::Cold(bytes) = &self.slots[slot as usize] {
             self.cold_bytes -= bytes.len();
+            let entry = F::unspill(bytes).expect("cold-tier bytes are store-written");
             self.stats.reloads += 1;
             if let Some(metrics) = &self.metrics {
                 metrics.reloads.inc();
             }
-            F::unspill(&bytes).expect("cold-tier bytes are store-written")
-        } else {
-            F::empty_entry()
-        };
+            self.slots[slot as usize] = self.admit(slot, entry);
+        }
+        slot as usize
+    }
+
+    /// Accounts `entry` as resident in slot `id` and enqueues the slot at
+    /// the back of the clock ring; returns the slot state to store. The
+    /// caller, [`mutate`](Self::mutate), sets the reference bit.
+    fn admit(&mut self, id: u32, entry: F::Entry) -> Slot<F::Entry> {
         let bytes = F::entry_bytes(&entry) + Self::KEY_OVERHEAD;
         self.resident_bytes += bytes;
-        self.clock.push_back(key.clone());
-        self.resident.insert(
-            key.clone(),
-            Resident {
-                entry,
-                bytes,
-                referenced: true,
-            },
-        );
+        self.resident_len += 1;
+        self.clock.push_back(id);
+        Slot::Resident { entry, bytes }
     }
 
     /// Budget bookkeeping after a mutation: record the high-water mark
@@ -443,7 +480,7 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
         if self.resident_bytes > self.stats.budget_high_water {
             self.stats.budget_high_water = self.resident_bytes;
         }
-        while self.resident_bytes > self.config.budget_bytes && self.resident.len() > 1 {
+        while self.resident_bytes > self.config.budget_bytes && self.resident_len > 1 {
             if !self.evict_one() {
                 break;
             }
@@ -457,30 +494,28 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
     /// spilled bytes decode back to the identical entry, so evict → reload
     /// → continue produces the same estimates as never evicting.
     fn evict_one(&mut self) -> bool {
-        // Every resident key holds exactly one ring slot; referenced slots
-        // are given a second chance (cleared + requeued), so the scan
+        // Every resident slot sits in the ring exactly once; referenced
+        // slots are given a second chance (cleared + requeued), so the scan
         // terminates within two passes.
         for _ in 0..self.clock.len().saturating_mul(2).saturating_add(1) {
-            let Some(key) = self.clock.pop_front() else {
+            let Some(id) = self.clock.pop_front() else {
                 return false;
             };
-            let Some(resident) = self.resident.get_mut(&key) else {
-                // Defensive: a slot whose key is no longer resident.
-                continue;
-            };
-            if resident.referenced {
-                resident.referenced = false;
-                self.clock.push_back(key);
+            let referenced = &mut self.referenced[id as usize];
+            if *referenced {
+                *referenced = false;
+                self.clock.push_back(id);
                 continue;
             }
-            let resident = self
-                .resident
-                .remove(&key)
-                .expect("checked resident just above");
-            self.resident_bytes -= resident.bytes;
-            let bytes = F::spill(&resident.entry);
-            self.cold_bytes += bytes.len();
-            self.cold.insert(key, bytes);
+            let slot = &mut self.slots[id as usize];
+            let Slot::Resident { entry, bytes } = slot else {
+                unreachable!("the clock ring holds resident slots only");
+            };
+            let spilled = F::spill(entry);
+            self.resident_bytes -= *bytes;
+            self.resident_len -= 1;
+            self.cold_bytes += spilled.len();
+            *slot = Slot::Cold(spilled);
             self.stats.evictions += 1;
             if let Some(metrics) = &self.metrics {
                 metrics.evictions.inc();
@@ -492,8 +527,8 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
 
     fn publish_gauges(&self) {
         if let Some(metrics) = &self.metrics {
-            metrics.resident_keys.set(self.resident.len() as u64);
-            metrics.cold_keys.set(self.cold.len() as u64);
+            metrics.resident_keys.set(self.resident_len() as u64);
+            metrics.cold_keys.set(self.cold_len() as u64);
             metrics.resident_bytes.set(self.resident_bytes as u64);
             metrics.cold_tier_bytes.set(self.cold_bytes as u64);
             metrics
@@ -519,27 +554,14 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
         out.extend_from_slice(&(self.config.promote_threshold as u64).to_le_bytes());
         self.config.sketch.serialize(&mut out);
         out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        let mut resident = self.resident.iter().peekable();
-        let mut cold = self.cold.iter().peekable();
-        loop {
-            let take_resident = match (resident.peek(), cold.peek()) {
-                (Some((rk, _)), Some((ck, _))) => rk < ck,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
+        for slot in self.slots_by_key() {
+            self.keys[slot].serialize(&mut out);
+            let bytes = match &self.slots[slot] {
+                Slot::Resident { entry, .. } => Cow::Owned(F::spill(entry)),
+                Slot::Cold(bytes) => Cow::Borrowed(bytes),
             };
-            if take_resident {
-                let (key, entry) = resident.next().expect("peeked");
-                key.serialize(&mut out);
-                let bytes = F::spill(&entry.entry);
-                out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                out.extend_from_slice(&bytes);
-            } else {
-                let (key, bytes) = cold.next().expect("peeked");
-                key.serialize(&mut out);
-                out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
+            out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            out.extend_from_slice(&bytes);
         }
         out
     }
@@ -608,7 +630,7 @@ impl<K: StoreKey, F: SketchFamily> SketchStore<K, F> {
             let (entry_bytes, rest) = input.split_at(len);
             input = rest;
             let entry = F::unspill(entry_bytes)?;
-            self.merge_entry(key, &entry)?;
+            self.merge_entry(&key, &entry)?;
         }
         if !input.is_empty() {
             return Err(SketchError::config_mismatch(
@@ -706,12 +728,17 @@ impl<K: StoreKey, F: SketchFamily> MergeableEstimator for SketchStore<K, F> {
                 other.config.promote_threshold,
             ));
         }
-        for (key, resident) in &other.resident {
-            self.merge_entry(key.clone(), &resident.entry)?;
-        }
-        for (key, bytes) in &other.cold {
-            let entry = F::unspill(bytes)?;
-            self.merge_entry(key.clone(), &entry)?;
+        // Resident keys first, then cold ones, each in key order (a stable
+        // sort on the tier). New keys join this store's clock ring in that
+        // order, so it must depend on the peer's state only, never on its
+        // slot layout; `eviction_policy_is_pinned` holds it fixed.
+        let mut order = other.slots_by_key();
+        order.sort_by_key(|&slot| matches!(other.slots[slot], Slot::Cold(_)));
+        for slot in order {
+            match &other.slots[slot] {
+                Slot::Resident { entry, .. } => self.merge_entry(&other.keys[slot], entry)?,
+                Slot::Cold(bytes) => self.merge_entry(&other.keys[slot], &F::unspill(bytes)?)?,
+            }
         }
         self.finish_mutation();
         Ok(())

@@ -11,8 +11,9 @@ use knw::engine::{EngineConfig, RoutingPolicy, ShardedEngine};
 use knw::hash::rng::{shard_for_key, Rng64, SplitMix64};
 use knw::metrics::MetricsRegistry;
 use knw::store::{
-    DynMergeableStore, F0Family, F0SketchStore, L0SketchStore, SketchStore, StoreConfig,
+    DynMergeableStore, F0Family, F0SketchStore, L0SketchStore, SketchStore, StoreConfig, StoreStats,
 };
+use knw::stream::{StreamGenerator, ZipfGenerator};
 use proptest::prelude::*;
 
 const UNIVERSE: u64 = 1 << 20;
@@ -415,6 +416,148 @@ fn eviction_roundtrip_is_exact_including_post_reload_promotion() {
     assert_eq!(l0_constrained.stats().promotions, 1);
     assert_eq!(l0_unconstrained.stats().promotions, 1);
     assert_stores_bit_identical(&l0_unconstrained, &l0_constrained, "l0 eviction");
+}
+
+/// A seeded Zipf keyed stream: hot keys recur and promote, the long tail
+/// stays sparse and cycles through the cold tier under a small budget.
+fn zipf_keyed_f0_stream(len: usize, items_per_key: u64, seed: u64) -> Vec<(u64, u64)> {
+    let mut keys = ZipfGenerator::new(20_000, 1.05, seed);
+    let mut items = SplitMix64::new(seed ^ 0x5eed);
+    (0..len)
+        .map(|_| (keys.next_item(), items.next_u64() % items_per_key))
+        .collect()
+}
+
+/// Lifetime counters, then resident/cold key counts and accounted bytes.
+fn residency<K: knw::store::StoreKey, F: knw::store::SketchFamily>(
+    store: &SketchStore<K, F>,
+) -> (StoreStats, [usize; 4]) {
+    (
+        store.stats(),
+        [
+            store.resident_len(),
+            store.cold_len(),
+            store.resident_bytes(),
+            store.cold_bytes(),
+        ],
+    )
+}
+
+/// Pins the clock eviction policy: a fixed Zipf stream through a budget
+/// that forces eviction, then a typed and a wire merge of a budgeted peer,
+/// land on exact promotion, eviction and reload counts, budget high-water,
+/// tier sizes and accounted bytes. The expected values were recorded on
+/// the `BTreeMap`-tiered store the slot table replaced, before the swap,
+/// so they hold the residency policy (ring order, second chance, per-key
+/// accounting, eviction at the end of each mutation) to the old behaviour.
+#[test]
+fn eviction_policy_is_pinned() {
+    let stream = zipf_keyed_f0_stream(120_000, 128, 3);
+    let mut store = F0SketchStore::<u64>::new(f0_store_config(32, 256 << 10));
+    for chunk in stream[..100_000].chunks(1_000) {
+        store.ingest_batch(chunk);
+    }
+    for &(key, item) in &stream[100_000..] {
+        store.update(key, item);
+    }
+    assert_eq!(
+        residency(&store),
+        (
+            StoreStats {
+                promotions: 343,
+                evictions: 40_867,
+                reloads: 32_504,
+                budget_high_water: 513_766,
+            },
+            [284, 8_363, 261_964, 799_600]
+        )
+    );
+
+    let mut peer = F0SketchStore::<u64>::new(f0_store_config(32, 64 << 10));
+    peer.ingest_batch(&zipf_keyed_f0_stream(30_000, 128, 4));
+    store.merge_from(&peer).expect("compatible stores");
+    store
+        .merge_wire_bytes(&peer.to_wire_bytes())
+        .expect("compatible stores");
+    assert_eq!(
+        residency(&store),
+        (
+            StoreStats {
+                promotions: 429,
+                evictions: 50_201,
+                reloads: 39_506,
+                budget_high_water: 1_337_875,
+            },
+            [1_286, 10_695, 262_024, 1_227_352]
+        )
+    );
+}
+
+/// Half the keys cold or not, `for_each_estimate` walks keys in strictly
+/// ascending order, for integer and for string keys alike.
+#[test]
+fn estimates_walk_in_ascending_key_order_across_tiers() {
+    let stream = zipf_keyed_f0_stream(20_000, 512, 5);
+    let mut store = F0SketchStore::<u64>::new(f0_store_config(16, 400 << 10));
+    for chunk in stream.chunks(500) {
+        store.ingest_batch(chunk);
+    }
+    let cold_share = store.cold_len() as f64 / store.len() as f64;
+    assert!(
+        (0.3..0.8).contains(&cold_share),
+        "cold share {cold_share} should be near half"
+    );
+    let mut keys = Vec::new();
+    store.for_each_estimate(|key, _| keys.push(*key));
+    assert_eq!(keys.len(), store.len());
+    assert!(
+        keys.windows(2).all(|w| w[0] < w[1]),
+        "u64 walk out of order"
+    );
+
+    let mut strings = SketchStore::<String, F0Family>::new(f0_store_config(16, 100 << 10));
+    let string_stream: Vec<(String, u64)> = stream
+        .iter()
+        .map(|&(key, item)| (format!("user:{}", key % 997), item))
+        .collect();
+    for chunk in string_stream.chunks(500) {
+        strings.ingest_batch(chunk);
+    }
+    assert!(strings.cold_len() > 0 && strings.resident_len() > 0);
+    let mut names = Vec::new();
+    strings.for_each_estimate(|key, _| names.push(key.clone()));
+    assert_eq!(names.len(), strings.len());
+    assert!(
+        names.windows(2).all(|w| w[0] < w[1]),
+        "string walk out of order"
+    );
+}
+
+/// For keys that all stay sparse, the wire snapshot does not depend on the
+/// budget: a store that evicted about half its keys serializes to the same
+/// bytes as an unbudgeted one, and the bytes restore every estimate.
+#[test]
+fn wire_bytes_do_not_depend_on_residency() {
+    let stream = zipf_keyed_f0_stream(20_000, 512, 5);
+    let mut budgeted = F0SketchStore::<u64>::new(f0_store_config(1_000, 300 << 10));
+    let mut unbudgeted = F0SketchStore::<u64>::new(f0_store_config(1_000, usize::MAX));
+    for chunk in stream.chunks(500) {
+        budgeted.ingest_batch(chunk);
+        unbudgeted.ingest_batch(chunk);
+    }
+    assert_eq!(budgeted.stats().promotions, 0, "every key must stay sparse");
+    let cold_share = budgeted.cold_len() as f64 / budgeted.len() as f64;
+    assert!(
+        (0.3..0.8).contains(&cold_share),
+        "cold share {cold_share} should be near half"
+    );
+    assert_eq!(unbudgeted.cold_len(), 0);
+    let bytes = budgeted.to_wire_bytes();
+    assert!(bytes == unbudgeted.to_wire_bytes(), "wire bytes differ");
+
+    let restored = F0SketchStore::<u64>::from_wire_bytes(&bytes, 300 << 10).expect("roundtrip");
+    assert_stores_bit_identical(&budgeted, &restored, "budgeted roundtrip");
+    assert_stores_bit_identical(&restored, &budgeted, "budgeted roundtrip, reversed");
 }
 
 /// A store holds a million keys under a ~2 MiB resident budget with
