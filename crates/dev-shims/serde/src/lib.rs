@@ -18,6 +18,10 @@
 //! * `bool`: one byte, `0` or `1`;
 //! * sequences (`Vec`, sets, maps, `String`): a `u64` length prefix followed
 //!   by the elements; fixed-size arrays and tuples: the elements, no prefix;
+//! * integer sequences (`Vec<u8>`, `Vec<u32>`, `Vec<u64>`, …) are bulk-coded:
+//!   the same bytes as element-by-element coding, but written with one copy
+//!   and read with one bounds check per sequence, through the
+//!   [`Serialize::serialize_slice`] / [`Deserialize::deserialize_vec`] hooks;
 //! * `Option`: a one-byte tag followed by the payload if present;
 //! * derived structs: the fields in declaration order; derived enums: a
 //!   `u32` variant index followed by the variant's fields.
@@ -65,6 +69,20 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Appends the binary encoding of `self` to `out`.
     fn serialize(&self, out: &mut Vec<u8>);
+
+    /// Appends the encodings of `items` back to back, with no length prefix.
+    ///
+    /// `Vec<T>` calls this for its elements.  The provided body makes one
+    /// [`serialize`](Self::serialize) call per element; the integer types
+    /// override it with one bulk write of the same bytes.
+    fn serialize_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.serialize(out);
+        }
+    }
 }
 
 /// A type that can reconstruct itself from a byte slice.
@@ -78,6 +96,26 @@ pub trait Deserialize: Sized {
     ///
     /// Returns an error on truncated or malformed input.
     fn deserialize(input: &mut &[u8]) -> Result<Self, Error>;
+
+    /// Reads `len` values encoded back to back, the inverse of
+    /// [`Serialize::serialize_slice`].
+    ///
+    /// The provided body makes one [`deserialize`](Self::deserialize) call
+    /// per element; the integer types override it with one bounds check for
+    /// the whole sequence.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on truncated or malformed input.
+    fn deserialize_vec(len: usize, input: &mut &[u8]) -> Result<Vec<Self>, Error> {
+        // Guard against absurd length prefixes on malformed input: never
+        // pre-reserve more than the remaining input could possibly encode.
+        let mut out = Vec::with_capacity(len.min(input.len()));
+        for _ in 0..len {
+            out.push(Self::deserialize(input)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Serializes a value to a byte vector.
@@ -123,11 +161,49 @@ fn read_len(input: &mut &[u8]) -> Result<usize, Error> {
     usize::try_from(len).map_err(|_| Error::new("length prefix exceeds usize"))
 }
 
+/// Takes the bytes of `len` values of `width` bytes each from the front of
+/// `input`: one bounds check for the whole sequence.
+fn take_seq<'a>(input: &mut &'a [u8], len: usize, width: usize) -> Result<&'a [u8], Error> {
+    let total = len
+        .checked_mul(width)
+        .ok_or_else(|| Error::new(format!("sequence of {len} x {width} bytes overflows")))?;
+    take(input, total)
+}
+
+impl Serialize for u8 {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn serialize_slice(items: &[Self], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+
+impl Deserialize for u8 {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        Ok(take(input, 1)?[0])
+    }
+
+    fn deserialize_vec(len: usize, input: &mut &[u8]) -> Result<Vec<Self>, Error> {
+        Ok(take(input, len)?.to_vec())
+    }
+}
+
 macro_rules! impl_le_bytes {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn serialize_slice(items: &[Self], out: &mut Vec<u8>) {
+                const WIDTH: usize = std::mem::size_of::<$t>();
+                let start = out.len();
+                out.resize(start + items.len() * WIDTH, 0);
+                for (slot, item) in out[start..].chunks_exact_mut(WIDTH).zip(items) {
+                    slot.copy_from_slice(&item.to_le_bytes());
+                }
             }
         }
         impl Deserialize for $t {
@@ -135,11 +211,20 @@ macro_rules! impl_le_bytes {
                 let bytes = take(input, std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact size")))
             }
+
+            fn deserialize_vec(len: usize, input: &mut &[u8]) -> Result<Vec<Self>, Error> {
+                const WIDTH: usize = std::mem::size_of::<$t>();
+                let bytes = take_seq(input, len, WIDTH)?;
+                Ok(bytes
+                    .chunks_exact(WIDTH)
+                    .map(|chunk| <$t>::from_le_bytes(chunk.try_into().expect("exact size")))
+                    .collect())
+            }
         }
     )*};
 }
 
-impl_le_bytes!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+impl_le_bytes!(u16, u32, u64, u128, i8, i16, i32, i64, i128);
 
 impl Serialize for usize {
     fn serialize(&self, out: &mut Vec<u8>) {
@@ -225,22 +310,14 @@ impl Deserialize for String {
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self, out: &mut Vec<u8>) {
         (self.len() as u64).serialize(out);
-        for item in self {
-            item.serialize(out);
-        }
+        T::serialize_slice(self, out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
         let len = read_len(input)?;
-        // Guard against absurd length prefixes on malformed input: never
-        // pre-reserve more than the remaining input could possibly encode.
-        let mut out = Vec::with_capacity(len.min(input.len()));
-        for _ in 0..len {
-            out.push(T::deserialize(input)?);
-        }
-        Ok(out)
+        T::deserialize_vec(len, input)
     }
 }
 
@@ -475,6 +552,58 @@ mod tests {
         // A length prefix of u64::MAX with no payload must error, not OOM.
         let bytes = to_bytes(&u64::MAX);
         assert!(from_bytes::<Vec<u64>>(&bytes).is_err());
+    }
+
+    /// The element-by-element encoding `Vec<T>` had before the bulk hooks.
+    fn per_element_bytes<T: Serialize>(items: &[T]) -> Vec<u8> {
+        let mut out = Vec::new();
+        (items.len() as u64).serialize(&mut out);
+        for item in items {
+            item.serialize(&mut out);
+        }
+        out
+    }
+
+    macro_rules! check_bulk_width {
+        ($($t:ty),*) => {$({
+            let items: Vec<$t> = (0..37u8)
+                .map(|i| <$t>::from_le_bytes([i.wrapping_mul(151) ^ 0x5a; std::mem::size_of::<$t>()]))
+                .collect();
+            let bytes = to_bytes(&items);
+            assert_eq!(bytes, per_element_bytes(&items), "{} bulk bytes", stringify!($t));
+            assert_eq!(from_bytes::<Vec<$t>>(&bytes).expect("round trip"), items);
+            assert!(
+                from_bytes::<Vec<$t>>(&bytes[..bytes.len() - 1]).is_err(),
+                "{} truncated input accepted",
+                stringify!($t)
+            );
+        })*};
+    }
+
+    #[test]
+    fn bulk_integer_sequences_match_per_element_bytes() {
+        check_bulk_width!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
+        let empty: Vec<u32> = Vec::new();
+        assert_eq!(to_bytes(&empty), per_element_bytes(&empty));
+    }
+
+    #[test]
+    fn bulk_length_times_width_overflow_is_an_error() {
+        for width in [2usize, 4, 8, 16] {
+            let len = (usize::MAX / width + 1) as u64;
+            let mut bytes = to_bytes(&len);
+            bytes.extend_from_slice(&[0; 64]);
+            let err = match width {
+                2 => from_bytes::<Vec<u16>>(&bytes).map(drop),
+                4 => from_bytes::<Vec<u32>>(&bytes).map(drop),
+                8 => from_bytes::<Vec<u64>>(&bytes).map(drop),
+                _ => from_bytes::<Vec<u128>>(&bytes).map(drop),
+            }
+            .expect_err("overflowing sequence accepted");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+        // A byte sequence longer than the input is plain truncation.
+        assert!(from_bytes::<Vec<u8>>(&to_bytes(&u64::MAX)).is_err());
     }
 
     #[test]

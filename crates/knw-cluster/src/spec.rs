@@ -256,4 +256,39 @@ mod tests {
         bytes.truncate(bytes.len() / 2);
         assert!(f0_shard_from_bytes(&spec, &bytes).is_err());
     }
+
+    #[test]
+    fn single_byte_mutations_of_an_l0_shard_are_rejected_or_decode() {
+        use knw_hash::rng::{Rng64, SplitMix64};
+        let spec = SketchSpec::l0("knw-l0", 0.5, 1 << 8, 5);
+        let mut sketch = build_l0(&spec).expect("builds");
+        let updates: Vec<(u64, i64)> = (0..300u64)
+            .map(|i| (i * 7 % 211, if i % 3 == 0 { -2 } else { 1 }))
+            .collect();
+        sketch.update_batch(&updates);
+        let bytes = sketch.wire_bytes();
+        let mut rng = SplitMix64::new(0x5eed);
+        let (mut rejected, mut decoded) = (0, 0);
+        for _ in 0..150 {
+            let mut mutant = bytes.clone();
+            let at = rng.next_below(bytes.len() as u64) as usize;
+            mutant[at] ^= 1 + rng.next_below(255) as u8;
+            match l0_shard_from_bytes(&spec, &mutant) {
+                // Every accepted encoding is the canonical one of its state.
+                Ok(shard) => {
+                    assert_eq!(
+                        shard.wire_bytes(),
+                        mutant,
+                        "byte {at} re-encoded differently"
+                    );
+                    decoded += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(
+            rejected > 0 && decoded > 0,
+            "{rejected} rejected, {decoded} decoded"
+        );
+    }
 }

@@ -627,6 +627,53 @@ mod tests {
     }
 
     #[test]
+    fn churn_streams_round_trip_the_wire_bit_for_bit() {
+        use crate::estimator::MergeableEstimator;
+        for (len, universe) in [(0, 1), (2_000, 500), (30_000, 8_192), (60_000, 200_000)] {
+            let updates = signed_stream(len, universe, 7 + len as u64);
+            let (a, b) = updates.split_at(len / 2);
+            let mut left = sketch(0.1, 21);
+            let mut right = sketch(0.1, 21);
+            left.update_batch(a);
+            right.update_batch(b);
+
+            let bytes = serde::to_bytes(&left);
+            let back: KnwL0Sketch = serde::from_bytes(&bytes).expect("round trip");
+            assert_eq!(serde::to_bytes(&back), bytes, "{len} updates");
+            assert_eq!(back.estimate_l0(), left.estimate_l0());
+            assert_eq!(
+                back.rough_oracle().estimate(),
+                left.rough_oracle().estimate()
+            );
+            for level in 0..left.rough_oracle().num_levels() {
+                assert_eq!(
+                    back.rough_oracle().level_count(level),
+                    left.rough_oracle().level_count(level)
+                );
+            }
+            for row in 0..left.matrix().num_rows() {
+                assert_eq!(
+                    back.matrix().row_occupancy(row),
+                    left.matrix().row_occupancy(row)
+                );
+            }
+
+            let mut in_memory = left.clone();
+            in_memory.merge_from(&right).expect("same seed");
+            let mut after_wire = back;
+            let wired: KnwL0Sketch =
+                serde::from_bytes(&serde::to_bytes(&right)).expect("round trip");
+            after_wire.merge_from(&wired).expect("same seed");
+            assert_eq!(
+                serde::to_bytes(&after_wire),
+                serde::to_bytes(&in_memory),
+                "{len} updates"
+            );
+            assert_eq!(after_wire.estimate_l0(), in_memory.estimate_l0());
+        }
+    }
+
+    #[test]
     fn merge_rejects_mismatched_seeds_and_configs() {
         use crate::estimator::MergeableEstimator;
         let a = sketch(0.1, 1);

@@ -24,14 +24,81 @@
 //! [`RoughL0Estimator`](crate::l0::rough::RoughL0Estimator) (with `c = 141`,
 //! `δ = 1/16`, per Appendix A.3) and as the tiny-cardinality path of the full
 //! [`KnwL0Sketch`](crate::l0::KnwL0Sketch) (with `c = 100`).
+//!
+//! # Wire form
+//!
+//! The rough oracle's deep levels see few coordinates, so most of its
+//! `2c²`-bucket trials are nearly empty.  A trial therefore serializes its
+//! nonzero counters as `(index, value)` pairs while at most half its buckets
+//! are occupied, and the dense counter array otherwise; the form follows from
+//! the state, so each state has one encoding.  The per-trial occupancy count
+//! is not on the wire: decoding derives it from the counters, after checking
+//! every index, value and the declared bucket count (before allocating).
 
 use knw_hash::pairwise::PairwiseHash;
 use knw_hash::primes::random_prime_in_range;
 use knw_hash::rng::SplitMix64;
 use knw_hash::SpaceUsage;
+use serde::{Deserialize, Error, Serialize};
+
+/// The interval each trial draws its prime from: ~135 000 candidates, so the
+/// probability that the prime divides any fixed bounded frequency is tiny,
+/// while counters (and the sum of two) stay comfortably within a `u32`.
+const PRIME_RANGE: std::ops::RangeInclusive<u64> = (1 << 17)..=(1 << 21);
+
+/// Largest bucket count a decoded trial may declare (capacity `c ≈ 1448`).
+/// Checked before the counter array is allocated, so a few hostile bytes
+/// cannot allocate gigabytes.
+const MAX_WIRE_BUCKETS: u64 = 1 << 22;
+
+/// Wire form tag: the nonzero counters as `(u32 index, u32 value)` pairs.
+const FORM_SPARSE: u8 = 0;
+/// Wire form tag: every counter, as a `u32` array.
+const FORM_DENSE: u8 = 1;
+
+/// `(a + b) mod p` for `a, b < p`: one conditional subtraction, no division.
+#[inline]
+fn add_mod(a: u64, b: u64, p: u64) -> u64 {
+    let sum = a + b;
+    if sum >= p {
+        sum - p
+    } else {
+        sum
+    }
+}
+
+/// `delta mod p` in `[0, p)`; the division only runs for `|delta| ≥ p`.
+#[inline]
+fn reduce_delta(delta: i64, p: u64) -> u64 {
+    let signed_p = p as i64;
+    if delta >= 0 && delta < signed_p {
+        delta as u64
+    } else if delta < 0 && delta > -signed_p {
+        (delta + signed_p) as u64
+    } else {
+        delta.rem_euclid(signed_p) as u64
+    }
+}
 
 /// One trial of the Lemma 8 structure.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// # Wire form
+///
+/// The codec is hand-written so that a trial costs what it holds: the hash,
+/// the prime (`u64`) and the bucket count (`u64`), then a one-byte form tag:
+///
+/// * [`FORM_SPARSE`] when at most half the buckets are nonzero: a `u64` pair
+///   count followed by the nonzero counters as `(u32 index, u32 value)`
+///   pairs in increasing bucket order;
+/// * [`FORM_DENSE`] otherwise: all counters as `u32`s, with no length
+///   prefix (the bucket count gives it).
+///
+/// The form is a function of the state, so every trial has exactly one
+/// encoding, and decoding rejects the other form, out-of-order or
+/// out-of-range indices, zero values and values `≥ prime`.  `nonzero` is
+/// not on the wire: decoding derives it from the validated counters (the
+/// pair count, or a count over the dense array), never from a sent value.
+#[derive(Debug, Clone)]
 struct Trial {
     /// Pairwise hash from the universe into the buckets.
     hash: PairwiseHash,
@@ -45,10 +112,7 @@ struct Trial {
 
 impl Trial {
     fn new(buckets: u64, rng: &mut SplitMix64) -> Self {
-        // A random prime in [2^17, 2^21]: ~135 000 candidates, so the
-        // probability that it divides any fixed bounded frequency is tiny,
-        // while counters stay comfortably within a u32.
-        let prime = random_prime_in_range(1 << 17, 1 << 21, rng);
+        let prime = random_prime_in_range(*PRIME_RANGE.start(), *PRIME_RANGE.end(), rng);
         Self {
             hash: PairwiseHash::random(buckets, rng),
             prime,
@@ -61,8 +125,7 @@ impl Trial {
     fn update(&mut self, item: u64, delta: i64) {
         let bucket = self.hash.hash(item) as usize;
         let old = self.counters[bucket];
-        let delta_mod = delta.rem_euclid(self.prime as i64) as u64;
-        let new = ((u64::from(old) + delta_mod) % self.prime) as u32;
+        let new = add_mod(u64::from(old), reduce_delta(delta, self.prime), self.prime) as u32;
         self.counters[bucket] = new;
         match (old == 0, new == 0) {
             (true, false) => self.nonzero += 1,
@@ -83,13 +146,114 @@ impl Trial {
         assert_eq!(self.counters.len(), other.counters.len());
         let mut nonzero = 0;
         for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
-            let merged = (u64::from(*mine) + u64::from(*theirs)) % self.prime;
+            let merged = add_mod(u64::from(*mine), u64::from(*theirs), self.prime);
             *mine = merged as u32;
             if merged != 0 {
                 nonzero += 1;
             }
         }
         self.nonzero = nonzero;
+    }
+
+    /// Whether the sparse form is the smaller one: at most half the buckets
+    /// are nonzero (8 bytes per pair against 4 per bucket).
+    fn is_sparse(nonzero: u64, buckets: usize) -> bool {
+        nonzero <= buckets as u64 / 2
+    }
+}
+
+impl Serialize for Trial {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.hash.serialize(out);
+        self.prime.serialize(out);
+        (self.counters.len() as u64).serialize(out);
+        if Self::is_sparse(self.nonzero, self.counters.len()) {
+            out.push(FORM_SPARSE);
+            self.nonzero.serialize(out);
+            out.reserve(self.nonzero as usize * 8);
+            for (index, &value) in self.counters.iter().enumerate() {
+                if value != 0 {
+                    (index as u32).serialize(out);
+                    value.serialize(out);
+                }
+            }
+        } else {
+            out.push(FORM_DENSE);
+            u32::serialize_slice(&self.counters, out);
+        }
+    }
+}
+
+impl Deserialize for Trial {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        let hash = PairwiseHash::deserialize(input)?;
+        let prime = u64::deserialize(input)?;
+        let buckets = u64::deserialize(input)?;
+        if !PRIME_RANGE.contains(&prime) {
+            return Err(Error::new(format!("trial prime {prime} out of range")));
+        }
+        if buckets == 0 || buckets > MAX_WIRE_BUCKETS {
+            return Err(Error::new(format!(
+                "trial bucket count {buckets} out of range"
+            )));
+        }
+        if hash.range() != buckets {
+            return Err(Error::new(format!(
+                "trial hash range {} differs from its bucket count {buckets}",
+                hash.range()
+            )));
+        }
+        let buckets = buckets as usize;
+        let (counters, nonzero) = match u8::deserialize(input)? {
+            FORM_SPARSE => {
+                let pairs = u64::deserialize(input)?;
+                if !Self::is_sparse(pairs, buckets) {
+                    return Err(Error::new(format!(
+                        "sparse trial declares {pairs} pairs for {buckets} buckets"
+                    )));
+                }
+                let flat = u32::deserialize_vec(2 * pairs as usize, input)?;
+                let mut counters = vec![0u32; buckets];
+                let mut next = 0usize;
+                for pair in flat.chunks_exact(2) {
+                    let (index, value) = (pair[0] as usize, pair[1]);
+                    if index < next || index >= buckets {
+                        return Err(Error::new(format!(
+                            "sparse trial index {index} out of order or range"
+                        )));
+                    }
+                    if value == 0 || u64::from(value) >= prime {
+                        return Err(Error::new(format!(
+                            "sparse trial value {value} not in [1, {prime})"
+                        )));
+                    }
+                    counters[index] = value;
+                    next = index + 1;
+                }
+                // Distinct indices and nonzero values: one bucket per pair.
+                (counters, pairs)
+            }
+            FORM_DENSE => {
+                let counters = u32::deserialize_vec(buckets, input)?;
+                if counters.iter().any(|&c| u64::from(c) >= prime) {
+                    return Err(Error::new(format!("dense trial counter not below {prime}")));
+                }
+                let nonzero = counters.iter().filter(|&&c| c != 0).count() as u64;
+                if Self::is_sparse(nonzero, buckets) {
+                    return Err(Error::new(format!(
+                        "dense trial holds only {nonzero} nonzero of {buckets} buckets"
+                    )));
+                }
+                (counters, nonzero)
+            }
+            tag => return Err(Error::new(format!("invalid trial form tag {tag}"))),
+        };
+        Ok(Self {
+            hash,
+            prime,
+            counters,
+            nonzero,
+        })
     }
 }
 
@@ -107,14 +271,21 @@ impl ExactSmallL0 {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0` or `delta` is not in `(0, 1)`.
+    /// Panics if `capacity == 0`, if `2 · capacity²` exceeds the `2^22`
+    /// buckets a trial may hold on the wire (`capacity > 1448`), or if
+    /// `delta` is not in `(0, 1)`.
     #[must_use]
     pub fn new(capacity: u64, delta: f64, rng: &mut SplitMix64) -> Self {
         assert!(capacity >= 1, "capacity must be positive");
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
         // Θ(c²) buckets: with 2c² buckets the per-trial collision probability
         // among ≤ c surviving coordinates is below 1/4.
-        let buckets = (2 * capacity * capacity).max(16);
+        let buckets = capacity
+            .checked_mul(capacity)
+            .and_then(|square| square.checked_mul(2))
+            .filter(|&b| b <= MAX_WIRE_BUCKETS)
+            .expect("capacity too large for the wire form")
+            .max(16);
         // O(log(1/δ)) trials; each trial under-counts with probability ≤ 1/4,
         // so ⌈log₂(1/δ)⌉ trials push the failure probability below δ/ (plus the
         // negligible prime-divisibility term).
@@ -304,6 +475,266 @@ mod tests {
             }
         }
         assert!(failures <= 4, "{failures}/{trials} trials were not exact");
+    }
+
+    #[test]
+    fn division_free_arithmetic_matches_the_remainder_form() {
+        for p in [*PRIME_RANGE.start(), 140_907, 2_097_143] {
+            let edges = [0, 1, 2, p / 2, p - 2, p - 1];
+            for a in edges {
+                for b in edges {
+                    assert_eq!(add_mod(a, b, p), (a + b) % p, "{a} + {b} mod {p}");
+                }
+            }
+            let signed = p as i64;
+            for delta in [
+                0,
+                1,
+                -1,
+                signed - 2,
+                signed - 1,
+                signed,
+                signed + 1,
+                -signed + 1,
+                -signed,
+                -signed - 1,
+                3 * signed + 5,
+                i64::MAX,
+                i64::MIN,
+            ] {
+                assert_eq!(
+                    reduce_delta(delta, p),
+                    delta.rem_euclid(signed) as u64,
+                    "{delta} mod {p}"
+                );
+            }
+        }
+    }
+
+    /// A one-trial, 16-bucket structure: small enough to pin byte for byte.
+    fn tiny() -> ExactSmallL0 {
+        let mut rng = SplitMix64::new(9);
+        ExactSmallL0::new(2, 0.5, &mut rng)
+    }
+
+    /// The encoding of [`tiny`] up to its trial's form tag.
+    const TINY_HEAD: [u8; 49] = [
+        1, 0, 0, 0, 0, 0, 0, 0, // one trial
+        86, 4, 72, 109, 3, 95, 231, 10, // hash a
+        149, 178, 160, 65, 93, 133, 88, 18, // hash b
+        16, 0, 0, 0, 0, 0, 0, 0, // hash range
+        1, // the range is a power of two
+        107, 34, 2, 0, 0, 0, 0, 0, // prime 140 907
+        16, 0, 0, 0, 0, 0, 0, 0, // bucket count
+    ];
+
+    /// The encoding of [`tiny`] after its trial: capacity, then buckets.
+    const TINY_TAIL: [u8; 16] = [2, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0];
+
+    #[test]
+    fn golden_bytes_pin_the_sparse_and_dense_forms() {
+        let mut s = tiny();
+        s.update(1, 1);
+        s.update(2, -1);
+        let sparse: Vec<u8> = TINY_HEAD
+            .iter()
+            .chain(&[FORM_SPARSE])
+            .chain(&[2, 0, 0, 0, 0, 0, 0, 0]) // two pairs
+            .chain(&[2, 0, 0, 0, 106, 34, 2, 0]) // bucket 2 holds -1 = p - 1
+            .chain(&[11, 0, 0, 0, 1, 0, 0, 0]) // bucket 11 holds 1
+            .chain(&TINY_TAIL)
+            .copied()
+            .collect();
+        assert_eq!(serde::to_bytes(&s), sparse);
+
+        for i in 0..40 {
+            s.update(i, 3);
+        }
+        assert_eq!(s.estimate(), 15);
+        let counters: [u32; 16] = [9, 12, 2, 6, 12, 6, 6, 9, 9, 3, 9, 13, 3, 9, 12, 0];
+        let dense: Vec<u8> = TINY_HEAD
+            .iter()
+            .chain(&[FORM_DENSE])
+            .chain(
+                counters
+                    .iter()
+                    .flat_map(|c| c.to_le_bytes())
+                    .collect::<Vec<_>>()
+                    .iter(),
+            )
+            .chain(&TINY_TAIL)
+            .copied()
+            .collect();
+        assert_eq!(serde::to_bytes(&s), dense);
+    }
+
+    #[test]
+    fn the_form_switches_above_half_occupancy() {
+        let mut s = tiny();
+        let mut item = 0;
+        for (occupied, form) in [(8, FORM_SPARSE), (9, FORM_DENSE)] {
+            while s.estimate() < occupied {
+                s.update(item, 1);
+                item += 1;
+            }
+            let bytes = serde::to_bytes(&s);
+            assert_eq!(bytes[TINY_HEAD.len()], form, "{occupied} of 16 buckets");
+            let back: ExactSmallL0 = serde::from_bytes(&bytes).expect("round trip");
+            assert_eq!(back.estimate(), occupied);
+            assert_eq!(serde::to_bytes(&back), bytes);
+        }
+    }
+
+    #[test]
+    fn churn_round_trips_bit_for_bit_and_merges_alike_after_the_wire() {
+        let mut state = 4242u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Supports from empty to well past half occupancy of 2c² = 800
+        // buckets, so both forms and the boundary between them are crossed.
+        for support in [0u64, 3, 60, 400, 700, 5_000] {
+            let mut left = fresh(20, 77);
+            let mut right = fresh(20, 77);
+            for _ in 0..3 * support {
+                let item = next() % support.max(1);
+                let delta = (next() % 9) as i64 - 4;
+                if next() % 2 == 0 {
+                    left.update(item, delta);
+                } else {
+                    right.update(item, delta);
+                }
+            }
+            let bytes = serde::to_bytes(&left);
+            let back: ExactSmallL0 = serde::from_bytes(&bytes).expect("round trip");
+            assert_eq!(serde::to_bytes(&back), bytes, "support {support}");
+            assert_eq!(back.estimate(), left.estimate());
+            for (mine, theirs) in back.trials.iter().zip(&left.trials) {
+                assert_eq!(mine.nonzero, theirs.nonzero);
+                assert_eq!(mine.counters, theirs.counters);
+            }
+
+            let wired: ExactSmallL0 =
+                serde::from_bytes(&serde::to_bytes(&right)).expect("round trip");
+            let mut in_memory = left.clone();
+            in_memory.merge_from_unchecked(&right);
+            let mut after_wire = back;
+            after_wire.merge_from_unchecked(&wired);
+            assert_eq!(
+                serde::to_bytes(&after_wire),
+                serde::to_bytes(&in_memory),
+                "support {support}"
+            );
+        }
+    }
+
+    /// A valid prime from [`PRIME_RANGE`].
+    const P: u64 = 140_907;
+
+    /// Hand-built trial bytes: a hash onto `range` buckets, the prime, the
+    /// declared bucket count, the form tag and the body.
+    fn trial_bytes(range: u64, prime: u64, buckets: u64, form: u8, body: &[u8]) -> Vec<u8> {
+        let mut rng = SplitMix64::new(3);
+        let mut out = serde::to_bytes(&PairwiseHash::random(range, &mut rng));
+        prime.serialize(&mut out);
+        buckets.serialize(&mut out);
+        out.push(form);
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// A sparse body: the declared pair count, then the pairs.
+    fn sparse_body(count: u64, pairs: &[(u32, u32)]) -> Vec<u8> {
+        let mut out = serde::to_bytes(&count);
+        for &(index, value) in pairs {
+            index.serialize(&mut out);
+            value.serialize(&mut out);
+        }
+        out
+    }
+
+    fn dense_body(counters: &[u32]) -> Vec<u8> {
+        counters.iter().flat_map(|c| c.to_le_bytes()).collect()
+    }
+
+    fn rejects(bytes: &[u8], needle: &str) {
+        let err = serde::from_bytes::<Trial>(bytes).expect_err("hostile trial accepted");
+        assert!(err.to_string().contains(needle), "{err} lacks {needle:?}");
+    }
+
+    #[test]
+    fn hostile_trial_bytes_are_errors_not_panics() {
+        let sparse = |pairs: &[(u32, u32)]| {
+            trial_bytes(
+                16,
+                P,
+                16,
+                FORM_SPARSE,
+                &sparse_body(pairs.len() as u64, pairs),
+            )
+        };
+        let ok: Trial = serde::from_bytes(&sparse(&[(0, 1), (15, P as u32 - 1)])).expect("valid");
+        assert_eq!(ok.nonzero, 2);
+
+        rejects(&sparse(&[(16, 1)]), "out of order or range");
+        rejects(&sparse(&[(u32::MAX, 1)]), "out of order or range");
+        rejects(&sparse(&[(4, 1), (4, 2)]), "out of order or range");
+        rejects(&sparse(&[(5, 1), (2, 1)]), "out of order or range");
+        rejects(&sparse(&[(3, 0)]), "not in [1,");
+        rejects(&sparse(&[(3, P as u32)]), "not in [1,");
+        rejects(&sparse(&[(3, u32::MAX)]), "not in [1,");
+
+        // A pair count that disagrees with the pairs present, or with the
+        // sparse form's bound of half the buckets.
+        let short = trial_bytes(16, P, 16, FORM_SPARSE, &sparse_body(3, &[(1, 1), (2, 1)]));
+        rejects(&short, "truncated");
+        let long = trial_bytes(16, P, 16, FORM_SPARSE, &sparse_body(1, &[(1, 1), (2, 1)]));
+        rejects(&long, "trailing");
+        let nine: Vec<(u32, u32)> = (0..9).map(|i| (i, 1)).collect();
+        rejects(&sparse(&nine), "declares 9 pairs");
+        let huge = trial_bytes(16, P, 16, FORM_SPARSE, &sparse_body(u64::MAX, &[]));
+        rejects(&huge, "pairs");
+
+        let mut counters = [1u32; 16];
+        counters[7] = P as u32;
+        rejects(
+            &trial_bytes(16, P, 16, FORM_DENSE, &dense_body(&counters)),
+            "not below",
+        );
+        let half = [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0];
+        rejects(
+            &trial_bytes(16, P, 16, FORM_DENSE, &dense_body(&half)),
+            "only 8 nonzero",
+        );
+        rejects(
+            &trial_bytes(16, P, 16, FORM_DENSE, &dense_body(&[1; 15])),
+            "truncated",
+        );
+        rejects(&trial_bytes(16, P, 16, 2, &[]), "form tag 2");
+
+        // Header checks run before any allocation: a few bytes declaring a
+        // huge table are refused without reserving it.
+        let over = MAX_WIRE_BUCKETS + 1;
+        rejects(&trial_bytes(over, P, over, FORM_DENSE, &[]), "bucket count");
+        rejects(
+            &trial_bytes(16, P, u64::MAX, FORM_SPARSE, &[]),
+            "bucket count",
+        );
+        rejects(&trial_bytes(16, P, 0, FORM_SPARSE, &[]), "bucket count");
+        rejects(&trial_bytes(8, P, 16, FORM_SPARSE, &[]), "hash range");
+        rejects(&trial_bytes(16, 4, 16, FORM_SPARSE, &[]), "prime");
+        rejects(&trial_bytes(16, 1 << 32, 16, FORM_SPARSE, &[]), "prime");
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity too large for the wire form")]
+    fn capacities_beyond_the_wire_bound_are_refused() {
+        let largest = ExactSmallL0::new(1448, 0.5, &mut SplitMix64::new(1));
+        assert_eq!(largest.buckets, 2 * 1448 * 1448);
+        let _ = ExactSmallL0::new(1449, 0.5, &mut SplitMix64::new(1));
     }
 
     #[test]
