@@ -34,6 +34,12 @@
 //! well-formed bytes is outside the threat model, exactly as with
 //! serde+bincode.  The merge paths defend the invariants that matter for
 //! exactness with their own compatibility and geometry checks.
+//!
+//! Every element a generated impl decodes is read from the input, so the
+//! memory a decode allocates stays bounded by the input's length.  A
+//! hand-written impl that expands its input (the sparse counter trials of
+//! `knw_core::l0::small`) has to bound the geometry it declares itself,
+//! before it allocates.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;

@@ -274,13 +274,18 @@ mod tests {
             let at = rng.next_below(bytes.len() as u64) as usize;
             mutant[at] ^= 1 + rng.next_below(255) as u8;
             match l0_shard_from_bytes(&spec, &mutant) {
-                // Every accepted encoding is the canonical one of its state.
-                Ok(shard) => {
+                // Every accepted encoding is the canonical one of its state,
+                // and merges with a genuine shard either way round succeed or
+                // return an error, never panic.
+                Ok(mut shard) => {
                     assert_eq!(
                         shard.wire_bytes(),
                         mutant,
                         "byte {at} re-encoded differently"
                     );
+                    let mut genuine = build_l0(&spec).expect("builds");
+                    let _ = genuine.merge_dyn(shard.as_ref());
+                    let _ = shard.merge_dyn(sketch.as_ref());
                     decoded += 1;
                 }
                 Err(_) => rejected += 1,

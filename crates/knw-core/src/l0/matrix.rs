@@ -212,6 +212,44 @@ impl L0Matrix {
         self.row_nonzero.iter().sum()
     }
 
+    /// Checks that a decoded matrix is shaped as [`new`](Self::new) builds
+    /// one with `k` columns: `log n + 1 ≤ 64` rows of `k` counters, hash
+    /// ranges and salts to match, every salt and counter in the field and
+    /// each row occupancy equal to its row's nonzero count.  Updates and
+    /// merges index and add by these without further checks.
+    pub(crate) fn check_shape(&self, k: u64) -> Result<(), String> {
+        let rows = u64::from(self.log_n) + 1;
+        let shaped = self.k == k
+            && k.is_power_of_two()
+            && self.log_n <= 63
+            && self.h1.range() == 1u64 << self.log_n
+            && self.h2.range() == k.saturating_pow(3).min(1u64 << 60)
+            && self.h3.range() == k
+            && self.h4.range() == k
+            && self.salts.len() as u64 == k
+            && self.row_nonzero.len() as u64 == rows
+            && rows.checked_mul(k) == Some(self.counters.len() as u64);
+        if !shaped {
+            return Err(format!(
+                "counter matrix shape differs from K = {k} with log n = {}",
+                self.log_n
+            ));
+        }
+        let p = self.field.modulus();
+        if !(2..1u64 << 62).contains(&p) || self.salts.iter().chain(&self.counters).any(|&c| c >= p)
+        {
+            return Err(format!("counter matrix value outside the field of {p}"));
+        }
+        let occupied = self
+            .counters
+            .chunks_exact(k as usize)
+            .map(|row| row.iter().filter(|&&c| c != 0).count() as u64);
+        if !occupied.eq(self.row_nonzero.iter().copied()) {
+            return Err("counter matrix row occupancy differs from its counters".into());
+        }
+        Ok(())
+    }
+
     /// Merges another matrix built with the *same seed and geometry* by
     /// entrywise field addition, recomputing the per-row occupancy counts.
     ///
@@ -370,5 +408,34 @@ mod tests {
         let bits_per_counter = u64::from(ceil_log2(m.prime()));
         assert!(m.space_bits() >= m.counters.len() as u64 * bits_per_counter);
         assert!(bits_per_counter < 64);
+    }
+
+    #[test]
+    fn check_shape_accepts_built_matrices_and_refuses_forged_ones() {
+        let mut m = fresh(64, 8);
+        for i in 0..2_000u64 {
+            m.update(i, 3);
+        }
+        assert_eq!(m.check_shape(64), Ok(()));
+        let refused = |forge: &dyn Fn(&mut L0Matrix), needle: &str| {
+            let mut forged = m.clone();
+            forge(&mut forged);
+            let err = forged.check_shape(64).expect_err("forged matrix accepted");
+            assert!(err.contains(needle), "{err} lacks {needle:?}");
+        };
+        refused(&|f| f.k = 32, "shape");
+        refused(&|f| f.log_n = 64, "shape");
+        refused(&|f| f.log_n -= 1, "shape");
+        refused(&|f| f.counters.truncate(1), "shape");
+        refused(&|f| f.salts.truncate(1), "shape");
+        refused(&|f| f.row_nonzero.push(0), "shape");
+        refused(
+            &|f| f.h4 = PairwiseHash::random(32, &mut SplitMix64::new(1)),
+            "shape",
+        );
+        refused(&|f| f.counters[5] = f.field.modulus(), "outside the field");
+        refused(&|f| f.salts[0] = u64::MAX, "outside the field");
+        refused(&|f| f.row_nonzero[0] += 1, "occupancy");
+        assert!(m.check_shape(128).is_err());
     }
 }

@@ -41,6 +41,9 @@ pub use small::ExactSmallL0;
 /// Capacity of the exact small-L0 path (the paper's constant 100).
 const EXACT_CAPACITY: u64 = 100;
 
+/// Failure probability of the exact small-L0 path.
+const EXACT_DELTA: f64 = 1.0 / 32.0;
+
 /// The single-row intermediate structure: `2K` Lemma 6 counters with no
 /// subsampling, the turnstile analogue of the Section 3.3 bit array.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -146,6 +149,32 @@ impl MidRangeRow {
         invert_occupancy(self.nonzero as f64, self.k_prime)
     }
 
+    /// Checks that a decoded row is shaped as [`new`](Self::new) builds one
+    /// for `K = k`: `2k` counters, hash ranges and salts to match, every
+    /// salt and counter in the field and `nonzero` equal to the counters'
+    /// nonzero count.
+    fn check_shape(&self, k: u64) -> Result<(), String> {
+        let k_prime = self.k_prime;
+        let shaped = k.checked_mul(2) == Some(k_prime)
+            && self.h2.range() == k_prime.saturating_pow(3).min(1u64 << 60)
+            && self.h3.range() == k_prime
+            && self.h4.range() == k_prime
+            && self.salts.len() as u64 == k_prime
+            && self.counters.len() as u64 == k_prime;
+        if !shaped {
+            return Err(format!("mid-range row shape differs from 2K = 2 x {k}"));
+        }
+        let p = self.field.modulus();
+        if !(2..1u64 << 62).contains(&p) || self.salts.iter().chain(&self.counters).any(|&c| c >= p)
+        {
+            return Err(format!("mid-range row value outside the field of {p}"));
+        }
+        if self.counters.iter().filter(|&&c| c != 0).count() as u64 != self.nonzero {
+            return Err("mid-range row occupancy differs from its counters".into());
+        }
+        Ok(())
+    }
+
     fn space_bits(&self) -> u64 {
         let w = u64::from(knw_hash::bits::ceil_log2(self.field.modulus()));
         (self.counters.len() as u64 + self.salts.len() as u64) * w
@@ -159,7 +188,13 @@ impl MidRangeRow {
 /// The KNW L0 (Hamming norm) sketch: `(1 ± O(ε))`-approximation of
 /// `|{i : x_i ≠ 0}|` under turnstile updates, with O(1) update and reporting
 /// time (Theorem 10).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// The wire form is the fields in declaration order.  Decoding checks each
+/// component's shape, the counter matrix's before the rough oracle's levels
+/// are allocated, so a decoded sketch never holds more than
+/// `64` levels of the fixed Appendix A.3 geometry (about 41 MB of level
+/// counters), whatever its bytes declare.
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct KnwL0Sketch {
     config: L0Config,
     k: u64,
@@ -192,7 +227,7 @@ impl KnwL0Sketch {
                 &mut matrix_rng,
             ),
             rough: RoughL0Estimator::new(config.universe, rough_seed),
-            exact: ExactSmallL0::new(EXACT_CAPACITY, 1.0 / 32.0, &mut exact_rng),
+            exact: ExactSmallL0::new(EXACT_CAPACITY, EXACT_DELTA, &mut exact_rng),
             mid: MidRangeRow::new(k, log_mm, config.hash_strategy, &mut mid_rng),
             updates: 0,
         }
@@ -370,7 +405,46 @@ impl KnwL0Sketch {
         if self.config.seed != other.config.seed {
             return Err(SketchError::SeedMismatch);
         }
+        // Equal configurations give equal draws and dimensions, except for
+        // sketches decoded from forged bytes; refuse those here rather than
+        // in a component merge's assertion.
+        let same_draws = self.k == other.k
+            && self.matrix.num_rows() == other.matrix.num_rows()
+            && self.matrix.prime() == other.matrix.prime()
+            && self.mid.field.modulus() == other.mid.field.modulus()
+            && self.rough.primes().eq(other.rough.primes())
+            && self.exact.primes().eq(other.exact.primes());
+        if !same_draws {
+            return Err(SketchError::SeedMismatch);
+        }
         Ok(())
+    }
+}
+
+impl serde::Deserialize for KnwL0Sketch {
+    /// Reads the fields in declaration order and checks their shapes: the
+    /// counter matrix and the mid-range row against `K`, the rough oracle's
+    /// `log n` against the matrix's (before its levels are read) and the
+    /// exact structure against its fixed capacity and failure probability.
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let config = L0Config::deserialize(input)?;
+        let k = u64::deserialize(input)?;
+        let matrix = L0Matrix::deserialize(input)?;
+        matrix.check_shape(k).map_err(serde::Error::new)?;
+        let log_n = (matrix.num_rows() - 1) as u32;
+        let rough = RoughL0Estimator::deserialize_as(input, log_n)?;
+        let exact = ExactSmallL0::deserialize_as(input, EXACT_CAPACITY, EXACT_DELTA)?;
+        let mid = MidRangeRow::deserialize(input)?;
+        mid.check_shape(k).map_err(serde::Error::new)?;
+        Ok(Self {
+            config,
+            k,
+            matrix,
+            rough,
+            exact,
+            mid,
+            updates: u64::deserialize(input)?,
+        })
     }
 }
 
@@ -624,6 +698,52 @@ mod tests {
             union.matrix().total_nonzero()
         );
         assert_eq!(left.updates_processed(), union.updates_processed());
+    }
+
+    #[test]
+    fn forged_shapes_fail_to_decode_and_forged_draws_fail_to_merge() {
+        use crate::estimator::MergeableEstimator;
+        let mut s = sketch(0.1, 21);
+        s.update_batch(&signed_stream(20_000, 8_192, 5));
+        let decode = |s: &KnwL0Sketch| serde::from_bytes::<KnwL0Sketch>(&serde::to_bytes(s));
+        assert!(decode(&s).is_ok());
+        let refused = |forge: &dyn Fn(&mut KnwL0Sketch), needle: &str| {
+            let mut forged = s.clone();
+            forge(&mut forged);
+            let err = decode(&forged).expect_err("forged sketch accepted");
+            assert!(err.to_string().contains(needle), "{err} lacks {needle:?}");
+        };
+        refused(&|f| f.k *= 2, "counter matrix shape");
+        refused(&|f| f.mid.salts.truncate(1), "mid-range row shape");
+        refused(&|f| f.mid.k_prime += 2, "mid-range row shape");
+        refused(&|f| f.mid.counters[3] = u64::MAX, "outside the field");
+        refused(&|f| f.mid.nonzero += 1, "occupancy");
+
+        // Well-formed sketches whose draws differ from their seed's: the
+        // merge refuses them instead of tripping a component assertion.
+        let mut other_field = s.clone();
+        other_field.mid.field = DynField::new(s.mid.field.modulus() + 2);
+        let bytes = serde::to_bytes(&s);
+        let prime = s.exact.primes().next().expect("one trial at least");
+        let at: Vec<usize> = (0..bytes.len() - 8)
+            .filter(|&i| bytes[i..i + 8] == prime.to_le_bytes())
+            .collect();
+        assert_eq!(at.len(), 1, "the exact trial's prime occurs once");
+        let mut other_prime = bytes.clone();
+        other_prime[at[0]..at[0] + 8].copy_from_slice(&(prime + 2).to_le_bytes());
+        for forged in [
+            decode(&other_field).expect("well-formed"),
+            serde::from_bytes(&other_prime).expect("well-formed"),
+        ] {
+            assert_eq!(
+                s.clone().merge_from(&forged),
+                Err(SketchError::SeedMismatch)
+            );
+            assert_eq!(
+                forged.clone().merge_from(&s),
+                Err(SketchError::SeedMismatch)
+            );
+        }
     }
 
     #[test]

@@ -19,12 +19,17 @@
 //! uses `O(log n · log log(mM))` bits, and has O(1) update time (one hash, one
 //! level update) and O(1) reporting time (the per-level verdicts are cached in
 //! a bitmask whose most significant set bit is the answer).
+//!
+//! On the wire the estimator is its level hash, `log n` and the levels, each
+//! decoded with exactly the geometry [`RoughL0Estimator::new`] gives it; the
+//! fired-level bitmask is derived from the decoded levels, not sent.
 
 use crate::l0::small::ExactSmallL0;
 use knw_hash::bits::lsb_with_cap;
 use knw_hash::pairwise::PairwiseHash;
 use knw_hash::rng::SplitMix64;
 use knw_hash::SpaceUsage;
+use serde::{Deserialize, Error, Serialize};
 
 /// The per-level capacity `c = 141` from Appendix A.3.
 pub const LEVEL_CAPACITY: u64 = 141;
@@ -33,8 +38,20 @@ pub const LEVEL_CAPACITY: u64 = 141;
 /// survive in it).
 pub const LEVEL_THRESHOLD: u64 = 8;
 
+/// The per-level failure probability `δ = 1/16` from Appendix A.3.
+const LEVEL_DELTA: f64 = 1.0 / 16.0;
+
+/// Bit `j` set ⇔ level `j` reports more than [`LEVEL_THRESHOLD`] survivors.
+fn fired_levels(levels: &[ExactSmallL0]) -> u64 {
+    levels
+        .iter()
+        .enumerate()
+        .filter(|(_, level)| level.estimate() > LEVEL_THRESHOLD)
+        .fold(0, |fired, (j, _)| fired | 1u64 << j)
+}
+
 /// The constant-factor (Theorem 11) rough L0 estimator.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoughL0Estimator {
     /// The level-splitting pairwise hash.
     level_hash: PairwiseHash,
@@ -59,7 +76,7 @@ impl RoughL0Estimator {
         let levels = (0..=log_n)
             .map(|j| {
                 let mut level_rng = master.split(u64::from(j) + 101);
-                ExactSmallL0::new(LEVEL_CAPACITY, 1.0 / 16.0, &mut level_rng)
+                ExactSmallL0::new(LEVEL_CAPACITY, LEVEL_DELTA, &mut level_rng)
             })
             .collect();
         Self {
@@ -117,13 +134,57 @@ impl RoughL0Estimator {
     pub fn merge_from_unchecked(&mut self, other: &Self) {
         assert_eq!(self.log_n, other.log_n);
         assert_eq!(self.levels.len(), other.levels.len());
-        self.fired = 0;
-        for (j, (mine, theirs)) in self.levels.iter_mut().zip(other.levels.iter()).enumerate() {
+        for (mine, theirs) in self.levels.iter_mut().zip(other.levels.iter()) {
             mine.merge_from_unchecked(theirs);
-            if mine.estimate() > LEVEL_THRESHOLD {
-                self.fired |= 1u64 << j;
-            }
         }
+        self.fired = fired_levels(&self.levels);
+    }
+
+    /// The primes of every level's trials, level by level.
+    pub(crate) fn primes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.levels.iter().flat_map(ExactSmallL0::primes)
+    }
+
+    /// Decodes an estimator whose `log n` must equal `log_n`, checked
+    /// before any level is read.
+    pub(crate) fn deserialize_as(input: &mut &[u8], log_n: u32) -> Result<Self, Error> {
+        Self::read(input, Some(log_n))
+    }
+
+    /// Reads the level hash and `log n` (at most 63, and equal to `log_n`
+    /// when one is given), then `log n + 1` levels of the fixed Appendix A.3
+    /// geometry.
+    fn read(input: &mut &[u8], expected: Option<u32>) -> Result<Self, Error> {
+        let level_hash = PairwiseHash::deserialize(input)?;
+        let log_n = u32::deserialize(input)?;
+        if log_n > 63 || expected.is_some_and(|expected| expected != log_n) {
+            return Err(Error::new(format!("rough oracle log n {log_n} refused")));
+        }
+        let levels = (0..=log_n)
+            .map(|_| ExactSmallL0::deserialize_as(input, LEVEL_CAPACITY, LEVEL_DELTA))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            level_hash,
+            fired: fired_levels(&levels),
+            levels,
+            log_n,
+        })
+    }
+}
+
+impl Serialize for RoughL0Estimator {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.level_hash.serialize(out);
+        self.log_n.serialize(out);
+        for level in &self.levels {
+            level.serialize(out);
+        }
+    }
+}
+
+impl Deserialize for RoughL0Estimator {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        Self::read(input, None)
     }
 }
 
@@ -243,5 +304,42 @@ mod tests {
             deep_sum < 40,
             "levels ≥ 16 should be nearly empty, got {counts:?}"
         );
+    }
+
+    #[test]
+    fn the_wire_form_derives_the_fired_levels_and_checks_the_geometry() {
+        let mut r = RoughL0Estimator::new(1 << 12, 3);
+        for i in 0..3_000u64 {
+            r.update(i, 1);
+        }
+        assert_ne!(r.fired, 0);
+        let bytes = serde::to_bytes(&r);
+        let back: RoughL0Estimator = serde::from_bytes(&bytes).expect("round trip");
+        assert_eq!(back.fired, r.fired);
+        assert_eq!(back.estimate(), r.estimate());
+        assert_eq!(serde::to_bytes(&back), bytes);
+
+        // `log n` is checked against the expected one, and against 63,
+        // before any level is read.
+        let mut input = &bytes[..];
+        let err = RoughL0Estimator::deserialize_as(&mut input, 13).expect_err("log n 12");
+        assert!(err.to_string().contains("log n 12"), "{err}");
+        let head = |log_n: u32| {
+            let mut out = serde::to_bytes(&r.level_hash);
+            log_n.serialize(&mut out);
+            out
+        };
+        let err = serde::from_bytes::<RoughL0Estimator>(&head(64)).expect_err("log n 64");
+        assert!(err.to_string().contains("log n 64"), "{err}");
+
+        // A level must have the Appendix A.3 geometry: capacity 141 and four
+        // trials, whatever larger geometry its header declares.
+        for (capacity, trials) in [(141u64, 5u64), (1448, 1), (100, 4)] {
+            let mut forged = head(0);
+            capacity.serialize(&mut forged);
+            trials.serialize(&mut forged);
+            let err = serde::from_bytes::<RoughL0Estimator>(&forged).expect_err("level shape");
+            assert!(err.to_string().contains("geometry"), "{err}");
+        }
     }
 }

@@ -33,7 +33,14 @@
 //! are occupied, and the dense counter array otherwise; the form follows from
 //! the state, so each state has one encoding.  The per-trial occupancy count
 //! is not on the wire: decoding derives it from the counters, after checking
-//! every index, value and the declared bucket count (before allocating).
+//! every index and value.
+//!
+//! An empty sparse trial takes a few dozen bytes whatever its bucket count,
+//! so the decoded size of a structure is not bounded by its input.  The
+//! decoder therefore checks the declared geometry (capacity and trial count)
+//! before it allocates any counters: at most `2^22` counters for a
+//! structure on its own, and exactly the geometry [`ExactSmallL0::new`]
+//! gives it where a sketch embeds one (see `ExactSmallL0::deserialize_as`).
 
 use knw_hash::pairwise::PairwiseHash;
 use knw_hash::primes::random_prime_in_range;
@@ -46,10 +53,28 @@ use serde::{Deserialize, Error, Serialize};
 /// while counters (and the sum of two) stay comfortably within a `u32`.
 const PRIME_RANGE: std::ops::RangeInclusive<u64> = (1 << 17)..=(1 << 21);
 
-/// Largest bucket count a decoded trial may declare (capacity `c ≈ 1448`).
-/// Checked before the counter array is allocated, so a few hostile bytes
-/// cannot allocate gigabytes.
-const MAX_WIRE_BUCKETS: u64 = 1 << 22;
+/// Largest number of counters (trials × buckets, 16 MiB of `u32`s) one
+/// structure may hold.  [`ExactSmallL0::new`] refuses larger geometries, and
+/// decoding checks it before any counter array is allocated.
+const MAX_COUNTERS: u64 = 1 << 22;
+
+/// The bucket count `max(2c², 16)` of a structure with `trials` trials of
+/// capacity `capacity`, or `None` if that geometry is empty or holds more
+/// than [`MAX_COUNTERS`] counters.
+fn buckets_for(capacity: u64, trials: u64) -> Option<u64> {
+    // Θ(c²) buckets: with 2c² buckets the per-trial collision probability
+    // among ≤ c surviving coordinates is below 1/4.
+    let buckets = capacity.checked_mul(capacity)?.checked_mul(2)?.max(16);
+    let fits = capacity >= 1 && trials >= 1 && trials.checked_mul(buckets)? <= MAX_COUNTERS;
+    fits.then_some(buckets)
+}
+
+/// O(log(1/δ)) trials; each trial under-counts with probability ≤ 1/4, so
+/// ⌈log₂(1/δ)⌉ trials push the failure probability below δ (plus the
+/// negligible prime-divisibility term).
+fn trials_for(delta: f64) -> u64 {
+    ((1.0 / delta).log2().ceil() as u64).max(1)
+}
 
 /// Wire form tag: the nonzero counters as `(u32 index, u32 value)` pairs.
 const FORM_SPARSE: u8 = 0;
@@ -84,8 +109,8 @@ fn reduce_delta(delta: i64, p: u64) -> u64 {
 ///
 /// # Wire form
 ///
-/// The codec is hand-written so that a trial costs what it holds: the hash,
-/// the prime (`u64`) and the bucket count (`u64`), then a one-byte form tag:
+/// The codec is hand-written so that a trial costs what it holds: the hash
+/// and the prime (`u64`), then a one-byte form tag:
 ///
 /// * [`FORM_SPARSE`] when at most half the buckets are nonzero: a `u64` pair
 ///   count followed by the nonzero counters as `(u32 index, u32 value)`
@@ -93,11 +118,21 @@ fn reduce_delta(delta: i64, p: u64) -> u64 {
 /// * [`FORM_DENSE`] otherwise: all counters as `u32`s, with no length
 ///   prefix (the bucket count gives it).
 ///
-/// The form is a function of the state, so every trial has exactly one
+/// The bucket count is not on the wire either: the enclosing structure
+/// derives it from its capacity and passes it to [`read`](Self::read).  The
+/// form is a function of the state, so every trial has exactly one
 /// encoding, and decoding rejects the other form, out-of-order or
 /// out-of-range indices, zero values and values `≥ prime`.  `nonzero` is
 /// not on the wire: decoding derives it from the validated counters (the
 /// pair count, or a count over the dense array), never from a sent value.
+///
+/// Both forms occur.  Over a 10 s `l0_serve_churn` benchmark run (universe
+/// 2^24, ε = 0.05; 905 worker shards of 105 trials each) all 90,500
+/// rough-oracle trials were sparse (720 nonzero of 39,762 buckets on
+/// average), and 4,086 of the 4,525 exact-structure trials were dense:
+/// that structure runs far past its capacity of 100, and its dense trials
+/// held 10,014–16,031 nonzero of 20,000 buckets, so the dense form wrote
+/// 80 KB where pairs would take 101 KB on average.
 #[derive(Debug, Clone)]
 struct Trial {
     /// Pairwise hash from the universe into the buckets.
@@ -160,13 +195,10 @@ impl Trial {
     fn is_sparse(nonzero: u64, buckets: usize) -> bool {
         nonzero <= buckets as u64 / 2
     }
-}
 
-impl Serialize for Trial {
-    fn serialize(&self, out: &mut Vec<u8>) {
+    fn write(&self, out: &mut Vec<u8>) {
         self.hash.serialize(out);
         self.prime.serialize(out);
-        (self.counters.len() as u64).serialize(out);
         if Self::is_sparse(self.nonzero, self.counters.len()) {
             out.push(FORM_SPARSE);
             self.nonzero.serialize(out);
@@ -182,20 +214,14 @@ impl Serialize for Trial {
             u32::serialize_slice(&self.counters, out);
         }
     }
-}
 
-impl Deserialize for Trial {
-    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+    /// Reads a trial of `buckets` buckets.  The caller has bounded
+    /// `buckets` (see [`buckets_for`]) before this allocates the counters.
+    fn read(input: &mut &[u8], buckets: u64) -> Result<Self, Error> {
         let hash = PairwiseHash::deserialize(input)?;
         let prime = u64::deserialize(input)?;
-        let buckets = u64::deserialize(input)?;
         if !PRIME_RANGE.contains(&prime) {
             return Err(Error::new(format!("trial prime {prime} out of range")));
-        }
-        if buckets == 0 || buckets > MAX_WIRE_BUCKETS {
-            return Err(Error::new(format!(
-                "trial bucket count {buckets} out of range"
-            )));
         }
         if hash.range() != buckets {
             return Err(Error::new(format!(
@@ -258,7 +284,13 @@ impl Deserialize for Trial {
 }
 
 /// The Lemma 8 exact small-L0 structure.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// On the wire: the capacity and the trial count (`u64`s), then each trial
+/// (see `Trial`).  The bucket count is derived from the capacity, and the
+/// decoder checks the geometry against [`MAX_COUNTERS`] before reading any
+/// trial, so a few bytes can never declare more counters than a structure
+/// [`new`](Self::new) would build.
+#[derive(Debug, Clone)]
 pub struct ExactSmallL0 {
     trials: Vec<Trial>,
     capacity: u64,
@@ -271,28 +303,19 @@ impl ExactSmallL0 {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`, if `2 · capacity²` exceeds the `2^22`
-    /// buckets a trial may hold on the wire (`capacity > 1448`), or if
-    /// `delta` is not in `(0, 1)`.
+    /// Panics if `capacity == 0`, if `delta` is not in `(0, 1)`, or if the
+    /// structure would hold more than `2^22` counters (`⌈log₂(1/δ)⌉` trials
+    /// of `2 · capacity²` buckets), the most a decoder accepts.
     #[must_use]
     pub fn new(capacity: u64, delta: f64, rng: &mut SplitMix64) -> Self {
         assert!(capacity >= 1, "capacity must be positive");
         assert!(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
-        // Θ(c²) buckets: with 2c² buckets the per-trial collision probability
-        // among ≤ c surviving coordinates is below 1/4.
-        let buckets = capacity
-            .checked_mul(capacity)
-            .and_then(|square| square.checked_mul(2))
-            .filter(|&b| b <= MAX_WIRE_BUCKETS)
-            .expect("capacity too large for the wire form")
-            .max(16);
-        // O(log(1/δ)) trials; each trial under-counts with probability ≤ 1/4,
-        // so ⌈log₂(1/δ)⌉ trials push the failure probability below δ/ (plus the
-        // negligible prime-divisibility term).
-        let trials_count = ((1.0 / delta).log2().ceil() as usize).max(1);
+        let trials_count = trials_for(delta);
+        let buckets =
+            buckets_for(capacity, trials_count).expect("structure too large for the wire form");
         let trials = (0..trials_count)
             .map(|i| {
-                let mut trial_rng = rng.split(i as u64 + 1);
+                let mut trial_rng = rng.split(i + 1);
                 Trial::new(buckets, &mut trial_rng)
             })
             .collect();
@@ -301,6 +324,45 @@ impl ExactSmallL0 {
             capacity,
             buckets,
         }
+    }
+
+    /// Decodes a structure that must have the geometry
+    /// [`new(capacity, delta, _)`](Self::new) builds, checked before any
+    /// trial is read.  The sketches that embed this structure decode it
+    /// through here, so a forged level cannot be larger than a real one.
+    pub(crate) fn deserialize_as(
+        input: &mut &[u8],
+        capacity: u64,
+        delta: f64,
+    ) -> Result<Self, Error> {
+        Self::read(input, Some((capacity, trials_for(delta))))
+    }
+
+    /// The primes of the trials, in trial order.
+    pub(crate) fn primes(&self) -> impl Iterator<Item = u64> + '_ {
+        self.trials.iter().map(|trial| trial.prime)
+    }
+
+    /// Reads the capacity and trial count, requires them to equal `shape`
+    /// when one is given and to pass [`buckets_for`], then reads the trials.
+    fn read(input: &mut &[u8], shape: Option<(u64, u64)>) -> Result<Self, Error> {
+        let capacity = u64::deserialize(input)?;
+        let trials = u64::deserialize(input)?;
+        let buckets = buckets_for(capacity, trials)
+            .filter(|_| shape.is_none_or(|expected| expected == (capacity, trials)))
+            .ok_or_else(|| {
+                Error::new(format!(
+                    "small-L0 geometry of capacity {capacity} and {trials} trials refused"
+                ))
+            })?;
+        let trials = (0..trials)
+            .map(|_| Trial::read(input, buckets))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            trials,
+            capacity,
+            buckets,
+        })
     }
 
     /// The promise parameter `c`.
@@ -348,6 +410,23 @@ impl ExactSmallL0 {
         for (mine, theirs) in self.trials.iter_mut().zip(other.trials.iter()) {
             mine.merge_from_unchecked(theirs);
         }
+    }
+}
+
+impl Serialize for ExactSmallL0 {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.capacity.serialize(out);
+        (self.trials.len() as u64).serialize(out);
+        for trial in &self.trials {
+            trial.write(out);
+        }
+    }
+}
+
+impl Deserialize for ExactSmallL0 {
+    /// Decodes a structure of any geometry [`ExactSmallL0::new`] accepts.
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        Self::read(input, None)
     }
 }
 
@@ -519,17 +598,14 @@ mod tests {
 
     /// The encoding of [`tiny`] up to its trial's form tag.
     const TINY_HEAD: [u8; 49] = [
+        2, 0, 0, 0, 0, 0, 0, 0, // capacity 2, so 16 buckets
         1, 0, 0, 0, 0, 0, 0, 0, // one trial
         86, 4, 72, 109, 3, 95, 231, 10, // hash a
         149, 178, 160, 65, 93, 133, 88, 18, // hash b
         16, 0, 0, 0, 0, 0, 0, 0, // hash range
         1, // the range is a power of two
         107, 34, 2, 0, 0, 0, 0, 0, // prime 140 907
-        16, 0, 0, 0, 0, 0, 0, 0, // bucket count
     ];
-
-    /// The encoding of [`tiny`] after its trial: capacity, then buckets.
-    const TINY_TAIL: [u8; 16] = [2, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0];
 
     #[test]
     fn golden_bytes_pin_the_sparse_and_dense_forms() {
@@ -542,7 +618,6 @@ mod tests {
             .chain(&[2, 0, 0, 0, 0, 0, 0, 0]) // two pairs
             .chain(&[2, 0, 0, 0, 106, 34, 2, 0]) // bucket 2 holds -1 = p - 1
             .chain(&[11, 0, 0, 0, 1, 0, 0, 0]) // bucket 11 holds 1
-            .chain(&TINY_TAIL)
             .copied()
             .collect();
         assert_eq!(serde::to_bytes(&s), sparse);
@@ -562,7 +637,6 @@ mod tests {
                     .collect::<Vec<_>>()
                     .iter(),
             )
-            .chain(&TINY_TAIL)
             .copied()
             .collect();
         assert_eq!(serde::to_bytes(&s), dense);
@@ -635,12 +709,11 @@ mod tests {
     const P: u64 = 140_907;
 
     /// Hand-built trial bytes: a hash onto `range` buckets, the prime, the
-    /// declared bucket count, the form tag and the body.
-    fn trial_bytes(range: u64, prime: u64, buckets: u64, form: u8, body: &[u8]) -> Vec<u8> {
+    /// form tag and the body.
+    fn trial_bytes(range: u64, prime: u64, form: u8, body: &[u8]) -> Vec<u8> {
         let mut rng = SplitMix64::new(3);
         let mut out = serde::to_bytes(&PairwiseHash::random(range, &mut rng));
         prime.serialize(&mut out);
-        buckets.serialize(&mut out);
         out.push(form);
         out.extend_from_slice(body);
         out
@@ -660,23 +733,27 @@ mod tests {
         counters.iter().flat_map(|c| c.to_le_bytes()).collect()
     }
 
+    /// Reads `bytes` as one 16-bucket trial that must consume them all.
+    fn read_trial(bytes: &[u8]) -> Result<Trial, Error> {
+        let mut input = bytes;
+        let trial = Trial::read(&mut input, 16)?;
+        if !input.is_empty() {
+            return Err(Error::new(format!("{} trailing bytes", input.len())));
+        }
+        Ok(trial)
+    }
+
     fn rejects(bytes: &[u8], needle: &str) {
-        let err = serde::from_bytes::<Trial>(bytes).expect_err("hostile trial accepted");
+        let err = read_trial(bytes).expect_err("hostile trial accepted");
         assert!(err.to_string().contains(needle), "{err} lacks {needle:?}");
     }
 
     #[test]
     fn hostile_trial_bytes_are_errors_not_panics() {
         let sparse = |pairs: &[(u32, u32)]| {
-            trial_bytes(
-                16,
-                P,
-                16,
-                FORM_SPARSE,
-                &sparse_body(pairs.len() as u64, pairs),
-            )
+            trial_bytes(16, P, FORM_SPARSE, &sparse_body(pairs.len() as u64, pairs))
         };
-        let ok: Trial = serde::from_bytes(&sparse(&[(0, 1), (15, P as u32 - 1)])).expect("valid");
+        let ok = read_trial(&sparse(&[(0, 1), (15, P as u32 - 1)])).expect("valid");
         assert_eq!(ok.nonzero, 2);
 
         rejects(&sparse(&[(16, 1)]), "out of order or range");
@@ -689,52 +766,97 @@ mod tests {
 
         // A pair count that disagrees with the pairs present, or with the
         // sparse form's bound of half the buckets.
-        let short = trial_bytes(16, P, 16, FORM_SPARSE, &sparse_body(3, &[(1, 1), (2, 1)]));
+        let short = trial_bytes(16, P, FORM_SPARSE, &sparse_body(3, &[(1, 1), (2, 1)]));
         rejects(&short, "truncated");
-        let long = trial_bytes(16, P, 16, FORM_SPARSE, &sparse_body(1, &[(1, 1), (2, 1)]));
+        let long = trial_bytes(16, P, FORM_SPARSE, &sparse_body(1, &[(1, 1), (2, 1)]));
         rejects(&long, "trailing");
         let nine: Vec<(u32, u32)> = (0..9).map(|i| (i, 1)).collect();
         rejects(&sparse(&nine), "declares 9 pairs");
-        let huge = trial_bytes(16, P, 16, FORM_SPARSE, &sparse_body(u64::MAX, &[]));
+        let huge = trial_bytes(16, P, FORM_SPARSE, &sparse_body(u64::MAX, &[]));
         rejects(&huge, "pairs");
 
         let mut counters = [1u32; 16];
         counters[7] = P as u32;
         rejects(
-            &trial_bytes(16, P, 16, FORM_DENSE, &dense_body(&counters)),
+            &trial_bytes(16, P, FORM_DENSE, &dense_body(&counters)),
             "not below",
         );
         let half = [1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0];
         rejects(
-            &trial_bytes(16, P, 16, FORM_DENSE, &dense_body(&half)),
+            &trial_bytes(16, P, FORM_DENSE, &dense_body(&half)),
             "only 8 nonzero",
         );
         rejects(
-            &trial_bytes(16, P, 16, FORM_DENSE, &dense_body(&[1; 15])),
+            &trial_bytes(16, P, FORM_DENSE, &dense_body(&[1; 15])),
             "truncated",
         );
-        rejects(&trial_bytes(16, P, 16, 2, &[]), "form tag 2");
+        rejects(&trial_bytes(16, P, 2, &[]), "form tag 2");
+        rejects(&trial_bytes(8, P, FORM_SPARSE, &[]), "hash range");
+        rejects(&trial_bytes(16, 4, FORM_SPARSE, &[]), "prime");
+        rejects(&trial_bytes(16, 1 << 32, FORM_SPARSE, &[]), "prime");
+    }
 
-        // Header checks run before any allocation: a few bytes declaring a
-        // huge table are refused without reserving it.
-        let over = MAX_WIRE_BUCKETS + 1;
-        rejects(&trial_bytes(over, P, over, FORM_DENSE, &[]), "bucket count");
-        rejects(
-            &trial_bytes(16, P, u64::MAX, FORM_SPARSE, &[]),
-            "bucket count",
-        );
-        rejects(&trial_bytes(16, P, 0, FORM_SPARSE, &[]), "bucket count");
-        rejects(&trial_bytes(8, P, 16, FORM_SPARSE, &[]), "hash range");
-        rejects(&trial_bytes(16, 4, 16, FORM_SPARSE, &[]), "prime");
-        rejects(&trial_bytes(16, 1 << 32, 16, FORM_SPARSE, &[]), "prime");
+    /// A structure header: capacity and trial count.
+    fn header(capacity: u64, trials: u64) -> Vec<u8> {
+        let mut out = serde::to_bytes(&capacity);
+        trials.serialize(&mut out);
+        out
     }
 
     #[test]
-    #[should_panic(expected = "capacity too large for the wire form")]
-    fn capacities_beyond_the_wire_bound_are_refused() {
+    fn oversized_geometries_are_refused_before_any_trial_is_read() {
+        // Each header below is followed by one valid empty trial of the
+        // declared bucket count and nothing else, so a decoder that read
+        // trials before checking the geometry would fail on truncation.
+        let refused = |capacity: u64, trials: u64| {
+            let buckets = (2 * capacity * capacity).max(16);
+            let mut bytes = header(capacity, trials);
+            bytes.extend(trial_bytes(buckets, P, FORM_SPARSE, &sparse_body(0, &[])));
+            let err = serde::from_bytes::<ExactSmallL0>(&bytes).expect_err("geometry accepted");
+            assert!(err.to_string().contains("geometry"), "{err}");
+        };
+        // A max-bucket empty trial repeated: 16 MiB of counters per copy.
+        refused(1448, 2);
+        refused(1448, 1_000_000);
+        refused(1448, u64::MAX);
+        refused(1449, 1);
+        refused(1024, 3);
+        refused(0, 1);
+        refused(2, 0);
+        let huge = header(u64::MAX, 1);
+        let err = serde::from_bytes::<ExactSmallL0>(&huge).expect_err("geometry accepted");
+        assert!(err.to_string().contains("geometry"), "{err}");
+
+        // The largest geometries `new` builds decode.
+        for (capacity, trials) in [(1448, 1), (1024, 2)] {
+            let buckets = (2 * capacity * capacity).max(16);
+            let mut bytes = header(capacity, trials);
+            for _ in 0..trials {
+                bytes.extend(trial_bytes(buckets, P, FORM_SPARSE, &sparse_body(0, &[])));
+            }
+            let back: ExactSmallL0 = serde::from_bytes(&bytes).expect("largest geometry");
+            assert_eq!(back.buckets * trials, 2 * capacity * capacity * trials);
+        }
+
+        // Embedded structures must have exactly the expected geometry.
+        let legit = serde::to_bytes(&fresh(141, 5));
+        let shaped = |bytes: &[u8], capacity, delta| {
+            let mut input = bytes;
+            ExactSmallL0::deserialize_as(&mut input, capacity, delta)
+        };
+        assert!(shaped(&legit, 141, 1.0 / 16.0).is_ok());
+        assert!(shaped(&legit, 141, 1.0 / 32.0).is_err());
+        assert!(shaped(&legit, 100, 1.0 / 16.0).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "structure too large for the wire form")]
+    fn geometries_beyond_the_wire_bound_are_refused() {
         let largest = ExactSmallL0::new(1448, 0.5, &mut SplitMix64::new(1));
         assert_eq!(largest.buckets, 2 * 1448 * 1448);
-        let _ = ExactSmallL0::new(1449, 0.5, &mut SplitMix64::new(1));
+        let two_trials = ExactSmallL0::new(1024, 0.25, &mut SplitMix64::new(1));
+        assert_eq!(two_trials.trials.len() as u64 * two_trials.buckets, 1 << 22);
+        let _ = ExactSmallL0::new(1024, 0.2, &mut SplitMix64::new(1));
     }
 
     #[test]
