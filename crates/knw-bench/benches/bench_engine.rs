@@ -33,7 +33,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use knw_cluster::{
     spawn_listening_worker, ClusterConfig, F0ClusterAggregator, L0ClusterAggregator,
-    RecoveryPolicy, SketchSpec, TcpClusterConfig, WorkerRegistry,
+    RecoveryPolicy, SketchSpec, WorkerRegistry,
 };
 use knw_core::{F0Config, KnwF0Sketch, KnwL0Sketch, L0Config};
 use knw_engine::{EngineConfig, RoutingPolicy, ShardedF0Engine, ShardedL0Engine};
@@ -366,14 +366,14 @@ fn cluster_summary(_c: &mut Criterion) {
         return;
     };
     let cluster_config = |precoalesce: bool| {
-        ClusterConfig::new(4, &worker)
+        ClusterConfig::pipe(4, &worker)
             .with_engine(EngineConfig::new(4).with_precoalesce(precoalesce))
     };
     // Reaped by the fleet's Drop (even if a measurement panics).
     let fleet = knw_cluster::ListeningWorkerFleet::spawn(&worker, "127.0.0.1:0", 4)
         .expect("spawn listening workers");
     let tcp_config = |precoalesce: bool| {
-        TcpClusterConfig::new(fleet.addrs().iter().cloned())
+        ClusterConfig::tcp(fleet.addrs().iter().cloned(), None)
             .with_engine(EngineConfig::new(4).with_precoalesce(precoalesce))
     };
 
@@ -386,7 +386,7 @@ fn cluster_summary(_c: &mut Criterion) {
         items.len(),
         &mut || {
             let mut cluster =
-                F0ClusterAggregator::spawn(&cluster_config(false), &f0_spec).expect("spawn");
+                F0ClusterAggregator::start(&cluster_config(false), &f0_spec).expect("spawn");
             for chunk in items.chunks(1 << 18) {
                 cluster.ingest_batch(black_box(chunk));
             }
@@ -400,7 +400,7 @@ fn cluster_summary(_c: &mut Criterion) {
         items.len(),
         &mut || {
             let mut cluster =
-                F0ClusterAggregator::connect(&tcp_config(false), &f0_spec).expect("connect");
+                F0ClusterAggregator::start(&tcp_config(false), &f0_spec).expect("connect");
             for chunk in items.chunks(1 << 18) {
                 cluster.ingest_batch(black_box(chunk));
             }
@@ -420,7 +420,7 @@ fn cluster_summary(_c: &mut Criterion) {
         &mut || {
             let config = tcp_config(false)
                 .with_recovery(RecoveryPolicy::default().with_journal_cap(usize::MAX));
-            let mut cluster = F0ClusterAggregator::connect(&config, &f0_spec).expect("connect");
+            let mut cluster = F0ClusterAggregator::start(&config, &f0_spec).expect("connect");
             let half = items.len() / 2;
             for chunk in items[..half].chunks(1 << 18) {
                 cluster.ingest_batch(black_box(chunk));
@@ -468,13 +468,15 @@ fn cluster_summary(_c: &mut Criterion) {
             "2->4 mid-stream grow, hash-affine TCP",
             items.len(),
             &mut || {
-                let config = TcpClusterConfig::new(small_fleet.addrs().iter().cloned())
-                    .with_engine(
-                        EngineConfig::new(2).with_routing(RoutingPolicy::HashAffine { seed: 7 }),
-                    )
-                    .with_recovery(RecoveryPolicy::default().with_journal_cap(usize::MAX))
-                    .with_registry(Arc::clone(&registry));
-                let mut cluster = F0ClusterAggregator::connect(&config, &f0_spec).expect("connect");
+                let config = ClusterConfig::tcp(
+                    small_fleet.addrs().iter().cloned(),
+                    Some(Arc::clone(&registry)),
+                )
+                .with_engine(
+                    EngineConfig::new(2).with_routing(RoutingPolicy::HashAffine { seed: 7 }),
+                )
+                .with_recovery(RecoveryPolicy::default().with_journal_cap(usize::MAX));
+                let mut cluster = F0ClusterAggregator::start(&config, &f0_spec).expect("connect");
                 let half = items.len() / 2;
                 for chunk in items[..half].chunks(1 << 18) {
                     cluster.ingest_batch(black_box(chunk));
@@ -506,7 +508,7 @@ fn cluster_summary(_c: &mut Criterion) {
         updates.len(),
         &mut || {
             let mut cluster =
-                L0ClusterAggregator::spawn(&cluster_config(true), &l0_spec).expect("spawn");
+                L0ClusterAggregator::start(&cluster_config(true), &l0_spec).expect("spawn");
             for chunk in updates.chunks(1 << 18) {
                 cluster.ingest_batch(black_box(chunk));
             }
@@ -520,7 +522,7 @@ fn cluster_summary(_c: &mut Criterion) {
         updates.len(),
         &mut || {
             let mut cluster =
-                L0ClusterAggregator::connect(&tcp_config(true), &l0_spec).expect("connect");
+                L0ClusterAggregator::start(&tcp_config(true), &l0_spec).expect("connect");
             for chunk in updates.chunks(1 << 18) {
                 cluster.ingest_batch(black_box(chunk));
             }
@@ -559,7 +561,7 @@ fn serve_summary(_c: &mut Criterion) {
         drop(items);
         let f0 = sketch_config();
         let spec = SketchSpec::f0("knw-f0", f0.epsilon, f0.universe, f0.seed);
-        let config = ClusterConfig::new(4, &worker).with_engine(EngineConfig::new(4));
+        let config = ClusterConfig::pipe(4, &worker).with_engine(EngineConfig::new(4));
 
         time_run(
             "f0_serve_1k_sessions",
@@ -571,7 +573,7 @@ fn serve_summary(_c: &mut Criterion) {
                 let serve_spec = spec.clone();
                 let server_config = config.clone();
                 let server = std::thread::spawn(move || {
-                    let mut aggregator = F0ClusterAggregator::spawn(&server_config, &serve_spec)
+                    let mut aggregator = F0ClusterAggregator::start(&server_config, &serve_spec)
                         .expect("spawn fleet");
                     let options = SessionServeOptions::default().with_max_sessions(SESSIONS);
                     serve_sessions(&listener, &mut aggregator, &options).expect("serve loop");

@@ -12,8 +12,9 @@
 //!
 //! 1. bind a [`WorkerRegistry`] and spawn four `knw-worker --listen
 //!    --register` spares announcing themselves to it;
-//! 2. place a **2-worker** fleet from the pool ([`from_pool_with`]) — no
-//!    static address list — with hash-affine routing and journaling on;
+//! 2. place a **2-worker** fleet from the pool — a TCP [`ClusterConfig`]
+//!    with the registry and no static address list — with hash-affine
+//!    routing and journaling on;
 //! 3. stream the steady phase, then `scale_to(4)` when the burst arrives
 //!    (the two new shards replay their split parents' checkpoints +
 //!    re-routed journals), stream the burst;
@@ -21,12 +22,10 @@
 //!    parents via the exact merge, their workers return to the pool),
 //!    stream the tail;
 //! 5. finish and compare bits against the single-process fold.
-//!
-//! [`from_pool_with`]: L0ClusterAggregator::from_pool_with
 
 use knw_cluster::{
-    build_l0, sibling_worker_exe, spawn_listening_worker, L0ClusterAggregator, RecoveryPolicy,
-    SketchSpec, WorkerRegistry,
+    build_l0, sibling_worker_exe, spawn_listening_worker, ClusterConfig, L0ClusterAggregator,
+    RecoveryPolicy, SketchSpec, WorkerRegistry,
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 use std::process::Child;
@@ -83,15 +82,15 @@ fn main() {
     // policy) is what makes later rescales possible: grown shards replay
     // split journals, so without it `scale_to` refuses typed.
     let spec = SketchSpec::l0("knw-l0", 0.1, 1 << 12, 97);
-    let mut cluster = L0ClusterAggregator::from_pool_with(
-        &registry,
-        EngineConfig::new(2)
-            .with_batch_size(512)
-            .with_routing(RoutingPolicy::HashAffine { seed: 7 }),
-        Some(RecoveryPolicy::default()),
-        &spec,
-    )
-    .expect("place 2 workers from the pool");
+    let config = ClusterConfig::tcp(Vec::<String>::new(), Some(Arc::clone(&registry)))
+        .with_engine(
+            EngineConfig::new(2)
+                .with_batch_size(512)
+                .with_routing(RoutingPolicy::HashAffine { seed: 7 }),
+        )
+        .with_recovery(RecoveryPolicy::default());
+    let mut cluster =
+        L0ClusterAggregator::start(&config, &spec).expect("place 2 workers from the pool");
     let mut single = build_l0(&spec).expect("zoo estimator");
     println!(
         "placed a 2-worker fleet from the pool ({} spare(s) left)",

@@ -1,10 +1,10 @@
 //! The aggregator side: reaches N workers through a [`Transport`] — spawned
-//! child processes on stdin/stdout pipes ([`PipeTransport`], via
-//! [`ClusterAggregator::spawn`]) or already-running remote workers on TCP
-//! sockets ([`TcpTransport`], via [`ClusterAggregator::connect_workers`]) —
-//! streams batches to them over the frame protocol using the *same* routing
-//! stage as the in-process engine ([`knw_engine::ShardBatcher`]), and
-//! merges their serialized shards into one sketch.
+//! child processes on stdin/stdout pipes ([`PipeTransport`]) or
+//! already-running remote workers on TCP sockets ([`TcpTransport`]), as a
+//! [`ClusterConfig`] says — streams batches to them over the frame protocol
+//! using the *same* routing stage as the in-process engine
+//! ([`knw_engine::ShardBatcher`]), and merges their serialized shards into
+//! one sketch.
 //!
 //! ```text
 //!        ingest / ingest_batch  (U = u64 or (item, ±delta))
@@ -43,15 +43,18 @@ use crate::recovery::{RecoveryPolicy, WorkerRegistry};
 use crate::spec::{build_f0, build_l0, f0_shard_from_bytes, l0_shard_from_bytes};
 use crate::spec::{WireF0Sketch, WireL0Sketch};
 use crate::transport::{
-    PipeTransport, TcpClusterConfig, TcpTransport, Transport, WorkerConnection,
+    PipeTransport, TcpTransport, Transport, WorkerConnection, DEFAULT_CONNECT_TIMEOUT,
+    DEFAULT_IO_TIMEOUT,
 };
 use knw_core::{DynMergeableCardinalityEstimator, DynMergeableTurnstileEstimator, SketchError};
 use knw_engine::{BatcherMetrics, EngineConfig, Routable, RoutingPolicy, ShardBatcher};
 use knw_hash::rng::{epoch_shard_for_key, split_parent};
 use knw_metrics::{knw_log, Counter, Histogram};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// An update type the cluster can stream: ties the routing-stage contract
 /// ([`Routable`]) to the wire format (payload framing, shard construction,
@@ -70,7 +73,7 @@ pub trait ClusterUpdate: Routable {
     const WIRE_BYTES: usize;
 
     /// The codec's `BatchPayload` variant tag for this update type (0 for
-    /// `Items`, 1 for `Updates`) — what [`encode_batch_frame`] writes where
+    /// `Items`, 1 for `Updates`) — what the batch encoder writes where
     /// the derived serializer would write the enum discriminant.
     const WIRE_TAG: u32;
 
@@ -248,39 +251,93 @@ impl ClusterUpdate for (u64, i64) {
     }
 }
 
-/// Cluster sizing: the shared engine knobs (shard count = worker count,
-/// batch size, routing policy, pre-coalescing) plus the path of the worker
-/// executable to spawn.
+/// Where a cluster's workers come from.
+#[derive(Debug, Clone)]
+pub enum WorkerSource {
+    /// Spawn one child process per shard from this `knw-worker` executable
+    /// and speak frames over its stdin/stdout pipes ([`PipeTransport`]).
+    /// Recovery re-spawns a fresh child.
+    Spawn(PathBuf),
+    /// Connect to already-running workers (`knw-worker --listen <addr>`)
+    /// over TCP ([`TcpTransport`]): one shard per address, in order.  An
+    /// attached registry supplies replacements when a worker's address
+    /// stays unreachable; with an **empty** address list it places every
+    /// shard from its pool of announced spares (pool placement).
+    Tcp {
+        /// One `host:port` per worker, in shard order (empty: pool placement).
+        addrs: Vec<String>,
+        /// Spare `knw-worker --register` hosts for re-resolution and
+        /// placement.
+        registry: Option<Arc<WorkerRegistry>>,
+    },
+}
+
+/// Everything [`ClusterAggregator::start`] needs besides the sketch: the
+/// shared engine knobs (shard count = worker count, batch size, routing
+/// policy, pre-coalescing), where the workers come from, the recovery
+/// policy, and the TCP link timeouts.
+///
+/// A static TCP address list pins the shard count to its length — one
+/// worker, one shard — so the two cannot disagree.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Routing knobs, shared verbatim with the in-process engine.
     pub engine: EngineConfig,
-    /// Path to the `knw-worker` executable.
-    pub worker_exe: PathBuf,
+    /// Spawned children or TCP workers.
+    pub workers: WorkerSource,
     /// Reconnect-and-replay recovery for faulted workers (`None` — the
-    /// default — fails the run on the first worker fault).  On the pipe
-    /// transport recovery re-*spawns* a fresh child process and replays
-    /// the shard's journal through it.
+    /// default — fails the run on the first worker fault).  It also
+    /// retries a worker that cannot be reached at start-up, and elastic
+    /// resharding ([`ClusterAggregator::scale_to`]) requires it: its
+    /// journals are what a split shard replays.
     pub recovery: Option<RecoveryPolicy>,
+    /// How long to wait for each TCP worker to accept the connection.
+    pub connect_timeout: Duration,
+    /// Per-link read/write timeout on TCP links (`None` blocks forever —
+    /// not recommended; the default keeps every failure mode bounded).
+    pub io_timeout: Option<Duration>,
 }
 
 impl ClusterConfig {
-    /// Creates a cluster configuration for `workers` worker processes using
-    /// the given worker executable.
+    /// `workers` spawned `knw-worker` child processes on pipes.
     #[must_use]
-    pub fn new(workers: usize, worker_exe: impl Into<PathBuf>) -> Self {
+    pub fn pipe(workers: usize, worker_exe: impl Into<PathBuf>) -> Self {
+        Self::with_source(
+            EngineConfig::new(workers),
+            WorkerSource::Spawn(worker_exe.into()),
+        )
+    }
+
+    /// TCP workers at `addrs`, one shard per address, with an optional
+    /// registry of spares.  An empty `addrs` with a registry is pool
+    /// placement: set the fleet size with [`with_engine`](Self::with_engine).
+    #[must_use]
+    pub fn tcp<A: Into<String>>(
+        addrs: impl IntoIterator<Item = A>,
+        registry: Option<Arc<WorkerRegistry>>,
+    ) -> Self {
+        let addrs: Vec<String> = addrs.into_iter().map(Into::into).collect();
+        Self::with_source(
+            EngineConfig::new(addrs.len()),
+            WorkerSource::Tcp { addrs, registry },
+        )
+    }
+
+    fn with_source(engine: EngineConfig, workers: WorkerSource) -> Self {
         Self {
-            engine: EngineConfig::new(workers),
-            worker_exe: worker_exe.into(),
+            engine,
+            workers,
             recovery: None,
+            connect_timeout: DEFAULT_CONNECT_TIMEOUT,
+            io_timeout: Some(DEFAULT_IO_TIMEOUT),
         }
     }
 
-    /// Replaces the engine knobs (batch size, routing, pre-coalescing),
-    /// keeping the worker count consistent with `engine.shards`.
+    /// Replaces the engine knobs (batch size, routing, pre-coalescing and —
+    /// unless a static address list pins it — the shard count).
     #[must_use]
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
+        self.engine = self.pinned(engine);
         self
     }
 
@@ -289,6 +346,23 @@ impl ClusterConfig {
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
         self
+    }
+
+    /// Sets the TCP per-link read/write timeout (`None` blocks forever).
+    #[must_use]
+    pub fn with_io_timeout(mut self, timeout: Option<Duration>) -> Self {
+        self.io_timeout = timeout;
+        self
+    }
+
+    /// `engine` with its shard count pinned to a static address list's
+    /// length, and every knob clamped to its valid range.
+    fn pinned(&self, engine: EngineConfig) -> EngineConfig {
+        match &self.workers {
+            WorkerSource::Tcp { addrs, .. } if !addrs.is_empty() => engine.with_shards(addrs.len()),
+            _ => engine,
+        }
+        .normalized()
     }
 }
 
@@ -465,20 +539,14 @@ fn send_encoded_batch_capped<U: ClusterUpdate>(
     batch: &[U],
     cap: usize,
     buf: &mut Vec<u8>,
-    journal: Option<(&mut ShardJournal, usize)>,
+    mut journal: Option<(&mut ShardJournal, usize)>,
 ) -> Result<(), ClusterError> {
-    let cap = cap.max(1);
-    let Some((journal, journal_cap)) = journal else {
-        for chunk in batch.chunks(cap) {
-            encode_batch_frame(buf, chunk);
-            conn.send_raw(buf).map_err(|e| wire_fault(worker, e))?;
-        }
-        return Ok(());
-    };
     let mut result = Ok(());
-    for chunk in batch.chunks(cap) {
+    for chunk in batch.chunks(cap.max(1)) {
         encode_batch_frame(buf, chunk);
-        journal.record(Arc::from(buf.as_slice()), chunk.len(), journal_cap);
+        if let Some((journal, journal_cap)) = &mut journal {
+            journal.record(Arc::from(buf.as_slice()), chunk.len(), *journal_cap);
+        }
         if result.is_ok() {
             result = conn.send_raw(buf).map_err(|e| wire_fault(worker, e));
         }
@@ -704,32 +772,53 @@ impl AggregatorMetrics {
     }
 }
 
-/// The aggregator's mutable link state, split off from the batcher so the
+/// The aggregator's link state, a field apart from the batcher so the
 /// routing callbacks can dispatch, journal and recover while the batcher
 /// is borrowed: connections, sticky-fault bookkeeping, journals, and the
 /// transport + policy that reconnect-and-replay runs through.
-struct LinkSet<'a, U: ClusterUpdate> {
-    workers: &'a mut Vec<Box<dyn WorkerConnection>>,
-    fault: &'a mut Option<(usize, WorkerFault)>,
-    journals: &'a mut Vec<ShardJournal>,
-    transport: &'a dyn Transport,
+struct LinkSet {
+    /// The spec every worker was configured with.
+    spec: SketchSpec,
+    transport: Box<dyn Transport>,
+    workers: Vec<Box<dyn WorkerConnection>>,
+    /// Reconnect-and-replay policy; `None` fails the run on the first
+    /// worker fault (the pre-recovery contract).
     recovery: Option<RecoveryPolicy>,
-    spec: &'a SketchSpec,
-    /// The aggregator's reused frame-encoding buffer (see
-    /// [`encode_batch_frame`]); one allocation amortized over every
-    /// dispatched batch.
-    send_buf: &'a mut Vec<u8>,
-    metrics: &'a AggregatorMetrics,
-    _update: std::marker::PhantomData<U>,
+    /// One replay journal per shard (empty when recovery is off).
+    journals: Vec<ShardJournal>,
+    /// First worker whose link failed terminally mid-stream, and how.
+    fault: Option<(usize, WorkerFault)>,
+    /// Reused frame-encoding buffer (see [`encode_batch_frame`]); one
+    /// allocation amortized over every dispatched batch.
+    send_buf: Vec<u8>,
+    /// Pre-registered handles into the process-wide metrics registry.
+    metrics: AggregatorMetrics,
 }
 
-impl<U: ClusterUpdate> LinkSet<'_, U> {
+impl LinkSet {
+    /// Marks the run poisoned by `error` on `worker` (the first fault
+    /// sticks): later reports refuse with it instead of merging a fleet
+    /// that lost updates.
+    fn poison(&mut self, worker: usize, error: &ClusterError) {
+        self.fault
+            .get_or_insert((worker, WorkerFault::from_error(error)));
+    }
+
+    /// The sticky fault a terminally failed link left behind, as its typed
+    /// error: every later report refuses with it.
+    fn check_fault(&self) -> Result<(), ClusterError> {
+        match &self.fault {
+            Some((worker, fault)) => Err(fault.to_error(*worker)),
+            None => Ok(()),
+        }
+    }
+
     /// Best-effort batch hand-off: the batch is journaled (when recovery is
     /// on) before the send, so a failed link can be reconnected and
     /// replayed in place; with recovery off — or lost — the worker is
     /// marked faulted for the next report, mirroring the in-process
     /// engine's `poisoned` bookkeeping.
-    fn dispatch(&mut self, worker: usize, batch: Vec<U>) {
+    fn dispatch<U: ClusterUpdate>(&mut self, worker: usize, batch: Vec<U>) {
         // Once any link has faulted terminally the run can only end in
         // that error, so stop shipping batches: on TCP each further flush
         // to a stalled peer would cost a full io_timeout.
@@ -751,7 +840,7 @@ impl<U: ClusterUpdate> LinkSet<'_, U> {
             worker,
             &batch,
             cap,
-            self.send_buf,
+            &mut self.send_buf,
             journal,
         );
         // Frame and byte counts follow from the fixed-width encoding law:
@@ -767,8 +856,7 @@ impl<U: ClusterUpdate> LinkSet<'_, U> {
             // The failed batch is already in the journal, so a successful
             // recovery's replay delivers it — nothing to re-send here.
             if let Err(error) = self.try_recover(worker, error) {
-                self.fault
-                    .get_or_insert((worker, WorkerFault::from_error(&error)));
+                self.poison(worker, &error);
             }
         }
     }
@@ -800,163 +888,101 @@ impl<U: ClusterUpdate> LinkSet<'_, U> {
             error = error,
             max_retries = policy.max_retries,
         );
-        let mut last = error;
-        for attempt in 1..=policy.max_retries {
-            if attempt > 1 {
-                // Linear backoff: probe a flapping worker quickly at
-                // first, ever more patiently after.
-                std::thread::sleep(policy.backoff * (attempt as u32 - 1));
-            }
-            match self.reconnect_and_replay(worker) {
-                Ok(conn) => {
-                    self.workers[worker] = conn;
-                    let replayed = self.journals[worker].frames.len() as u64;
-                    self.metrics.on_recovery(worker, replayed);
-                    knw_log!(
-                        INFO,
-                        "knw-aggregate",
-                        "worker link recovered",
-                        worker = worker,
-                        attempt = attempt,
-                        replayed_frames = replayed,
-                    );
-                    return Ok(());
-                }
-                Err(e) => last = e,
-            }
-        }
-        Err(ClusterError::RecoveryExhausted {
-            worker,
-            attempts: policy.max_retries,
-            last: last.to_string(),
-        })
-    }
-
-    /// One recovery attempt: re-open the link (same address, respawned
-    /// child, or a registered replacement), greet the fresh worker, restore
-    /// the checkpoint, and replay every journaled batch.  The fresh session
-    /// starts from empty state, so the replayed fold reproduces the lost
-    /// shard exactly.
-    fn reconnect_and_replay(
-        &mut self,
-        worker: usize,
-    ) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        let mut conn = self.transport.reopen(worker)?;
-        conn.send(&Frame::Hello(HelloConfig {
-            worker_index: worker as u64,
-            spec: self.spec.clone(),
-        }))
-        .map_err(|e| wire_fault(worker, e))?;
         let journal = &self.journals[worker];
-        if let Some(bytes) = &journal.checkpoint {
-            conn.send(&Frame::Restore(bytes.clone()))
-                .map_err(|e| wire_fault(worker, e))?;
-        }
-        for (frame, _) in &journal.frames {
-            // The journal holds ready-to-send encoded frames; replay is a
-            // straight byte copy onto the fresh link, no re-encoding.
-            conn.send_raw(frame).map_err(|e| wire_fault(worker, e))?;
-        }
-        Ok(conn)
-    }
-
-    /// The snapshot request/reply round with per-worker recovery: requests
-    /// are fanned out before any reply is collected (workers serialize
-    /// concurrently), and a link fault at either step triggers one
-    /// reconnect-and-replay plus a re-request on the fresh link.  Failures
-    /// are attributed to the worker index they happened on.
-    fn snapshot_shards(&mut self) -> Result<Vec<Vec<u8>>, (usize, ClusterError)> {
-        for index in 0..self.workers.len() {
-            if let Err(e) = self.workers[index].send(&Frame::Snapshot) {
-                let error = wire_fault(index, e);
-                self.try_recover(index, error).map_err(|e| (index, e))?;
-                self.workers[index]
-                    .send(&Frame::Snapshot)
-                    .map_err(|e| (index, wire_fault(index, e)))?;
-            }
-        }
-        let mut shards = Vec::with_capacity(self.workers.len());
-        for index in 0..self.workers.len() {
-            let bytes = match read_shard(self.workers[index].as_mut(), index) {
-                Ok(bytes) => bytes,
-                Err(error) => {
-                    // The fresh link replayed the journal; ask it again.
-                    self.try_recover(index, error).map_err(|e| (index, e))?;
-                    self.workers[index]
-                        .send(&Frame::Snapshot)
-                        .map_err(|e| (index, wire_fault(index, e)))?;
-                    read_shard(self.workers[index].as_mut(), index).map_err(|e| (index, e))?
-                }
-            };
-            shards.push(bytes);
-        }
-        Ok(shards)
-    }
-
-    /// The snapshot request/reply round for one worker (the resharding
-    /// flows need a single survivor's live shard, not the whole fleet's),
-    /// with the same recover-and-re-request handling as
-    /// [`snapshot_shards`](Self::snapshot_shards).
-    fn snapshot_one(&mut self, worker: usize) -> Result<Vec<u8>, ClusterError> {
-        if let Err(e) = self.workers[worker].send(&Frame::Snapshot) {
-            let error = wire_fault(worker, e);
-            self.try_recover(worker, error)?;
-            self.workers[worker]
-                .send(&Frame::Snapshot)
-                .map_err(|e| wire_fault(worker, e))?;
-        }
-        match read_shard(self.workers[worker].as_mut(), worker) {
-            Ok(bytes) => Ok(bytes),
-            Err(error) => {
-                self.try_recover(worker, error)?;
-                self.workers[worker]
-                    .send(&Frame::Snapshot)
-                    .map_err(|e| wire_fault(worker, e))?;
-                read_shard(self.workers[worker].as_mut(), worker)
-            }
-        }
-    }
-
-    /// Sends `Finish` and half-closes worker `index`'s link, with one
-    /// recovery retry on a link fault.
-    fn send_finish(&mut self, worker: usize) -> Result<(), ClusterError> {
-        if let Err(e) = self.workers[worker].send(&Frame::Finish) {
-            let error = wire_fault(worker, e);
-            self.try_recover(worker, error)?;
-            self.workers[worker]
-                .send(&Frame::Finish)
-                .map_err(|e| wire_fault(worker, e))?;
-        }
-        self.workers[worker].close_send();
+        let (conn, attempt) = with_backoff(policy, worker, 1, error, || {
+            prime_link(self.transport.as_ref(), worker, &self.spec, journal, true)
+        })?;
+        self.workers[worker] = conn;
+        let replayed = journal.frames.len() as u64;
+        self.metrics.on_recovery(worker, replayed);
+        knw_log!(
+            INFO,
+            "knw-aggregate",
+            "worker link recovered",
+            worker = worker,
+            attempt = attempt,
+            replayed_frames = replayed,
+        );
         Ok(())
     }
 
-    /// Collects worker `index`'s final shard and confirms the clean
-    /// shutdown, recovering (replay + re-`Finish`) once on a link fault.
-    fn collect_final_shard(&mut self, worker: usize) -> Result<Vec<u8>, ClusterError> {
-        match self.final_shard_once(worker) {
-            Ok(bytes) => Ok(bytes),
-            Err(error) => {
-                self.try_recover(worker, error)?;
-                self.workers[worker]
-                    .send(&Frame::Finish)
-                    .map_err(|e| wire_fault(worker, e))?;
-                self.workers[worker].close_send();
-                self.final_shard_once(worker)
+    /// One request/reply round (`Snapshot` or `Finish`) over `workers`:
+    /// every request goes out before any reply is read, so the workers
+    /// serialize (or wind down) concurrently and the round costs the
+    /// slowest worker, not the sum.  A link fault at either step recovers
+    /// the link once and re-requests on the fresh one.  Failures carry the
+    /// worker index they happened on.
+    fn exchange(
+        &mut self,
+        workers: Range<usize>,
+        request: &Frame,
+    ) -> Result<Vec<Vec<u8>>, (usize, ClusterError)> {
+        for worker in workers.clone() {
+            if let Err(error) = self.send_request(worker, request) {
+                self.recover_and_resend(worker, request, error)
+                    .map_err(|e| (worker, e))?;
             }
         }
+        // Allocated before the first reply arrives, not collected after
+        // it: this small allocation's place in the heap decides whether
+        // glibc trims the ~16 MB of shards each L0 snapshot decodes, which
+        // every snapshot would then page-fault back in (measured: ~50% more
+        // CPU per update on `l0_serve_churn`).
+        let mut replies = Vec::with_capacity(workers.len());
+        for worker in workers {
+            let reply = match self.read_reply(worker, request) {
+                Ok(bytes) => Ok(bytes),
+                // The fresh link replayed the journal; ask it again.
+                Err(error) => self
+                    .recover_and_resend(worker, request, error)
+                    .and_then(|()| self.read_reply(worker, request)),
+            };
+            replies.push(reply.map_err(|e| (worker, e))?);
+        }
+        Ok(replies)
     }
 
-    fn final_shard_once(&mut self, worker: usize) -> Result<Vec<u8>, ClusterError> {
-        let (stats, bytes) = read_final_shard(self.workers[worker].as_mut(), worker)?;
+    /// Recovers `worker`'s link after `error` and re-sends `request` on the
+    /// fresh one.
+    fn recover_and_resend(
+        &mut self,
+        worker: usize,
+        request: &Frame,
+        error: ClusterError,
+    ) -> Result<(), ClusterError> {
+        self.try_recover(worker, error)?;
+        self.send_request(worker, request)
+    }
+
+    /// Sends `request` to `worker`.  A `Finish` also half-closes the link —
+    /// the belt to the Finish suspenders: a worker that somehow missed the
+    /// frame still sees EOF and winds the session down.
+    fn send_request(&mut self, worker: usize, request: &Frame) -> Result<(), ClusterError> {
+        let conn = self.workers[worker].as_mut();
+        conn.send(request).map_err(|e| wire_fault(worker, e))?;
+        if matches!(request, Frame::Finish) {
+            conn.close_send();
+        }
+        Ok(())
+    }
+
+    /// Reads `worker`'s `Shard` reply to `request`, folding reported
+    /// session counters into the fleet metrics; after `Finish` it also
+    /// confirms the clean shutdown.
+    fn read_reply(&mut self, worker: usize, request: &Frame) -> Result<Vec<u8>, ClusterError> {
+        let conn = self.workers[worker].as_mut();
+        let (stats, bytes) = read_shard(conn, worker)?;
         if let Some(stats) = stats {
             self.metrics.record_worker_stats(worker, stats);
         }
-        match self.workers[worker].confirm_finished() {
-            Ok(true) => Ok(bytes),
-            Ok(false) => Err(ClusterError::WorkerDied { worker }),
-            Err(e) => Err(wire_fault(worker, WireError::Io(e))),
+        if matches!(request, Frame::Finish) {
+            match conn.confirm_finished() {
+                Ok(true) => {}
+                Ok(false) => return Err(ClusterError::WorkerDied { worker }),
+                Err(e) => return Err(wire_fault(worker, WireError::Io(e))),
+            }
         }
+        Ok(bytes)
     }
 }
 
@@ -990,32 +1016,18 @@ fn wire_fault(index: usize, error: WireError) -> ClusterError {
 /// instead of worker threads and serialized shards instead of cloned ones.
 ///
 /// A worker crash mirrors the in-process
-/// [`SketchError::ShardPanicked`](knw_core::SketchError::ShardPanicked)
+/// [`SketchError::ShardPanicked`]
 /// philosophy: the lost shard's updates cannot be recovered, so reporting
 /// refuses with [`ClusterError::WorkerDied`] instead of silently
 /// undercounting.
 pub struct ClusterAggregator<U: ClusterUpdate> {
-    spec: SketchSpec,
-    transport: Box<dyn Transport>,
-    workers: Vec<Box<dyn WorkerConnection>>,
     batcher: ShardBatcher<U>,
     /// The routing discipline the batcher was built with — kept so
     /// `scale_to` can re-route journaled updates under a new epoch table.
     routing: RoutingPolicy,
     precoalesce: bool,
     updates: u64,
-    /// Reconnect-and-replay policy; `None` fails the run on the first
-    /// worker fault (the pre-recovery contract).
-    recovery: Option<RecoveryPolicy>,
-    /// One replay journal per shard (empty when recovery is off).
-    journals: Vec<ShardJournal>,
-    /// First worker whose link failed terminally mid-stream, and how.
-    fault: Option<(usize, WorkerFault)>,
-    /// Reused frame-encoding buffer for the dispatch path (see
-    /// [`encode_batch_frame`]).
-    send_buf: Vec<u8>,
-    /// Pre-registered handles into the process-wide metrics registry.
-    metrics: AggregatorMetrics,
+    links: LinkSet,
 }
 
 /// The insert-only (F0) front of [`ClusterAggregator`].
@@ -1025,151 +1037,91 @@ pub type F0ClusterAggregator = ClusterAggregator<u64>;
 pub type L0ClusterAggregator = ClusterAggregator<(u64, i64)>;
 
 impl<U: ClusterUpdate> ClusterAggregator<U> {
-    /// Spawns `config.engine.shards` worker processes on stdin/stdout pipes
-    /// ([`PipeTransport`]) and performs the `Hello` handshake.  The spec's
-    /// stream model is forced to `U`'s.
+    /// Starts an aggregation as `config` describes: opens one link per
+    /// shard — spawned children, the static TCP addresses in order, or
+    /// pool draws from the registry — and greets each worker.  The spec's
+    /// stream model is forced to `U`'s.  With a recovery policy, a worker
+    /// that cannot be reached is retried under the policy (including
+    /// registry re-resolution) before start-up gives up; the aggregation
+    /// never starts on a partial cluster.
     ///
     /// # Errors
     ///
     /// [`ClusterError::UnknownEstimator`] if the spec names a sketch
-    /// outside the zoo (validated *before* spawning anything), or an
-    /// [`ClusterError::Io`] if a worker cannot be spawned or greeted.
-    pub fn spawn(config: &ClusterConfig, spec: &SketchSpec) -> Result<Self, ClusterError> {
-        let transport = PipeTransport::new(&config.worker_exe);
-        Self::start(Box::new(transport), config.engine, spec, config.recovery)
-    }
-
-    /// Connects to already-running workers (`knw-worker --listen <addr>`)
-    /// over TCP ([`TcpTransport`]) and performs the `Hello` handshake — the
-    /// multi-host topology.  One shard per address, in order; routing knobs
-    /// and timeouts come from `config`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::UnknownEstimator`] for specs outside the zoo
-    /// (validated *before* connecting anything), or
-    /// [`ClusterError::ConnectFailed`] naming the first worker address
-    /// that could not be reached.
-    pub fn connect(config: &TcpClusterConfig, spec: &SketchSpec) -> Result<Self, ClusterError> {
-        if config.addrs.is_empty() {
-            // `with_shards` clamps 0 to 1, so an empty address list would
-            // otherwise reach `open(0)` and panic; refuse it typed instead.
-            return Err(ClusterError::Io {
-                worker: None,
-                source: std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "a TCP cluster needs at least one worker address",
-                ),
-            });
-        }
-        let transport = TcpTransport::new(config);
-        let engine = config.engine.with_shards(config.addrs.len());
-        Self::start(Box::new(transport), engine, spec, config.recovery)
-    }
-
-    /// Connects to already-running TCP workers with default routing knobs
-    /// and timeouts — the `&[addr]` front of [`connect`](Self::connect).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`connect`](Self::connect).
-    pub fn connect_workers<A: AsRef<str>>(
-        addrs: &[A],
-        spec: &SketchSpec,
-    ) -> Result<Self, ClusterError> {
-        Self::connect(
-            &TcpClusterConfig::new(addrs.iter().map(AsRef::as_ref)),
-            spec,
-        )
-    }
-
-    /// Starts an aggregation over `workers` workers drawn from a
-    /// [`WorkerRegistry`]'s pool — placement without a static address list:
-    /// every shard's address comes from the registry's registered (and
-    /// health-probed) spares, and shards retired by a later
-    /// [`scale_to`](Self::scale_to) return their workers to the pool.
-    /// Default engine knobs and no recovery; see
-    /// [`from_pool_with`](Self::from_pool_with) for the full set.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::PoolExhausted`] when the pool cannot cover `workers`
-    /// live workers — the fleet is never silently smaller than asked for —
-    /// plus the connect/handshake failures of
-    /// [`connect`](Self::connect).
-    pub fn from_pool(
-        registry: &Arc<WorkerRegistry>,
-        workers: usize,
-        spec: &SketchSpec,
-    ) -> Result<Self, ClusterError> {
-        Self::from_pool_with(registry, EngineConfig::new(workers), None, spec)
-    }
-
-    /// [`from_pool`](Self::from_pool) with explicit engine knobs (batch
-    /// size, routing policy, pre-coalescing — `engine.shards` is the fleet
-    /// size) and an optional recovery policy.  Elastic resharding
-    /// ([`scale_to`](Self::scale_to)) requires the recovery policy: its
-    /// journals are what a grown shard replays.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`from_pool`](Self::from_pool).
-    pub fn from_pool_with(
-        registry: &Arc<WorkerRegistry>,
-        engine: EngineConfig,
-        recovery: Option<RecoveryPolicy>,
-        spec: &SketchSpec,
-    ) -> Result<Self, ClusterError> {
-        let needed = engine.shards.max(1);
-        let live = registry.live_available();
-        if live < needed {
-            return Err(ClusterError::PoolExhausted { needed, live });
-        }
-        let pool_only =
-            TcpClusterConfig::new(Vec::<String>::new()).with_registry(Arc::clone(registry));
-        let transport = TcpTransport::new(&pool_only);
-        Self::start(Box::new(transport), engine, spec, recovery).map_err(|e| match e {
-            // A draw that lost the race against other consumers (or a probe
-            // that failed between the pre-check and the dial) reports the
-            // fleet-level shortfall, not the single failed draw.
-            ClusterError::PoolExhausted { .. } => ClusterError::PoolExhausted {
-                needed,
-                live: registry.live_available(),
-            },
-            other => other,
-        })
-    }
-
-    /// The transport-agnostic constructor: opens one link per shard through
-    /// `transport` and greets each worker.  With recovery enabled, a link
-    /// that cannot be opened is retried under the policy (including
-    /// registry re-resolution) before the constructor gives up — the
-    /// aggregation still never starts on a partial cluster.
-    fn start(
-        transport: Box<dyn Transport>,
-        engine: EngineConfig,
-        spec: &SketchSpec,
-        recovery: Option<RecoveryPolicy>,
-    ) -> Result<Self, ClusterError> {
+    /// outside the zoo (validated *before* any process or connection
+    /// exists); a typed [`ClusterError::Io`] for a TCP config with neither
+    /// addresses nor a registry; [`ClusterError::PoolExhausted`] when the
+    /// pool cannot cover the fleet — checked before any dial and
+    /// re-reported if a draw loses a race, so a fleet is never silently
+    /// smaller than asked for; otherwise the spawn, connect or handshake
+    /// failure ([`ClusterError::ConnectFailed`] names the first
+    /// unreachable address), or [`ClusterError::RecoveryExhausted`] after
+    /// the policy's retries.
+    pub fn start(config: &ClusterConfig, spec: &SketchSpec) -> Result<Self, ClusterError> {
         let mut spec = spec.clone();
         spec.mode = U::mode();
         // Fail fast on bad specs, before any process or connection exists.
         let _ = U::build(&spec)?;
 
-        let engine = engine.normalized();
-        let mut workers: Vec<Box<dyn WorkerConnection>> = Vec::with_capacity(engine.shards);
+        let engine = config.pinned(config.engine);
+        let (transport, pool): (Box<dyn Transport>, _) = match &config.workers {
+            WorkerSource::Spawn(exe) => (Box::new(PipeTransport::new(exe)), None),
+            WorkerSource::Tcp { addrs, registry } => {
+                let pool = if addrs.is_empty() {
+                    // `with_shards` clamps 0 to 1, so an empty list with no
+                    // pool would reach `open(0)`; refuse it typed instead.
+                    let registry = registry.as_ref().ok_or_else(|| ClusterError::Io {
+                        worker: None,
+                        source: std::io::Error::new(
+                            std::io::ErrorKind::InvalidInput,
+                            "a TCP cluster needs at least one worker address or a registry pool",
+                        ),
+                    })?;
+                    let live = registry.live_available();
+                    if live < engine.shards {
+                        return Err(ClusterError::PoolExhausted {
+                            needed: engine.shards,
+                            live,
+                        });
+                    }
+                    Some(registry)
+                } else {
+                    None
+                };
+                let transport = TcpTransport::new(
+                    addrs.clone(),
+                    registry.clone(),
+                    config.connect_timeout,
+                    config.io_timeout,
+                );
+                (Box::new(transport), pool)
+            }
+        };
+        let fresh = ShardJournal::new();
+        let mut workers = Vec::with_capacity(engine.shards);
         for index in 0..engine.shards {
-            workers.push(open_link(transport.as_ref(), index, &spec, recovery)?);
+            let conn = open_link(transport.as_ref(), index, &spec, config.recovery, &fresh)
+                .map_err(|error| match (error, pool) {
+                    // A draw that lost the race against other consumers (or
+                    // a probe that failed between the pre-check and the
+                    // dial) reports the fleet-level shortfall, not the
+                    // failed draw.
+                    (ClusterError::PoolExhausted { .. }, Some(registry)) => {
+                        ClusterError::PoolExhausted {
+                            needed: engine.shards,
+                            live: registry.live_available(),
+                        }
+                    }
+                    (other, _) => other,
+                })?;
+            workers.push(conn);
         }
-        let journals = if recovery.is_some() {
+        let journals = if config.recovery.is_some() {
             (0..engine.shards).map(|_| ShardJournal::new()).collect()
         } else {
             Vec::new()
         };
         Ok(Self {
-            spec,
-            transport,
-            workers,
             batcher: ShardBatcher::new(engine.routing, engine.shards, engine.batch_size)
                 .with_metrics(BatcherMetrics::register(
                     knw_metrics::global(),
@@ -1179,50 +1131,29 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
             routing: engine.routing,
             precoalesce: engine.precoalesce && U::coalescible(),
             updates: 0,
-            recovery,
-            journals,
-            fault: None,
-            send_buf: Vec::new(),
-            metrics: AggregatorMetrics::register(engine.shards),
-        })
-    }
-
-    /// Splits the batcher apart from the link state, so the routing
-    /// callbacks can dispatch, journal and recover (through the
-    /// [`LinkSet`]) while the batcher itself is mutably borrowed.
-    fn batcher_and_links(&mut self) -> (&mut ShardBatcher<U>, LinkSet<'_, U>) {
-        (
-            &mut self.batcher,
-            LinkSet {
-                workers: &mut self.workers,
-                fault: &mut self.fault,
-                journals: &mut self.journals,
-                transport: self.transport.as_ref(),
-                recovery: self.recovery,
-                spec: &self.spec,
-                send_buf: &mut self.send_buf,
-                metrics: &self.metrics,
-                _update: std::marker::PhantomData,
+            links: LinkSet {
+                spec,
+                transport,
+                workers,
+                recovery: config.recovery,
+                journals,
+                fault: None,
+                send_buf: Vec::new(),
+                metrics: AggregatorMetrics::register(engine.shards),
             },
-        )
-    }
-
-    /// The link-state view alone (see [`LinkSet`]), for the exchange
-    /// rounds that do not touch the batcher.
-    fn links(&mut self) -> LinkSet<'_, U> {
-        self.batcher_and_links().1
+        })
     }
 
     /// The spec every worker was configured with.
     #[must_use]
     pub fn spec(&self) -> &SketchSpec {
-        &self.spec
+        &self.links.spec
     }
 
     /// Number of worker processes.
     #[must_use]
     pub fn num_workers(&self) -> usize {
-        self.workers.len()
+        self.links.workers.len()
     }
 
     /// Total updates routed so far (raw, before any pre-coalescing).
@@ -1234,8 +1165,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// Routes one update (buffered; shipped once a batch fills up).
     pub fn ingest(&mut self, update: U) {
         self.updates += 1;
-        let (batcher, mut links) = self.batcher_and_links();
-        batcher.push(update, &mut |worker, batch| links.dispatch(worker, batch));
+        let links = &mut self.links;
+        self.batcher
+            .push(update, &mut |worker, batch| links.dispatch(worker, batch));
     }
 
     /// Routes a slice of updates.  With pre-coalescing enabled, turnstile
@@ -1244,27 +1176,27 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// state for every linear sketch.
     pub fn ingest_batch(&mut self, updates: &[U]) {
         self.updates += updates.len() as u64;
-        if self.precoalesce {
-            let coalesced = U::coalesce_batch(updates);
-            self.metrics
+        let coalesced;
+        let updates = if self.precoalesce {
+            coalesced = U::coalesce_batch(updates);
+            self.links
+                .metrics
                 .coalesced
                 .add((updates.len() - coalesced.len()) as u64);
-            let (batcher, mut links) = self.batcher_and_links();
-            batcher.extend_from_slice(&coalesced, &mut |worker, batch| {
-                links.dispatch(worker, batch);
-            });
+            &coalesced
         } else {
-            let (batcher, mut links) = self.batcher_and_links();
-            batcher.extend_from_slice(updates, &mut |worker, batch| {
-                links.dispatch(worker, batch);
-            });
-        }
+            updates
+        };
+        let links = &mut self.links;
+        self.batcher
+            .extend_from_slice(updates, &mut |worker, batch| links.dispatch(worker, batch));
     }
 
     /// Ships every (possibly partial) pending batch to its worker.
     pub fn flush(&mut self) {
-        let (batcher, mut links) = self.batcher_and_links();
-        batcher.flush(&mut |worker, batch| links.dispatch(worker, batch));
+        let links = &mut self.links;
+        self.batcher
+            .flush(&mut |worker, batch| links.dispatch(worker, batch));
     }
 
     /// Severs one worker's link — a fault-injection / operations hook
@@ -1278,7 +1210,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     ///
     /// The underlying `kill(2)` / `shutdown(2)` failure, if any.
     pub fn kill_worker(&mut self, worker: usize) -> std::io::Result<()> {
-        self.workers[worker].kill()
+        self.links.workers[worker].kill()
     }
 
     /// Elastically reshards the live aggregation to `workers` shards
@@ -1324,17 +1256,15 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// partially resharded fleet cannot be trusted).
     pub fn scale_to(&mut self, workers: usize) -> Result<(), ClusterError> {
         let target = workers.max(1);
-        if self.recovery.is_none() {
+        if self.links.recovery.is_none() {
             return Err(ClusterError::RescaleUnsupported {
                 reason: "journaling is off — configure a RecoveryPolicy so shard \
                          streams can be split and replayed",
             });
         }
-        if let Some((worker, fault)) = &self.fault {
-            // A prior fault poisoned the run; surface it, not a rescale.
-            return Err(fault.to_error(*worker));
-        }
-        let from = self.workers.len();
+        // A prior fault poisoned the run; surface it, not a rescale.
+        self.links.check_fault()?;
+        let from = self.links.workers.len();
         if target == from {
             return Ok(());
         }
@@ -1343,11 +1273,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         // buffered under one routing epoch must never be dispatched under
         // another.
         self.flush();
-        if let Some((worker, fault)) = &self.fault {
-            return Err(fault.to_error(*worker));
-        }
+        self.links.check_fault()?;
         let result = loop {
-            let len = self.workers.len();
+            let len = self.links.workers.len();
             if len == target {
                 break Ok(());
             }
@@ -1360,15 +1288,16 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                 break Err(error);
             }
         };
-        self.metrics
+        self.links
+            .metrics
             .reshard_latency
             .record_duration(started.elapsed());
         match &result {
             Ok(()) => {
                 if target > from {
-                    self.metrics.reshard_scale_ups.inc();
+                    self.links.metrics.reshard_scale_ups.inc();
                 } else {
-                    self.metrics.reshard_scale_downs.inc();
+                    self.links.metrics.reshard_scale_downs.inc();
                 }
                 knw_log!(
                     INFO,
@@ -1386,7 +1315,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                     "reshard failed",
                     from = from,
                     to = target,
-                    reached = self.workers.len(),
+                    reached = self.links.workers.len(),
                     error = error,
                 );
             }
@@ -1399,23 +1328,24 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// journal (see [`scale_to`](Self::scale_to)); failures *before* the
     /// parent's session is severed leave the old fleet untouched.
     fn grow_one(&mut self) -> Result<(), ClusterError> {
-        let new_index = self.workers.len();
+        let new_index = self.links.workers.len();
         let new_count = new_index + 1;
         match self.routing {
             RoutingPolicy::RoundRobin => {
                 let conn = open_link(
-                    self.transport.as_ref(),
+                    self.links.transport.as_ref(),
                     new_index,
-                    &self.spec,
-                    self.recovery,
+                    &self.links.spec,
+                    self.links.recovery,
+                    &ShardJournal::new(),
                 )?;
-                self.workers.push(conn);
-                self.journals.push(ShardJournal::new());
+                self.links.workers.push(conn);
+                self.links.journals.push(ShardJournal::new());
             }
             RoutingPolicy::HashAffine { seed } => {
                 let parent = split_parent(new_index);
-                let policy = self.recovery.expect("scale_to requires journaling");
-                if self.journals[parent].overflowed {
+                let policy = self.links.recovery.expect("scale_to requires journaling");
+                if self.links.journals[parent].overflowed {
                     return Err(ClusterError::JournalOverflow {
                         worker: parent,
                         cap: policy.journal_cap,
@@ -1427,7 +1357,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                 // moves to `new_index` — never a third shard.
                 let mut kept: Vec<U> = Vec::new();
                 let mut moved: Vec<U> = Vec::new();
-                for (frame, _) in &self.journals[parent].frames {
+                for (frame, _) in &self.links.journals[parent].frames {
                     for update in decode_journal_frame::<U>(frame) {
                         if epoch_shard_for_key(seed, update.routing_key(), new_count) == new_index {
                             moved.push(update);
@@ -1437,28 +1367,30 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                     }
                 }
                 let moved_keys: HashSet<u64> = moved.iter().map(Routable::routing_key).collect();
-                let journal_new =
-                    ShardJournal::from_split::<U>(self.journals[parent].checkpoint.clone(), &moved);
+                let journal_new = ShardJournal::from_split::<U>(
+                    self.links.journals[parent].checkpoint.clone(),
+                    &moved,
+                );
                 let journal_parent = ShardJournal::from_split::<U>(None, &kept);
                 let replayed = (journal_new.frames.len() + journal_parent.frames.len()) as u64;
                 // Attach the new worker first: if the pool (or spawn)
                 // cannot cover it, the old fleet is untouched.
-                let new_conn = attach_split_link(
-                    self.transport.as_ref(),
+                let new_conn = open_link(
+                    self.links.transport.as_ref(),
                     new_index,
-                    &self.spec,
-                    self.recovery,
+                    &self.links.spec,
+                    self.links.recovery,
                     &journal_new,
                 )?;
                 // The worker serve loop is one-session-at-a-time: sever
                 // the parent's old session before dialing the fresh one
                 // that replays only the kept updates.
-                let _ = self.workers[parent].kill();
-                let parent_conn = match attach_split_link(
-                    self.transport.as_ref(),
+                let _ = self.links.workers[parent].kill();
+                let parent_conn = match open_link(
+                    self.links.transport.as_ref(),
                     parent,
-                    &self.spec,
-                    self.recovery,
+                    &self.links.spec,
+                    self.links.recovery,
                     &journal_parent,
                 ) {
                     Ok(conn) => conn,
@@ -1466,19 +1398,19 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                         // The parent's old session is gone and its fresh
                         // one failed: the shard is unreachable — poison
                         // the run so later reports refuse.
-                        self.fault.get_or_insert((
-                            fault_worker(&error, parent),
-                            WorkerFault::from_error(&error),
-                        ));
+                        self.links.poison(parent, &error);
                         return Err(error);
                     }
                 };
-                self.workers[parent] = parent_conn;
-                self.workers.push(new_conn);
-                self.journals[parent] = journal_parent;
-                self.journals.push(journal_new);
-                self.metrics.reshard_replayed_frames.add(replayed);
-                self.metrics.reshard_moved_keys.add(moved_keys.len() as u64);
+                self.links.workers[parent] = parent_conn;
+                self.links.workers.push(new_conn);
+                self.links.journals[parent] = journal_parent;
+                self.links.journals.push(journal_new);
+                self.links.metrics.reshard_replayed_frames.add(replayed);
+                self.links
+                    .metrics
+                    .reshard_moved_keys
+                    .add(moved_keys.len() as u64);
                 knw_log!(
                     INFO,
                     "knw-aggregate",
@@ -1490,7 +1422,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                 );
             }
         }
-        self.metrics.ensure_workers(new_count);
+        self.links.metrics.ensure_workers(new_count);
         self.batcher.install_epoch(new_count);
         Ok(())
     }
@@ -1500,65 +1432,58 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// `Finish` poisons the run — a fleet short one shard's updates cannot
     /// be trusted.
     fn shrink_one(&mut self) -> Result<(), ClusterError> {
-        let retiree = self.workers.len() - 1;
+        let retiree = self.links.workers.len() - 1;
         let survivor = split_parent(retiree);
-        match self.shrink_step(retiree, survivor) {
-            Ok(()) => Ok(()),
-            Err(error) => {
-                self.fault.get_or_insert((
-                    fault_worker(&error, retiree),
-                    WorkerFault::from_error(&error),
-                ));
-                Err(error)
-            }
-        }
+        self.shrink_step(retiree, survivor)
+            .map_err(|(worker, error)| {
+                self.links.poison(worker, &error);
+                error
+            })
     }
 
-    fn shrink_step(&mut self, retiree: usize, survivor: usize) -> Result<(), ClusterError> {
-        // Drain the retiree (Finish + final shard, with the usual one-shot
-        // recovery) and grab the survivor's live shard.
-        let (retired_bytes, survivor_bytes) = {
-            let mut links = self.links();
-            links.send_finish(retiree)?;
-            let retired = links.collect_final_shard(retiree)?;
-            let survivor_bytes = links.snapshot_one(survivor)?;
-            (retired, survivor_bytes)
-        };
+    /// [`shrink_one`](Self::shrink_one)'s steps, each failure attributed to
+    /// the worker it happened on.
+    fn shrink_step(
+        &mut self,
+        retiree: usize,
+        survivor: usize,
+    ) -> Result<(), (usize, ClusterError)> {
+        // Drain the retiree (Finish + final shard) and grab the survivor's
+        // live shard, each with the usual one-shot recovery.
+        let retired = self.links.exchange(retiree..retiree + 1, &Frame::Finish)?;
+        let live = self
+            .links
+            .exchange(survivor..survivor + 1, &Frame::Snapshot)?;
         // Fold the retired shard into the survivor — the shard its keys
         // route to under the shrunk table — and restart the survivor from
         // the merged bytes as its new checkpoint.
-        let mut merged = U::shard_from_bytes(&self.spec, &survivor_bytes).map_err(|message| {
-            ClusterError::Frame {
-                worker: survivor,
-                message,
-            }
-        })?;
-        let retired = U::shard_from_bytes(&self.spec, &retired_bytes).map_err(|message| {
-            ClusterError::Frame {
-                worker: retiree,
-                message,
-            }
-        })?;
-        U::merge(merged.as_mut(), retired.as_ref())?;
+        let merged = merge_shards::<U>(
+            &self.links.spec,
+            [
+                (survivor, live[0].as_slice()),
+                (retiree, retired[0].as_slice()),
+            ],
+        )?;
         let mut journal = ShardJournal::new();
         journal.checkpoint = Some(U::shard_bytes(merged.as_ref()));
         // One-session-at-a-time: sever the survivor's old session before
         // dialing the fresh one that restores the merged checkpoint.
-        let _ = self.workers[survivor].kill();
-        let conn = attach_split_link(
-            self.transport.as_ref(),
+        let _ = self.links.workers[survivor].kill();
+        let conn = open_link(
+            self.links.transport.as_ref(),
             survivor,
-            &self.spec,
-            self.recovery,
+            &self.links.spec,
+            self.links.recovery,
             &journal,
-        )?;
-        self.workers[survivor] = conn;
-        self.journals[survivor] = journal;
+        )
+        .map_err(|error| (survivor, error))?;
+        self.links.workers[survivor] = conn;
+        self.links.journals[survivor] = journal;
         // Pop the highest index LAST, so no survivor's index ever shifts;
         // the transport returns the retired worker's address to its pool.
-        drop(self.workers.pop());
-        self.journals.pop();
-        self.transport.retire(retiree);
+        drop(self.links.workers.pop());
+        self.links.journals.pop();
+        self.links.transport.retire(retiree);
         self.batcher.install_epoch(retiree);
         knw_log!(
             INFO,
@@ -1589,26 +1514,36 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// [`ClusterError::JournalOverflow`] if recovery was enabled but could
     /// not rebuild it, or the transport / codec / merge failure.
     pub fn snapshot(&mut self) -> Result<Box<U::Shard>, ClusterError> {
-        if let Some((worker, fault)) = &self.fault {
-            return Err(fault.to_error(*worker));
-        }
+        self.links.check_fault()?;
         // *Any* failure below leaves the request/reply conversation in an
         // unknown state (some workers may still have a Shard reply queued),
         // so it poisons the aggregator: later reports refuse instead of
         // silently merging stale shards.  (Recoverable link faults were
         // already retried under the policy inside the exchange.)
         let started = std::time::Instant::now();
-        let result = self.snapshot_exchange();
-        self.metrics
+        let workers = self.links.workers.len();
+        let result = self
+            .links
+            .exchange(0..workers, &Frame::Snapshot)
+            .and_then(|shards| {
+                Ok((
+                    merge_shards::<U>(
+                        &self.links.spec,
+                        shards.iter().map(Vec::as_slice).enumerate(),
+                    )?,
+                    shards,
+                ))
+            });
+        self.links
+            .metrics
             .snapshot_latency
             .record_duration(started.elapsed());
-        if let Err((index, error)) = &result {
-            self.fault
-                .get_or_insert((*index, WorkerFault::from_error(error)));
+        if let Err((worker, error)) = &result {
+            self.links.poison(*worker, error);
         }
         let (mut merged, shards) = result.map_err(|(_, error)| error)?;
-        if self.recovery.is_some() {
-            for (journal, bytes) in self.journals.iter_mut().zip(shards) {
+        if self.links.recovery.is_some() {
+            for (journal, bytes) in self.links.journals.iter_mut().zip(shards) {
                 journal.truncate_to_checkpoint(bytes);
             }
         }
@@ -1618,39 +1553,6 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
             U::apply(merged.as_mut(), batch);
         });
         Ok(merged)
-    }
-
-    /// The snapshot request/reply round (with per-worker recovery, see
-    /// [`LinkSet::snapshot_shards`]) plus the merge fold; every failure is
-    /// attributed to the worker index it happened on.  Returns the merged
-    /// sketch *and* the per-worker shard bytes (the journals' checkpoint
-    /// material).
-    #[allow(clippy::type_complexity)]
-    fn snapshot_exchange(
-        &mut self,
-    ) -> Result<(Box<U::Shard>, Vec<Vec<u8>>), (usize, ClusterError)> {
-        let shards = self.links().snapshot_shards()?;
-        let mut merged: Option<Box<U::Shard>> = None;
-        for (index, bytes) in shards.iter().enumerate() {
-            let shard = U::shard_from_bytes(&self.spec, bytes).map_err(|message| {
-                (
-                    index,
-                    ClusterError::Frame {
-                        worker: index,
-                        message,
-                    },
-                )
-            })?;
-            match &mut merged {
-                None => merged = Some(shard),
-                Some(into) => U::merge(into.as_mut(), shard.as_ref())
-                    .map_err(|e| (index, ClusterError::Sketch(e)))?,
-            }
-        }
-        Ok((
-            merged.expect("cluster always has at least one worker"),
-            shards,
-        ))
     }
 
     /// Snapshots and reports the current estimate.
@@ -1673,99 +1575,48 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// workers are killed on the error path (no orphans).
     pub fn finish(mut self) -> Result<Box<U::Shard>, ClusterError> {
         self.flush();
-        if let Some((worker, fault)) = &self.fault {
-            return Err(fault.to_error(*worker));
-        }
-        // Fan the Finish requests out to every worker before collecting any
-        // shard (as `snapshot` does), so the workers drain their links,
-        // serialize and wind down concurrently: shutdown latency is the
-        // slowest worker's, not the sum.  `send_finish` half-closes each
-        // link — the belt to the Finish suspenders: a worker that somehow
-        // missed the frame still sees EOF and winds the session down.
-        // Both steps recover a faulted link once (reconnect, replay the
-        // journal, re-`Finish`) when a policy is configured.
-        let worker_count = self.workers.len();
-        let mut shards: Vec<Vec<u8>> = Vec::with_capacity(worker_count);
-        {
-            let mut links = self.links();
-            for index in 0..worker_count {
-                links.send_finish(index)?;
-            }
-            for index in 0..worker_count {
-                shards.push(links.collect_final_shard(index)?);
-            }
-        }
-        let mut merged: Option<Box<U::Shard>> = None;
-        for (index, bytes) in shards.iter().enumerate() {
-            let shard =
-                U::shard_from_bytes(&self.spec, bytes).map_err(|message| ClusterError::Frame {
-                    worker: index,
-                    message,
-                })?;
-            match &mut merged {
-                None => merged = Some(shard),
-                Some(into) => U::merge(into.as_mut(), shard.as_ref())?,
-            }
-        }
-        Ok(merged.expect("cluster always has at least one worker"))
+        self.links.check_fault()?;
+        // `Finish` goes out to every worker before any final shard is read
+        // (as in `snapshot`), and a faulted link is recovered once
+        // (reconnect, replay the journal, re-`Finish`) when a policy is
+        // configured.
+        let workers = self.links.workers.len();
+        let shards = self
+            .links
+            .exchange(0..workers, &Frame::Finish)
+            .map_err(|(_, error)| error)?;
+        merge_shards::<U>(
+            &self.links.spec,
+            shards.iter().map(Vec::as_slice).enumerate(),
+        )
+        .map_err(|(_, error)| error)
     }
 }
 
-/// Opens (and greets) the link to worker `index`, retrying under the
-/// recovery policy — including registry re-resolution via
-/// [`Transport::reopen`] — when one is configured.
-fn open_link(
+/// Opens worker `index`'s link through `transport` — [`Transport::reopen`]
+/// after a fault, which may re-resolve the worker — and primes the fresh
+/// session from `journal`: `Hello`, `Restore` of the checkpoint (if any),
+/// then every journaled frame, byte for byte.  A session starts from empty
+/// state and a shard is a pure fold of its batch stream, so the primed
+/// session holds exactly the journaled shard.  Start-up, recovery and
+/// resharding all attach links through here.
+fn prime_link(
     transport: &dyn Transport,
     index: usize,
     spec: &SketchSpec,
-    recovery: Option<RecoveryPolicy>,
+    journal: &ShardJournal,
+    reopen: bool,
 ) -> Result<Box<dyn WorkerConnection>, ClusterError> {
+    let mut conn = if reopen {
+        transport.reopen(index)?
+    } else {
+        transport.open(index)?
+    };
     let hello = Frame::Hello(HelloConfig {
         worker_index: index as u64,
         spec: spec.clone(),
     });
-    let open_once = |first: bool| -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        let mut conn = if first {
-            transport.open(index)?
-        } else {
-            transport.reopen(index)?
-        };
-        conn.send(&hello).map_err(|e| wire_fault(index, e))?;
-        Ok(conn)
-    };
-    let mut last = match open_once(true) {
-        Ok(conn) => return Ok(conn),
-        Err(e) => e,
-    };
-    let Some(policy) = recovery else {
-        return Err(last);
-    };
-    for attempt in 2..=policy.max_retries {
-        std::thread::sleep(policy.backoff * (attempt as u32 - 1));
-        match open_once(false) {
-            Ok(conn) => return Ok(conn),
-            Err(e) => last = e,
-        }
-    }
-    Err(ClusterError::RecoveryExhausted {
-        worker: index,
-        attempts: policy.max_retries,
-        last: last.to_string(),
-    })
-}
-
-/// Opens (and greets) a fresh session for shard `index` and primes it from
-/// `journal`: `Restore` the checkpoint (if any), then replay every frame —
-/// exactly the recovery replay shape, reused by resharding to attach split
-/// and merged shards.
-fn attach_split_link(
-    transport: &dyn Transport,
-    index: usize,
-    spec: &SketchSpec,
-    recovery: Option<RecoveryPolicy>,
-    journal: &ShardJournal,
-) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-    let mut conn = open_link(transport, index, spec, recovery)?;
+    conn.send(&hello).map_err(|e| wire_fault(index, e))?;
     if let Some(bytes) = &journal.checkpoint {
         conn.send(&Frame::Restore(bytes.clone()))
             .map_err(|e| wire_fault(index, e))?;
@@ -1776,26 +1627,75 @@ fn attach_split_link(
     Ok(conn)
 }
 
-/// The worker index an error names, or `fallback` for errors that do not
-/// carry one — used to attribute a mid-reshard failure to the right shard
-/// when poisoning the run.
-fn fault_worker(error: &ClusterError, fallback: usize) -> usize {
-    match error {
-        ClusterError::Io {
-            worker: Some(worker),
-            ..
+/// Opens worker `index`'s link primed from `journal` (see [`prime_link`])
+/// — at start-up, or when a reshard attaches a split or merged shard.
+/// When the first open fails and a recovery policy is configured, the
+/// policy's remaining attempts re-open it before giving up.
+fn open_link(
+    transport: &dyn Transport,
+    index: usize,
+    spec: &SketchSpec,
+    recovery: Option<RecoveryPolicy>,
+    journal: &ShardJournal,
+) -> Result<Box<dyn WorkerConnection>, ClusterError> {
+    let prime = |reopen| prime_link(transport, index, spec, journal, reopen);
+    let error = match prime(false) {
+        Ok(conn) => return Ok(conn),
+        Err(error) => error,
+    };
+    let Some(policy) = recovery else {
+        return Err(error);
+    };
+    with_backoff(policy, index, 2, error, || prime(true)).map(|(conn, _)| conn)
+}
+
+/// The reconnect loop: runs `attempt` for attempts `first..=max_retries`,
+/// sleeping `(n − 1) × backoff` before attempt `n` (linear backoff: a
+/// flapping worker is probed quickly at first, ever more patiently after),
+/// and returns the first fresh link with its attempt number — or
+/// [`ClusterError::RecoveryExhausted`] carrying the last failure, which is
+/// `last` if no attempt ran.
+fn with_backoff(
+    policy: RecoveryPolicy,
+    worker: usize,
+    first: usize,
+    mut last: ClusterError,
+    mut attempt: impl FnMut() -> Result<Box<dyn WorkerConnection>, ClusterError>,
+) -> Result<(Box<dyn WorkerConnection>, usize), ClusterError> {
+    for n in first..=policy.max_retries {
+        if n > 1 {
+            std::thread::sleep(policy.backoff * (n as u32 - 1));
         }
-        | ClusterError::Frame { worker, .. }
-        | ClusterError::WorkerDied { worker }
-        | ClusterError::ConnectFailed { worker, .. }
-        | ClusterError::Timeout { worker }
-        | ClusterError::Desynced { worker }
-        | ClusterError::Protocol { worker, .. }
-        | ClusterError::WorkerReported { worker, .. }
-        | ClusterError::RecoveryExhausted { worker, .. }
-        | ClusterError::JournalOverflow { worker, .. } => *worker,
-        _ => fallback,
+        match attempt() {
+            Ok(conn) => return Ok((conn, n)),
+            Err(error) => last = error,
+        }
     }
+    Err(ClusterError::RecoveryExhausted {
+        worker,
+        attempts: policy.max_retries,
+        last: last.to_string(),
+    })
+}
+
+/// The decode-and-merge fold every report ends in: decodes each
+/// `(worker, bytes)` shard and merges it into the first (exact for every
+/// workspace sketch).  Failures carry the worker the bytes came from.
+fn merge_shards<'b, U: ClusterUpdate>(
+    spec: &SketchSpec,
+    shards: impl IntoIterator<Item = (usize, &'b [u8])>,
+) -> Result<Box<U::Shard>, (usize, ClusterError)> {
+    let mut merged: Option<Box<U::Shard>> = None;
+    for (worker, bytes) in shards {
+        let shard = U::shard_from_bytes(spec, bytes)
+            .map_err(|message| (worker, ClusterError::Frame { worker, message }))?;
+        match &mut merged {
+            None => merged = Some(shard),
+            Some(into) => U::merge(into.as_mut(), shard.as_ref())
+                .map_err(|e| (worker, ClusterError::Sketch(e)))?,
+        }
+    }
+    Ok(merged.expect("cluster always has at least one worker"))
 }
 
 // Dropping a `ClusterAggregator` drops its worker links; each transport's
@@ -1803,36 +1703,23 @@ fn fault_worker(error: &ClusterError, fallback: usize) -> usize {
 // the child, sockets just close), so an abandoned — or failed — aggregator
 // leaves no orphan processes behind.
 
-/// Reads the final-shard reply a `Finish` request promises: the shard
-/// bytes, preceded by the worker's session counters ([`Frame::Stats`])
-/// when the worker reports them.  The stats frame is optional on the read
-/// side so sessions that end before `Finish` handling (or older workers)
-/// still hand their shard over.
-fn read_final_shard(
+/// Reads the `Shard` reply a `Snapshot`/`Finish` request promises, and the
+/// worker's session counters ([`Frame::Stats`]) when it reports them ahead
+/// of the shard (workers do so before the final `Finish` shard).  The
+/// stats frame is optional, so sessions that end before `Finish` handling
+/// (or older workers) still hand their shard over.
+fn read_shard(
     conn: &mut dyn WorkerConnection,
     index: usize,
 ) -> Result<(Option<WorkerStats>, Vec<u8>), ClusterError> {
-    match conn.recv() {
-        Ok(Some(Frame::Stats(stats))) => read_shard(conn, index).map(|bytes| (Some(stats), bytes)),
-        Ok(Some(Frame::Shard(bytes))) => Ok((None, bytes)),
-        Ok(Some(Frame::Err(message))) => Err(ClusterError::WorkerReported {
-            worker: index,
-            message,
-        }),
-        Ok(Some(other)) => Err(ClusterError::Protocol {
-            worker: index,
-            expected: "Shard",
-            got: other.kind().to_string(),
-        }),
-        Ok(None) | Err(WireError::Truncated) => Err(ClusterError::WorkerDied { worker: index }),
-        Err(e) => Err(wire_fault(index, e)),
+    let mut stats = None;
+    let mut reply = conn.recv();
+    if let Ok(Some(Frame::Stats(counters))) = reply {
+        stats = Some(counters);
+        reply = conn.recv();
     }
-}
-
-/// Reads the `Shard` reply a `Snapshot`/`Finish` request promises.
-fn read_shard(conn: &mut dyn WorkerConnection, index: usize) -> Result<Vec<u8>, ClusterError> {
-    match conn.recv() {
-        Ok(Some(Frame::Shard(bytes))) => Ok(bytes),
+    match reply {
+        Ok(Some(Frame::Shard(bytes))) => Ok((stats, bytes)),
         Ok(Some(Frame::Err(message))) => Err(ClusterError::WorkerReported {
             worker: index,
             message,
@@ -1989,36 +1876,32 @@ mod tests {
     #[test]
     fn empty_batches_emit_no_frame_and_journal_nothing() {
         let frames = Arc::new(Mutex::new(Vec::new()));
-        let mut workers: Vec<Box<dyn WorkerConnection>> = vec![Box::new(RecordingConnection {
-            frames: Arc::clone(&frames),
-        })];
-        let mut fault = None;
-        let mut journals = vec![ShardJournal::new()];
-        let mut send_buf = Vec::new();
-        let transport = PipeTransport::new("unused");
-        let spec = SketchSpec::f0("knw-f0", 0.25, 1 << 20, 7);
-        let metrics = AggregatorMetrics::register(1);
-        let mut links: LinkSet<'_, u64> = LinkSet {
-            workers: &mut workers,
-            fault: &mut fault,
-            journals: &mut journals,
-            transport: &transport,
+        let mut links = LinkSet {
+            spec: SketchSpec::f0("knw-f0", 0.25, 1 << 20, 7),
+            transport: Box::new(PipeTransport::new("unused")),
+            workers: vec![Box::new(RecordingConnection {
+                frames: Arc::clone(&frames),
+            })],
             recovery: Some(RecoveryPolicy::default()),
-            spec: &spec,
-            send_buf: &mut send_buf,
-            metrics: &metrics,
-            _update: std::marker::PhantomData,
+            journals: vec![ShardJournal::new()],
+            fault: None,
+            send_buf: Vec::new(),
+            metrics: AggregatorMetrics::register(1),
         };
-        links.dispatch(0, Vec::new());
-        links.dispatch(0, vec![42]);
+        links.dispatch::<u64>(0, Vec::new());
+        links.dispatch(0, vec![42u64]);
         let frames = frames.lock().expect("frames lock");
         assert_eq!(frames.len(), 1, "only the non-empty batch is framed");
         assert_eq!(
             *frames.first().expect("one frame"),
             Frame::Batch(BatchPayload::Items(vec![42]))
         );
-        assert_eq!(journals[0].frames.len(), 1, "empty batch journals nothing");
-        assert_eq!(journals[0].journaled, 1);
+        assert_eq!(
+            links.journals[0].frames.len(),
+            1,
+            "empty batch journals nothing"
+        );
+        assert_eq!(links.journals[0].journaled, 1);
     }
 
     /// The journal records frames up to its update cap, discards itself on

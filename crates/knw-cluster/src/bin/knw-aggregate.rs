@@ -27,13 +27,14 @@
 //!   `--connect host:port` per worker (repeatable; start them with
 //!   `knw-worker --listen host:port`).  The worker count is the address
 //!   count; `--io-timeout SECS` bounds every read/write so a stalled
-//!   worker fails the run instead of hanging it.
+//!   worker fails the run instead of hanging it (`0` disables the bound).
 //! * `--pool REGADDR` (implies `--transport pool`): binds a worker
 //!   registry on `REGADDR` and places `--workers` N shards from the pool
 //!   of spares that announce themselves (`knw-worker --listen 0 --register
 //!   REGADDR`) — no static address list.  Spares are health-probed
 //!   continuously; if the pool cannot cover N live workers the run refuses
-//!   typed instead of starting a smaller fleet.
+//!   typed instead of starting a smaller fleet.  `--io-timeout` bounds
+//!   these links too.
 //!
 //! In `--serve` mode the process also reads **control commands** from
 //! stdin: `rescale N` elastically reshards the live fleet to N workers
@@ -53,7 +54,7 @@
 //! Prometheus-text-format scrape endpoint for the duration of the run: in
 //! serve mode the listener is multiplexed on the same nonblocking event
 //! loop as the sessions; in the generate modes a background
-//! [`MetricsServer`](knw_cluster::MetricsServer) thread answers scrapes.
+//! [`MetricsServer`] thread answers scrapes.
 //!
 //! With `--mode l0` the stream is churn-heavy signed updates; otherwise a
 //! skewed insert-only stream.  `--recover` turns worker loss from a
@@ -63,7 +64,7 @@
 
 use knw_cluster::{
     sibling_worker_exe, ClusterAggregator, ClusterConfig, ClusterError, ClusterUpdate,
-    MetricsServer, RecoveryPolicy, SketchSpec, TcpClusterConfig, WorkerRegistry,
+    MetricsServer, RecoveryPolicy, SketchSpec, WorkerRegistry, WorkerSource,
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 use knw_metrics::knw_log;
@@ -131,9 +132,8 @@ impl Default for Options {
     }
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options::default();
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
         match flag.as_str() {
@@ -296,60 +296,18 @@ fn parse_args() -> Result<Options, String> {
 /// themselves before refusing with `PoolExhausted`.
 const POOL_WAIT: Duration = Duration::from_secs(30);
 
-/// How the aggregator reaches its workers, resolved from the CLI flags.
-enum TransportChoice {
-    Pipe(ClusterConfig),
-    Tcp(TcpClusterConfig),
-    Pool {
-        registry: Arc<WorkerRegistry>,
-        engine: EngineConfig,
-        recovery: Option<RecoveryPolicy>,
-    },
-}
-
-impl TransportChoice {
-    fn from_options(opts: &Options) -> Result<Self, ClusterError> {
-        let workers = opts.workers.unwrap_or(4);
-        let engine = EngineConfig::new(workers)
-            .with_routing(opts.routing)
-            .with_precoalesce(opts.precoalesce);
-        if let Some(pool_addr) = &opts.pool {
-            let registry =
-                Arc::new(
-                    WorkerRegistry::bind(pool_addr).map_err(|source| ClusterError::Io {
-                        worker: None,
-                        source,
-                    })?,
-                );
-            println!("worker pool registry on {}", registry.local_addr());
-            // Health-probe the spares continuously: pops skip addresses
-            // that failed their last connect-and-greet probe.
-            registry.start_probing(Duration::from_secs(2), Duration::from_secs(1));
-            // Spares race the aggregator's startup; give them a bounded
-            // window to announce themselves before refusing.
-            let deadline = std::time::Instant::now() + POOL_WAIT;
-            while registry.live_available() < workers && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            return Ok(TransportChoice::Pool {
-                registry,
-                engine,
-                recovery: opts.recover.then(RecoveryPolicy::default),
-            });
-        }
-        if opts.transport == "tcp" {
-            let mut config = TcpClusterConfig::new(opts.connect.iter().cloned());
-            config = config.with_engine(engine);
-            if let Some(secs) = opts.io_timeout_secs {
-                // 0 = no timeout (a zero Duration would be rejected by
-                // set_read_timeout and fail every connection).
-                config = config.with_io_timeout((secs > 0).then(|| Duration::from_secs(secs)));
-            }
-            if opts.recover {
-                config = config.with_recovery(RecoveryPolicy::default());
-            }
-            return Ok(TransportChoice::Tcp(config));
-        }
+/// The cluster configuration the flags describe.  Pool placement is a TCP
+/// configuration with an empty address list, drawing every shard from
+/// `registry`; the caller binds that registry, so this conversion opens no
+/// socket.
+fn cluster_config(
+    opts: &Options,
+    registry: Option<Arc<WorkerRegistry>>,
+) -> Result<ClusterConfig, ClusterError> {
+    let engine = EngineConfig::new(opts.workers.unwrap_or(4))
+        .with_routing(opts.routing)
+        .with_precoalesce(opts.precoalesce);
+    let mut config = if opts.transport == "pipe" {
         let worker = opts
             .worker
             .clone()
@@ -361,49 +319,63 @@ impl TransportChoice {
                     "knw-worker binary not found; pass --worker PATH",
                 ),
             })?;
-        let mut config = ClusterConfig::new(workers, worker).with_engine(engine);
-        if opts.recover {
-            // Pipe recovery re-spawns a fresh child and replays the journal.
-            config = config.with_recovery(RecoveryPolicy::default());
-        }
-        Ok(TransportChoice::Pipe(config))
+        ClusterConfig::pipe(engine.shards, worker)
+    } else {
+        ClusterConfig::tcp(opts.connect.iter().cloned(), registry)
     }
-
-    fn workers(&self) -> usize {
-        match self {
-            TransportChoice::Pipe(config) => config.engine.shards,
-            TransportChoice::Tcp(config) => config.addrs.len(),
-            TransportChoice::Pool { engine, .. } => engine.shards,
-        }
+    .with_engine(engine);
+    if let Some(secs) = opts.io_timeout_secs {
+        // 0 = no timeout (a zero Duration would be rejected by
+        // set_read_timeout and fail every connection).
+        config = config.with_io_timeout((secs > 0).then(|| Duration::from_secs(secs)));
     }
-
-    fn describe(&self) -> String {
-        match self {
-            TransportChoice::Pipe(_) => "pipe (spawned children)".into(),
-            TransportChoice::Tcp(config) => format!("tcp ({})", config.addrs.join(", ")),
-            TransportChoice::Pool { registry, .. } => {
-                format!(
-                    "pool (registry {}, {} live spare(s))",
-                    registry.local_addr(),
-                    registry.live_available(),
-                )
-            }
-        }
+    if opts.recover {
+        // Pipe recovery re-spawns a fresh child and replays the journal.
+        config = config.with_recovery(RecoveryPolicy::default());
     }
+    Ok(config)
+}
 
-    fn aggregator<U: ClusterUpdate>(
-        &self,
-        spec: &SketchSpec,
-    ) -> Result<ClusterAggregator<U>, ClusterError> {
-        match self {
-            TransportChoice::Pipe(config) => ClusterAggregator::spawn(config, spec),
-            TransportChoice::Tcp(config) => ClusterAggregator::connect(config, spec),
-            TransportChoice::Pool {
-                registry,
-                engine,
-                recovery,
-            } => ClusterAggregator::from_pool_with(registry, *engine, *recovery, spec),
-        }
+/// [`cluster_config`] with the `--pool` registry bound: its spares are
+/// health-probed, and get a bounded window to announce themselves.
+fn configure(opts: &Options) -> Result<ClusterConfig, ClusterError> {
+    let Some(addr) = &opts.pool else {
+        return cluster_config(opts, None);
+    };
+    let registry = Arc::new(
+        WorkerRegistry::bind(addr).map_err(|source| ClusterError::Io {
+            worker: None,
+            source,
+        })?,
+    );
+    println!("worker pool registry on {}", registry.local_addr());
+    // Health-probe the spares continuously: pops skip addresses that
+    // failed their last connect-and-greet probe.
+    registry.start_probing(Duration::from_secs(2), Duration::from_secs(1));
+    // Spares race the aggregator's startup; give them a bounded window to
+    // announce themselves before refusing.
+    let deadline = std::time::Instant::now() + POOL_WAIT;
+    while registry.live_available() < opts.workers.unwrap_or(4)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    cluster_config(opts, Some(registry))
+}
+
+/// How the banner names the workers' transport.
+fn describe(config: &ClusterConfig) -> String {
+    match &config.workers {
+        WorkerSource::Spawn(_) => "pipe (spawned children)".into(),
+        WorkerSource::Tcp {
+            addrs,
+            registry: Some(registry),
+        } if addrs.is_empty() => format!(
+            "pool (registry {}, {} live spare(s))",
+            registry.local_addr(),
+            registry.live_available(),
+        ),
+        WorkerSource::Tcp { addrs, .. } => format!("tcp ({})", addrs.join(", ")),
     }
 }
 
@@ -444,7 +416,7 @@ fn run_serve(opts: &Options, addr: &str, estimator: &str) -> Result<(), ClusterE
     use knw_cluster::{serve_sessions, SessionServeOptions};
     use std::net::TcpListener;
 
-    let choice = TransportChoice::from_options(opts)?;
+    let config = configure(opts)?;
     let listener = TcpListener::bind(addr).map_err(|source| ClusterError::Io {
         worker: None,
         source,
@@ -511,13 +483,13 @@ fn run_serve(opts: &Options, addr: &str, estimator: &str) -> Result<(), ClusterE
 
     println!(
         "serving on {bound} ({} workers via {}, `{estimator}`) …",
-        choice.workers(),
-        choice.describe(),
+        config.engine.shards,
+        describe(&config),
     );
 
     let (stats, estimate) = if opts.mode == "l0" {
         let spec = SketchSpec::l0(estimator, opts.epsilon, opts.universe, opts.seed);
-        let mut aggregator = choice.aggregator::<(u64, i64)>(&spec)?;
+        let mut aggregator = ClusterAggregator::<(u64, i64)>::start(&config, &spec)?;
         let stats = serve_sessions(&listener, &mut aggregator, &serve_opts)?;
         let merged = aggregator.finish()?;
         (
@@ -526,7 +498,7 @@ fn run_serve(opts: &Options, addr: &str, estimator: &str) -> Result<(), ClusterE
         )
     } else {
         let spec = SketchSpec::f0(estimator, opts.epsilon, opts.universe, opts.seed);
-        let mut aggregator = choice.aggregator::<u64>(&spec)?;
+        let mut aggregator = ClusterAggregator::<u64>::start(&config, &spec)?;
         let stats = serve_sessions(&listener, &mut aggregator, &serve_opts)?;
         let merged = aggregator.finish()?;
         (stats, <u64 as ClusterUpdate>::estimate(merged.as_ref()))
@@ -558,6 +530,23 @@ fn run_serve(_opts: &Options, _addr: &str, _estimator: &str) -> Result<(), Clust
     })
 }
 
+/// Streams `stream` through a fleet started from `config` and through one
+/// local sketch; returns the cluster-merged and single-process estimates.
+fn aggregate<U: ClusterUpdate>(
+    config: &ClusterConfig,
+    spec: &SketchSpec,
+    stream: &[U],
+) -> Result<(f64, f64), ClusterError> {
+    let mut cluster = ClusterAggregator::<U>::start(config, spec)?;
+    for chunk in stream.chunks(1 << 16) {
+        cluster.ingest_batch(chunk);
+    }
+    let merged = cluster.finish()?;
+    let mut single = U::build(spec)?;
+    U::apply(single.as_mut(), stream);
+    Ok((U::estimate(merged.as_ref()), U::estimate(single.as_ref())))
+}
+
 fn run(opts: &Options) -> Result<(), ClusterError> {
     let estimator = opts.estimator.clone().unwrap_or_else(|| {
         if opts.mode == "l0" {
@@ -584,12 +573,12 @@ fn run(opts: &Options) -> Result<(), ClusterError> {
         _metrics_server = Some(server);
     }
 
-    let choice = TransportChoice::from_options(opts)?;
+    let config = configure(opts)?;
 
     println!(
         "aggregating over {} workers via {} ({:?} routing{}) for `{estimator}` over {} updates …",
-        choice.workers(),
-        choice.describe(),
+        config.engine.shards,
+        describe(&config),
         opts.routing,
         if opts.precoalesce {
             ", pre-coalescing"
@@ -601,32 +590,18 @@ fn run(opts: &Options) -> Result<(), ClusterError> {
 
     let (cluster_estimate, single_estimate) = if opts.mode == "l0" {
         let spec = SketchSpec::l0(&estimator, opts.epsilon, opts.universe, opts.seed);
-        let updates = l0_stream(opts.updates, opts.universe, opts.seed);
-        let mut cluster = choice.aggregator::<(u64, i64)>(&spec)?;
-        for chunk in updates.chunks(1 << 16) {
-            cluster.ingest_batch(chunk);
-        }
-        let merged = cluster.finish()?;
-        let mut single = knw_cluster::build_l0(&spec)?;
-        single.update_batch(&updates);
-        (
-            <(u64, i64) as ClusterUpdate>::estimate(merged.as_ref()),
-            single.estimate(),
-        )
+        aggregate(
+            &config,
+            &spec,
+            &l0_stream(opts.updates, opts.universe, opts.seed),
+        )?
     } else {
         let spec = SketchSpec::f0(&estimator, opts.epsilon, opts.universe, opts.seed);
-        let items = f0_stream(opts.updates, opts.universe, opts.seed);
-        let mut cluster = choice.aggregator::<u64>(&spec)?;
-        for chunk in items.chunks(1 << 16) {
-            cluster.ingest_batch(chunk);
-        }
-        let merged = cluster.finish()?;
-        let mut single = knw_cluster::build_f0(&spec)?;
-        single.insert_batch(&items);
-        (
-            <u64 as ClusterUpdate>::estimate(merged.as_ref()),
-            single.estimate(),
-        )
+        aggregate(
+            &config,
+            &spec,
+            &f0_stream(opts.updates, opts.universe, opts.seed),
+        )?
     };
 
     println!("cluster-merged estimate : {cluster_estimate}");
@@ -639,7 +614,7 @@ fn run(opts: &Options) -> Result<(), ClusterError> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(message) => {
             knw_log!(ERROR, "knw-aggregate", "invalid arguments", error = message);
@@ -652,5 +627,33 @@ fn main() -> ExitCode {
             knw_log!(ERROR, "knw-aggregate", "run failed", error = e);
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn options(args: &[&str]) -> Options {
+        parse_args(args.iter().map(|arg| (*arg).to_string())).expect("valid flags")
+    }
+
+    /// Pool-placed links get the `--io-timeout` bound like static TCP
+    /// links do, and `--io-timeout 0` disables it.
+    #[test]
+    fn pool_placement_honours_the_io_timeout() {
+        let config = cluster_config(
+            &options(&["--pool", "127.0.0.1:0", "--io-timeout", "3"]),
+            None,
+        )
+        .expect("config");
+        assert!(matches!(&config.workers, WorkerSource::Tcp { addrs, .. } if addrs.is_empty()));
+        assert_eq!(config.io_timeout, Some(Duration::from_secs(3)));
+        let config = cluster_config(
+            &options(&["--pool", "127.0.0.1:0", "--io-timeout", "0"]),
+            None,
+        )
+        .expect("config");
+        assert_eq!(config.io_timeout, None);
     }
 }

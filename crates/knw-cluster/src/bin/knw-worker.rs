@@ -4,7 +4,8 @@
 //! Two modes:
 //!
 //! * **Pipe** (no flags): one session on stdin/stdout.  Spawned by the
-//!   aggregator (`knw_cluster::ClusterAggregator::spawn` or the
+//!   aggregator (`knw_cluster::ClusterAggregator::start` with a pipe
+//!   `ClusterConfig`, or the
 //!   `knw-aggregate` demo binary); not intended for interactive use.
 //!   Exits 0 on a clean `Finish` (or aggregator EOF), nonzero after
 //!   reporting an `Err` frame.
@@ -17,7 +18,7 @@
 //!   serving; transient `accept(2)` failures are retried with backoff;
 //!   `--io-timeout SECS` bounds how long a session may stall on a
 //!   half-open peer.  Aggregators reach listening workers with
-//!   `ClusterAggregator::connect_workers` / `knw-aggregate --transport tcp`.
+//!   a TCP `ClusterConfig` / `knw-aggregate --transport tcp`.
 //!   With `--register ADDR` the worker additionally announces its bound
 //!   address to the worker registry at `ADDR`
 //!   (`knw_cluster::WorkerRegistry`), volunteering as a recovery spare: a

@@ -111,7 +111,8 @@ pub enum ClusterError {
     },
     /// The worker pool could not cover the requested fleet size: too few
     /// registered spares passed their health probe.  Raised by
-    /// `ClusterAggregator::from_pool` before any aggregation starts, and by
+    /// `ClusterAggregator::start` for a pool-placed fleet (a TCP config with
+    /// no addresses) before any aggregation starts, and by
     /// `scale_to` when a grow cannot draw enough live workers — the fleet
     /// is never silently smaller than asked for.
     PoolExhausted {

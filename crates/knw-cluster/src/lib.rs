@@ -35,16 +35,18 @@
 //! The frame layer is transport-agnostic, and the [`transport`] module
 //! names the two transports that carry it:
 //!
-//! * [`PipeTransport`] — [`ClusterAggregator::spawn`] forks `knw-worker`
-//!   child processes and speaks frames over stdin/stdout pipes (the
-//!   single-box topology);
-//! * [`TcpTransport`] — [`ClusterAggregator::connect_workers`] connects to
-//!   **already-running** workers (`knw-worker --listen <addr>`, the
-//!   [`serve`] loop) over TCP sockets with bounded connect/read/write
-//!   timeouts: the multi-host topology.  `knw-aggregate --transport tcp
-//!   --connect host:port …` is the CLI front.  The same transport places
-//!   [`ClusterAggregator::from_pool`] fleets, drawing every address from a
-//!   [`WorkerRegistry`] pool instead of a static list.
+//! * [`PipeTransport`] forks `knw-worker` child processes and speaks
+//!   frames over stdin/stdout pipes (the single-box topology);
+//! * [`TcpTransport`] connects to **already-running** workers
+//!   (`knw-worker --listen <addr>`, the [`serve`] loop) over TCP sockets
+//!   with bounded connect/read/write timeouts: the multi-host topology.
+//!   `knw-aggregate --transport tcp --connect host:port …` is the CLI
+//!   front.  With an empty address list the same transport places the
+//!   whole fleet from a [`WorkerRegistry`] pool instead.
+//!
+//! One [`ClusterConfig`] names which ([`WorkerSource`]), along with the
+//! engine knobs, the recovery policy and the TCP timeouts, and one
+//! constructor, [`ClusterAggregator::start`], opens the fleet from it.
 //!
 //! # The frame protocol
 //!
@@ -59,7 +61,7 @@
 //! | `Finish` | aggregator → worker | finalize: send the shard and exit cleanly |
 //! | `Shard{bytes}` | worker → aggregator | the serialized shard sketch (the workspace serde codec) |
 //! | `Err{message}` | worker → aggregator | worker-side failure, before the worker exits nonzero |
-//! | `Stats{counters}` | worker → aggregator | session ingest counters ([`WorkerStats`](frame::WorkerStats)), sent once before the final `Finish` shard |
+//! | `Stats{counters}` | worker → aggregator | session ingest counters ([`WorkerStats`]), sent once before the final `Finish` shard |
 //!
 //! Routing reuses [`knw_engine::ShardBatcher`] — the *same* code that
 //! routes the in-process `ShardedEngine`/`ShardRouter` — so in-process and
@@ -167,8 +169,8 @@
 //! panics on bad bytes.
 //!
 //! With a [`RecoveryPolicy`] configured
-//! ([`TcpClusterConfig::with_recovery`], [`ClusterConfig::with_recovery`],
-//! `knw-aggregate --recover`), those link faults stop being run-fatal.
+//! ([`ClusterConfig::with_recovery`], `knw-aggregate --recover`), those
+//! link faults stop being run-fatal.
 //! The aggregator keeps a bounded per-shard **replay journal** — the
 //! serialized checkpoint of the last acknowledged snapshot plus every
 //! batch routed to the shard since ([`RecoveryPolicy::journal_cap`] bounds
@@ -200,9 +202,9 @@
 //! # Placement & elastic resharding
 //!
 //! The [`WorkerRegistry`] is a *placement* layer, not just a recovery
-//! side-channel: [`ClusterAggregator::from_pool`] starts an N-worker fleet
-//! entirely from the registry's pool of announced spares (`knw-worker
-//! --listen 0 --register <reg>`) — no static address list.  The registry's
+//! side-channel: a TCP [`ClusterConfig`] with the registry and no
+//! addresses starts an N-worker fleet entirely from the registry's pool of
+//! announced spares (`knw-worker --listen 0 --register <reg>`).  The registry's
 //! background prober ([`WorkerRegistry::start_probing`]) re-checks every
 //! pooled spare with the same connect-and-greet liveness probe recovery
 //! uses (not a bare connect — a backlog-only listener fails it), counts
@@ -248,7 +250,7 @@
 //!   `knw_cluster_snapshot_latency_ns` histogram around every merged
 //!   snapshot/finish exchange;
 //! * **workers** — each worker counts its own session ingest
-//!   ([`WorkerStats`](frame::WorkerStats)) and ships it to the aggregator
+//!   ([`WorkerStats`]) and ships it to the aggregator
 //!   in a `Stats` frame just before its final `Finish` shard, where it
 //!   lands as per-worker `knw_fleet_*_total` counters — fleet-wide health
 //!   without a scrape endpoint per worker (listening workers also mirror
@@ -275,9 +277,11 @@
 //! ```no_run
 //! use knw_cluster::{ClusterConfig, F0ClusterAggregator, SketchSpec};
 //!
-//! let config = ClusterConfig::new(4, "target/release/knw-worker");
+//! // Four spawned workers; `ClusterConfig::tcp(["hostA:7001", …], None)`
+//! // would reach listening ones instead.
+//! let config = ClusterConfig::pipe(4, "target/release/knw-worker");
 //! let spec = SketchSpec::f0("knw-f0", 0.05, 1 << 20, 7);
-//! let mut cluster = F0ClusterAggregator::spawn(&config, &spec).unwrap();
+//! let mut cluster = F0ClusterAggregator::start(&config, &spec).unwrap();
 //! for i in 0..1_000_000u64 {
 //!     cluster.ingest(i % 250_000);
 //! }
@@ -300,7 +304,7 @@ pub mod worker;
 
 pub use aggregator::{
     sibling_worker_exe, ClusterAggregator, ClusterConfig, ClusterUpdate, F0ClusterAggregator,
-    L0ClusterAggregator,
+    L0ClusterAggregator, WorkerSource,
 };
 pub use error::ClusterError;
 pub use expo::MetricsServer;
@@ -322,8 +326,7 @@ pub use spec::{
     l0_shard_from_bytes, WireF0Sketch, WireL0Sketch,
 };
 pub use transport::{
-    probe_worker, spawn_listening_worker, ListeningWorkerFleet, PipeTransport, TcpClusterConfig,
-    TcpTransport, Transport, WorkerConnection, BANNER_DEADLINE, DEFAULT_CONNECT_TIMEOUT,
-    DEFAULT_IO_TIMEOUT,
+    probe_worker, spawn_listening_worker, ListeningWorkerFleet, PipeTransport, TcpTransport,
+    Transport, WorkerConnection, BANNER_DEADLINE, DEFAULT_CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT,
 };
 pub use worker::{run_worker, serve, serve_connection, ServeOptions, DEFAULT_MAX_ACCEPT_RETRIES};

@@ -57,8 +57,7 @@ const ACCEPT_RETRIES: usize = 8;
 /// How the aggregator recovers lost workers: reconnect-and-replay sizing.
 ///
 /// Attached to a cluster configuration
-/// ([`TcpClusterConfig::with_recovery`](crate::TcpClusterConfig::with_recovery),
-/// [`ClusterConfig::with_recovery`](crate::ClusterConfig::with_recovery)),
+/// ([`ClusterConfig::with_recovery`](crate::ClusterConfig::with_recovery)),
 /// this turns a mid-stream `WorkerDied` / `Timeout` / `ConnectFailed` from
 /// a run-fatal error into a supervised reconnect: the transport re-opens
 /// the link (same address, a respawned child, or a freshly

@@ -1,12 +1,12 @@
 //! The multi-session serve loop: one nonblocking event loop
-//! ([`Poller`](crate::poll::Poller)) multiplexing hundreds-to-thousands of
+//! ([`Poller`]) multiplexing hundreds-to-thousands of
 //! concurrent client sessions over one shared
-//! [`ClusterAggregator`](crate::ClusterAggregator) — the
+//! [`ClusterAggregator`] — the
 //! estimation-as-a-service shape, with **no thread per session**.
 //!
 //! Each accepted connection is a small state machine
 //! (`Greeting → Streaming → Snapshotting → Finished / Errored`) owning a
-//! resumable [`FrameDecoder`](crate::FrameDecoder) for its inbound bytes
+//! resumable [`FrameDecoder`] for its inbound bytes
 //! and a bounded write queue for its outbound replies.  Clients speak the
 //! ordinary worker frame protocol: `Hello{spec}` (which must match the
 //! serving aggregator's spec), then `Batch` frames that are routed into

@@ -257,6 +257,33 @@ mod tests {
         assert!(f0_shard_from_bytes(&spec, &bytes).is_err());
     }
 
+    /// A `KnwF0Sketch` shard whose domain-compression hash `h2` claims a
+    /// range of 0 is a decode error; derived decoding accepted it, and the
+    /// first insert then divided by zero.
+    #[test]
+    fn forged_f0_hash_range_is_a_decode_error_not_a_panic() {
+        let spec = SketchSpec::f0("knw-f0", 0.1, 1 << 16, 3);
+        let bytes = build_f0(&spec).expect("builds").wire_bytes();
+        assert!(f0_shard_from_bytes(&spec, &bytes).is_ok());
+        // h2 ranges over [K³]: its range and power-of-two flag, in place.
+        let cube = knw_core::F0Config::new(spec.epsilon, spec.universe)
+            .num_bins()
+            .pow(3);
+        let mut field = cube.to_le_bytes().to_vec();
+        field.push(u8::from(cube.is_power_of_two()));
+        let at: Vec<usize> = (0..bytes.len() - field.len())
+            .filter(|&i| bytes[i..].starts_with(&field))
+            .collect();
+        assert_eq!(at.len(), 1, "h2's range is not unique in the shard");
+        let mut forged = bytes;
+        forged[at[0]..at[0] + 8].fill(0);
+        let error = f0_shard_from_bytes(&spec, &forged).map(|_| "a shard");
+        assert!(
+            matches!(&error, Err(message) if message.contains("range 0")),
+            "{error:?}"
+        );
+    }
+
     #[test]
     fn single_byte_mutations_of_an_l0_shard_are_rejected_or_decode() {
         use knw_hash::rng::{Rng64, SplitMix64};

@@ -27,13 +27,14 @@
 //! * the peer was never there — [`ClusterError::ConnectFailed`] (refused,
 //!   unreachable, or the connect timed out), raised before any frame flows;
 //! * the peer is there but wedged — every TCP link carries read/write
-//!   timeouts (see [`TcpClusterConfig::io_timeout`]), so a half-open or
-//!   stalled worker surfaces as [`ClusterError::Timeout`] within a bounded
-//!   interval instead of hanging the aggregation forever.
+//!   timeouts (see
+//!   [`ClusterConfig::io_timeout`](crate::ClusterConfig::io_timeout)), so
+//!   a half-open or stalled worker surfaces as [`ClusterError::Timeout`]
+//!   within a bounded interval instead of hanging the aggregation forever.
 
 use crate::error::ClusterError;
 use crate::frame::{read_frame, write_frame, Frame, WireError};
-use crate::recovery::{RecoveryPolicy, WorkerRegistry};
+use crate::recovery::WorkerRegistry;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
@@ -168,9 +169,8 @@ pub trait Transport: Send {
 /// wedged one times out.  The probed session is separate from (and closed
 /// before) any connection the caller actually adopts.
 ///
-/// Shared by the TCP transport's recovery re-resolution, the pool
-/// transport's placement draws, and the registry's continuous background
-/// probing.
+/// Shared by the TCP transport's recovery re-resolution and pool
+/// placement draws, and by the registry's continuous background probing.
 #[must_use]
 pub fn probe_worker(addr: &str, connect_timeout: Duration, io_timeout: Duration) -> bool {
     let Ok(stream) = connect_first(addr, connect_timeout) else {
@@ -242,6 +242,13 @@ fn open_tcp_link(
     }
 }
 
+/// How long [`spawn_listening_worker`] waits for the `listening on`
+/// banner before declaring the child stuck, killing it, and returning a
+/// typed error.  Generous — a healthy worker prints within milliseconds;
+/// the bound only exists so a wedged child (or one handed an address it
+/// can never bind) cannot hang its supervisor forever.
+pub const BANNER_DEADLINE: Duration = Duration::from_secs(10);
+
 /// Spawns a `knw-worker --listen <addr>` child process and parses the
 /// `listening on <addr>` banner it prints, returning the child and the
 /// address it actually bound (meaningful with port 0).  The `--listen`
@@ -250,13 +257,6 @@ fn open_tcp_link(
 /// child's stderr is inherited, so the serve loop's session-failure
 /// diagnostics stay observable.
 ///
-/// How long [`spawn_listening_worker`] waits for the `listening on`
-/// banner before declaring the child stuck, killing it, and returning a
-/// typed error.  Generous — a healthy worker prints within milliseconds;
-/// the bound only exists so a wedged child (or one handed an address it
-/// can never bind) cannot hang its supervisor forever.
-pub const BANNER_DEADLINE: Duration = Duration::from_secs(10);
-
 /// # Errors
 ///
 /// Spawn failures; a child that exited without printing the banner (e.g.
@@ -409,12 +409,6 @@ impl PipeTransport {
             worker_exe: worker_exe.into(),
         }
     }
-
-    /// The worker executable this transport spawns.
-    #[must_use]
-    pub fn worker_exe(&self) -> &Path {
-        &self.worker_exe
-    }
 }
 
 impl Transport for PipeTransport {
@@ -493,96 +487,13 @@ impl Drop for PipeConnection {
 
 // ---------------------------------------------------------------------- tcp
 
-/// Sizing and safety knobs of a TCP cluster run: the shared engine knobs
-/// (shard count = worker count, batch size, routing policy,
-/// pre-coalescing) plus the worker addresses and the transport timeouts.
-///
-/// The shard count always tracks the address list — one worker, one shard —
-/// so a spec mismatch between the two cannot exist.
-#[derive(Debug, Clone)]
-pub struct TcpClusterConfig {
-    /// Routing knobs, shared verbatim with the in-process engine.  The
-    /// shard count is forced to `addrs.len()`.
-    pub engine: knw_engine::EngineConfig,
-    /// One `host:port` per worker, in shard order.
-    pub addrs: Vec<String>,
-    /// How long to wait for each worker to accept the connection.
-    pub connect_timeout: Duration,
-    /// Per-link read/write timeout (`None` blocks forever — not
-    /// recommended; the default keeps every failure mode bounded).
-    pub io_timeout: Option<Duration>,
-    /// Reconnect-and-replay recovery for faulted workers (`None` — the
-    /// default — keeps the pre-recovery behaviour: the first
-    /// `WorkerDied`/`Timeout` fails the run).
-    pub recovery: Option<RecoveryPolicy>,
-    /// Worker-discovery registry the recovery path re-resolves lost
-    /// workers through (spare `knw-worker --register` hosts); `None` limits
-    /// recovery to reconnecting the static addresses.
-    pub registry: Option<Arc<WorkerRegistry>>,
-}
-
-impl TcpClusterConfig {
-    /// Creates a TCP cluster configuration for the given worker addresses
-    /// (one shard per address) with default engine knobs and timeouts.
-    #[must_use]
-    pub fn new<A: Into<String>>(addrs: impl IntoIterator<Item = A>) -> Self {
-        let addrs: Vec<String> = addrs.into_iter().map(Into::into).collect();
-        Self {
-            engine: knw_engine::EngineConfig::new(addrs.len()),
-            addrs,
-            connect_timeout: DEFAULT_CONNECT_TIMEOUT,
-            io_timeout: Some(DEFAULT_IO_TIMEOUT),
-            recovery: None,
-            registry: None,
-        }
-    }
-
-    /// Replaces the engine knobs (batch size, routing, pre-coalescing).
-    /// The shard count is re-forced to the address count.
-    #[must_use]
-    pub fn with_engine(mut self, engine: knw_engine::EngineConfig) -> Self {
-        self.engine = engine.with_shards(self.addrs.len());
-        self
-    }
-
-    /// Sets the connect timeout.
-    #[must_use]
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-link read/write timeout (`None` blocks forever).
-    #[must_use]
-    pub fn with_io_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.io_timeout = timeout;
-        self
-    }
-
-    /// Enables reconnect-and-replay recovery with the given policy.
-    #[must_use]
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
-        self
-    }
-
-    /// Attaches a worker-discovery registry: the recovery path pops
-    /// registered replacement addresses when a worker's static address
-    /// stays unreachable.
-    #[must_use]
-    pub fn with_registry(mut self, registry: Arc<WorkerRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-}
-
 /// The multi-host transport: connect to already-running workers
 /// (`knw-worker --listen <addr>`) over TCP.
 ///
 /// Worker addresses come from the static list, from an attached
 /// [`WorkerRegistry`] pool of `knw-worker --listen --register` spares, or
-/// both.  An index beyond the static list — every index of a fleet built
-/// with an empty list, as `from_pool` does — is placed by popping pool
+/// both.  An index beyond the static list — every index of a pool-placed
+/// fleet, whose list is empty — is placed by popping pool
 /// addresses until one passes the connect-and-greet liveness probe
 /// ([`probe_worker`]) and connects.
 ///
@@ -604,30 +515,29 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Creates a TCP transport for the given worker addresses and timeouts.
+    /// Creates a TCP transport for the given worker addresses, spare
+    /// registry and timeouts.
     #[must_use]
-    pub fn new(config: &TcpClusterConfig) -> Self {
+    pub fn new(
+        addrs: Vec<String>,
+        registry: Option<Arc<WorkerRegistry>>,
+        connect_timeout: Duration,
+        io_timeout: Option<Duration>,
+    ) -> Self {
         Self {
-            addrs: config.addrs.clone(),
-            connect_timeout: config.connect_timeout,
-            io_timeout: config.io_timeout,
-            registry: config.registry.clone(),
+            addrs,
+            connect_timeout,
+            io_timeout,
+            registry,
             overrides: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The statically configured worker addresses, in shard order.
-    #[must_use]
-    pub fn addrs(&self) -> &[String] {
-        &self.addrs
     }
 
     /// The address worker `index` currently resolves to: its registered
     /// replacement if recovery re-resolved it (or a pool draw placed it
     /// there), the static address otherwise.  `None` for a grown index
     /// beyond the static list that has no pool assignment yet.
-    #[must_use]
-    pub fn current_addr(&self, index: usize) -> Option<String> {
+    fn current_addr(&self, index: usize) -> Option<String> {
         self.overrides
             .lock()
             .expect("transport overrides lock")
@@ -771,6 +681,12 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    /// A registry-less transport over `addrs` with the default io timeout.
+    fn tcp<const N: usize>(addrs: [&str; N], connect_timeout: Duration) -> TcpTransport {
+        let addrs = addrs.map(String::from).to_vec();
+        TcpTransport::new(addrs, None, connect_timeout, Some(DEFAULT_IO_TIMEOUT))
+    }
+
     #[test]
     fn connect_failure_is_typed_and_names_the_address() {
         // Bind-then-drop guarantees a port with no listener.
@@ -778,9 +694,7 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             listener.local_addr().expect("addr").to_string()
         };
-        let config =
-            TcpClusterConfig::new([addr.clone()]).with_connect_timeout(Duration::from_millis(500));
-        let transport = TcpTransport::new(&config);
+        let transport = tcp([addr.as_str()], Duration::from_millis(500));
         match transport.open(0).map(|_| "a connection") {
             Err(ClusterError::ConnectFailed {
                 worker,
@@ -796,8 +710,10 @@ mod tests {
 
     #[test]
     fn unresolvable_address_is_a_connect_failure() {
-        let config = TcpClusterConfig::new(["not an address"]);
-        match TcpTransport::new(&config).open(0).map(|_| "a connection") {
+        match tcp(["not an address"], DEFAULT_CONNECT_TIMEOUT)
+            .open(0)
+            .map(|_| "a connection")
+        {
             Err(ClusterError::ConnectFailed { worker: 0, .. }) => {}
             other => panic!("expected ConnectFailed, got {other:?}"),
         }
@@ -805,10 +721,13 @@ mod tests {
 
     #[test]
     fn tcp_config_keeps_shards_locked_to_the_address_count() {
-        let config = TcpClusterConfig::new(["a:1", "b:2", "c:3"])
+        let config = crate::ClusterConfig::tcp(["a:1", "b:2", "c:3"], None)
             .with_engine(knw_engine::EngineConfig::new(16));
         assert_eq!(config.engine.shards, 3);
-        assert_eq!(config.addrs.len(), 3);
+        let crate::WorkerSource::Tcp { addrs, .. } = &config.workers else {
+            panic!("a TCP config");
+        };
+        assert_eq!(addrs.len(), 3);
     }
 
     #[test]
@@ -823,8 +742,9 @@ mod tests {
             write_frame(&mut writer, &frame).expect("write");
             writer.flush().expect("flush");
         });
-        let config = TcpClusterConfig::new([addr]);
-        let mut conn = TcpTransport::new(&config).open(0).expect("connect");
+        let mut conn = tcp([addr.as_str()], DEFAULT_CONNECT_TIMEOUT)
+            .open(0)
+            .expect("connect");
         conn.send(&Frame::Snapshot).expect("send");
         let back = conn.recv().expect("recv").expect("one frame");
         assert_eq!(back, Frame::Snapshot);

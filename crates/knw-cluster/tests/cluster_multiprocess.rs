@@ -13,35 +13,18 @@ use knw_cluster::{
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 
-const WORKER_EXE: &str = env!("CARGO_BIN_EXE_knw-worker");
-const EPS: f64 = 0.1;
-const UNIVERSE: u64 = 1 << 16;
+mod common;
+use common::{items, updates, EPS, UNIVERSE, WORKER_EXE};
+
 const SEED: u64 = 2026;
 
 fn config(workers: usize, routing: RoutingPolicy, precoalesce: bool) -> ClusterConfig {
-    ClusterConfig::new(workers, WORKER_EXE).with_engine(
+    ClusterConfig::pipe(workers, WORKER_EXE).with_engine(
         EngineConfig::new(workers)
             .with_batch_size(1024)
             .with_routing(routing)
             .with_precoalesce(precoalesce),
     )
-}
-
-/// A skewed insert-only stream.
-fn items(len: u64) -> Vec<u64> {
-    (0..len)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % UNIVERSE)
-        .collect()
-}
-
-/// A churn-heavy signed update stream (mixed signs, cancellations).
-fn updates(len: u64) -> Vec<(u64, i64)> {
-    (0..len)
-        .map(|i| {
-            let x = i.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            (x % 4_096, (x % 9) as i64 - 4)
-        })
-        .collect()
 }
 
 /// Acceptance criterion, F0 half: for every estimator in the zoo, 4 worker
@@ -56,7 +39,7 @@ fn four_process_run_is_bit_identical_for_every_f0_estimator() {
     ] {
         for &name in f0_estimator_names() {
             let spec = SketchSpec::f0(name, EPS, UNIVERSE, SEED);
-            let mut cluster = F0ClusterAggregator::spawn(&config(4, routing, false), &spec)
+            let mut cluster = F0ClusterAggregator::start(&config(4, routing, false), &spec)
                 .expect("spawn 4 workers");
             for chunk in stream.chunks(3_331) {
                 cluster.ingest_batch(chunk);
@@ -88,7 +71,7 @@ fn four_process_run_is_bit_identical_for_every_l0_estimator() {
     ] {
         for &name in l0_estimator_names() {
             let spec = SketchSpec::l0(name, EPS, UNIVERSE, SEED);
-            let mut cluster = L0ClusterAggregator::spawn(&config(4, routing, precoalesce), &spec)
+            let mut cluster = L0ClusterAggregator::start(&config(4, routing, precoalesce), &spec)
                 .expect("spawn 4 workers");
             for chunk in stream.chunks(2_777) {
                 cluster.ingest_batch(chunk);
@@ -115,7 +98,7 @@ fn midstream_snapshots_track_the_stream_exactly() {
     let spec = SketchSpec::f0("knw-f0", 0.05, 1 << 20, 11);
     let stream = items(30_000);
     let mut cluster =
-        F0ClusterAggregator::spawn(&config(3, RoutingPolicy::RoundRobin, false), &spec)
+        F0ClusterAggregator::start(&config(3, RoutingPolicy::RoundRobin, false), &spec)
             .expect("spawn");
     let mut single = build_f0(&spec).expect("zoo name");
     for (round, chunk) in stream.chunks(10_000).enumerate() {
@@ -138,7 +121,7 @@ fn midstream_snapshots_track_the_stream_exactly() {
 fn killed_worker_surfaces_worker_died() {
     let spec = SketchSpec::l0("knw-l0", 0.2, 1 << 12, 5);
     let mut cluster =
-        L0ClusterAggregator::spawn(&config(4, RoutingPolicy::RoundRobin, false), &spec)
+        L0ClusterAggregator::start(&config(4, RoutingPolicy::RoundRobin, false), &spec)
             .expect("spawn");
     cluster.ingest_batch(&updates(5_000));
     cluster.kill_worker(2).expect("kill");
@@ -156,7 +139,7 @@ fn killed_worker_surfaces_worker_died() {
 #[test]
 fn unknown_estimator_fails_fast_without_spawning() {
     let spec = SketchSpec::f0("no-such-sketch", EPS, UNIVERSE, SEED);
-    match F0ClusterAggregator::spawn(&config(2, RoutingPolicy::RoundRobin, false), &spec) {
+    match F0ClusterAggregator::start(&config(2, RoutingPolicy::RoundRobin, false), &spec) {
         Err(ClusterError::UnknownEstimator { name }) => assert_eq!(name, "no-such-sketch"),
         Err(other) => panic!("expected UnknownEstimator, got {other:?}"),
         Ok(_) => panic!("bogus spec must not spawn"),
@@ -204,7 +187,7 @@ fn hash_affine_cluster_matches_the_local_partition() {
     let shards = 3usize;
 
     // Cluster run under hash-affine routing.
-    let mut cluster = L0ClusterAggregator::spawn(
+    let mut cluster = L0ClusterAggregator::start(
         &config(shards, RoutingPolicy::HashAffine { seed }, false),
         &spec,
     )

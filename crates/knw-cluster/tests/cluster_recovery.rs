@@ -11,100 +11,22 @@
 //! only process spawning and loopback.
 
 use knw_cluster::{
-    build_f0, build_l0, f0_estimator_names, l0_estimator_names, spawn_listening_worker,
-    ClusterConfig, ClusterError, F0ClusterAggregator, L0ClusterAggregator, ListeningWorkerFleet,
-    RecoveryPolicy, SketchSpec, TcpClusterConfig, WorkerRegistry,
+    build_f0, build_l0, f0_estimator_names, l0_estimator_names, ClusterConfig, ClusterError,
+    F0ClusterAggregator, L0ClusterAggregator, ListeningWorkerFleet, RecoveryPolicy, SketchSpec,
+    WorkerRegistry,
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 use proptest::prelude::*;
-use std::process::Child;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const WORKER_EXE: &str = env!("CARGO_BIN_EXE_knw-worker");
-const EPS: f64 = 0.1;
-const UNIVERSE: u64 = 1 << 16;
+mod common;
+use common::{
+    dead_addr, items, let_fault_propagate, spawn_registered_spare, tcp_config, test_policy,
+    updates, EPS, UNIVERSE, WORKER_EXE,
+};
+
 const SEED: u64 = 4242;
-
-/// A spare worker process, reaped on drop (test panics must not leak
-/// forever-serving strays).
-struct Spare(Child);
-
-impl Drop for Spare {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Spawns a spare `--listen --register` worker and waits until its
-/// announcement landed in the registry.
-fn spawn_registered_spare(registry: &WorkerRegistry) -> Spare {
-    let registry_addr = registry.local_addr().to_string();
-    let before = registry.available();
-    let (child, _) = spawn_listening_worker(
-        WORKER_EXE.as_ref(),
-        "127.0.0.1:0",
-        &["--register", &registry_addr],
-    )
-    .expect("spawn spare worker");
-    for _ in 0..400 {
-        if registry.available() > before {
-            return Spare(child);
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    panic!("spare worker never registered");
-}
-
-/// A fast-failing recovery policy for tests: retries stay bounded in
-/// wall-clock even when every attempt must time out.
-fn test_policy() -> RecoveryPolicy {
-    RecoveryPolicy::default()
-        .with_max_retries(4)
-        .with_backoff(Duration::from_millis(50))
-}
-
-fn tcp_config(
-    addrs: &[String],
-    routing: RoutingPolicy,
-    registry: Option<Arc<WorkerRegistry>>,
-) -> TcpClusterConfig {
-    let mut config = TcpClusterConfig::new(addrs.iter().cloned())
-        .with_engine(
-            EngineConfig::new(addrs.len())
-                .with_batch_size(512)
-                .with_routing(routing),
-        )
-        .with_recovery(test_policy());
-    if let Some(registry) = registry {
-        config = config.with_registry(registry);
-    }
-    config
-}
-
-/// A skewed insert-only stream.
-fn items(len: u64) -> Vec<u64> {
-    (0..len)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % UNIVERSE)
-        .collect()
-}
-
-/// A churn-heavy signed update stream (mixed signs, cancellations).
-fn updates(len: u64) -> Vec<(u64, i64)> {
-    (0..len)
-        .map(|i| {
-            let x = i.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            (x % 4_096, (x % 9) as i64 - 4)
-        })
-        .collect()
-}
-
-/// Lets a killed worker's FIN/RST reach the aggregator's socket before the
-/// stream continues, so the fault is observed deterministically.
-fn let_fault_propagate() {
-    std::thread::sleep(Duration::from_millis(100));
-}
 
 /// Acceptance criterion, F0 half: for every estimator in the zoo and both
 /// routing policies, killing a TCP worker **process** mid-stream and
@@ -124,7 +46,7 @@ fn killed_worker_recovery_is_bit_identical_for_every_f0_estimator() {
 
             let spec = SketchSpec::f0(name, EPS, UNIVERSE, SEED);
             let stream = items(12_000);
-            let mut cluster = F0ClusterAggregator::connect(
+            let mut cluster = F0ClusterAggregator::start(
                 &tcp_config(fleet.addrs(), routing, Some(Arc::clone(&registry))),
                 &spec,
             )
@@ -167,7 +89,7 @@ fn killed_worker_recovery_is_bit_identical_for_every_l0_estimator() {
 
             let spec = SketchSpec::l0(name, EPS, UNIVERSE, SEED);
             let stream = updates(12_000);
-            let mut cluster = L0ClusterAggregator::connect(
+            let mut cluster = L0ClusterAggregator::start(
                 &tcp_config(fleet.addrs(), routing, Some(Arc::clone(&registry))),
                 &spec,
             )
@@ -205,10 +127,10 @@ fn snapshot_checkpoint_keeps_recovery_exact_beyond_the_journal_cap() {
         ListeningWorkerFleet::spawn(WORKER_EXE.as_ref(), "127.0.0.1:0", 2).expect("spawn fleet");
     let spec = SketchSpec::l0("knw-l0", EPS, 1 << 12, 7);
     let stream = updates(8_000);
-    let config = TcpClusterConfig::new(fleet.addrs().iter().cloned())
+    let config = ClusterConfig::tcp(fleet.addrs().iter().cloned(), None)
         .with_engine(EngineConfig::new(2).with_batch_size(256))
         .with_recovery(test_policy().with_journal_cap(3_000));
-    let mut cluster = L0ClusterAggregator::connect(&config, &spec).expect("connect");
+    let mut cluster = L0ClusterAggregator::start(&config, &spec).expect("connect");
     let mut single = build_l0(&spec).expect("zoo name");
 
     // First half: 4000 updates ≈ 2000 per shard — inside the cap.
@@ -240,10 +162,10 @@ fn journal_overflow_is_a_typed_refusal() {
     let fleet =
         ListeningWorkerFleet::spawn(WORKER_EXE.as_ref(), "127.0.0.1:0", 2).expect("spawn fleet");
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let config = TcpClusterConfig::new(fleet.addrs().iter().cloned())
+    let config = ClusterConfig::tcp(fleet.addrs().iter().cloned(), None)
         .with_engine(EngineConfig::new(2).with_batch_size(64))
         .with_recovery(test_policy().with_journal_cap(100));
-    let mut cluster = F0ClusterAggregator::connect(&config, &spec).expect("connect");
+    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect");
     // Far beyond the cap, with no snapshot to truncate: journals overflow.
     cluster.ingest_batch(&items(4_000));
     cluster.kill_worker(0).expect("sever connection");
@@ -267,7 +189,7 @@ fn exhausted_recovery_is_typed_bounded_and_sticky() {
         ListeningWorkerFleet::spawn(WORKER_EXE.as_ref(), "127.0.0.1:0", 2).expect("spawn fleet");
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
     let config = tcp_config(fleet.addrs(), RoutingPolicy::RoundRobin, None);
-    let mut cluster = F0ClusterAggregator::connect(&config, &spec).expect("connect");
+    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect");
     cluster.ingest_batch(&items(3_000));
     fleet.kill(1).expect("kill worker process");
     let_fault_propagate();
@@ -293,16 +215,44 @@ fn exhausted_recovery_is_typed_bounded_and_sticky() {
     }
 }
 
+/// Start-up runs the same reconnect loop as mid-stream recovery: with a
+/// recovery policy, a worker address nothing listens on is retried under
+/// the policy's backoff, then refused as the typed `RecoveryExhausted`
+/// naming the worker and the attempts made — within a bounded interval.
+#[test]
+fn startup_retries_a_dead_address_until_recovery_exhausts() {
+    let policy = test_policy();
+    let config = tcp_config(&[dead_addr()], RoutingPolicy::RoundRobin, None);
+    let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
+    let started = Instant::now();
+    match F0ClusterAggregator::start(&config, &spec).map(|_| "a fleet") {
+        Err(ClusterError::RecoveryExhausted {
+            worker: 0,
+            attempts,
+            ..
+        }) => assert_eq!(attempts, policy.max_retries),
+        other => panic!("expected RecoveryExhausted, got {other:?}"),
+    }
+    // Attempts 2..=max_retries each waited (n − 1) × backoff first.
+    let backoff: u32 = (1..policy.max_retries as u32).sum();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed >= policy.backoff * backoff,
+        "no backoff: {elapsed:?}"
+    );
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
+}
+
 /// The pipe transport recovers by re-*spawning* a child process and
 /// replaying the journal into it — same contract, no sockets involved.
 #[test]
 fn pipe_transport_recovers_by_respawning_the_child() {
-    let config = ClusterConfig::new(3, WORKER_EXE)
+    let config = ClusterConfig::pipe(3, WORKER_EXE)
         .with_engine(EngineConfig::new(3).with_batch_size(512))
         .with_recovery(test_policy());
     let spec = SketchSpec::l0("knw-l0", EPS, 1 << 12, 11);
     let stream = updates(9_000);
-    let mut cluster = L0ClusterAggregator::spawn(&config, &spec).expect("spawn");
+    let mut cluster = L0ClusterAggregator::start(&config, &spec).expect("spawn");
     let (first, rest) = stream.split_at(stream.len() / 2);
     cluster.ingest_batch(first);
     cluster.kill_worker(2).expect("kill child process");
@@ -339,7 +289,7 @@ proptest! {
             .expect("spawn fleet");
         let spec = SketchSpec::l0("knw-l0", EPS, 1 << 12, 13);
         let stream = updates(5_000);
-        let mut cluster = L0ClusterAggregator::connect(
+        let mut cluster = L0ClusterAggregator::start(
             &tcp_config(fleet.addrs(), routing, None),
             &spec,
         )
@@ -415,16 +365,15 @@ fn recovery_probes_spares_and_lands_on_the_live_one() {
     // max_retries = 1: the single allowed attempt must already skip the
     // dead spares via the probe — burning the attempt on the backlog-only
     // fake (a replay whose reply never comes) would exhaust recovery.
-    let config = TcpClusterConfig::new(fleet.addrs().iter().cloned())
+    let config = ClusterConfig::tcp(fleet.addrs().iter().cloned(), Some(Arc::clone(&registry)))
         .with_engine(EngineConfig::new(fleet.addrs().len()).with_batch_size(512))
         .with_recovery(
             RecoveryPolicy::default()
                 .with_max_retries(1)
                 .with_backoff(Duration::from_millis(50)),
         )
-        .with_registry(Arc::clone(&registry))
         .with_io_timeout(Some(Duration::from_millis(400)));
-    let mut cluster = F0ClusterAggregator::connect(&config, &spec).expect("connect 2 workers");
+    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect 2 workers");
 
     let (first, rest) = stream.split_at(stream.len() / 2);
     for chunk in first.chunks(1_111) {

@@ -5,110 +5,35 @@
 //! **bit-identical** to the single-process run for every estimator in
 //! both the F0 and L0 zoos, under both routing policies, including when
 //! a rescale races a worker fault; plus the placement half of the story:
-//! [`from_pool`] starts a fleet with no static address list and refuses
-//! typed when the pool cannot cover it, and retired workers return to
-//! the pool for later grows to re-adopt.
+//! a pool-placed fleet (a TCP config with no static address list and a
+//! registry) starts from the registry's spares and refuses typed when
+//! the pool cannot cover it, and retired workers return to the pool for
+//! later grows to re-adopt.
 //!
 //! Runs in CI (`cargo test -p knw-cluster --test cluster_reshard`); needs
 //! only process spawning and loopback.
-//!
-//! [`from_pool`]: F0ClusterAggregator::from_pool
 
 use knw_cluster::{
-    build_f0, build_l0, f0_estimator_names, l0_estimator_names, spawn_listening_worker,
-    ClusterError, F0ClusterAggregator, L0ClusterAggregator, ListeningWorkerFleet, RecoveryPolicy,
-    SketchSpec, TcpClusterConfig, WorkerRegistry,
+    build_f0, build_l0, f0_estimator_names, l0_estimator_names, ClusterConfig, ClusterError,
+    F0ClusterAggregator, L0ClusterAggregator, ListeningWorkerFleet, SketchSpec, WorkerRegistry,
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 use knw_hash::rng::{epoch_shard_for_key, shard_for_key, split_parent};
 use proptest::prelude::*;
-use std::process::Child;
 use std::sync::Arc;
-use std::time::Duration;
 
-const WORKER_EXE: &str = env!("CARGO_BIN_EXE_knw-worker");
-const EPS: f64 = 0.1;
-const UNIVERSE: u64 = 1 << 16;
+mod common;
+use common::{
+    items, let_fault_propagate, spawn_registered_spare, tcp_config, test_policy, updates, EPS,
+    UNIVERSE, WORKER_EXE,
+};
+
 const SEED: u64 = 4242;
 
-/// A spare worker process, reaped on drop (test panics must not leak
-/// forever-serving strays).
-struct Spare(Child);
-
-impl Drop for Spare {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Spawns a spare `--listen --register` worker and waits until its
-/// announcement landed in the registry.
-fn spawn_registered_spare(registry: &WorkerRegistry) -> Spare {
-    let registry_addr = registry.local_addr().to_string();
-    let before = registry.available();
-    let (child, _) = spawn_listening_worker(
-        WORKER_EXE.as_ref(),
-        "127.0.0.1:0",
-        &["--register", &registry_addr],
-    )
-    .expect("spawn spare worker");
-    for _ in 0..400 {
-        if registry.available() > before {
-            return Spare(child);
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    panic!("spare worker never registered");
-}
-
-/// A fast-failing recovery policy for tests: retries stay bounded in
-/// wall-clock even when every attempt must time out.
-fn test_policy() -> RecoveryPolicy {
-    RecoveryPolicy::default()
-        .with_max_retries(4)
-        .with_backoff(Duration::from_millis(50))
-}
-
-fn tcp_config(
-    addrs: &[String],
-    routing: RoutingPolicy,
-    registry: Option<Arc<WorkerRegistry>>,
-) -> TcpClusterConfig {
-    let mut config = TcpClusterConfig::new(addrs.iter().cloned())
-        .with_engine(
-            EngineConfig::new(addrs.len())
-                .with_batch_size(512)
-                .with_routing(routing),
-        )
-        .with_recovery(test_policy());
-    if let Some(registry) = registry {
-        config = config.with_registry(registry);
-    }
-    config
-}
-
-/// A skewed insert-only stream.
-fn items(len: u64) -> Vec<u64> {
-    (0..len)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % UNIVERSE)
-        .collect()
-}
-
-/// A churn-heavy signed update stream (mixed signs, cancellations).
-fn updates(len: u64) -> Vec<(u64, i64)> {
-    (0..len)
-        .map(|i| {
-            let x = i.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            (x % 4_096, (x % 9) as i64 - 4)
-        })
-        .collect()
-}
-
-/// Lets a severed link's FIN/RST reach the aggregator's socket before the
-/// stream continues, so the fault is observed deterministically.
-fn let_fault_propagate() {
-    std::thread::sleep(Duration::from_millis(100));
+/// A pool-placed configuration: no static addresses, every shard drawn
+/// from `registry`.
+fn pool_config(registry: &Arc<WorkerRegistry>, engine: EngineConfig) -> ClusterConfig {
+    ClusterConfig::tcp(Vec::<String>::new(), Some(Arc::clone(registry))).with_engine(engine)
 }
 
 /// Tentpole acceptance criterion, F0 grow half: for every estimator in
@@ -132,7 +57,7 @@ fn grow_2_to_4_mid_stream_is_bit_identical_for_every_f0_estimator() {
 
             let spec = SketchSpec::f0(name, EPS, UNIVERSE, SEED);
             let stream = items(12_000);
-            let mut cluster = F0ClusterAggregator::connect(
+            let mut cluster = F0ClusterAggregator::start(
                 &tcp_config(fleet.addrs(), routing, Some(Arc::clone(&registry))),
                 &spec,
             )
@@ -177,7 +102,7 @@ fn grow_2_to_4_mid_stream_is_bit_identical_for_every_l0_estimator() {
 
             let spec = SketchSpec::l0(name, EPS, UNIVERSE, SEED);
             let stream = updates(12_000);
-            let mut cluster = L0ClusterAggregator::connect(
+            let mut cluster = L0ClusterAggregator::start(
                 &tcp_config(fleet.addrs(), routing, Some(Arc::clone(&registry))),
                 &spec,
             )
@@ -219,7 +144,7 @@ fn shrink_4_to_2_mid_stream_is_bit_identical_for_every_f0_estimator() {
             let spec = SketchSpec::f0(name, EPS, UNIVERSE, SEED);
             let stream = items(12_000);
             let mut cluster =
-                F0ClusterAggregator::connect(&tcp_config(fleet.addrs(), routing, None), &spec)
+                F0ClusterAggregator::start(&tcp_config(fleet.addrs(), routing, None), &spec)
                     .expect("connect 4 workers");
             let (first, rest) = stream.split_at(stream.len() / 2);
             for chunk in first.chunks(1_111) {
@@ -257,7 +182,7 @@ fn shrink_4_to_2_mid_stream_is_bit_identical_for_every_l0_estimator() {
             let spec = SketchSpec::l0(name, EPS, UNIVERSE, SEED);
             let stream = updates(12_000);
             let mut cluster =
-                L0ClusterAggregator::connect(&tcp_config(fleet.addrs(), routing, None), &spec)
+                L0ClusterAggregator::start(&tcp_config(fleet.addrs(), routing, None), &spec)
                     .expect("connect 4 workers");
             let (first, rest) = stream.split_at(stream.len() / 2);
             for chunk in first.chunks(999) {
@@ -280,7 +205,7 @@ fn shrink_4_to_2_mid_stream_is_bit_identical_for_every_l0_estimator() {
     }
 }
 
-/// Placement acceptance criterion: [`F0ClusterAggregator::from_pool`]
+/// Placement acceptance criterion: a pool-placed [`ClusterConfig`]
 /// starts a fleet with **no static address list** — and when the pool
 /// cannot cover the asked-for worker count it refuses with the typed
 /// [`ClusterError::PoolExhausted`] naming the shortfall, never silently
@@ -294,7 +219,9 @@ fn from_pool_refuses_typed_until_the_pool_covers_the_fleet() {
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
     // One live spare cannot cover three workers: typed refusal, with the
     // shortfall spelled out.
-    match F0ClusterAggregator::from_pool(&registry, 3, &spec).map(|_| "a fleet") {
+    match F0ClusterAggregator::start(&pool_config(&registry, EngineConfig::new(3)), &spec)
+        .map(|_| "a fleet")
+    {
         Err(ClusterError::PoolExhausted { needed: 3, live: 1 }) => {}
         other => panic!("expected PoolExhausted {{needed: 3, live: 1}}, got {other:?}"),
     }
@@ -305,7 +232,8 @@ fn from_pool_refuses_typed_until_the_pool_covers_the_fleet() {
     let _spare_c = spawn_registered_spare(&registry);
     let stream = items(9_000);
     let mut cluster =
-        F0ClusterAggregator::from_pool(&registry, 3, &spec).expect("pool covers 3 workers");
+        F0ClusterAggregator::start(&pool_config(&registry, EngineConfig::new(3)), &spec)
+            .expect("pool covers 3 workers");
     for chunk in stream.chunks(1_111) {
         cluster.ingest_batch(chunk);
     }
@@ -328,15 +256,15 @@ fn retired_workers_return_to_the_pool_and_regrow_readopts_them() {
 
     let spec = SketchSpec::l0("knw-l0", EPS, 1 << 12, 17);
     let stream = updates(9_000);
-    let mut cluster = L0ClusterAggregator::from_pool_with(
+    let config = pool_config(
         &registry,
         EngineConfig::new(2)
             .with_batch_size(512)
             .with_routing(RoutingPolicy::HashAffine { seed: 7 }),
-        Some(test_policy()),
-        &spec,
     )
-    .expect("place 2 workers from the pool");
+    .with_recovery(test_policy());
+    let mut cluster =
+        L0ClusterAggregator::start(&config, &spec).expect("place 2 workers from the pool");
     assert_eq!(registry.available(), 0, "both spares placed");
 
     let (first, rest) = stream.split_at(3_000);
@@ -375,9 +303,9 @@ fn rescale_without_journaling_is_a_typed_refusal_that_leaves_the_fleet_usable() 
         ListeningWorkerFleet::spawn(WORKER_EXE.as_ref(), "127.0.0.1:0", 2).expect("spawn fleet");
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
     let stream = items(6_000);
-    let config = TcpClusterConfig::new(fleet.addrs().iter().cloned())
+    let config = ClusterConfig::tcp(fleet.addrs().iter().cloned(), None)
         .with_engine(EngineConfig::new(2).with_batch_size(512));
-    let mut cluster = F0ClusterAggregator::connect(&config, &spec).expect("connect");
+    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect");
     let (first, rest) = stream.split_at(3_000);
     cluster.ingest_batch(first);
     match cluster.scale_to(4) {
@@ -423,7 +351,7 @@ proptest! {
 
         let spec = SketchSpec::l0("knw-l0", EPS, 1 << 12, 13);
         let stream = updates(4_000);
-        let mut cluster = L0ClusterAggregator::connect(
+        let mut cluster = L0ClusterAggregator::start(
             &tcp_config(fleet.addrs(), routing, Some(Arc::clone(&registry))),
             &spec,
         )

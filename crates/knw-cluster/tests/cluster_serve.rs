@@ -22,32 +22,15 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const WORKER_EXE: &str = env!("CARGO_BIN_EXE_knw-worker");
-const EPS: f64 = 0.1;
-const UNIVERSE: u64 = 1 << 16;
+mod common;
+use common::{items, updates, EPS, UNIVERSE, WORKER_EXE};
+
 const SEED: u64 = 2026;
 const DEADLINE: Duration = Duration::from_secs(120);
 
 fn config(workers: usize) -> ClusterConfig {
-    ClusterConfig::new(workers, WORKER_EXE)
+    ClusterConfig::pipe(workers, WORKER_EXE)
         .with_engine(EngineConfig::new(workers).with_batch_size(1024))
-}
-
-/// A skewed insert-only stream.
-fn items(len: u64) -> Vec<u64> {
-    (0..len)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % UNIVERSE)
-        .collect()
-}
-
-/// A churn-heavy signed update stream (mixed signs, cancellations).
-fn updates(len: u64) -> Vec<(u64, i64)> {
-    (0..len)
-        .map(|i| {
-            let x = i.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            (x % 4_096, (x % 9) as i64 - 4)
-        })
-        .collect()
 }
 
 /// Splits a stream into `sessions` per-session slices (the union of the
@@ -172,7 +155,7 @@ fn a_thousand_concurrent_f0_sessions_aggregate_bit_identically() {
         split(&stream, SESSIONS),
         512,
         None,
-        |spec| F0ClusterAggregator::spawn(&config(2), spec).expect("spawn fleet"),
+        |spec| F0ClusterAggregator::start(&config(2), spec).expect("spawn fleet"),
         options.clone(),
     );
 
@@ -245,7 +228,7 @@ fn a_thousand_concurrent_l0_sessions_aggregate_bit_identically() {
         split(&stream, SESSIONS),
         256,
         None,
-        |spec| L0ClusterAggregator::spawn(&config(2), spec).expect("spawn fleet"),
+        |spec| L0ClusterAggregator::start(&config(2), spec).expect("spawn fleet"),
         SessionServeOptions::default(),
     );
 
@@ -276,7 +259,7 @@ fn every_zoo_member_serves_concurrent_sessions_bit_identically() {
             split(&f0_stream, 16),
             333,
             None,
-            |spec| F0ClusterAggregator::spawn(&config(2), spec).expect("spawn fleet"),
+            |spec| F0ClusterAggregator::start(&config(2), spec).expect("spawn fleet"),
             SessionServeOptions::default(),
         );
         assert_eq!(stats.sessions_served, 16, "{name}: {stats:?}");
@@ -298,7 +281,7 @@ fn every_zoo_member_serves_concurrent_sessions_bit_identically() {
             split(&l0_stream, 16),
             271,
             None,
-            |spec| L0ClusterAggregator::spawn(&config(2), spec).expect("spawn fleet"),
+            |spec| L0ClusterAggregator::start(&config(2), spec).expect("spawn fleet"),
             SessionServeOptions::default(),
         );
         assert_eq!(stats.sessions_served, 16, "{name}: {stats:?}");
@@ -325,7 +308,7 @@ fn midstream_snapshots_are_served_without_disturbing_the_aggregate() {
         split(&stream, 32),
         250,
         Some(2),
-        |spec| F0ClusterAggregator::spawn(&config(2), spec).expect("spawn fleet"),
+        |spec| F0ClusterAggregator::start(&config(2), spec).expect("spawn fleet"),
         SessionServeOptions::default(),
     );
     assert_eq!(stats.sessions_served, 32, "{stats:?}");
@@ -348,7 +331,7 @@ fn spec_mismatch_is_refused_with_a_typed_err_frame() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let serve_spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let mut aggregator = F0ClusterAggregator::spawn(&config(2), &serve_spec).expect("spawn fleet");
+    let mut aggregator = F0ClusterAggregator::start(&config(2), &serve_spec).expect("spawn fleet");
     let options = SessionServeOptions::default().with_max_sessions(1);
     let server = std::thread::spawn(move || {
         let stats = serve_sessions(&listener, &mut aggregator, &options).expect("serve");
@@ -379,7 +362,7 @@ fn mid_frame_client_stall_is_surfaced_as_desync() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let mut aggregator = F0ClusterAggregator::spawn(&config(2), &spec).expect("spawn fleet");
+    let mut aggregator = F0ClusterAggregator::start(&config(2), &spec).expect("spawn fleet");
     let options = SessionServeOptions::default()
         .with_max_sessions(1)
         .with_idle_timeout(Some(Duration::from_millis(300)));
@@ -433,7 +416,7 @@ fn between_frames_idle_is_a_plain_timeout_not_a_desync() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let mut aggregator = F0ClusterAggregator::spawn(&config(2), &spec).expect("spawn fleet");
+    let mut aggregator = F0ClusterAggregator::start(&config(2), &spec).expect("spawn fleet");
     let options = SessionServeOptions::default()
         .with_max_sessions(1)
         .with_idle_timeout(Some(Duration::from_millis(300)));
@@ -482,7 +465,7 @@ fn idle_sessions_are_reaped_promptly_on_a_quiet_server() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let mut aggregator = F0ClusterAggregator::spawn(&config(2), &spec).expect("spawn fleet");
+    let mut aggregator = F0ClusterAggregator::start(&config(2), &spec).expect("spawn fleet");
     let options = SessionServeOptions::default()
         .with_max_sessions(1)
         .with_idle_timeout(Some(Duration::from_millis(300)));

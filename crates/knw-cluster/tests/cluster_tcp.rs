@@ -11,17 +11,17 @@
 
 use knw_cluster::ListeningWorkerFleet;
 use knw_cluster::{
-    build_f0, build_l0, f0_estimator_names, l0_estimator_names, ClusterError, F0ClusterAggregator,
-    L0ClusterAggregator, SketchSpec, TcpClusterConfig,
+    build_f0, build_l0, f0_estimator_names, l0_estimator_names, ClusterConfig, ClusterError,
+    F0ClusterAggregator, L0ClusterAggregator, SketchSpec,
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-const WORKER_EXE: &str = env!("CARGO_BIN_EXE_knw-worker");
-const EPS: f64 = 0.1;
-const UNIVERSE: u64 = 1 << 16;
+mod common;
+use common::{dead_addr, items, updates, EPS, UNIVERSE, WORKER_EXE};
+
 const SEED: u64 = 2026;
 
 /// Spawns `count` listening workers on free localhost ports (reaped on
@@ -36,30 +36,13 @@ fn config(
     fleet: &ListeningWorkerFleet,
     routing: RoutingPolicy,
     precoalesce: bool,
-) -> TcpClusterConfig {
-    TcpClusterConfig::new(fleet.addrs().iter().cloned()).with_engine(
+) -> ClusterConfig {
+    ClusterConfig::tcp(fleet.addrs().iter().cloned(), None).with_engine(
         EngineConfig::new(fleet.addrs().len())
             .with_batch_size(1024)
             .with_routing(routing)
             .with_precoalesce(precoalesce),
     )
-}
-
-/// A skewed insert-only stream.
-fn items(len: u64) -> Vec<u64> {
-    (0..len)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % UNIVERSE)
-        .collect()
-}
-
-/// A churn-heavy signed update stream (mixed signs, cancellations).
-fn updates(len: u64) -> Vec<(u64, i64)> {
-    (0..len)
-        .map(|i| {
-            let x = i.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            (x % 4_096, (x % 9) as i64 - 4)
-        })
-        .collect()
 }
 
 /// Acceptance criterion, F0 half: for every estimator in the zoo, 4 TCP
@@ -76,7 +59,7 @@ fn four_worker_tcp_run_is_bit_identical_for_every_f0_estimator() {
     ] {
         for &name in f0_estimator_names() {
             let spec = SketchSpec::f0(name, EPS, UNIVERSE, SEED);
-            let mut cluster = F0ClusterAggregator::connect(&config(&fleet, routing, false), &spec)
+            let mut cluster = F0ClusterAggregator::start(&config(&fleet, routing, false), &spec)
                 .expect("connect 4 workers");
             for chunk in stream.chunks(3_331) {
                 cluster.ingest_batch(chunk);
@@ -110,7 +93,7 @@ fn four_worker_tcp_run_is_bit_identical_for_every_l0_estimator() {
         for &name in l0_estimator_names() {
             let spec = SketchSpec::l0(name, EPS, UNIVERSE, SEED);
             let mut cluster =
-                L0ClusterAggregator::connect(&config(&fleet, routing, precoalesce), &spec)
+                L0ClusterAggregator::start(&config(&fleet, routing, precoalesce), &spec)
                     .expect("connect 4 workers");
             for chunk in stream.chunks(2_777) {
                 cluster.ingest_batch(chunk);
@@ -138,7 +121,7 @@ fn tcp_snapshots_track_the_stream_exactly() {
     let spec = SketchSpec::f0("knw-f0", 0.05, 1 << 20, 11);
     let stream = items(30_000);
     let mut cluster =
-        F0ClusterAggregator::connect(&config(&fleet, RoutingPolicy::RoundRobin, false), &spec)
+        F0ClusterAggregator::start(&config(&fleet, RoutingPolicy::RoundRobin, false), &spec)
             .expect("connect");
     let mut single = build_f0(&spec).expect("zoo name");
     for (round, chunk) in stream.chunks(10_000).enumerate() {
@@ -154,15 +137,16 @@ fn tcp_snapshots_track_the_stream_exactly() {
     assert_eq!(merged.estimate().to_bits(), single.estimate().to_bits());
 }
 
-/// `connect_workers` (the `&[addr]` front with default knobs) works end to
-/// end against a listening fleet.
+/// A default TCP configuration (the address list alone: default engine
+/// knobs, timeouts, no recovery) works end to end against a listening
+/// fleet.
 #[test]
 fn connect_workers_front_aggregates_cleanly() {
     let fleet = listen(2);
     let spec = SketchSpec::f0("hyperloglog", EPS, UNIVERSE, SEED);
     let stream = items(5_000);
-    let mut cluster =
-        F0ClusterAggregator::connect_workers(fleet.addrs(), &spec).expect("connect_workers");
+    let config = ClusterConfig::tcp(fleet.addrs().iter().cloned(), None);
+    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect");
     cluster.ingest_batch(&stream);
     let merged = cluster.finish().expect("clean run");
     let mut single = build_f0(&spec).expect("zoo name");
@@ -179,7 +163,7 @@ fn killed_tcp_worker_surfaces_worker_died() {
     let mut fleet = listen(4);
     let spec = SketchSpec::l0("knw-l0", 0.2, 1 << 12, 5);
     let mut cluster =
-        L0ClusterAggregator::connect(&config(&fleet, RoutingPolicy::RoundRobin, false), &spec)
+        L0ClusterAggregator::start(&config(&fleet, RoutingPolicy::RoundRobin, false), &spec)
             .expect("connect");
     cluster.ingest_batch(&updates(5_000));
     fleet.kill(2).expect("kill worker process");
@@ -193,12 +177,13 @@ fn killed_tcp_worker_surfaces_worker_died() {
     }
 }
 
-/// An empty address list is refused typed (`with_shards` clamps zero to
-/// one shard, so without the guard this would panic indexing `addrs[0]`).
+/// An empty address list without a registry pool is refused typed
+/// (`with_shards` clamps zero to one shard, so without the guard this
+/// would reach `open(0)`).
 #[test]
 fn empty_address_list_is_a_typed_error() {
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    match F0ClusterAggregator::connect_workers(&[] as &[&str], &spec) {
+    match F0ClusterAggregator::start(&ClusterConfig::tcp(Vec::<String>::new(), None), &spec) {
         Err(ClusterError::Io { worker: None, .. }) => {}
         Err(other) => panic!("expected a typed Io error, got {other:?}"),
         Ok(_) => panic!("an empty cluster must not spawn"),
@@ -211,14 +196,10 @@ fn empty_address_list_is_a_typed_error() {
 /// timeout.
 #[test]
 fn connection_refused_is_typed_connect_failed() {
-    // Bind-then-drop guarantees a port with no listener behind it.
-    let dead_addr = {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.local_addr().expect("addr").to_string()
-    };
+    let dead_addr = dead_addr();
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
     let started = Instant::now();
-    match F0ClusterAggregator::connect_workers(std::slice::from_ref(&dead_addr), &spec) {
+    match F0ClusterAggregator::start(&ClusterConfig::tcp([dead_addr.clone()], None), &spec) {
         Err(ClusterError::ConnectFailed { worker, addr, .. }) => {
             assert_eq!(worker, 0);
             assert_eq!(addr, dead_addr);
@@ -248,8 +229,8 @@ fn stalled_peer_times_out_with_a_typed_error() {
     });
 
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let config = TcpClusterConfig::new([addr]).with_io_timeout(Some(Duration::from_millis(300)));
-    let mut cluster = F0ClusterAggregator::connect(&config, &spec).expect("connect");
+    let config = ClusterConfig::tcp([addr], None).with_io_timeout(Some(Duration::from_millis(300)));
+    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect");
     cluster.ingest_batch(&items(1_000));
     let started = Instant::now();
     match cluster.finish() {
@@ -321,8 +302,8 @@ fn mid_frame_stall_is_a_typed_desync_not_a_timeout() {
     });
 
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let config = TcpClusterConfig::new([addr]).with_io_timeout(Some(Duration::from_millis(300)));
-    let mut cluster = F0ClusterAggregator::connect(&config, &spec).expect("connect");
+    let config = ClusterConfig::tcp([addr], None).with_io_timeout(Some(Duration::from_millis(300)));
+    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect");
     cluster.ingest_batch(&items(1_000));
     let started = Instant::now();
     match cluster.finish() {
@@ -359,8 +340,8 @@ fn failed_snapshot_poisons_later_reports() {
     });
 
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let mut cluster =
-        F0ClusterAggregator::connect_workers(&[addr], &spec).expect("connect faulty worker");
+    let mut cluster = F0ClusterAggregator::start(&ClusterConfig::tcp([addr], None), &spec)
+        .expect("connect faulty worker");
     cluster.ingest_batch(&items(1_000));
     match cluster.snapshot().map(|_| "a shard") {
         Err(ClusterError::WorkerReported { worker: 0, message }) => {
@@ -399,8 +380,11 @@ fn serve_loop_survives_a_garbage_client() {
 
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
     let stream = items(5_000);
-    let mut cluster =
-        F0ClusterAggregator::connect_workers(fleet.addrs(), &spec).expect("connect after garbage");
+    let mut cluster = F0ClusterAggregator::start(
+        &ClusterConfig::tcp(fleet.addrs().iter().cloned(), None),
+        &spec,
+    )
+    .expect("connect after garbage");
     cluster.ingest_batch(&stream);
     let merged = cluster.finish().expect("clean run after a garbage client");
     let mut single = build_f0(&spec).expect("zoo name");

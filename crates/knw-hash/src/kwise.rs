@@ -16,12 +16,15 @@
 
 use crate::prime_field::Mersenne61;
 use crate::rng::Rng64;
-use crate::{SpaceUsage, LANES};
+use crate::{check_decoded, SpaceUsage, LANES};
+use serde::{Deserialize, Error};
 
 /// A hash function drawn from an exactly `k`-wise independent family.
 ///
-/// The function maps `u64` keys to values in `[0, range)`.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// The function maps `u64` keys to values in `[0, range)`.  The wire layout
+/// is the derived one (coefficients, `range`, the power-of-two flag);
+/// decoding refuses what [`random`](Self::random) cannot draw.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct KWiseHash {
     /// Polynomial coefficients over `GF(2^61 − 1)`, degree `k − 1`, c[0] is the
     /// constant term.
@@ -128,6 +131,23 @@ impl KWiseHash {
     }
 }
 
+impl Deserialize for KWiseHash {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        let coeffs = Vec::<u64>::deserialize(input)?;
+        let range = u64::deserialize(input)?;
+        let range_is_pow2 = bool::deserialize(input)?;
+        check_decoded(&coeffs, range, range_is_pow2)?;
+        if coeffs.is_empty() {
+            return Err(Error::new("k-wise hash with no coefficients"));
+        }
+        Ok(Self {
+            coeffs,
+            range,
+            range_is_pow2,
+        })
+    }
+}
+
 impl SpaceUsage for KWiseHash {
     fn space_bits(&self) -> u64 {
         // k coefficients of ⌈log2 p⌉ = 61 bits each, plus the range.
@@ -181,6 +201,48 @@ pub fn independence_for(k_bins: u64, epsilon: f64) -> usize {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+
+    /// The hand-written decoder reads the derived layout: the coefficient
+    /// count and coefficients, `range` (little-endian `u64`s), then the
+    /// power-of-two flag byte.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        for range in [1_000u64, 1 << 20] {
+            let h = KWiseHash::random(4, range, &mut SplitMix64::new(21));
+            let mut expected = (h.coeffs.len() as u64).to_le_bytes().to_vec();
+            for word in h.coeffs.iter().chain([&range]) {
+                expected.extend_from_slice(&word.to_le_bytes());
+            }
+            expected.push(u8::from(range.is_power_of_two()));
+            assert_eq!(serde::to_bytes(&h), expected);
+            assert_eq!(serde::from_bytes::<KWiseHash>(&expected), Ok(h));
+        }
+    }
+
+    #[test]
+    fn forged_parameters_are_refused() {
+        let good = KWiseHash::random(3, 1_000, &mut SplitMix64::new(22));
+        let with = |edit: fn(&mut KWiseHash)| {
+            let mut hash = good.clone();
+            edit(&mut hash);
+            hash
+        };
+        let forged = [
+            with(|h| h.range = 0),
+            with(|h| h.range = Mersenne61::P + 1),
+            with(|h| h.coeffs.clear()),
+            with(|h| h.coeffs[1] = Mersenne61::P),
+            with(|h| h.range_is_pow2 = true),
+            with(|h| h.range = 1 << 10),
+        ];
+        for hash in forged {
+            let bytes = serde::to_bytes(&hash);
+            assert!(
+                serde::from_bytes::<KWiseHash>(&bytes).is_err(),
+                "{hash:?} decoded"
+            );
+        }
+    }
 
     #[test]
     fn outputs_stay_in_range() {

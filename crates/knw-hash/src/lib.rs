@@ -79,6 +79,30 @@ pub trait SpaceUsage {
     fn space_bits(&self) -> u64;
 }
 
+/// The decode-side check [`PairwiseHash`] and [`KWiseHash`] share: accepts
+/// only parameters their `random` constructors can draw — a range in
+/// `1..=2^61 − 1` whose power-of-two flag matches it, and every coefficient
+/// an element of `GF(2^61 − 1)`.  Derived decoding would accept a range of
+/// 0, whose first `hash` divides by zero even in a release build.
+fn check_decoded(coeffs: &[u64], range: u64, range_is_pow2: bool) -> Result<(), serde::Error> {
+    if range == 0 || range > Mersenne61::P {
+        return Err(serde::Error::new(format!(
+            "hash range {range} out of bounds"
+        )));
+    }
+    if range_is_pow2 != range.is_power_of_two() {
+        return Err(serde::Error::new(format!(
+            "power-of-two flag {range_is_pow2} disagrees with hash range {range}"
+        )));
+    }
+    if let Some(c) = coeffs.iter().find(|&&c| c >= Mersenne61::P) {
+        return Err(serde::Error::new(format!(
+            "hash coefficient {c} is not a field element"
+        )));
+    }
+    Ok(())
+}
+
 pub use bits::{ceil_log2, floor_log2, lsb, lsb_with_cap, msb};
 pub use kwise::{KWiseHash, KWiseHashBuilder};
 pub use pairwise::PairwiseHash;

@@ -16,11 +16,15 @@
 
 use crate::prime_field::Mersenne61;
 use crate::rng::Rng64;
-use crate::{SpaceUsage, LANES};
+use crate::{check_decoded, SpaceUsage, LANES};
+use serde::{Deserialize, Error};
 
 /// A pairwise-independent hash function `x ↦ ((a·x + b) mod p) mod range` (or
 /// masked when `range` is a power of two), with `p = 2^61 − 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+///
+/// The wire layout is the derived one (`a`, `b`, `range`, the power-of-two
+/// flag); decoding refuses what [`random`](Self::random) cannot draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct PairwiseHash {
     a: u64,
     b: u64,
@@ -175,6 +179,26 @@ impl PairwiseHash {
     }
 }
 
+impl Deserialize for PairwiseHash {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        let a = u64::deserialize(input)?;
+        let b = u64::deserialize(input)?;
+        let range = u64::deserialize(input)?;
+        let range_is_pow2 = bool::deserialize(input)?;
+        check_decoded(&[a, b], range, range_is_pow2)?;
+        if a == 0 {
+            // The family is pairwise independent only for a ≠ 0.
+            return Err(Error::new("pairwise hash with a = 0"));
+        }
+        Ok(Self {
+            a,
+            b,
+            range,
+            range_is_pow2,
+        })
+    }
+}
+
 impl SpaceUsage for PairwiseHash {
     fn space_bits(&self) -> u64 {
         // Two coefficients of 61 bits plus the stored range.
@@ -186,6 +210,53 @@ impl SpaceUsage for PairwiseHash {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+
+    /// The hand-written decoder reads the derived layout: `a`, `b`,
+    /// `range` (little-endian `u64`s), then the power-of-two flag byte.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        for range in [1_000u64, 1 << 20] {
+            let h = PairwiseHash::random(range, &mut SplitMix64::new(11));
+            let mut expected = Vec::new();
+            for word in [h.a, h.b, range] {
+                expected.extend_from_slice(&word.to_le_bytes());
+            }
+            expected.push(u8::from(range.is_power_of_two()));
+            assert_eq!(serde::to_bytes(&h), expected);
+            assert_eq!(serde::from_bytes::<PairwiseHash>(&expected), Ok(h));
+        }
+    }
+
+    #[test]
+    fn forged_parameters_are_refused() {
+        let good = PairwiseHash::random(1_000, &mut SplitMix64::new(12));
+        let p = Mersenne61::P;
+        let forged = [
+            PairwiseHash { range: 0, ..good },
+            PairwiseHash {
+                range: p + 1,
+                ..good
+            },
+            PairwiseHash { a: 0, ..good },
+            PairwiseHash { a: p, ..good },
+            PairwiseHash { b: p, ..good },
+            PairwiseHash {
+                range_is_pow2: true,
+                ..good
+            },
+            PairwiseHash {
+                range: 1 << 10,
+                ..good
+            },
+        ];
+        for hash in forged {
+            let bytes = serde::to_bytes(&hash);
+            assert!(
+                serde::from_bytes::<PairwiseHash>(&bytes).is_err(),
+                "{hash:?} decoded"
+            );
+        }
+    }
 
     #[test]
     fn outputs_stay_in_range() {

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! For the multi-host topology — listening workers reached over TCP
-//! sockets with `ClusterAggregator::connect_workers` — see the
+//! sockets with a TCP `ClusterConfig` — see the
 //! `cluster_tcp` example and `knw-aggregate --transport tcp`.
 //!
 //! Run this example with:

@@ -18,7 +18,9 @@
 //! the sketches are exactly mergeable, the interleaving order doesn't
 //! matter: the final merged estimate equals the single-process one bit
 //! for bit.  On real machines, tier one is `knw-aggregate --serve ADDR`
-//! and tier three is `knw-worker --listen ADDR`.
+//! and tier three is `knw-worker --listen ADDR`; here the middle tier
+//! reaches its workers through `F0ClusterAggregator::start` on a TCP
+//! `ClusterConfig`.
 //!
 //! Run this example with:
 //! ```text
@@ -28,8 +30,8 @@
 #[cfg(target_os = "linux")]
 fn main() {
     use knw::cluster::{
-        build_f0, drive_sessions, serve, serve_sessions, F0ClusterAggregator, ServeOptions,
-        SessionServeOptions, SketchSpec, TcpClusterConfig,
+        build_f0, drive_sessions, serve, serve_sessions, ClusterConfig, F0ClusterAggregator,
+        ServeOptions, SessionServeOptions, SketchSpec,
     };
     use knw::engine::EngineConfig;
     use std::net::TcpListener;
@@ -84,11 +86,11 @@ fn main() {
     let front = TcpListener::bind("127.0.0.1:0").expect("bind serve front");
     let front_addr = front.local_addr().expect("bound address").to_string();
     println!("serve front   : serving on {front_addr}\n");
-    let config = TcpClusterConfig::new(addrs).with_engine(EngineConfig::new(workers));
+    let config = ClusterConfig::tcp(addrs, None).with_engine(EngineConfig::new(workers));
     let serve_spec = spec.clone();
     let server = std::thread::spawn(move || {
         let mut aggregator =
-            F0ClusterAggregator::connect(&config, &serve_spec).expect("connect worker fleet");
+            F0ClusterAggregator::start(&config, &serve_spec).expect("connect worker fleet");
         let options = SessionServeOptions::default().with_max_sessions(sessions);
         let stats = serve_sessions(&front, &mut aggregator, &options).expect("serve loop");
         let merged = aggregator.finish().expect("merge the fleet");

@@ -1,9 +1,9 @@
 //! Multi-host distributed aggregation over TCP sockets: N workers, each a
 //! "host" with its own listening socket (here: localhost threads running
 //! the exact serve loop inside `knw-worker --listen`), an aggregator that
-//! `connect_workers`-fans out to them, and a merged estimate that is
-//! **bit-identical** to a single-process run — sketches shipped only as
-//! serialized bytes over real sockets, never as shared memory.
+//! fans out to them from a TCP `ClusterConfig`, and a merged estimate
+//! that is **bit-identical** to a single-process run — sketches shipped
+//! only as serialized bytes over real sockets, never as shared memory.
 //!
 //! On actual separate machines the topology is the same, minus the
 //! threads:
@@ -26,8 +26,7 @@
 //! ```
 
 use knw::cluster::{
-    build_f0, serve, F0ClusterAggregator, RecoveryPolicy, ServeOptions, SketchSpec,
-    TcpClusterConfig,
+    build_f0, serve, ClusterConfig, F0ClusterAggregator, RecoveryPolicy, ServeOptions, SketchSpec,
 };
 use knw::engine::{EngineConfig, RoutingPolicy};
 use std::net::TcpListener;
@@ -84,10 +83,10 @@ fn main() {
     // connected host, every frame on a real socket — and a recovery
     // policy, so losing a worker mid-stream reconnects and replays the
     // shard's journal instead of failing the run.
-    let config = TcpClusterConfig::new(addrs)
+    let config = ClusterConfig::tcp(addrs, None)
         .with_engine(EngineConfig::new(workers).with_routing(RoutingPolicy::HashAffine { seed: 0 }))
         .with_recovery(RecoveryPolicy::default());
-    let mut cluster = F0ClusterAggregator::connect(&config, &spec).expect("connect worker hosts");
+    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect worker hosts");
     let (first, rest) = items.split_at(items.len() / 2);
     for chunk in first.chunks(8_192) {
         cluster.ingest_batch(chunk);

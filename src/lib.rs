@@ -31,7 +31,7 @@
 pub use knw_baselines as baselines;
 /// Distributed aggregation: frame protocol, spec registry, and the
 /// pipe/TCP transports (`cluster::transport`) behind
-/// `ClusterAggregator::{spawn, connect_workers}`.
+/// `ClusterAggregator::start(&ClusterConfig, …)`.
 pub use knw_cluster as cluster;
 pub use knw_core as core;
 pub use knw_engine as engine;
