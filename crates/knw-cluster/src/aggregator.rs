@@ -28,7 +28,7 @@
 //! ```
 //!
 //! Because the batcher, policies and batch sizes are shared with
-//! [`ShardRouter`](knw_engine::ShardRouter) / `ShardedEngine`, a cluster
+//! [`ShardedEngine`](knw_engine::ShardedEngine), a cluster
 //! run's shard contents are identical to an in-process run's — and since
 //! every sketch in the workspace merges exactly, the final estimate is
 //! bit-identical to a single-process, single-sketch run over the same

@@ -51,10 +51,8 @@
 //! and prints the merged estimate plus the serve statistics.
 //!
 //! `--metrics ADDR` exposes the process-wide metrics registry as a
-//! Prometheus-text-format scrape endpoint for the duration of the run: in
-//! serve mode the listener is multiplexed on the same nonblocking event
-//! loop as the sessions; in the generate modes a background
-//! [`MetricsServer`] thread answers scrapes.
+//! Prometheus-text-format scrape endpoint for the duration of the run: a
+//! background [`MetricsServer`] thread answers scrapes in every mode.
 //!
 //! With `--mode l0` the stream is churn-heavy signed updates; otherwise a
 //! skewed insert-only stream.  `--recover` turns worker loss from a
@@ -430,20 +428,10 @@ fn run_serve(opts: &Options, addr: &str, estimator: &str) -> Result<(), ClusterE
     if let Some(n) = opts.sessions {
         serve_opts = serve_opts.with_max_sessions(n);
     }
-    // The scrape listener rides the same epoll loop as the sessions — no
-    // extra thread; see `SessionServeOptions::with_metrics_listener`.
-    if let Some(metrics_addr) = &opts.metrics {
-        let scrape = TcpListener::bind(metrics_addr).map_err(|source| ClusterError::Io {
-            worker: None,
-            source,
-        })?;
-        let scrape_bound = scrape.local_addr().map_err(|source| ClusterError::Io {
-            worker: None,
-            source,
-        })?;
-        serve_opts = serve_opts.with_metrics_listener(std::sync::Arc::new(scrape));
-        println!("metrics on {scrape_bound}");
-    }
+    // The scrape thread reads lock-free atomics, so it never stalls the
+    // serve loop; it is bound before the fleet starts, like the sessions'
+    // listener.
+    let _metrics = metrics_server(opts)?;
 
     // Runtime elastic rescaling: a control thread reads stdin lines and
     // forwards `rescale N` commands to the serve loop, which applies them
@@ -530,6 +518,20 @@ fn run_serve(_opts: &Options, _addr: &str, _estimator: &str) -> Result<(), Clust
     })
 }
 
+/// Binds the `--metrics` scrape endpoint, if one was asked for, and prints
+/// its `metrics on <addr>` banner; scrapes are answered until it drops.
+fn metrics_server(opts: &Options) -> Result<Option<MetricsServer>, ClusterError> {
+    let Some(addr) = &opts.metrics else {
+        return Ok(None);
+    };
+    let server = MetricsServer::bind(addr).map_err(|source| ClusterError::Io {
+        worker: None,
+        source,
+    })?;
+    println!("metrics on {}", server.local_addr());
+    Ok(Some(server))
+}
+
 /// Streams `stream` through a fleet started from `config` and through one
 /// local sketch; returns the cluster-merged and single-process estimates.
 fn aggregate<U: ClusterUpdate>(
@@ -561,17 +563,8 @@ fn run(opts: &Options) -> Result<(), ClusterError> {
         return run_serve(opts, addr, &estimator);
     }
 
-    // The generate modes are blocking, so the scrape endpoint is a
-    // background thread; held until the run finishes, then dropped.
-    let mut _metrics_server = None;
-    if let Some(metrics_addr) = &opts.metrics {
-        let server = MetricsServer::bind(metrics_addr).map_err(|source| ClusterError::Io {
-            worker: None,
-            source,
-        })?;
-        println!("metrics on {}", server.local_addr());
-        _metrics_server = Some(server);
-    }
+    // Held until the run finishes, then dropped.
+    let _metrics = metrics_server(opts)?;
 
     let config = configure(opts)?;
 

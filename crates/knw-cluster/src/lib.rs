@@ -64,7 +64,7 @@
 //! | `Stats{counters}` | worker → aggregator | session ingest counters ([`WorkerStats`]), sent once before the final `Finish` shard |
 //!
 //! Routing reuses [`knw_engine::ShardBatcher`] — the *same* code that
-//! routes the in-process `ShardedEngine`/`ShardRouter` — so in-process and
+//! routes the in-process `ShardedEngine` — so in-process and
 //! cross-process runs of the same [`EngineConfig`](knw_engine::EngineConfig)
 //! produce identical shard contents.  Two policies:
 //! [`RoutingPolicy::RoundRobin`](knw_engine::RoutingPolicy) (batch-cyclic,
@@ -259,9 +259,8 @@
 //!   active/peak/write-queue gauges behind the [`ServeStats`] snapshot.
 //!
 //! The registry is scraped live in Prometheus text format 0.0.4 (see
-//! [`expo`]): `knw-aggregate --metrics <addr>` answers scrapes from the
-//! serve loop itself (one more epoll token, no thread) in `--serve` mode,
-//! or from a background [`MetricsServer`] thread in the blocking modes.
+//! [`expo`]): `knw-aggregate --metrics <addr>` answers scrapes from a
+//! background [`MetricsServer`] thread in every mode, `--serve` included.
 //! Log lines are `key=value` structured records on stderr; values are
 //! escaped/quoted before interpolation, so peer-supplied bytes (a garbage
 //! client's frame, a failed session's message) cannot forge fields or
@@ -289,6 +288,7 @@
 //! println!("distinct ≈ {}", merged.estimate());
 //! ```
 
+mod accept;
 pub mod aggregator;
 pub mod error;
 pub mod expo;
@@ -329,4 +329,4 @@ pub use transport::{
     probe_worker, spawn_listening_worker, ListeningWorkerFleet, PipeTransport, TcpTransport,
     Transport, WorkerConnection, BANNER_DEADLINE, DEFAULT_CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT,
 };
-pub use worker::{run_worker, serve, serve_connection, ServeOptions, DEFAULT_MAX_ACCEPT_RETRIES};
+pub use worker::{run_worker, serve, serve_connection, ServeOptions};

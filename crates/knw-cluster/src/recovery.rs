@@ -25,14 +25,14 @@
 //!             recovery path pops the next address when a worker is gone
 //! ```
 
+use crate::accept::AcceptThread;
 use crate::frame::{read_frame, write_frame, Frame};
 use crate::transport::probe_worker;
 use knw_metrics::knw_log;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -49,10 +49,6 @@ pub const DEFAULT_BACKOFF: Duration = Duration::from_millis(100);
 /// update this caps journal memory at 32–64 MiB per shard; every
 /// acknowledged snapshot truncates the journal back to a checkpoint.
 pub const DEFAULT_JOURNAL_CAP: usize = 1 << 22;
-
-/// Consecutive `accept(2)` failures the registry's collector thread
-/// absorbs before going inert (mirrors the worker serve loop's bound).
-const ACCEPT_RETRIES: usize = 8;
 
 /// How the aggregator recovers lost workers: reconnect-and-replay sizing.
 ///
@@ -139,14 +135,14 @@ struct PoolEntry {
 /// count), so a dead spare is marked before recovery or placement would
 /// burn an attempt on it.  Dropping the registry stops both threads.
 pub struct WorkerRegistry {
-    addr: SocketAddr,
     pool: Arc<Mutex<VecDeque<PoolEntry>>>,
-    stop: Arc<AtomicBool>,
-    /// Condvar pair the probe thread sleeps on between rounds, so drop can
-    /// wake it immediately instead of waiting out the interval.
+    /// The probe thread's stop flag and the condvar it sleeps on between
+    /// rounds, so drop can wake it immediately instead of waiting out the
+    /// interval.
     probe_gate: Arc<(Mutex<bool>, Condvar)>,
     probe_thread: Mutex<Option<JoinHandle<()>>>,
-    thread: Option<JoinHandle<()>>,
+    /// The announcement collector's accept thread.
+    collector: AcceptThread,
 }
 
 impl WorkerRegistry {
@@ -158,95 +154,18 @@ impl WorkerRegistry {
     ///
     /// The bind failure.
     pub fn bind(addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
         let pool = Arc::new(Mutex::new(VecDeque::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let (pool, stop) = (Arc::clone(&pool), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                // Same transient-accept treatment as the worker serve loop:
-                // log-and-retry with growing backoff, give up (the registry
-                // goes inert; the pool keeps serving what it holds) only on
-                // persistent failure.  A spinning accept loop would burn the
-                // core precisely when a churning cluster needs it.
-                let mut consecutive_failures = 0usize;
-                while !stop.load(Ordering::SeqCst) {
-                    let (stream, peer) = match listener.accept() {
-                        Ok(accepted) => accepted,
-                        Err(e) => {
-                            consecutive_failures += 1;
-                            if consecutive_failures > ACCEPT_RETRIES {
-                                knw_log!(
-                                    WARN,
-                                    "worker-registry",
-                                    "accept failed persistently; no further announcements \
-                                     will be collected",
-                                    error = e,
-                                    retries = consecutive_failures,
-                                );
-                                return;
-                            }
-                            knw_log!(
-                                WARN,
-                                "worker-registry",
-                                "accept failed; retrying",
-                                error = e,
-                                retry = consecutive_failures,
-                                max_retries = ACCEPT_RETRIES,
-                            );
-                            std::thread::sleep(
-                                Duration::from_millis(20) * consecutive_failures as u32,
-                            );
-                            continue;
-                        }
-                    };
-                    consecutive_failures = 0;
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    // One frame per announcement; a peer that stalls must
-                    // not wedge the registry.
-                    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                    match read_frame(&mut BufReader::new(stream)) {
-                        Ok(Some(Frame::Register(worker_addr))) => {
-                            knw_metrics::global()
-                                .counter("knw_registry_announcements_total", &[])
-                                .inc();
-                            pool.lock()
-                                .expect("registry pool lock")
-                                .push_back(PoolEntry {
-                                    addr: worker_addr,
-                                    failed: false,
-                                });
-                        }
-                        Ok(None) => {}
-                        other => {
-                            // `other` can carry raw peer-supplied bytes; the
-                            // structured logger escapes the value so a
-                            // hostile announcer cannot forge log records.
-                            knw_metrics::global()
-                                .counter("knw_registry_malformed_announcements_total", &[])
-                                .inc();
-                            knw_log!(
-                                WARN,
-                                "worker-registry",
-                                "ignoring malformed announcement",
-                                peer = peer,
-                                frame = format_args!("{other:?}"),
-                            );
-                        }
-                    }
-                }
-            })
+        let collector = {
+            let pool = Arc::clone(&pool);
+            AcceptThread::spawn(addr, "worker-registry", move |stream, peer| {
+                collect_announcement(stream, peer, &pool);
+            })?
         };
         Ok(Self {
-            addr,
             pool,
-            stop,
             probe_gate: Arc::new((Mutex::new(false), Condvar::new())),
             probe_thread: Mutex::new(None),
-            thread: Some(thread),
+            collector,
         })
     }
 
@@ -254,7 +173,7 @@ impl WorkerRegistry {
     /// `--register`.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.collector.local_addr()
     }
 
     /// Pops the next registered worker address (FIFO), if any — skipping
@@ -319,13 +238,13 @@ impl WorkerRegistry {
             return;
         }
         let pool = Arc::clone(&self.pool);
-        let stop = Arc::clone(&self.stop);
         let gate = Arc::clone(&self.probe_gate);
         *slot = Some(std::thread::spawn(move || {
             let ok_counter = knw_metrics::global().counter("knw_registry_probe_ok_total", &[]);
             let failed_counter =
                 knw_metrics::global().counter("knw_registry_probe_failed_total", &[]);
-            while !stop.load(Ordering::SeqCst) {
+            let stopped = || *gate.0.lock().expect("registry probe gate");
+            while !stopped() {
                 // Snapshot the addresses, probe with the pool unlocked (a
                 // probe can block for the full timeout), then write the
                 // outcomes back by address.
@@ -336,7 +255,7 @@ impl WorkerRegistry {
                     .map(|entry| entry.addr.clone())
                     .collect();
                 for addr in addrs {
-                    if stop.load(Ordering::SeqCst) {
+                    if stopped() {
                         return;
                     }
                     let alive = probe_worker(&addr, timeout, timeout);
@@ -366,9 +285,9 @@ impl WorkerRegistry {
                     }
                 }
                 let (lock, condvar) = &*gate;
-                let stopped = lock.lock().expect("registry probe gate");
+                let guard = lock.lock().expect("registry probe gate");
                 let _unused = condvar
-                    .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+                    .wait_timeout_while(guard, interval, |stopped| !*stopped)
                     .expect("registry probe gate");
             }
         }));
@@ -378,7 +297,7 @@ impl WorkerRegistry {
 impl fmt::Debug for WorkerRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorkerRegistry")
-            .field("addr", &self.addr)
+            .field("addr", &self.local_addr())
             .field("available", &self.available())
             .finish()
     }
@@ -386,9 +305,9 @@ impl fmt::Debug for WorkerRegistry {
 
 impl Drop for WorkerRegistry {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake and join the probe thread (it re-checks the stop flag both
-        // per-probe and around its interval sleep).
+        // Wake and join the probe thread (it re-checks the gate both
+        // per-probe and around its interval sleep); the collector stops
+        // when its field drops.
         {
             let (lock, condvar) = &*self.probe_gate;
             *lock.lock().expect("registry probe gate") = true;
@@ -402,28 +321,42 @@ impl Drop for WorkerRegistry {
         {
             let _ = probe.join();
         }
-        // Unblock the accept loop so the thread observes the stop flag.  A
-        // wildcard bind (0.0.0.0 / ::) is not connectable on every
-        // platform, so the wake-up dials the matching loopback instead.
-        let wake = if self.addr.ip().is_unspecified() {
-            let loopback: std::net::IpAddr = if self.addr.is_ipv4() {
-                std::net::Ipv4Addr::LOCALHOST.into()
-            } else {
-                std::net::Ipv6Addr::LOCALHOST.into()
-            };
-            SocketAddr::new(loopback, self.addr.port())
-        } else {
-            self.addr
-        };
-        let woke = TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok();
-        if let Some(thread) = self.thread.take() {
-            if woke {
-                let _ = thread.join();
-            }
-            // If the wake-up connect failed the collector may still be
-            // blocked in accept(2); joining would deadlock the dropping
-            // thread, so the handle is released instead — the thread ends
-            // with the process.
+    }
+}
+
+/// Reads one announcement from a registry connection and pools its
+/// address.  A malformed announcement is counted, logged and dropped.
+fn collect_announcement(stream: TcpStream, peer: SocketAddr, pool: &Mutex<VecDeque<PoolEntry>>) {
+    // One frame per announcement; a peer that stalls must not wedge the
+    // registry.
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+    match read_frame(&mut BufReader::new(stream)) {
+        Ok(Some(Frame::Register(worker_addr))) => {
+            knw_metrics::global()
+                .counter("knw_registry_announcements_total", &[])
+                .inc();
+            pool.lock()
+                .expect("registry pool lock")
+                .push_back(PoolEntry {
+                    addr: worker_addr,
+                    failed: false,
+                });
+        }
+        Ok(None) => {}
+        other => {
+            // `other` can carry raw peer-supplied bytes; the structured
+            // logger escapes the value so a hostile announcer cannot forge
+            // log records.
+            knw_metrics::global()
+                .counter("knw_registry_malformed_announcements_total", &[])
+                .inc();
+            knw_log!(
+                WARN,
+                "worker-registry",
+                "ignoring malformed announcement",
+                peer = peer,
+                frame = format_args!("{other:?}"),
+            );
         }
     }
 }
@@ -448,6 +381,7 @@ pub fn register_worker(registry_addr: &str, worker_addr: &str) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn policy_builders_clamp_degenerate_values() {

@@ -31,7 +31,6 @@
 
 use crate::aggregator::{ClusterAggregator, ClusterUpdate};
 use crate::error::ClusterError;
-use crate::expo::{request_complete, scrape_response, MAX_REQUEST_BYTES};
 use crate::frame::{encode_frame, Frame, FrameDecoder, FrameView, HelloConfig, SketchSpec};
 use crate::poll::{Interest, Poller};
 use knw_metrics::{knw_log, Counter, Gauge, MetricsRegistry};
@@ -46,14 +45,9 @@ use std::time::{Duration, Instant};
 /// The listener's token; session tokens start above it.
 const LISTENER_TOKEN: u64 = 0;
 
-/// The metrics listener's token; scrape-connection tokens count *down*
-/// from just below it, so they can never collide with session tokens
-/// (which count up from `LISTENER_TOKEN + 1`).
-const METRICS_LISTENER_TOKEN: u64 = u64::MAX;
-
 /// Fallback poll tick: the upper bound on how long the loop sleeps when no
-/// readiness arrives *and no deadline is pending*.  When sessions or scrape
-/// connections carry deadlines, the wait is clamped to the nearest one
+/// readiness arrives *and no deadline is pending*.  When sessions carry
+/// deadlines, the wait is clamped to the nearest one
 /// ([`ServeLoop::next_wakeup`]), so this bound only governs bookkeeping
 /// latency on a fully idle loop — it can be long without delaying reaping.
 const TICK: Duration = Duration::from_secs(2);
@@ -61,10 +55,6 @@ const TICK: Duration = Duration::from_secs(2);
 /// Consecutive accept failures tolerated before the loop gives up —
 /// mirrors the sequential serve loop's bounded accept retries.
 const MAX_ACCEPT_FAILURES: usize = 64;
-
-/// How long a scrape connection may take end to end before it is reaped;
-/// a stalled scraper must not hold descriptors on a serving loop.
-const SCRAPE_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Knobs of [`serve_sessions`].
 #[derive(Debug, Clone)]
@@ -80,11 +70,6 @@ pub struct SessionServeOptions {
     pub max_write_queue: usize,
     /// Per-session idle deadline (`None`: never time a session out).
     pub idle_timeout: Option<Duration>,
-    /// A listener serving live Prometheus-text scrapes of the process-wide
-    /// metrics registry, multiplexed on the same epoll loop as the
-    /// sessions (no scrape thread; a scrape can never block a session,
-    /// and vice versa).  `None` disables the endpoint.
-    pub metrics_listener: Option<Arc<TcpListener>>,
     /// Runtime elastic-rescale commands: every fleet size received here is
     /// applied as [`ClusterAggregator::scale_to`] between loop ticks —
     /// never mid-merge, so sessions observe a rescale only as a routing
@@ -102,7 +87,6 @@ impl Default for SessionServeOptions {
             max_concurrent: 4096,
             max_write_queue: 1 << 20,
             idle_timeout: Some(Duration::from_secs(30)),
-            metrics_listener: None,
             rescale: None,
         }
     }
@@ -134,14 +118,6 @@ impl SessionServeOptions {
     #[must_use]
     pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.idle_timeout = timeout;
-        self
-    }
-
-    /// Registers `listener` as a live `/metrics` scrape endpoint on the
-    /// serve loop (Prometheus text format; see [`crate::expo`]).
-    #[must_use]
-    pub fn with_metrics_listener(mut self, listener: Arc<TcpListener>) -> Self {
-        self.metrics_listener = Some(listener);
         self
     }
 
@@ -199,8 +175,6 @@ struct ServeMetrics {
     snapshots_served: Arc<Counter>,
     batches_ingested: Arc<Counter>,
     updates_ingested: Arc<Counter>,
-    /// Completed `/metrics` scrapes answered by this loop.
-    scrapes: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -216,75 +190,7 @@ impl ServeMetrics {
             snapshots_served: registry.counter("knw_serve_snapshots_served_total", &[]),
             batches_ingested: registry.counter("knw_serve_batches_ingested_total", &[]),
             updates_ingested: registry.counter("knw_serve_updates_ingested_total", &[]),
-            scrapes: registry.counter("knw_serve_scrapes_total", &[]),
         }
-    }
-}
-
-/// One in-flight `/metrics` scrape on the serve loop: buffer the request
-/// until its header terminator, render the registry once, drain the
-/// response, close.  Never blocks — both phases run only on readiness.
-struct ScrapeConn {
-    stream: TcpStream,
-    request: Vec<u8>,
-    response: Vec<u8>,
-    /// Bytes of `response` already written.
-    head: usize,
-    opened: Instant,
-}
-
-impl ScrapeConn {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            request: Vec::new(),
-            response: Vec::new(),
-            head: 0,
-            opened: Instant::now(),
-        }
-    }
-
-    /// Advances the scrape as far as the socket allows.  Returns `true`
-    /// when the connection is finished (answered or failed) and should be
-    /// reaped; `Some(true)` in `answered` distinguishes a completed scrape
-    /// from an aborted one.
-    fn drive(&mut self, answered: &mut bool) -> bool {
-        if self.response.is_empty() {
-            let mut chunk = [0u8; 1024];
-            loop {
-                match self.stream.read(&mut chunk) {
-                    // EOF before a complete request: nothing to answer.
-                    Ok(0) => return true,
-                    Ok(n) => {
-                        self.request.extend_from_slice(&chunk[..n]);
-                        if request_complete(&self.request) {
-                            break;
-                        }
-                        if self.request.len() > MAX_REQUEST_BYTES {
-                            return true;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => return true,
-                }
-            }
-            if !request_complete(&self.request) {
-                return false;
-            }
-            self.response = scrape_response(knw_metrics::global());
-        }
-        while self.head < self.response.len() {
-            match self.stream.write(&self.response[self.head..]) {
-                Ok(0) => return true,
-                Ok(n) => self.head += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return true,
-            }
-        }
-        *answered = true;
-        true
     }
 }
 
@@ -445,9 +351,7 @@ pub fn serve_sessions<U: ClusterUpdate>(
         options,
         poller: Poller::new().map_err(io_error)?,
         sessions: HashMap::new(),
-        scrapes: HashMap::new(),
         next_token: LISTENER_TOKEN + 1,
-        next_scrape_token: METRICS_LISTENER_TOKEN - 1,
         completed: 0,
         accept_failures: 0,
         waiters: Vec::new(),
@@ -471,11 +375,7 @@ struct ServeLoop<'a, U: ClusterUpdate> {
     options: &'a SessionServeOptions,
     poller: Poller,
     sessions: HashMap<u64, Session>,
-    /// In-flight `/metrics` scrapes (tokens descend from
-    /// `METRICS_LISTENER_TOKEN - 1`).
-    scrapes: HashMap<u64, ScrapeConn>,
     next_token: u64,
-    next_scrape_token: u64,
     completed: usize,
     accept_failures: usize,
     /// Sessions whose `Snapshot` / `Finish` awaits this tick's merge.
@@ -495,19 +395,9 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
                 Interest::READABLE,
             )
             .map_err(io_error)?;
-        if let Some(metrics_listener) = &self.options.metrics_listener {
-            metrics_listener.set_nonblocking(true).map_err(io_error)?;
-            self.poller
-                .register(
-                    metrics_listener.as_raw_fd(),
-                    METRICS_LISTENER_TOKEN,
-                    Interest::READABLE,
-                )
-                .map_err(io_error)?;
-        }
         let mut events = Vec::new();
         loop {
-            // Sleep until readiness, the nearest session/scrape deadline,
+            // Sleep until readiness, the nearest session deadline,
             // or the fallback tick — whichever comes first.  Without the
             // deadline clamp, an idle session on an otherwise-quiet server
             // would outlive its `idle_timeout` by up to a whole tick
@@ -520,14 +410,6 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
             for event in &events {
                 if event.token == LISTENER_TOKEN {
                     self.accept_ready()?;
-                    continue;
-                }
-                if event.token == METRICS_LISTENER_TOKEN {
-                    self.accept_scrapes();
-                    continue;
-                }
-                if self.scrapes.contains_key(&event.token) {
-                    self.drive_scrape(event.token);
                     continue;
                 }
                 let Some(session) = self.sessions.get_mut(&event.token) else {
@@ -657,60 +539,6 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
                     return Ok(());
                 }
             }
-        }
-    }
-
-    /// Accepts every pending scrape connection on the metrics listener.
-    /// A scrape endpoint is never load-bearing: any failure here just
-    /// skips a scrape, it cannot end the serve loop.
-    fn accept_scrapes(&mut self) {
-        let Some(listener) = self.options.metrics_listener.clone() else {
-            return;
-        };
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = self.next_scrape_token;
-                    self.next_scrape_token -= 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READABLE)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.scrapes.insert(token, ScrapeConn::new(stream));
-                    // A complete request may already be buffered in the
-                    // kernel; drive it now rather than waiting a tick.
-                    self.drive_scrape(token);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Advances one scrape connection and reaps it when finished.
-    fn drive_scrape(&mut self, token: u64) {
-        let Some(conn) = self.scrapes.get_mut(&token) else {
-            return;
-        };
-        let mut answered = false;
-        if conn.drive(&mut answered) {
-            let conn = self.scrapes.remove(&token).expect("scrape exists");
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-            if answered {
-                self.metrics.scrapes.inc();
-            }
-        } else if !conn.response.is_empty() {
-            // Mid-response with a full socket buffer: wait for writability.
-            let _ = self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, Interest::WRITABLE);
         }
     }
 
@@ -884,26 +712,20 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
         Ok(())
     }
 
-    /// Time until the nearest pending deadline — a session's idle cutoff
-    /// (`last_activity + idle_timeout`) or a scrape connection's
-    /// end-to-end deadline (`opened + SCRAPE_DEADLINE`) — or `None` when
-    /// nothing carries a deadline.
+    /// Time until the nearest session idle cutoff (`last_activity +
+    /// idle_timeout`), or `None` when nothing carries a deadline.
     ///
     /// One extra millisecond is added past the deadline: the epoll timeout
     /// truncates to milliseconds and `maintain` reaps on *strictly
     /// exceeding* the deadline, so waking exactly on it would find nothing
     /// to reap and go around again.
     fn next_wakeup(&self) -> Option<Duration> {
-        let idle_deadlines = self.options.idle_timeout.into_iter().flat_map(|idle| {
-            self.sessions
-                .values()
-                .map(move |session| session.last_activity + idle)
-        });
-        let scrape_deadlines = self
-            .scrapes
+        let idle = self.options.idle_timeout?;
+        let nearest = self
+            .sessions
             .values()
-            .map(|conn| conn.opened + SCRAPE_DEADLINE);
-        let nearest = idle_deadlines.chain(scrape_deadlines).min()?;
+            .map(|session| session.last_activity + idle)
+            .min()?;
         Some(nearest.saturating_duration_since(Instant::now()) + Duration::from_millis(1))
     }
 
@@ -911,18 +733,6 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
     /// interest reconciliation, and reaping of closeable sessions.
     fn maintain(&mut self) -> Result<(), ClusterError> {
         let now = Instant::now();
-        // Reap scrape connections that blew their deadline — a stalled
-        // scraper must not hold descriptors forever on a serving loop.
-        let expired: Vec<u64> = self
-            .scrapes
-            .iter()
-            .filter(|(_, conn)| now.duration_since(conn.opened) > SCRAPE_DEADLINE)
-            .map(|(&token, _)| token)
-            .collect();
-        for token in expired {
-            let conn = self.scrapes.remove(&token).expect("expired scrape exists");
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        }
         let mut queued_total = 0u64;
         let mut reap = Vec::new();
         for (&token, session) in &mut self.sessions {

@@ -23,6 +23,7 @@
 //! (best effort) *and* returned to the caller, so the binary exits nonzero
 //! and process supervisors see the crash.
 
+use crate::accept::accept_loop;
 use crate::frame::{
     read_frame, read_frame_into, write_frame, BatchPayload, Frame, FrameBuf, FrameView, SketchSpec,
     StreamMode, WireError, WorkerStats,
@@ -279,13 +280,6 @@ pub struct ServeOptions {
     /// `None` blocks forever — only for aggregators that legitimately go
     /// quiet for long stretches.
     pub io_timeout: Option<Duration>,
-    /// How many *consecutive* `accept(2)` failures the serve loop absorbs
-    /// (logged, with a short growing backoff) before concluding the
-    /// listener itself is broken and returning the error.  Transient
-    /// conditions — `ECONNABORTED` from a client that vanished in the
-    /// backlog, `EMFILE`/`ENFILE` pressure that clears when sessions close
-    /// — must not take a shared worker host down.
-    pub max_accept_retries: usize,
 }
 
 impl Default for ServeOptions {
@@ -293,18 +287,9 @@ impl Default for ServeOptions {
         Self {
             max_sessions: None,
             io_timeout: Some(crate::transport::DEFAULT_IO_TIMEOUT),
-            max_accept_retries: DEFAULT_MAX_ACCEPT_RETRIES,
         }
     }
 }
-
-/// Default bound on consecutive `accept(2)` failures
-/// ([`ServeOptions::max_accept_retries`]).
-pub const DEFAULT_MAX_ACCEPT_RETRIES: usize = 8;
-
-/// Base backoff after a failed `accept(2)` (the `k`-th consecutive failure
-/// sleeps `k ×` this), giving descriptor-pressure conditions room to clear.
-const ACCEPT_RETRY_BACKOFF: Duration = Duration::from_millis(20);
 
 impl ServeOptions {
     /// Limits the loop to `sessions` aggregation sessions.
@@ -352,20 +337,19 @@ pub fn serve_connection(stream: &TcpStream, io_timeout: Option<Duration>) -> Res
 /// and is logged to stderr here; a misbehaving client must not take a
 /// shared worker host down.  Neither does a transient `accept(2)` failure
 /// (`ECONNABORTED`, `EMFILE`, …): it is logged and retried with a short
-/// growing backoff, up to [`ServeOptions::max_accept_retries`]
-/// *consecutive* failures.  The loop ends after
-/// [`ServeOptions::max_sessions`] sessions, or never.
+/// growing backoff, up to eight *consecutive* failures.  The loop ends
+/// after [`ServeOptions::max_sessions`] sessions, or never.
 ///
 /// # Errors
 ///
-/// A persistent `accept(2)` failure — `max_accept_retries + 1` consecutive
-/// accepts failed, so the listener itself is broken.
+/// A persistent `accept(2)` failure — nine consecutive accepts failed, so
+/// the listener itself is broken.
 pub fn serve(listener: &TcpListener, options: &ServeOptions) -> std::io::Result<()> {
     serve_accepting(|| listener.accept(), options)
 }
 
-/// The accept-source-generic serve loop behind [`serve`]; split out so the
-/// accept-failure path is testable without provoking real `EMFILE`.
+/// The serve loop behind [`serve`], over any accept source (tests inject
+/// accept failures through it).
 fn serve_accepting(
     mut accept: impl FnMut() -> std::io::Result<(TcpStream, SocketAddr)>,
     options: &ServeOptions,
@@ -374,47 +358,32 @@ fn serve_accepting(
     let sessions = registry.counter("knw_worker_sessions_total", &[]);
     let failed = registry.counter("knw_worker_sessions_failed_total", &[]);
     let accept_retries = registry.counter("knw_worker_accept_retries_total", &[]);
+    if options.max_sessions == Some(0) {
+        return Ok(());
+    }
     let mut served = 0usize;
-    let mut consecutive_failures = 0usize;
-    while options.max_sessions.is_none_or(|max| served < max) {
-        let (stream, peer) = match accept() {
-            Ok(accepted) => accepted,
-            Err(e) => {
-                consecutive_failures += 1;
-                accept_retries.inc();
-                if consecutive_failures > options.max_accept_retries {
-                    return Err(e);
-                }
+    accept_loop(
+        "knw-worker",
+        || accept().inspect_err(|_| accept_retries.inc()),
+        |(stream, peer)| {
+            if let Err(message) = serve_connection(&stream, options.io_timeout) {
+                // `message` can embed raw peer-supplied bytes (codec errors
+                // quote the offending frame); the structured logger escapes
+                // the value so a hostile client cannot forge log records.
+                failed.inc();
                 knw_log!(
                     WARN,
                     "knw-worker",
-                    "accept failed; retrying",
-                    error = e,
-                    retry = consecutive_failures,
-                    max_retries = options.max_accept_retries,
+                    "session failed",
+                    peer = peer,
+                    error = message,
                 );
-                std::thread::sleep(ACCEPT_RETRY_BACKOFF * consecutive_failures as u32);
-                continue;
             }
-        };
-        consecutive_failures = 0;
-        if let Err(message) = serve_connection(&stream, options.io_timeout) {
-            // `message` can embed raw peer-supplied bytes (codec errors
-            // quote the offending frame); the structured logger escapes the
-            // value so a hostile client cannot forge log records.
-            failed.inc();
-            knw_log!(
-                WARN,
-                "knw-worker",
-                "session failed",
-                peer = peer,
-                error = message,
-            );
-        }
-        sessions.inc();
-        served += 1;
-    }
-    Ok(())
+            sessions.inc();
+            served += 1;
+            options.max_sessions.is_none_or(|max| served < max)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -624,22 +593,17 @@ mod tests {
 
     #[test]
     fn persistent_accept_failures_end_the_loop_with_the_error() {
-        let options = ServeOptions {
-            max_sessions: None,
-            io_timeout: None,
-            max_accept_retries: 2,
-        };
         let mut attempts = 0usize;
         let result = serve_accepting(
             || {
                 attempts += 1;
                 Err(std::io::Error::other("listener broke"))
             },
-            &options,
+            &ServeOptions::default(),
         );
         assert!(result.is_err());
-        // max_accept_retries consecutive retries, then the final failure.
-        assert_eq!(attempts, 3);
+        // ACCEPT_RETRIES consecutive retries, then the final failure.
+        assert_eq!(attempts, crate::accept::ACCEPT_RETRIES + 1);
     }
 
     #[test]

@@ -12,14 +12,13 @@
 use knw_cluster::{
     build_f0, build_l0, f0_estimator_names, f0_shard_from_bytes, l0_estimator_names,
     l0_shard_from_bytes, read_frame, serve_sessions, write_frame, ClusterConfig, ClusterError,
-    ClusterUpdate, F0ClusterAggregator, Frame, L0ClusterAggregator, SessionServeOptions,
-    SketchSpec,
+    ClusterUpdate, F0ClusterAggregator, Frame, L0ClusterAggregator, MetricsServer,
+    SessionServeOptions, SketchSpec,
 };
 use knw_cluster::{drive_sessions, ClusterAggregator};
 use knw_engine::EngineConfig;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
@@ -117,19 +116,17 @@ fn labelled_counter_sum(body: &str, family: &str) -> u64 {
 /// Tentpole soak, F0 half: 1 000 concurrent sessions over one shared
 /// fleet, one serve thread, one drive thread — bounded queues, every
 /// session served, and the aggregate bit-identical to a single-process
-/// fold of the union stream.  A scraper thread hits the `--metrics`-style
-/// exposition listener (multiplexed on the same epoll loop) **while the
-/// soak runs**, proving the endpoint answers under full session load.
+/// fold of the union stream.  A scraper thread hits a `--metrics`-style
+/// [`MetricsServer`] **while the soak runs**, proving the endpoint sees the
+/// serve loop's live counters under full session load.
 #[test]
 fn a_thousand_concurrent_f0_sessions_aggregate_bit_identically() {
     const SESSIONS: usize = 1_000;
     let stream = items(1_000_000);
     let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let metrics_listener = TcpListener::bind("127.0.0.1:0").expect("bind metrics listener");
-    let metrics_addr = metrics_listener.local_addr().expect("metrics addr");
-    let options = SessionServeOptions::default()
-        .with_max_write_queue(1 << 16)
-        .with_metrics_listener(Arc::new(metrics_listener));
+    let metrics = MetricsServer::bind("127.0.0.1:0").expect("bind metrics server");
+    let metrics_addr = metrics.local_addr();
+    let options = SessionServeOptions::default().with_max_write_queue(1 << 16);
     // Scrape until the serve loop reports live traffic (the global
     // registry is process-wide and other tests also feed it, so the
     // assertions are non-zero floors, not exact counts).

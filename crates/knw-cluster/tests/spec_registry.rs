@@ -3,7 +3,8 @@
 //! (`knw_baselines::all_f0_estimators` / `all_l0_estimators`) must be the
 //! *same* set — a sketch added to one but not the other would make cluster
 //! runs and in-process runs silently disagree about what exists.  And a
-//! name in neither must fail as a typed error naming the bad spec field.
+//! name in neither must fail as a typed error naming the bad spec field,
+//! as must forged shard bytes under a known name.
 
 use knw_baselines::{all_f0_estimators, all_l0_estimators};
 use knw_cluster::{
@@ -127,4 +128,39 @@ fn unknown_names_are_rejected_on_the_decode_side_too() {
         .map(|_| ())
         .unwrap_err();
     assert!(message.contains("no-such-sketch"), "{message}");
+}
+
+/// A `KnwF0Sketch` shard whose counter array declares a counter wider
+/// than 64 bits, or width fields wider than 7 bits, is a decode error;
+/// derived decoding accepted both, and the first counter read panicked.
+#[test]
+fn forged_f0_counter_width_is_a_decode_error_not_a_panic() {
+    let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
+    let mut sketch = build_f0(&spec).expect("builds");
+    sketch.insert_batch(&(0..500).collect::<Vec<_>>());
+    let bytes = sketch.wire_bytes();
+    // The counters' width fields end with their bit length (7 per
+    // counter), the field width 7 and the counter count K.
+    let k = knw_core::F0Config::new(spec.epsilon, spec.universe).num_bins();
+    let mut tail = (7 * k).to_le_bytes().to_vec();
+    tail.extend_from_slice(&7u32.to_le_bytes());
+    tail.extend_from_slice(&k.to_le_bytes());
+    let at: Vec<usize> = (0..bytes.len() - tail.len())
+        .filter(|&i| bytes[i..].starts_with(&tail))
+        .collect();
+    assert_eq!(
+        at.len(),
+        1,
+        "the counter widths are not unique in the shard"
+    );
+    let mut wide_counter = bytes.clone();
+    // Counter 0's width is the low 7 bits of the first width word.
+    let first_word = at[0] - 8 * (7 * k).div_ceil(64) as usize;
+    wide_counter[first_word] = (wide_counter[first_word] & 0x80) | 100;
+    let mut wide_fields = bytes;
+    wide_fields[at[0] + 8] = 65;
+    for forged in [wide_counter, wide_fields] {
+        let error = f0_shard_from_bytes(&spec, &forged).map(|_| "a shard");
+        assert!(error.is_err(), "{error:?}");
+    }
 }

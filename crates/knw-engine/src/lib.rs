@@ -9,9 +9,8 @@
 //!
 //! * **F0 / insert-only** (`U = u64`): sketch state is an order-independent
 //!   function of the *distinct-item set*, and merging takes pointwise maxima
-//!   / unions ([`CardinalityEstimator`] +
-//!   [`MergeableEstimator`](knw_core::MergeableEstimator); Section 1 of the
-//!   paper, "taking unions of streams if there are no deletions").  For
+//!   / unions ([`CardinalityEstimator`] + [`MergeableEstimator`]; Section 1
+//!   of the paper, "taking unions of streams if there are no deletions").  For
 //!   [`KnwF0Sketch`](knw_core::KnwF0Sketch) the merge is bit-exact (the
 //!   subsampling base is re-derived from the merged rough estimator).
 //! * **L0 / turnstile** (`U = (u64, i64)`, signed `(item, delta)` updates):
@@ -53,17 +52,14 @@
 //!                  estimate()
 //! ```
 //!
-//! Two implementations share the routing behaviour:
-//!
-//! * [`ShardedEngine`] (fronted by the [`ShardedF0Engine`] and
-//!   [`ShardedL0Engine`] aliases) — N worker threads (std threads + bounded
-//!   `sync_channel`s), batched hand-off, for throughput.  Only the routing
-//!   step runs on the caller's thread; hashing and counter traffic happen on
-//!   the shard threads.  A worker panic is contained: reporting surfaces
-//!   [`SketchError::ShardPanicked`] instead of bringing the caller down.
-//! * [`ShardRouter`] — the sequential fallback: identical routing and merge
-//!   behaviour with no threads, so engine behaviour can be tested
-//!   deterministically and platforms without spare cores degrade gracefully.
+//! [`ShardedEngine`] (fronted by the [`ShardedF0Engine`] and
+//! [`ShardedL0Engine`] aliases) runs N worker threads (std threads +
+//! bounded `sync_channel`s) with batched hand-off, for throughput.  Only
+//! the routing step runs on the caller's thread; hashing and counter
+//! traffic happen on the shard threads.  A worker panic is contained:
+//! reporting surfaces [`SketchError::ShardPanicked`] instead of bringing
+//! the caller down.  Because the shards merge exactly, the deterministic
+//! reference for the engine is one sketch fed the whole stream.
 //!
 //! # Example
 //!
@@ -106,11 +102,9 @@
 //! assert_eq!(merged.estimate_l0(), 40.0); // 40 survivors: the exact regime
 //! ```
 
-mod router;
 pub mod routing;
 mod sharded;
 
-pub use router::ShardRouter;
 pub use routing::{BatcherMetrics, Routable, RoutingPolicy, ShardBatcher};
 pub use sharded::{ShardedEngine, ShardedF0Engine, ShardedL0Engine};
 
@@ -179,12 +173,11 @@ pub const DEFAULT_BATCH_SIZE: usize = 4096;
 /// Default bounded-channel capacity, in batches per shard.
 pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 
-/// Sizing and routing knobs shared by [`ShardedEngine`], [`ShardRouter`]
-/// and the `knw-cluster` multi-process aggregator.
+/// Sizing and routing knobs shared by [`ShardedEngine`] and the
+/// `knw-cluster` multi-process aggregator.
 #[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
 pub struct EngineConfig {
-    /// Number of shards (worker threads / sequential sub-sketches /
-    /// worker processes).
+    /// Number of shards (worker threads / worker processes).
     pub shards: usize,
     /// Updates per hand-off batch.  Larger batches amortize channel traffic;
     /// smaller batches reduce snapshot latency.
@@ -280,8 +273,8 @@ impl Default for EngineConfig {
 
 /// Merges an iterator of shard sketches into its first element.
 ///
-/// Shared by the engine and the router so "how shards are folded" has
-/// exactly one definition.  Returns `Ok(None)` only for an empty iterator
+/// Shared by the engine's snapshot and finish paths so "how shards are
+/// folded" has exactly one definition.  Returns `Ok(None)` only for an empty iterator
 /// (callers always have at least one shard).
 fn merge_shards<S>(mut shards: impl Iterator<Item = S>) -> Result<Option<S>, SketchError>
 where

@@ -1,13 +1,12 @@
-//! The routing stage shared by every shard front-end in the workspace: the
-//! threaded [`ShardedEngine`], the sequential [`ShardRouter`], and the
-//! multi-process `knw-cluster` aggregator.
+//! The routing stage shared by both shard front ends in the workspace:
+//! the threaded [`ShardedEngine`] and the multi-process `knw-cluster`
+//! aggregator.
 //!
-//! All three guarantee *identical* routing — same batch boundaries, same
-//! shard assignment — which is what lets the sequential router serve as the
-//! deterministic reference for the threaded engine in tests, and what makes
-//! a multi-process run reproduce the in-process run bit for bit.  Keeping
-//! the policy and batching logic in one public module makes that guarantee
-//! structural instead of a convention three copies must uphold.
+//! Both guarantee *identical* routing — same batch boundaries, same shard
+//! assignment — which is what makes a multi-process run reproduce the
+//! in-process run bit for bit.  Keeping the policy and batching logic in
+//! one public module makes that guarantee structural instead of a
+//! convention two copies must uphold.
 //!
 //! Two routing policies exist:
 //!
@@ -17,9 +16,8 @@
 //!   exactly under *arbitrary* stream partitions (every estimator in this
 //!   workspace).
 //! * [`RoutingPolicy::HashAffine`] — every occurrence of an item lands on
-//!   the shard
-//!   [`epoch_shard_for_key`](knw_hash::rng::epoch_shard_for_key)`(seed,
-//!   item, shards)` selects (equal to the historical
+//!   the shard [`epoch_shard_for_key`]`(seed, item, shards)` selects (equal
+//!   to the historical
 //!   [`shard_for_key`](knw_hash::rng::shard_for_key) at power-of-two shard
 //!   counts, and a linear-hashing refinement under growth — the property
 //!   elastic resharding is built on; see
@@ -32,7 +30,6 @@
 //!   `knw_stream::partition_by_item`.
 //!
 //! [`ShardedEngine`]: crate::ShardedEngine
-//! [`ShardRouter`]: crate::ShardRouter
 
 use knw_hash::rng::epoch_shard_for_key;
 #[cfg(test)]
@@ -191,9 +188,8 @@ enum Buffers<U> {
 /// according to a [`RoutingPolicy`], handing each full batch to a
 /// caller-supplied `dispatch(shard, batch)` callback.
 ///
-/// This is the routing stage of [`ShardedEngine`](crate::ShardedEngine),
-/// [`ShardRouter`](crate::ShardRouter) *and* the `knw-cluster` multi-process
-/// aggregator; sharing it is what keeps in-process and cross-process shard
+/// This is the routing stage of [`ShardedEngine`](crate::ShardedEngine)
+/// *and* the `knw-cluster` multi-process aggregator; sharing it is what keeps in-process and cross-process shard
 /// contents identical for the same policy and batch size.
 #[derive(Debug, Clone)]
 pub struct ShardBatcher<U> {
@@ -542,6 +538,30 @@ mod tests {
         }
         batcher.flush(&mut check);
         assert_eq!(seen.len(), 37);
+    }
+
+    /// A hash-affine batcher's per-shard contents are exactly the by-item
+    /// partition `epoch_shard_for_key` produces, in stream order, at a
+    /// shard count that is not a power of two.
+    #[test]
+    fn hash_affine_batcher_matches_the_by_item_partition() {
+        let (seed, shards) = (17u64, 3usize);
+        let updates: Vec<(u64, i64)> = (0..20_000u64)
+            .map(|i| {
+                let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (x % 4_096, (x % 7) as i64 - 3)
+            })
+            .collect();
+        let mut batcher = ShardBatcher::new(RoutingPolicy::HashAffine { seed }, shards, 64);
+        let mut routed = vec![Vec::new(); shards];
+        let mut dispatch = |shard: usize, batch: Vec<(u64, i64)>| routed[shard].extend(batch);
+        batcher.extend_from_slice(&updates, &mut dispatch);
+        batcher.flush(&mut dispatch);
+        let mut parts = vec![Vec::new(); shards];
+        for &(item, delta) in &updates {
+            parts[epoch_shard_for_key(seed, item, shards)].push((item, delta));
+        }
+        assert_eq!(routed, parts);
     }
 
     #[test]

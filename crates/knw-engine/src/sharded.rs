@@ -31,9 +31,8 @@ struct Worker<S, U> {
 /// streams (alias [`ShardedF0Engine`]), `(u64, i64)` for signed turnstile
 /// updates (alias [`ShardedL0Engine`]).  Estimates are exact with respect to
 /// a sequential run for every sketch in this workspace: `engine.estimate()`
-/// equals the estimate of one sketch fed the whole stream.  The
-/// deterministic reference implementation is
-/// [`ShardRouter`](crate::ShardRouter).
+/// equals the estimate of one sketch fed the whole stream, which is the
+/// engine's deterministic reference.
 ///
 /// If a shard worker panics (a bug in a sketch, not an expected event), the
 /// engine stays usable for shutdown but reporting returns
@@ -309,8 +308,8 @@ impl<S: ShardSketch<(u64, i64)>> ShardedEngine<S, (u64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardRouter;
-    use knw_core::{CardinalityEstimator, F0Config, KnwF0Sketch, KnwL0Sketch, L0Config};
+    use crate::RoutingPolicy;
+    use knw_core::{F0Config, KnwF0Sketch, KnwL0Sketch, L0Config};
 
     fn stream(len: u64) -> Vec<u64> {
         (0..len)
@@ -370,39 +369,47 @@ mod tests {
         assert_eq!(merged.updates_processed(), single.updates_processed());
     }
 
+    /// Shard count and routing policy never change the answer: every
+    /// engine, fed in chunks that straddle its batches, reports the single
+    /// sketch's estimate.
     #[test]
-    fn engine_matches_the_sequential_router() {
+    fn shard_count_does_not_change_the_answer() {
         let cfg = F0Config::new(0.1, 1 << 18).with_seed(5);
-        let config = EngineConfig::new(3).with_batch_size(100);
-        let mut engine = ShardedF0Engine::new(config, move |_| KnwF0Sketch::new(cfg));
-        let mut router = ShardRouter::new(config, move |_| KnwF0Sketch::new(cfg));
         let items = stream(25_000);
-        for chunk in items.chunks(997) {
-            engine.insert_batch(chunk);
-            router.insert_batch(chunk);
+        let mut single = KnwF0Sketch::new(cfg);
+        single.insert_batch(&items);
+        for shards in [1usize, 2, 3, 8] {
+            for routing in [
+                RoutingPolicy::RoundRobin,
+                RoutingPolicy::HashAffine { seed: 5 },
+            ] {
+                let config = EngineConfig::new(shards)
+                    .with_batch_size(100)
+                    .with_routing(routing);
+                let mut engine = ShardedF0Engine::new(config, move |_| KnwF0Sketch::new(cfg));
+                for chunk in items.chunks(997) {
+                    engine.insert_batch(chunk);
+                }
+                assert_eq!(engine.estimate(), single.estimate_f0(), "{config:?}");
+                let merged = engine.finish().expect("compatible shards");
+                assert_eq!(merged.occupancy(), single.occupancy(), "{config:?}");
+            }
         }
-        assert_eq!(engine.estimate(), CardinalityEstimator::estimate(&router));
-        let from_engine = engine.finish().expect("compatible shards");
-        let from_router = router.into_merged().expect("compatible shards");
-        assert_eq!(from_engine.estimate_f0(), from_router.estimate_f0());
-        assert_eq!(from_engine.occupancy(), from_router.occupancy());
     }
 
     #[test]
-    fn l0_engine_matches_the_sequential_router() {
+    fn l0_chunked_ingest_matches_a_single_sketch() {
         let cfg = L0Config::new(0.2, 1 << 14).with_seed(23);
         let config = EngineConfig::new(3).with_batch_size(128);
         let mut engine = ShardedL0Engine::new(config, move |_| KnwL0Sketch::new(cfg));
-        let mut router: ShardRouter<KnwL0Sketch, (u64, i64)> =
-            ShardRouter::new(config, move |_| KnwL0Sketch::new(cfg));
+        let mut single = KnwL0Sketch::new(cfg);
         let updates = signed_stream(20_000);
         for chunk in updates.chunks(731) {
             engine.update_batch(chunk);
-            router.update_batch(chunk);
         }
-        let from_engine = engine.finish().expect("compatible shards");
-        let from_router = router.into_merged().expect("compatible shards");
-        assert_eq!(from_engine.estimate_l0(), from_router.estimate_l0());
+        single.update_batch(&updates);
+        let merged = engine.finish().expect("compatible shards");
+        assert_eq!(merged.estimate_l0(), single.estimate_l0());
     }
 
     #[test]

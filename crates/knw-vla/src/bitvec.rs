@@ -8,9 +8,13 @@
 //! single bits.
 
 use crate::SpaceUsage;
+use serde::{Deserialize, Error};
 
 /// A growable packed bit vector.
-#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+///
+/// The wire layout is the derived one (`words`, then `len`); decoding
+/// refuses a word count other than `⌈len/64⌉` and set bits past `len`.
+#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize)]
 pub struct BitVec {
     words: Vec<u64>,
     /// Length in bits.
@@ -182,6 +186,24 @@ impl BitVec {
     }
 }
 
+impl Deserialize for BitVec {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        let words = Vec::<u64>::deserialize(input)?;
+        let len = u64::deserialize(input)?;
+        if words.len() as u64 != len.div_ceil(64) {
+            return Err(Error::new(format!(
+                "bit vector of {len} bits holds {} words",
+                words.len()
+            )));
+        }
+        // Bits past `len` are always clear; `count_ones` relies on it.
+        if len % 64 != 0 && words.last().is_some_and(|&last| last >> (len % 64) != 0) {
+            return Err(Error::new("bit vector has bits set past its length"));
+        }
+        Ok(Self { words, len })
+    }
+}
+
 impl SpaceUsage for BitVec {
     fn space_bits(&self) -> u64 {
         // The mathematical object is `len` bits; allocation rounding to words
@@ -191,7 +213,11 @@ impl SpaceUsage for BitVec {
 }
 
 /// A vector of packed integers, each exactly `width` bits wide.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+///
+/// The wire layout is the derived one (`bits`, `width`, `len`); decoding
+/// refuses a width outside `1..=64` and a bit length other than
+/// `len × width`.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct FixedWidthVec {
     bits: BitVec,
     width: u32,
@@ -275,6 +301,26 @@ impl FixedWidthVec {
     /// Sets every entry to zero.
     pub fn clear_all(&mut self) {
         self.bits.clear_all();
+    }
+}
+
+impl Deserialize for FixedWidthVec {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        let bits = BitVec::deserialize(input)?;
+        let width = u32::deserialize(input)?;
+        let len = usize::deserialize(input)?;
+        if !(1..=64).contains(&width) {
+            return Err(Error::new(format!(
+                "packed entry width {width} not in 1..=64"
+            )));
+        }
+        if (len as u64).checked_mul(u64::from(width)) != Some(bits.len()) {
+            return Err(Error::new(format!(
+                "{len} entries of {width} bits held in {} bits",
+                bits.len()
+            )));
+        }
+        Ok(Self { bits, width, len })
     }
 }
 
@@ -428,6 +474,75 @@ mod tests {
     #[should_panic(expected = "width must be")]
     fn fixed_width_zero_width_panics() {
         let _ = FixedWidthVec::zeros(4, 0);
+    }
+
+    /// The hand-written decoders read the derived layouts: a `BitVec` is
+    /// its length-prefixed words then `len`, a `FixedWidthVec` its
+    /// `BitVec`, `width` (`u32`) and `len`.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let mut v = FixedWidthVec::zeros(3, 8);
+        v.set(0, 1);
+        v.set(2, 0xFF);
+        let mut expected = Vec::new();
+        for word in [1u64, 0xFF_0001, 24] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        expected.extend_from_slice(&8u32.to_le_bytes());
+        expected.extend_from_slice(&3u64.to_le_bytes());
+        assert_eq!(serde::to_bytes(&v), expected);
+        assert_eq!(serde::from_bytes::<FixedWidthVec>(&expected), Ok(v));
+        let bits = BitVec::zeros(130);
+        assert_eq!(serde::from_bytes(&serde::to_bytes(&bits)), Ok(bits));
+    }
+
+    #[test]
+    fn forged_shapes_are_refused() {
+        let forged_bits = [
+            // One word cannot hold 1,000 bits; the first read past it panicked.
+            BitVec {
+                words: vec![0],
+                len: 1_000,
+            },
+            BitVec {
+                words: vec![0, 0],
+                len: 64,
+            },
+            BitVec {
+                words: vec![1 << 5],
+                len: 3,
+            },
+        ];
+        for bits in forged_bits {
+            let bytes = serde::to_bytes(&bits);
+            assert!(serde::from_bytes::<BitVec>(&bytes).is_err(), "{bits:?}");
+        }
+        let forged_vecs = [
+            FixedWidthVec {
+                bits: BitVec::zeros(130),
+                width: 65,
+                len: 2,
+            },
+            FixedWidthVec {
+                bits: BitVec::zeros(0),
+                width: 0,
+                len: 4,
+            },
+            FixedWidthVec {
+                bits: BitVec::zeros(10),
+                width: 3,
+                len: 4,
+            },
+            FixedWidthVec {
+                bits: BitVec::zeros(0),
+                width: 64,
+                len: usize::MAX,
+            },
+        ];
+        for v in forged_vecs {
+            let bytes = serde::to_bytes(&v);
+            assert!(serde::from_bytes::<FixedWidthVec>(&bytes).is_err(), "{v:?}");
+        }
     }
 
     #[test]

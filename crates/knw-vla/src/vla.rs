@@ -25,6 +25,7 @@
 
 use crate::bitvec::{BitVec, FixedWidthVec};
 use crate::SpaceUsage;
+use serde::{Deserialize, Error};
 
 /// Number of entries per block.  A power of two so index arithmetic is shifts.
 pub const BLOCK: usize = 8;
@@ -43,7 +44,11 @@ fn bit_len(value: u64) -> u32 {
 /// A variable-bit-length array of `u64` values.
 ///
 /// All entries start at value `0`, which occupies zero data bits.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+///
+/// The wire layout is the derived one (`widths`, `blocks`, `len`); decoding
+/// refuses any shape [`new`](Self::new) and [`write`](Self::write) cannot
+/// produce, so every read of a decoded array stays in bounds.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct Vla {
     /// Per-entry widths, 7 bits each.
     widths: FixedWidthVec,
@@ -182,6 +187,48 @@ impl Vla {
     #[must_use]
     pub fn payload_bits(&self) -> u64 {
         self.widths.iter().take(self.len).sum()
+    }
+}
+
+impl Deserialize for Vla {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, Error> {
+        let widths = FixedWidthVec::deserialize(input)?;
+        let blocks = Vec::<BitVec>::deserialize(input)?;
+        let len = usize::deserialize(input)?;
+        if widths.width() != WIDTH_FIELD_BITS || widths.len() != len.max(1) {
+            return Err(Error::new(format!(
+                "VLA of {len} entries with {} width fields of {} bits",
+                widths.len(),
+                widths.width()
+            )));
+        }
+        if blocks.len() != len.div_ceil(BLOCK) {
+            return Err(Error::new(format!(
+                "VLA of {len} entries with {} blocks",
+                blocks.len()
+            )));
+        }
+        for (block, bits) in blocks.iter().enumerate() {
+            let mut payload = 0;
+            for idx in block * BLOCK..((block + 1) * BLOCK).min(len) {
+                let width = widths.get(idx);
+                if width > 64 {
+                    return Err(Error::new(format!("VLA entry width {width} exceeds 64")));
+                }
+                payload += width;
+            }
+            if payload != bits.len() {
+                return Err(Error::new(format!(
+                    "VLA block {block} holds {} bits for {payload} bits of entries",
+                    bits.len()
+                )));
+            }
+        }
+        Ok(Self {
+            widths,
+            blocks,
+            len,
+        })
     }
 }
 
@@ -335,6 +382,60 @@ mod tests {
         }
         for i in 0..v.len() {
             assert_eq!(v.read(i), i as u64 + 100);
+        }
+    }
+
+    /// The hand-written decoder reads the derived layout: the width
+    /// fields, the length-prefixed blocks, then `len`.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let mut v = Vla::new(3);
+        v.write(1, 5);
+        let mut expected = Vec::new();
+        // widths: one word holding entry 1's width 3, 21 bits, 7-bit
+        // fields, 3 entries; then one 3-bit block holding 5; then len.
+        for word in [1u64, 3 << 7, 21] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        expected.extend_from_slice(&7u32.to_le_bytes());
+        for word in [3u64, 1, 1, 5, 3, 3] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(serde::to_bytes(&v), expected);
+        assert_eq!(serde::from_bytes::<Vla>(&expected), Ok(v));
+        let empty = Vla::new(0);
+        assert_eq!(serde::from_bytes(&serde::to_bytes(&empty)), Ok(empty));
+    }
+
+    #[test]
+    fn forged_shapes_are_refused() {
+        let mut good = Vla::new(10);
+        good.write(3, 77);
+        assert_eq!(serde::from_bytes(&serde::to_bytes(&good)), Ok(good.clone()));
+        let mut wide = good.clone();
+        wide.widths.set(0, 100);
+        wide.blocks[0] = BitVec::zeros(107);
+        let mut short_block = good.clone();
+        short_block.blocks[0] = BitVec::zeros(5);
+        let forged = [
+            Vla {
+                len: 17,
+                ..good.clone()
+            },
+            Vla {
+                widths: FixedWidthVec::zeros(10, 8),
+                ..good.clone()
+            },
+            Vla {
+                blocks: vec![BitVec::new(); 3],
+                ..good
+            },
+            wide,
+            short_block,
+        ];
+        for v in forged {
+            let bytes = serde::to_bytes(&v);
+            assert!(serde::from_bytes::<Vla>(&bytes).is_err(), "{v:?}");
         }
     }
 
