@@ -397,6 +397,33 @@ mod tests {
         }
     }
 
+    /// The threaded engine agrees with a sequential router: the same
+    /// `ShardBatcher` feeding per-shard sketches in the calling thread, then
+    /// merged.
+    #[test]
+    fn engine_matches_the_sequential_router() {
+        let cfg = F0Config::new(0.1, 1 << 18).with_seed(5);
+        let config = EngineConfig::new(3).with_batch_size(100);
+        let mut engine = ShardedF0Engine::new(config, move |_| KnwF0Sketch::new(cfg));
+        let mut batcher = ShardBatcher::new(config.routing, config.shards, config.batch_size);
+        let mut shards: Vec<KnwF0Sketch> =
+            (0..config.shards).map(|_| KnwF0Sketch::new(cfg)).collect();
+        let mut dispatch = |shard: usize, batch: Vec<u64>| shards[shard].insert_batch(&batch);
+        let items = stream(25_000);
+        for chunk in items.chunks(997) {
+            engine.insert_batch(chunk);
+            batcher.extend_from_slice(chunk, &mut dispatch);
+        }
+        batcher.flush(&mut dispatch);
+        let from_router = merge_shards(shards.into_iter())
+            .expect("compatible shards")
+            .expect("three shards");
+        assert_eq!(engine.estimate(), from_router.estimate_f0());
+        let from_engine = engine.finish().expect("compatible shards");
+        assert_eq!(from_engine.estimate_f0(), from_router.estimate_f0());
+        assert_eq!(from_engine.occupancy(), from_router.occupancy());
+    }
+
     #[test]
     fn l0_chunked_ingest_matches_a_single_sketch() {
         let cfg = L0Config::new(0.2, 1 << 14).with_seed(23);
