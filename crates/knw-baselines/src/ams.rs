@@ -1,4 +1,4 @@
-//! The Alon–Matias–Szegedy F0 estimator (JCSS 1999), reference [3] of the
+//! The Alon–Matias–Szegedy F0 estimator (JCSS 1999), reference \[3\] of the
 //! paper: `O(log n)` bits, `O(log n)` update time, constant-factor accuracy
 //! only (the second row of Figure 1).
 //!

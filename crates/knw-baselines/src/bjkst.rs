@@ -1,5 +1,5 @@
 //! The BJKST bucket sketch — "Algorithm II" of Bar-Yossef, Jayram, Kumar,
-//! Sivakumar and Trevisan (RANDOM 2002), reference [4] of the paper.
+//! Sivakumar and Trevisan (RANDOM 2002), reference \[4\] of the paper.
 //!
 //! The sketch maintains a sample of items whose hash level (`lsb` of a
 //! pairwise hash) is at least a threshold `z`; whenever the sample exceeds its

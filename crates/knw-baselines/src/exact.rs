@@ -1,6 +1,6 @@
 //! Exact distinct counting — the ground truth every experiment compares
 //! against, and the "linear space" strawman of the paper's introduction
-//! (exact computation of F0 requires Ω(n) bits [3]).
+//! (exact computation of F0 requires Ω(n) bits \[3\]).
 
 use knw_core::{CardinalityEstimator, MergeableEstimator, SketchError};
 use knw_hash::SpaceUsage;

@@ -1,4 +1,4 @@
-//! A Ganguly-style L0 estimator (Ganguly 2007, reference [22] of the paper) —
+//! A Ganguly-style L0 estimator (Ganguly 2007, reference \[22\] of the paper) —
 //! the baseline the KNW L0 algorithm improves upon.
 //!
 //! Ganguly's algorithm keeps, for every subsampling level, an array of cells

@@ -1,4 +1,4 @@
-//! Gibbons–Tirthapura coordinated sampling (SPAA 2001), reference [24] of the
+//! Gibbons–Tirthapura coordinated sampling (SPAA 2001), reference \[24\] of the
 //! paper: `O(ε⁻² log n)` bits of space with `O(ε⁻²)`-flavoured update cost in
 //! the worst case (the row right above Bar-Yossef et al in Figure 1).
 //!

@@ -1,4 +1,4 @@
-//! HyperLogLog (Flajolet, Fusy, Gandouet, Meunier 2007) — reference [19] in
+//! HyperLogLog (Flajolet, Fusy, Gandouet, Meunier 2007) — reference \[19\] in
 //! the paper: `O(ε⁻² log log n + log n)` bits, assumes a random oracle, and
 //! carries a small additive error.  It is the de-facto industry standard and
 //! therefore the most important practical baseline for the comparison

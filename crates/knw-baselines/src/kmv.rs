@@ -1,5 +1,5 @@
 //! K-minimum-values (bottom-k) estimation — "Algorithm I" of Bar-Yossef,
-//! Jayram, Kumar, Sivakumar and Trevisan (RANDOM 2002), reference [4] of the
+//! Jayram, Kumar, Sivakumar and Trevisan (RANDOM 2002), reference \[4\] of the
 //! paper, with the `O(ε⁻² log n)` space / `O(ε⁻²)`-ish update cost row of
 //! Figure 1 (also the Gibbons–Tirthapura flavour of coordinated sampling).
 //!

@@ -8,15 +8,15 @@
 //!
 //! | Figure 1 row | Module | Notes |
 //! |---|---|---|
-//! | Flajolet–Martin '85 [20] | [`fm`] | PCSA bitmap sketch, random-oracle style hashing |
-//! | Alon–Matias–Szegedy '99 [3] | [`ams`] | median-of-2^lsb, constant-factor only |
-//! | Gibbons–Tirthapura '01 [24] | [`gibbons_tirthapura`] | level-based coordinated sampling, O(ε⁻² log n) space |
-//! | Bar-Yossef et al '02, Algorithm I [4] | [`kmv`] | k-minimum-values (bottom-k) estimator |
-//! | Bar-Yossef et al '02, Algorithm II [4] | [`bjkst`] | the BJKST bucket sketch, O(ε⁻² log log n + log n)-style space |
-//! | Durand–Flajolet '03 [16] | [`loglog`] | LogLog counting |
-//! | Estan–Varghese–Fisk '06 [17] | [`linear_counting`] | multiresolution bitmap / linear counting |
-//! | Flajolet et al '07 [19] | [`hyperloglog`] | HyperLogLog with the standard corrections |
-//! | Ganguly '07 [22] | [`ganguly_l0`] | counter-based distinct sampling under deletions |
+//! | Flajolet–Martin '85 \[20\] | [`fm`] | PCSA bitmap sketch, random-oracle style hashing |
+//! | Alon–Matias–Szegedy '99 \[3\] | [`ams`] | median-of-2^lsb, constant-factor only |
+//! | Gibbons–Tirthapura '01 \[24\] | [`gibbons_tirthapura`] | level-based coordinated sampling, O(ε⁻² log n) space |
+//! | Bar-Yossef et al '02, Algorithm I \[4\] | [`kmv`] | k-minimum-values (bottom-k) estimator |
+//! | Bar-Yossef et al '02, Algorithm II \[4\] | [`bjkst`] | the BJKST bucket sketch, O(ε⁻² log log n + log n)-style space |
+//! | Durand–Flajolet '03 \[16\] | [`loglog`] | LogLog counting |
+//! | Estan–Varghese–Fisk '06 \[17\] | [`linear_counting`] | multiresolution bitmap / linear counting |
+//! | Flajolet et al '07 \[19\] | [`hyperloglog`] | HyperLogLog with the standard corrections |
+//! | Ganguly '07 \[22\] | [`ganguly_l0`] | counter-based distinct sampling under deletions |
 //! | ground truth | [`exact`] | exact hash-set counter |
 //!
 //! All estimators implement

@@ -1,5 +1,5 @@
 //! Linear counting / bitmap counting (Whang et al. 1990; Estan, Varghese and
-//! Fisk 2006), reference [17] of the paper: a plain bitmap of `b` bits, each
+//! Fisk 2006), reference \[17\] of the paper: a plain bitmap of `b` bits, each
 //! item sets one bit, and the estimate is `b · ln(b / z)` where `z` is the
 //! number of zero bits.
 //!

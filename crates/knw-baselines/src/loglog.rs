@@ -1,4 +1,4 @@
-//! LogLog counting (Durand & Flajolet, ESA 2003) — reference [16] in the
+//! LogLog counting (Durand & Flajolet, ESA 2003) — reference \[16\] in the
 //! paper and one of the two algorithms whose "keep only the deepest level per
 //! bucket" idea the KNW sketch builds on (Section 1.1).
 //!

@@ -1,31 +1,10 @@
-//! The aggregator side: reaches N workers through a [`Transport`] — spawned
-//! child processes on stdin/stdout pipes ([`PipeTransport`]) or
-//! already-running remote workers on TCP sockets ([`TcpTransport`]), as a
-//! [`ClusterConfig`] says — streams batches to them over the frame protocol
-//! using the *same* routing stage as the in-process engine
-//! ([`knw_engine::ShardBatcher`]), and merges their serialized shards into
-//! one sketch.
-//!
-//! ```text
-//!        ingest / ingest_batch  (U = u64 or (item, ±delta))
-//!                     │
-//!          ┌──────────▼──────────┐   optional pre-coalescing
-//!          │  ShardBatcher       │   (per-item delta sums, L0 only)
-//!          │  RoundRobin/HashAff │
-//!          └──────────┬──────────┘
-//!     Batch frames    │  (length-prefixed serde codec,
-//!                     │   pipes or TCP sockets)
-//!      ┌──────────┬───┴──────┬──────────────┐
-//! ┌────▼───┐ ┌────▼───┐ ┌────▼───┐    ┌────▼───┐
-//! │worker 0│ │worker 1│ │worker 2│  … │worker N│   child processes or
-//! │ sketch │ │ sketch │ │ sketch │    │ sketch │   listening hosts,
-//! └────┬───┘ └────┬───┘ └────┬───┘    └────┬───┘   one shard each
-//!      └──────────┴─────┬────┴──────────────┘
-//!       Shard{bytes}    │  (pipes / sockets back)
-//!                deserialize + merge_dyn fold
-//!                       │
-//!                  estimate()
-//! ```
+//! The aggregator side: reaches N workers — spawned child processes on
+//! stdin/stdout pipes or already-running remote workers on TCP sockets, as
+//! a [`ClusterConfig`] says (see [`crate::transport`]) — streams batches to
+//! them over the frame protocol using the *same* routing stage as the
+//! in-process engine ([`knw_engine::ShardBatcher`]), optionally
+//! pre-coalescing turnstile batches first, and merges their serialized
+//! shards into one sketch (the crate docs draw the topology).
 //!
 //! Because the batcher, policies and batch sizes are shared with
 //! [`ShardedEngine`](knw_engine::ShardedEngine), a cluster
@@ -35,17 +14,14 @@
 //! stream.
 
 use crate::error::ClusterError;
-use crate::frame::MAX_FRAME_LEN;
 use crate::frame::{
-    BatchPayload, Frame, FrameView, HelloConfig, SketchSpec, StreamMode, WireError, WorkerStats,
+    encode_frame, BatchPayload, Frame, FrameView, HelloConfig, SketchSpec, StreamMode, WireError,
+    WorkerStats, MAX_FRAME_LEN,
 };
 use crate::recovery::{RecoveryPolicy, WorkerRegistry};
 use crate::spec::{build_f0, build_l0, f0_shard_from_bytes, l0_shard_from_bytes};
 use crate::spec::{WireF0Sketch, WireL0Sketch};
-use crate::transport::{
-    PipeTransport, TcpTransport, Transport, WorkerConnection, DEFAULT_CONNECT_TIMEOUT,
-    DEFAULT_IO_TIMEOUT,
-};
+use crate::transport::{Link, Placement, DEFAULT_IO_TIMEOUT};
 use knw_core::{DynMergeableCardinalityEstimator, DynMergeableTurnstileEstimator, SketchError};
 use knw_engine::{BatcherMetrics, EngineConfig, Routable, RoutingPolicy, ShardBatcher};
 use knw_hash::rng::{epoch_shard_for_key, split_parent};
@@ -185,7 +161,6 @@ impl ClusterUpdate for u64 {
     fn batch_view<'a>(view: &'a FrameView<'_>) -> Option<&'a [u64]> {
         match view {
             FrameView::Items(items) => Some(items),
-            FrameView::Owned(Frame::Batch(BatchPayload::Items(items))) => Some(items),
             _ => None,
         }
     }
@@ -245,7 +220,6 @@ impl ClusterUpdate for (u64, i64) {
     fn batch_view<'a>(view: &'a FrameView<'_>) -> Option<&'a [(u64, i64)]> {
         match view {
             FrameView::Updates(updates) => Some(updates),
-            FrameView::Owned(Frame::Batch(BatchPayload::Updates(updates))) => Some(updates),
             _ => None,
         }
     }
@@ -255,11 +229,11 @@ impl ClusterUpdate for (u64, i64) {
 #[derive(Debug, Clone)]
 pub enum WorkerSource {
     /// Spawn one child process per shard from this `knw-worker` executable
-    /// and speak frames over its stdin/stdout pipes ([`PipeTransport`]).
-    /// Recovery re-spawns a fresh child.
+    /// and speak frames over its stdin/stdout pipes.  Recovery re-spawns a
+    /// fresh child.
     Spawn(PathBuf),
     /// Connect to already-running workers (`knw-worker --listen <addr>`)
-    /// over TCP ([`TcpTransport`]): one shard per address, in order.  An
+    /// over TCP: one shard per address, in order.  An
     /// attached registry supplies replacements when a worker's address
     /// stays unreachable; with an **empty** address list it places every
     /// shard from its pool of announced spares (pool placement).
@@ -275,7 +249,7 @@ pub enum WorkerSource {
 /// Everything [`ClusterAggregator::start`] needs besides the sketch: the
 /// shared engine knobs (shard count = worker count, batch size, routing
 /// policy, pre-coalescing), where the workers come from, the recovery
-/// policy, and the TCP link timeouts.
+/// policy, and the TCP link timeout.
 ///
 /// A static TCP address list pins the shard count to its length — one
 /// worker, one shard — so the two cannot disagree.
@@ -291,8 +265,6 @@ pub struct ClusterConfig {
     /// resharding ([`ClusterAggregator::scale_to`]) requires it: its
     /// journals are what a split shard replays.
     pub recovery: Option<RecoveryPolicy>,
-    /// How long to wait for each TCP worker to accept the connection.
-    pub connect_timeout: Duration,
     /// Per-link read/write timeout on TCP links (`None` blocks forever —
     /// not recommended; the default keeps every failure mode bounded).
     pub io_timeout: Option<Duration>,
@@ -328,7 +300,6 @@ impl ClusterConfig {
             engine,
             workers,
             recovery: None,
-            connect_timeout: DEFAULT_CONNECT_TIMEOUT,
             io_timeout: Some(DEFAULT_IO_TIMEOUT),
         }
     }
@@ -534,7 +505,7 @@ fn decode_journal_frame<U: ClusterUpdate>(frame: &[u8]) -> Vec<U> {
 /// — a successful recovery's replay delivers the whole batch, so nothing
 /// here needs re-sending.
 fn send_encoded_batch_capped<U: ClusterUpdate>(
-    conn: &mut dyn WorkerConnection,
+    link: &mut Link,
     worker: usize,
     batch: &[U],
     cap: usize,
@@ -548,7 +519,7 @@ fn send_encoded_batch_capped<U: ClusterUpdate>(
             journal.record(Arc::from(buf.as_slice()), chunk.len(), *journal_cap);
         }
         if result.is_ok() {
-            result = conn.send_raw(buf).map_err(|e| wire_fault(worker, e));
+            result = link.send(buf).map_err(|e| wire_fault(worker, e));
         }
     }
     result
@@ -562,7 +533,7 @@ fn send_encoded_batch_capped<U: ClusterUpdate>(
 ///
 /// The journal stores *encoded* `Batch` frames (prefix included, shared
 /// with the send path via `Arc`), not update values: replay is a straight
-/// `send_raw` of bytes already proven well-formed, with no re-encoding —
+/// send of bytes already proven well-formed, with no re-encoding —
 /// and one journal type serves both stream models.
 struct ShardJournal {
     /// Serialized shard bytes of the last acknowledged snapshot.
@@ -670,27 +641,14 @@ struct AggregatorMetrics {
 }
 
 impl AggregatorMetrics {
-    /// Resolves the per-worker counter family `name` for worker indices
-    /// `from..to` against the process-wide registry.
-    fn per_worker_range(name: &str, from: usize, to: usize) -> Vec<Arc<Counter>> {
-        let registry = knw_metrics::global();
-        (from..to)
-            .map(|worker| {
-                let label = worker.to_string();
-                registry.counter(name, &[("worker", &label)])
-            })
-            .collect()
-    }
-
     fn register(workers: usize) -> Self {
         let registry = knw_metrics::global();
-        let per_worker = |name: &str| Self::per_worker_range(name, 0, workers);
-        Self {
-            sends: per_worker("knw_cluster_worker_sends_total"),
-            send_bytes: per_worker("knw_cluster_worker_send_bytes_total"),
-            faults: per_worker("knw_cluster_worker_faults_total"),
-            recoveries: per_worker("knw_cluster_worker_recoveries_total"),
-            replayed_frames: per_worker("knw_cluster_worker_replayed_frames_total"),
+        let mut metrics = Self {
+            sends: Vec::new(),
+            send_bytes: Vec::new(),
+            faults: Vec::new(),
+            recoveries: Vec::new(),
+            replayed_frames: Vec::new(),
             coalesced: registry.counter("knw_cluster_coalesced_updates_total", &[]),
             snapshot_latency: registry.histogram("knw_cluster_snapshot_latency_ns", &[]),
             reshard_scale_ups: registry.counter("knw_cluster_reshard_scale_ups_total", &[]),
@@ -699,15 +657,18 @@ impl AggregatorMetrics {
                 .counter("knw_cluster_reshard_replayed_frames_total", &[]),
             reshard_moved_keys: registry.counter("knw_cluster_reshard_moved_keys_total", &[]),
             reshard_latency: registry.histogram("knw_cluster_reshard_latency_ns", &[]),
-        }
+        };
+        metrics.ensure_workers(workers);
+        metrics
     }
 
     /// Grows every per-worker counter family to cover `workers` indices —
-    /// called by `scale_to` so a grown fleet's new shards are counted from
-    /// their first dispatched batch.  (Families never shrink: a retired
-    /// index's counters keep their totals, matching the registry's
-    /// monotonic contract.)
+    /// at registration, and in `scale_to` so a grown fleet's new shards are
+    /// counted from their first dispatched batch.  (Families never shrink:
+    /// a retired index's counters keep their totals, matching the
+    /// registry's monotonic contract.)
     fn ensure_workers(&mut self, workers: usize) {
+        let registry = knw_metrics::global();
         let families: [(&str, &mut Vec<Arc<Counter>>); 5] = [
             ("knw_cluster_worker_sends_total", &mut self.sends),
             ("knw_cluster_worker_send_bytes_total", &mut self.send_bytes),
@@ -719,9 +680,8 @@ impl AggregatorMetrics {
             ),
         ];
         for (name, counters) in families {
-            if counters.len() < workers {
-                let grown = Self::per_worker_range(name, counters.len(), workers);
-                counters.extend(grown);
+            for worker in counters.len()..workers {
+                counters.push(registry.counter(name, &[("worker", &worker.to_string())]));
             }
         }
     }
@@ -774,13 +734,13 @@ impl AggregatorMetrics {
 
 /// The aggregator's link state, a field apart from the batcher so the
 /// routing callbacks can dispatch, journal and recover while the batcher
-/// is borrowed: connections, sticky-fault bookkeeping, journals, and the
-/// transport + policy that reconnect-and-replay runs through.
+/// is borrowed: links, sticky-fault bookkeeping, journals, and the
+/// placement + policy that reconnect-and-replay runs through.
 struct LinkSet {
     /// The spec every worker was configured with.
     spec: SketchSpec,
-    transport: Box<dyn Transport>,
-    workers: Vec<Box<dyn WorkerConnection>>,
+    placement: Placement,
+    workers: Vec<Link>,
     /// Reconnect-and-replay policy; `None` fails the run on the first
     /// worker fault (the pre-recovery contract).
     recovery: Option<RecoveryPolicy>,
@@ -836,7 +796,7 @@ impl LinkSet {
         };
         let cap = max_updates_per_frame::<U>();
         let result = send_encoded_batch_capped(
-            self.workers[worker].as_mut(),
+            &mut self.workers[worker],
             worker,
             &batch,
             cap,
@@ -859,6 +819,17 @@ impl LinkSet {
                 self.poison(worker, &error);
             }
         }
+    }
+
+    /// [`open_link`] for a reshard attaching a split or merged shard.
+    fn open(&mut self, index: usize, journal: &ShardJournal) -> Result<Link, ClusterError> {
+        open_link(
+            &mut self.placement,
+            index,
+            &self.spec,
+            self.recovery,
+            journal,
+        )
     }
 
     /// Attempts reconnect-and-replay for `worker` after `error`.  Returns
@@ -889,10 +860,10 @@ impl LinkSet {
             max_retries = policy.max_retries,
         );
         let journal = &self.journals[worker];
-        let (conn, attempt) = with_backoff(policy, worker, 1, error, || {
-            prime_link(self.transport.as_ref(), worker, &self.spec, journal, true)
+        let (link, attempt) = with_backoff(policy, worker, 1, error, || {
+            prime_link(&mut self.placement, worker, &self.spec, journal, true)
         })?;
-        self.workers[worker] = conn;
+        self.workers[worker] = link;
         let replayed = journal.frames.len() as u64;
         self.metrics.on_recovery(worker, replayed);
         knw_log!(
@@ -958,25 +929,52 @@ impl LinkSet {
     /// the belt to the Finish suspenders: a worker that somehow missed the
     /// frame still sees EOF and winds the session down.
     fn send_request(&mut self, worker: usize, request: &Frame) -> Result<(), ClusterError> {
-        let conn = self.workers[worker].as_mut();
-        conn.send(request).map_err(|e| wire_fault(worker, e))?;
+        let link = &mut self.workers[worker];
+        encode_frame(request)
+            .and_then(|wire| link.send(&wire))
+            .map_err(|e| wire_fault(worker, e))?;
         if matches!(request, Frame::Finish) {
-            conn.close_send();
+            link.close_send();
         }
         Ok(())
     }
 
-    /// Reads `worker`'s `Shard` reply to `request`, folding reported
-    /// session counters into the fleet metrics; after `Finish` it also
-    /// confirms the clean shutdown.
+    /// Reads `worker`'s `Shard` reply to `request`.  Session counters
+    /// ([`Frame::Stats`]) a worker reports ahead of its final shard are
+    /// folded into the fleet metrics; the frame is optional, so sessions
+    /// that end before `Finish` handling (or older workers) still hand
+    /// their shard over.  After `Finish` it also confirms the clean
+    /// shutdown.
     fn read_reply(&mut self, worker: usize, request: &Frame) -> Result<Vec<u8>, ClusterError> {
-        let conn = self.workers[worker].as_mut();
-        let (stats, bytes) = read_shard(conn, worker)?;
+        let link = &mut self.workers[worker];
+        let mut stats = None;
+        let mut reply = link.recv();
+        if let Ok(Some(Frame::Stats(counters))) = reply {
+            stats = Some(counters);
+            reply = link.recv();
+        }
+        let bytes = match reply {
+            Ok(Some(Frame::Shard(bytes))) => bytes,
+            Ok(Some(Frame::Err(message))) => {
+                return Err(ClusterError::WorkerReported { worker, message })
+            }
+            Ok(Some(other)) => {
+                return Err(ClusterError::Protocol {
+                    worker,
+                    expected: "Shard",
+                    got: other.kind().to_string(),
+                })
+            }
+            Ok(None) | Err(WireError::Truncated) => {
+                return Err(ClusterError::WorkerDied { worker })
+            }
+            Err(e) => return Err(wire_fault(worker, e)),
+        };
         if let Some(stats) = stats {
             self.metrics.record_worker_stats(worker, stats);
         }
         if matches!(request, Frame::Finish) {
-            match conn.confirm_finished() {
+            match link.confirm_finished() {
                 Ok(true) => {}
                 Ok(false) => return Err(ClusterError::WorkerDied { worker }),
                 Err(e) => return Err(wire_fault(worker, WireError::Io(e))),
@@ -1064,57 +1062,18 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         let _ = U::build(&spec)?;
 
         let engine = config.pinned(config.engine);
-        let (transport, pool): (Box<dyn Transport>, _) = match &config.workers {
-            WorkerSource::Spawn(exe) => (Box::new(PipeTransport::new(exe)), None),
-            WorkerSource::Tcp { addrs, registry } => {
-                let pool = if addrs.is_empty() {
-                    // `with_shards` clamps 0 to 1, so an empty list with no
-                    // pool would reach `open(0)`; refuse it typed instead.
-                    let registry = registry.as_ref().ok_or_else(|| ClusterError::Io {
-                        worker: None,
-                        source: std::io::Error::new(
-                            std::io::ErrorKind::InvalidInput,
-                            "a TCP cluster needs at least one worker address or a registry pool",
-                        ),
-                    })?;
-                    let live = registry.live_available();
-                    if live < engine.shards {
-                        return Err(ClusterError::PoolExhausted {
-                            needed: engine.shards,
-                            live,
-                        });
-                    }
-                    Some(registry)
-                } else {
-                    None
-                };
-                let transport = TcpTransport::new(
-                    addrs.clone(),
-                    registry.clone(),
-                    config.connect_timeout,
-                    config.io_timeout,
-                );
-                (Box::new(transport), pool)
-            }
-        };
+        let mut placement = Placement::new(config, engine.shards)?;
+        // Links first, then the batcher, then the metrics: this start-up
+        // allocation order decides where the send buffer lands in the heap,
+        // and with it whether glibc trims the ~33 MB each L0 snapshot frees
+        // (measured: registering the metrics first cost ~70% more CPU per
+        // update on `l0_serve_churn`, all of it page faults).
         let fresh = ShardJournal::new();
         let mut workers = Vec::with_capacity(engine.shards);
         for index in 0..engine.shards {
-            let conn = open_link(transport.as_ref(), index, &spec, config.recovery, &fresh)
-                .map_err(|error| match (error, pool) {
-                    // A draw that lost the race against other consumers (or
-                    // a probe that failed between the pre-check and the
-                    // dial) reports the fleet-level shortfall, not the
-                    // failed draw.
-                    (ClusterError::PoolExhausted { .. }, Some(registry)) => {
-                        ClusterError::PoolExhausted {
-                            needed: engine.shards,
-                            live: registry.live_available(),
-                        }
-                    }
-                    (other, _) => other,
-                })?;
-            workers.push(conn);
+            let link = open_link(&mut placement, index, &spec, config.recovery, &fresh)
+                .map_err(|error| placement.fleet_error(engine.shards, error))?;
+            workers.push(link);
         }
         let journals = if config.recovery.is_some() {
             (0..engine.shards).map(|_| ShardJournal::new()).collect()
@@ -1133,7 +1092,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
             updates: 0,
             links: LinkSet {
                 spec,
-                transport,
+                placement,
                 workers,
                 recovery: config.recovery,
                 journals,
@@ -1200,8 +1159,8 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     }
 
     /// Severs one worker's link — a fault-injection / operations hook
-    /// (e.g. evicting a wedged worker).  Kills the child process on the
-    /// pipe transport, shuts the socket down on TCP.  Without recovery the
+    /// (e.g. evicting a wedged worker).  Kills and reaps a spawned child,
+    /// shuts a TCP socket down.  Without recovery the
     /// next report surfaces [`ClusterError::WorkerDied`] for it; with a
     /// [`RecoveryPolicy`] configured, the next exchange touching the
     /// worker reconnects and replays its journal instead.
@@ -1239,9 +1198,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     ///   snapshot, and the parent restarts from the merged bytes as its
     ///   new checkpoint.  Survivor indices never shift.
     ///
-    /// Retired workers return their addresses to the transport's pool
-    /// ([`Transport::retire`]); grown shards draw fresh ones (spawned
-    /// children on pipes, registry spares on pooled TCP).
+    /// Retired TCP workers return their addresses to the registry pool;
+    /// grown shards draw fresh ones (spawned children on pipes, registry
+    /// spares on pooled TCP).
     ///
     /// # Errors
     ///
@@ -1332,14 +1291,8 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         let new_count = new_index + 1;
         match self.routing {
             RoutingPolicy::RoundRobin => {
-                let conn = open_link(
-                    self.links.transport.as_ref(),
-                    new_index,
-                    &self.links.spec,
-                    self.links.recovery,
-                    &ShardJournal::new(),
-                )?;
-                self.links.workers.push(conn);
+                let link = self.links.open(new_index, &ShardJournal::new())?;
+                self.links.workers.push(link);
                 self.links.journals.push(ShardJournal::new());
             }
             RoutingPolicy::HashAffine { seed } => {
@@ -1375,25 +1328,13 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                 let replayed = (journal_new.frames.len() + journal_parent.frames.len()) as u64;
                 // Attach the new worker first: if the pool (or spawn)
                 // cannot cover it, the old fleet is untouched.
-                let new_conn = open_link(
-                    self.links.transport.as_ref(),
-                    new_index,
-                    &self.links.spec,
-                    self.links.recovery,
-                    &journal_new,
-                )?;
+                let new_link = self.links.open(new_index, &journal_new)?;
                 // The worker serve loop is one-session-at-a-time: sever
                 // the parent's old session before dialing the fresh one
                 // that replays only the kept updates.
                 let _ = self.links.workers[parent].kill();
-                let parent_conn = match open_link(
-                    self.links.transport.as_ref(),
-                    parent,
-                    &self.links.spec,
-                    self.links.recovery,
-                    &journal_parent,
-                ) {
-                    Ok(conn) => conn,
+                let parent_link = match self.links.open(parent, &journal_parent) {
+                    Ok(link) => link,
                     Err(error) => {
                         // The parent's old session is gone and its fresh
                         // one failed: the shard is unreachable — poison
@@ -1402,8 +1343,8 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                         return Err(error);
                     }
                 };
-                self.links.workers[parent] = parent_conn;
-                self.links.workers.push(new_conn);
+                self.links.workers[parent] = parent_link;
+                self.links.workers.push(new_link);
                 self.links.journals[parent] = journal_parent;
                 self.links.journals.push(journal_new);
                 self.links.metrics.reshard_replayed_frames.add(replayed);
@@ -1469,21 +1410,17 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         // One-session-at-a-time: sever the survivor's old session before
         // dialing the fresh one that restores the merged checkpoint.
         let _ = self.links.workers[survivor].kill();
-        let conn = open_link(
-            self.links.transport.as_ref(),
-            survivor,
-            &self.links.spec,
-            self.links.recovery,
-            &journal,
-        )
-        .map_err(|error| (survivor, error))?;
-        self.links.workers[survivor] = conn;
+        let link = self
+            .links
+            .open(survivor, &journal)
+            .map_err(|error| (survivor, error))?;
+        self.links.workers[survivor] = link;
         self.links.journals[survivor] = journal;
         // Pop the highest index LAST, so no survivor's index ever shifts;
-        // the transport returns the retired worker's address to its pool.
+        // the placement returns the retired worker's address to its pool.
         drop(self.links.workers.pop());
         self.links.journals.pop();
-        self.links.transport.retire(retiree);
+        self.links.placement.retire(retiree);
         self.batcher.install_epoch(retiree);
         knw_log!(
             INFO,
@@ -1593,38 +1530,42 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     }
 }
 
-/// Opens worker `index`'s link through `transport` — [`Transport::reopen`]
-/// after a fault, which may re-resolve the worker — and primes the fresh
+/// Opens worker `index`'s link through `placement` — re-opened after a
+/// fault, which may re-resolve the worker — and primes the fresh
 /// session from `journal`: `Hello`, `Restore` of the checkpoint (if any),
 /// then every journaled frame, byte for byte.  A session starts from empty
 /// state and a shard is a pure fold of its batch stream, so the primed
 /// session holds exactly the journaled shard.  Start-up, recovery and
 /// resharding all attach links through here.
 fn prime_link(
-    transport: &dyn Transport,
+    placement: &mut Placement,
     index: usize,
     spec: &SketchSpec,
     journal: &ShardJournal,
     reopen: bool,
-) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-    let mut conn = if reopen {
-        transport.reopen(index)?
+) -> Result<Link, ClusterError> {
+    let mut link = if reopen {
+        placement.reopen(index)?
     } else {
-        transport.open(index)?
+        placement.open(index)?
     };
     let hello = Frame::Hello(HelloConfig {
         worker_index: index as u64,
         spec: spec.clone(),
     });
-    conn.send(&hello).map_err(|e| wire_fault(index, e))?;
-    if let Some(bytes) = &journal.checkpoint {
-        conn.send(&Frame::Restore(bytes.clone()))
+    let restore = journal
+        .checkpoint
+        .iter()
+        .map(|bytes| Frame::Restore(bytes.clone()));
+    for frame in std::iter::once(hello).chain(restore) {
+        encode_frame(&frame)
+            .and_then(|wire| link.send(&wire))
             .map_err(|e| wire_fault(index, e))?;
     }
     for (frame, _) in &journal.frames {
-        conn.send_raw(frame).map_err(|e| wire_fault(index, e))?;
+        link.send(frame).map_err(|e| wire_fault(index, e))?;
     }
-    Ok(conn)
+    Ok(link)
 }
 
 /// Opens worker `index`'s link primed from `journal` (see [`prime_link`])
@@ -1632,21 +1573,23 @@ fn prime_link(
 /// When the first open fails and a recovery policy is configured, the
 /// policy's remaining attempts re-open it before giving up.
 fn open_link(
-    transport: &dyn Transport,
+    placement: &mut Placement,
     index: usize,
     spec: &SketchSpec,
     recovery: Option<RecoveryPolicy>,
     journal: &ShardJournal,
-) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-    let prime = |reopen| prime_link(transport, index, spec, journal, reopen);
-    let error = match prime(false) {
-        Ok(conn) => return Ok(conn),
+) -> Result<Link, ClusterError> {
+    let error = match prime_link(placement, index, spec, journal, false) {
+        Ok(link) => return Ok(link),
         Err(error) => error,
     };
     let Some(policy) = recovery else {
         return Err(error);
     };
-    with_backoff(policy, index, 2, error, || prime(true)).map(|(conn, _)| conn)
+    with_backoff(policy, index, 2, error, || {
+        prime_link(placement, index, spec, journal, true)
+    })
+    .map(|(link, _)| link)
 }
 
 /// The reconnect loop: runs `attempt` for attempts `first..=max_retries`,
@@ -1660,14 +1603,14 @@ fn with_backoff(
     worker: usize,
     first: usize,
     mut last: ClusterError,
-    mut attempt: impl FnMut() -> Result<Box<dyn WorkerConnection>, ClusterError>,
-) -> Result<(Box<dyn WorkerConnection>, usize), ClusterError> {
+    mut attempt: impl FnMut() -> Result<Link, ClusterError>,
+) -> Result<(Link, usize), ClusterError> {
     for n in first..=policy.max_retries {
         if n > 1 {
             std::thread::sleep(policy.backoff * (n as u32 - 1));
         }
         match attempt() {
-            Ok(conn) => return Ok((conn, n)),
+            Ok(link) => return Ok((link, n)),
             Err(error) => last = error,
         }
     }
@@ -1698,71 +1641,23 @@ fn merge_shards<'b, U: ClusterUpdate>(
     Ok(merged.expect("cluster always has at least one worker"))
 }
 
-// Dropping a `ClusterAggregator` drops its worker links; each transport's
-// connection reaps its own resources (`PipeConnection` kills and waits on
-// the child, sockets just close), so an abandoned — or failed — aggregator
-// leaves no orphan processes behind.
-
-/// Reads the `Shard` reply a `Snapshot`/`Finish` request promises, and the
-/// worker's session counters ([`Frame::Stats`]) when it reports them ahead
-/// of the shard (workers do so before the final `Finish` shard).  The
-/// stats frame is optional, so sessions that end before `Finish` handling
-/// (or older workers) still hand their shard over.
-fn read_shard(
-    conn: &mut dyn WorkerConnection,
-    index: usize,
-) -> Result<(Option<WorkerStats>, Vec<u8>), ClusterError> {
-    let mut stats = None;
-    let mut reply = conn.recv();
-    if let Ok(Some(Frame::Stats(counters))) = reply {
-        stats = Some(counters);
-        reply = conn.recv();
-    }
-    match reply {
-        Ok(Some(Frame::Shard(bytes))) => Ok((stats, bytes)),
-        Ok(Some(Frame::Err(message))) => Err(ClusterError::WorkerReported {
-            worker: index,
-            message,
-        }),
-        Ok(Some(other)) => Err(ClusterError::Protocol {
-            worker: index,
-            expected: "Shard",
-            got: other.kind().to_string(),
-        }),
-        Ok(None) | Err(WireError::Truncated) => Err(ClusterError::WorkerDied { worker: index }),
-        Err(e) => Err(wire_fault(index, e)),
-    }
-}
+// Dropping a `ClusterAggregator` drops its worker links; a link to a
+// spawned child kills and reaps it (a socket just closes), so an abandoned
+// — or failed — aggregator leaves no orphan processes behind.
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
 
-    /// A connection that records every frame it is asked to send.
-    struct RecordingConnection {
-        frames: Arc<Mutex<Vec<Frame>>>,
+    /// A pipe link to `/bin/cat`: every frame sent comes back to `recv`.
+    fn echo_link() -> Link {
+        Link::spawn(std::path::Path::new("/bin/cat")).expect("spawn cat")
     }
 
-    impl WorkerConnection for RecordingConnection {
-        fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-            self.frames.lock().expect("frames lock").push(frame.clone());
-            Ok(())
-        }
-
-        fn recv(&mut self) -> Result<Option<Frame>, WireError> {
-            Ok(None)
-        }
-
-        fn close_send(&mut self) {}
-
-        fn kill(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-
-        fn confirm_finished(&mut self) -> std::io::Result<bool> {
-            Ok(true)
-        }
+    /// Half-closes an echo link and collects every frame it echoed.
+    fn echoed(link: &mut Link) -> Vec<Frame> {
+        link.close_send();
+        std::iter::from_fn(|| link.recv().expect("echoed frame")).collect()
     }
 
     /// Pins the encoding law the frame chunker's arithmetic rests on: a
@@ -1836,22 +1731,19 @@ mod tests {
 
     /// Splitting behaviour at the cap: `cap` updates are one frame, `cap +
     /// 1` are two (the second carrying the single overflow update), and the
-    /// concatenation preserves the update sequence exactly.  The recording
-    /// double observes *decoded* frames through `send_raw`'s default
-    /// decode-and-delegate, so this also exercises that round trip.
+    /// concatenation preserves the update sequence exactly.  The frames
+    /// travel through a real link and come back *decoded*, so this also
+    /// exercises the encode/decode round trip.
     #[test]
     fn oversized_batches_are_chunked_at_the_send_boundary() {
-        let frames = Arc::new(Mutex::new(Vec::new()));
-        let mut conn = RecordingConnection {
-            frames: Arc::clone(&frames),
-        };
+        let mut link = echo_link();
         let mut buf = Vec::new();
         let cap = 5usize; // small injected cap; the arithmetic test pins the real one
         let batch: Vec<u64> = (0..cap as u64).collect();
-        send_encoded_batch_capped(&mut conn, 0, &batch, cap, &mut buf, None).expect("send");
+        send_encoded_batch_capped(&mut link, 0, &batch, cap, &mut buf, None).expect("send");
         let batch: Vec<u64> = (0..cap as u64 + 1).collect();
-        send_encoded_batch_capped(&mut conn, 0, &batch, cap, &mut buf, None).expect("send");
-        let frames = frames.lock().expect("frames lock");
+        send_encoded_batch_capped(&mut link, 0, &batch, cap, &mut buf, None).expect("send");
+        let frames = echoed(&mut link);
         let lens: Vec<usize> = frames
             .iter()
             .map(|f| match f {
@@ -1875,13 +1767,10 @@ mod tests {
     /// normally.
     #[test]
     fn empty_batches_emit_no_frame_and_journal_nothing() {
-        let frames = Arc::new(Mutex::new(Vec::new()));
         let mut links = LinkSet {
             spec: SketchSpec::f0("knw-f0", 0.25, 1 << 20, 7),
-            transport: Box::new(PipeTransport::new("unused")),
-            workers: vec![Box::new(RecordingConnection {
-                frames: Arc::clone(&frames),
-            })],
+            placement: Placement::new(&ClusterConfig::pipe(1, "unused"), 1).expect("placement"),
+            workers: vec![echo_link()],
             recovery: Some(RecoveryPolicy::default()),
             journals: vec![ShardJournal::new()],
             fault: None,
@@ -1890,7 +1779,7 @@ mod tests {
         };
         links.dispatch::<u64>(0, Vec::new());
         links.dispatch(0, vec![42u64]);
-        let frames = frames.lock().expect("frames lock");
+        let frames = echoed(&mut links.workers[0]);
         assert_eq!(frames.len(), 1, "only the non-empty batch is framed");
         assert_eq!(
             *frames.first().expect("one frame"),

@@ -49,7 +49,7 @@ pub enum ClusterError {
     },
     /// A worker link timed out mid-conversation: the peer is half-open or
     /// stalled (accepted the connection but stopped reading or replying).
-    /// The transport's read/write timeouts bound how long the aggregator
+    /// The link's read/write timeouts bound how long the aggregator
     /// waits before raising this.
     Timeout {
         /// Index of the stalled worker.

@@ -288,26 +288,9 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<(), WireErr
 /// [`WireError::Oversized`] on an absurd length prefix, [`WireError::Codec`]
 /// if the payload does not decode, [`WireError::Io`] on transport failure.
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, WireError> {
-    let mut prefix = [0u8; 4];
-    match read_exact_or_eof(reader, &mut prefix, false)? {
-        ReadOutcome::CleanEof => return Ok(None),
-        ReadOutcome::Partial => return Err(WireError::Truncated),
-        ReadOutcome::Full => {}
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized {
-            declared: len as u64,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    match read_exact_or_eof(reader, &mut payload, true)? {
-        ReadOutcome::Full => {}
-        _ => return Err(WireError::Truncated),
-    }
-    serde::from_bytes::<Frame>(&payload)
-        .map(Some)
-        .map_err(|e| WireError::Codec(e.to_string()))
+    // A fresh scratch: the payload buffer is allocated at exactly the
+    // frame's length and dropped with the call.
+    Ok(read_frame_into(reader, &mut FrameBuf::new())?.map(FrameView::into_frame))
 }
 
 /// Encodes one frame to its on-the-wire bytes (length prefix + payload),
@@ -356,20 +339,29 @@ pub enum FrameView<'a> {
     Owned(Frame),
 }
 
+impl FrameView<'_> {
+    /// The owned frame this view shows (a borrowed batch is copied out).
+    fn into_frame(self) -> Frame {
+        match self {
+            FrameView::Items(items) => Frame::Batch(BatchPayload::Items(items.to_vec())),
+            FrameView::Updates(updates) => Frame::Batch(BatchPayload::Updates(updates.to_vec())),
+            FrameView::Owned(frame) => frame,
+        }
+    }
+}
+
 /// Reads one length-prefixed frame without per-frame allocation.
 ///
-/// Behaves exactly like [`read_frame`] — same clean-EOF contract, same
-/// typed errors for the same malformed inputs — but `Batch` payloads are
-/// decoded into `buf`'s retained vectors and returned as borrowed
-/// [`FrameView::Items`] / [`FrameView::Updates`] slices; every other frame
-/// comes back as [`FrameView::Owned`].  The hot ingest loop of a worker is
-/// a long run of `Batch` frames, so after warmup this path performs no
-/// allocation at all.
+/// The reader under [`read_frame`] (same clean-EOF contract, same typed
+/// errors), but `Batch` payloads are decoded into `buf`'s retained vectors
+/// and returned as borrowed [`FrameView::Items`] / [`FrameView::Updates`]
+/// slices; every other frame comes back as [`FrameView::Owned`].  The hot
+/// ingest loop of a worker is a long run of `Batch` frames, so after
+/// warmup this path performs no allocation at all.
 ///
 /// A batch whose bytes deviate in any way from the strict encoding
 /// (length prefix not exactly covering the declared element count) falls
-/// back to the owning codec so error text stays identical to
-/// [`read_frame`].
+/// back to the owning codec, which rejects it with the codec's error text.
 ///
 /// # Errors
 ///
@@ -390,8 +382,15 @@ pub fn read_frame_into<'a>(
             declared: len as u64,
         });
     }
-    buf.payload.clear();
-    buf.payload.resize(len, 0);
+    // A scratch too small for this frame is replaced by exactly `len`
+    // zeroed bytes, so a fresh one costs what a one-shot read does; a large
+    // enough one is reused.
+    if buf.payload.capacity() < len {
+        buf.payload = vec![0u8; len];
+    } else {
+        buf.payload.clear();
+        buf.payload.resize(len, 0);
+    }
     match read_exact_or_eof(reader, &mut buf.payload, true)? {
         ReadOutcome::Full => {}
         _ => return Err(WireError::Truncated),
@@ -408,8 +407,9 @@ pub fn read_frame_into<'a>(
 /// `[0..4)` Frame variant 1 = Batch, `[4..8)` payload variant (0 = Items,
 /// 1 = Updates), `[8..16)` element count u64, then count × stride bytes.
 /// A batch whose bytes deviate in any way (length not exactly covering the
-/// declared element count) falls back to the owning codec so error text
-/// stays identical to [`read_frame`].
+/// declared element count) falls back to the owning codec, which rejects
+/// it: the codec refuses truncated and trailing bytes and unknown tags, so
+/// a `Batch` never decodes as [`FrameView::Owned`].
 fn decode_payload<'a>(
     payload: &[u8],
     items: &'a mut Vec<u64>,
@@ -558,11 +558,7 @@ impl FrameDecoder {
     ///
     /// Exactly those of [`next_view`](Self::next_view).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        Ok(self.next_view()?.map(|view| match view {
-            FrameView::Items(items) => Frame::Batch(BatchPayload::Items(items.to_vec())),
-            FrameView::Updates(updates) => Frame::Batch(BatchPayload::Updates(updates.to_vec())),
-            FrameView::Owned(frame) => frame,
-        }))
+        Ok(self.next_view()?.map(FrameView::into_frame))
     }
 
     /// Drops fully consumed front bytes once they dominate the buffer.

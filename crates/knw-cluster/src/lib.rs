@@ -11,7 +11,7 @@
 //! or across restarts — and the combine step at the end is cheap and
 //! exact.
 //!
-//! # Process topology and transports
+//! # Process topology and worker links
 //!
 //! ```text
 //!                         ┌───────────────────────────┐
@@ -32,20 +32,22 @@
 //!                          deserialize → merge_dyn fold → merged estimate
 //! ```
 //!
-//! The frame layer is transport-agnostic, and the [`transport`] module
-//! names the two transports that carry it:
+//! The frame layer runs over any byte stream, and the aggregator reaches
+//! a worker in one of two ways, as the [`WorkerSource`] of its
+//! [`ClusterConfig`] says:
 //!
-//! * [`PipeTransport`] forks `knw-worker` child processes and speaks
-//!   frames over stdin/stdout pipes (the single-box topology);
-//! * [`TcpTransport`] connects to **already-running** workers
+//! * [`WorkerSource::Spawn`] forks `knw-worker` child processes and speaks
+//!   frames over their stdin/stdout pipes (the single-box topology);
+//! * [`WorkerSource::Tcp`] connects to **already-running** workers
 //!   (`knw-worker --listen <addr>`, the [`serve`] loop) over TCP sockets
 //!   with bounded connect/read/write timeouts: the multi-host topology.
 //!   `knw-aggregate --transport tcp --connect host:port …` is the CLI
-//!   front.  With an empty address list the same transport places the
-//!   whole fleet from a [`WorkerRegistry`] pool instead.
+//!   front.  With an empty address list the whole fleet is placed from a
+//!   [`WorkerRegistry`] pool instead.
 //!
-//! One [`ClusterConfig`] names which ([`WorkerSource`]), along with the
-//! engine knobs, the recovery policy and the TCP timeouts, and one
+//! Both come out as one kind of worker link with one send path (see
+//! [`transport`]).  The [`ClusterConfig`] also carries the engine knobs,
+//! the recovery policy and the TCP read/write timeout, and one
 //! constructor, [`ClusterAggregator::start`], opens the fleet from it.
 //!
 //! # The frame protocol
@@ -84,26 +86,18 @@
 //! without per-frame allocation:
 //!
 //! * **Sending** ([`aggregator`]): each routed batch is encoded once into
-//!   a buffer the aggregator reuses across every send (the fixed-width
-//!   layout is written directly; no owning [`Frame`] or payload `Vec` is
-//!   built) and handed to the link as raw bytes
-//!   ([`WorkerConnection::send_raw`]).  With recovery enabled, the replay
-//!   journal shares the *encoded* frame bytes as `Arc<[u8]>` — replay
-//!   re-sends them verbatim, with no re-encoding.
+//!   a reused buffer (the fixed-width layout is written directly; no
+//!   owning [`Frame`] or payload `Vec` is built) and handed to the link as
+//!   bytes — the link's one send path, which control frames reach through
+//!   [`encode_frame`].  With recovery enabled, the replay journal shares
+//!   the *encoded* bytes as `Arc<[u8]>`, so replay re-sends them verbatim.
 //! * **Receiving** ([`worker`]): the ingest loop decodes frames with
 //!   [`read_frame_into`] into a per-connection [`FrameBuf`], yielding a
-//!   [`FrameView`] whose batch contents *borrow* the scratch buffer.
-//!
-//! The ownership rules of the borrowed decode: a [`FrameView`] borrows its
-//! [`FrameBuf`] until dropped, so each view must be fully consumed (the
-//! batch applied to the shard sketch) before the next
-//! [`read_frame_into`] call reuses the scratch — the borrow checker
-//! enforces exactly this.  A caller that needs a frame to outlive the next
-//! read must copy the borrowed slice out (or use the owning
-//! [`read_frame`], which allocates per frame).  Non-batch frames are rare
-//! control traffic and arrive as [`FrameView::Owned`]; strictness is
-//! unchanged — bytes a borrowing decode rejects are rejected with the
-//! same error the owning decode reports.
+//!   [`FrameView`] whose batch contents *borrow* the scratch buffer until
+//!   the next read (the borrow checker enforces it; the owning
+//!   [`read_frame`] is the same reader with a fresh scratch per frame).
+//!   Batches always decode borrowed; control frames arrive as
+//!   [`FrameView::Owned`].
 //!
 //! # Sessions & the serve loop
 //!
@@ -159,10 +153,10 @@
 //! [`ClusterError::WorkerDied`] — the cross-process mirror of the engine's
 //! [`SketchError::ShardPanicked`](knw_core::SketchError::ShardPanicked):
 //! a lost shard means the merged estimate would silently undercount, so no
-//! estimate is produced.  The socket transport adds two failure shapes of
-//! its own, each typed: a worker that was never reachable is
+//! estimate is produced.  Socket links add two failure shapes of their
+//! own, each typed: a worker that was never reachable is
 //! [`ClusterError::ConnectFailed`] (raised before any frame flows), and a
-//! half-open or stalled peer trips the transport's read/write timeouts as
+//! half-open or stalled peer trips the link's read/write timeouts as
 //! [`ClusterError::Timeout`] — every failure mode resolves within a
 //! bounded interval; nothing hangs.  Malformed frames and worker-reported
 //! failures get their own typed variants; nothing in the protocol path
@@ -226,10 +220,9 @@
 //! parent checkpoint ⊕ moved updates; parent restarts with the kept ones),
 //! a shrink `Finish`es the top shard and folds its final bytes into the
 //! split parent via the same exact `merge_dyn` used everywhere else.
-//! Retired workers hand their addresses back to the pool
-//! ([`Transport::retire`]); `knw-aggregate --pool <reg> --workers N
-//! --serve …` exposes the whole flow on the CLI, including a runtime
-//! `rescale N` command.  Reshard traffic is counted under
+//! Retired workers hand their addresses back to the pool; `knw-aggregate
+//! --pool <reg> --workers N --serve …` exposes the whole flow on the CLI,
+//! including a runtime `rescale N` command.  Reshard traffic is counted under
 //! `knw_cluster_reshard_{scale_ups,scale_downs,replayed_frames,
 //! moved_keys}_total` and timed by `knw_cluster_reshard_latency_ns`.
 //!
@@ -326,7 +319,6 @@ pub use spec::{
     l0_shard_from_bytes, WireF0Sketch, WireL0Sketch,
 };
 pub use transport::{
-    probe_worker, spawn_listening_worker, ListeningWorkerFleet, PipeTransport, TcpTransport,
-    Transport, WorkerConnection, BANNER_DEADLINE, DEFAULT_CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT,
+    probe_worker, spawn_listening_worker, ListeningWorkerFleet, BANNER_DEADLINE, DEFAULT_IO_TIMEOUT,
 };
 pub use worker::{run_worker, serve, serve_connection, ServeOptions};

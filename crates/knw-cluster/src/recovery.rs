@@ -12,7 +12,7 @@
 //!   how much to remember (the journal bound);
 //! * [`WorkerRegistry`] — the `--register` handshake: spare workers
 //!   announce their listening addresses to the aggregator side, and the
-//!   TCP transport's re-resolution pops one when a dead worker's static
+//!   aggregator's re-resolution pops one when a dead worker's static
 //!   address stays unreachable.
 //!
 //! ```text
@@ -55,7 +55,7 @@ pub const DEFAULT_JOURNAL_CAP: usize = 1 << 22;
 /// Attached to a cluster configuration
 /// ([`ClusterConfig::with_recovery`](crate::ClusterConfig::with_recovery)),
 /// this turns a mid-stream `WorkerDied` / `Timeout` / `ConnectFailed` from
-/// a run-fatal error into a supervised reconnect: the transport re-opens
+/// a run-fatal error into a supervised reconnect: the aggregator re-opens
 /// the link (same address, a respawned child, or a freshly
 /// [registered](WorkerRegistry) replacement), the aggregator replays the
 /// shard's journal through it, and the run resumes — bit-identical,
@@ -122,7 +122,7 @@ struct PoolEntry {
 /// The aggregator-side half of the `--register` handshake: listens on a TCP
 /// port, collects the addresses announced by `knw-worker --listen …
 /// --register <this port>` processes ([`Frame::Register`]), and hands them
-/// out to the transport's recovery and placement paths
+/// out to the aggregator's recovery and placement paths
 /// ([`take_address`](Self::take_address)) when a worker's static address
 /// stays unreachable — or, under pool placement, when a fleet slot needs a
 /// worker at all.
@@ -224,7 +224,7 @@ impl WorkerRegistry {
     }
 
     /// Starts the continuous health-probe thread: every `interval`, each
-    /// pooled spare is probed with the transport's connect-and-greet
+    /// pooled spare is probed with the same connect-and-greet
     /// liveness check (`timeout` bounds both the connect and the greet
     /// reply) and its pool entry is marked accordingly.  Probe outcomes
     /// are counted (`knw_registry_probe_ok_total` /

@@ -1,21 +1,16 @@
-//! How the aggregator reaches its workers: the transport layer under the
-//! frame protocol.
+//! How the aggregator reaches its workers: the link layer under the frame
+//! protocol.
 //!
-//! The frame codec ([`crate::frame`]) and the worker loop
-//! ([`crate::run_worker`]) are transport-agnostic — any `Read`/`Write` pair
-//! carries them.  This module names the two transports the aggregator
-//! ships with and hides their differences behind two small traits:
-//!
-//! * [`Transport`] — a factory that opens one link per worker index.
-//!   [`PipeTransport`] *spawns* a `knw-worker` child process per worker and
-//!   talks over its stdin/stdout pipes (the single-box topology).
-//!   [`TcpTransport`] *connects* to already-running workers listening on
-//!   TCP addresses (`knw-worker --listen <addr>`), which is what an actual
-//!   multi-host run looks like.
-//! * [`WorkerConnection`] — one live, framed, bidirectional link.  The
-//!   aggregator only ever sends frames, receives frames, half-closes, and
-//!   tears down; whether that maps to pipe writes and `waitpid` or socket
-//!   writes and `shutdown(2)` is the connection's business.
+//! A worker is either a spawned `knw-worker` child, spoken to over its
+//! stdin/stdout pipes (the single-box topology), or an already-running
+//! `knw-worker --listen <addr>` reached over TCP (the multi-host
+//! topology), as the [`WorkerSource`] says.  Both are one crate-private
+//! link type — a buffered writer and reader, plus the peer behind them for
+//! the few operations that differ (half-close, kill, finish confirmation,
+//! the reaping drop) — and one crate-private placement type, built from
+//! the [`WorkerSource`], decides where each worker index's link comes
+//! from: a fresh child, the static address, a re-resolved replacement, or
+//! a draw from a [`WorkerRegistry`] pool.
 //!
 //! # Failure model
 //!
@@ -32,132 +27,27 @@
 //!   a half-open or stalled worker surfaces as [`ClusterError::Timeout`]
 //!   within a bounded interval instead of hanging the aggregation forever.
 
+use crate::aggregator::{ClusterConfig, WorkerSource};
 use crate::error::ClusterError;
-use crate::frame::{read_frame, write_frame, Frame, WireError};
+use crate::frame::{encode_frame, read_frame, Frame, WireError};
 use crate::recovery::WorkerRegistry;
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::{Arc, Mutex};
+use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Default TCP connect timeout: long enough for a loaded host to accept,
-/// short enough that a dead address fails the run promptly.
-pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+/// TCP connect timeout: long enough for a loaded host to accept, short
+/// enough that a dead address fails the run promptly.
+pub(crate) const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Default per-link read/write timeout on TCP transports.  Generous —
-/// workers may legitimately spend a while serializing a large shard — but
-/// bounded: a stalled peer surfaces as [`ClusterError::Timeout`] instead of
-/// hanging the aggregation forever.
+/// Default per-link read/write timeout on TCP links.  Generous — workers
+/// may legitimately spend a while serializing a large shard — but bounded:
+/// a stalled peer surfaces as [`ClusterError::Timeout`] instead of hanging
+/// the aggregation forever.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// One live, framed, bidirectional link to a worker.
-///
-/// Implementations pair a buffered writer with a buffered reader over the
-/// transport's byte stream; [`send`](Self::send) flushes, so a frame is on
-/// the wire when the call returns.
-pub trait WorkerConnection: Send {
-    /// Writes one frame and flushes it to the worker.
-    ///
-    /// # Errors
-    ///
-    /// The wire-level failure; the caller attributes it to a worker index.
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError>;
-
-    /// Writes one *pre-encoded* frame — length prefix included, exactly as
-    /// [`write_frame`] would lay it out — and flushes it.  This is the
-    /// aggregator's zero-copy dispatch path: the hot loop encodes each
-    /// `Batch` frame once into a reused buffer and hands the bytes straight
-    /// to the link, so neither an owning `Frame` nor a fresh payload `Vec`
-    /// exists per send.  The default implementation decodes the bytes and
-    /// delegates to [`send`](Self::send), so connection doubles that only
-    /// observe decoded frames keep working unchanged.
-    ///
-    /// # Errors
-    ///
-    /// The wire-level failure; the caller attributes it to a worker index.
-    fn send_raw(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let mut reader = bytes;
-        match read_frame(&mut reader)? {
-            Some(frame) => self.send(&frame),
-            None => Ok(()),
-        }
-    }
-
-    /// Reads the worker's next frame (`Ok(None)` on clean end of stream).
-    ///
-    /// # Errors
-    ///
-    /// The wire-level failure; the caller attributes it to a worker index.
-    fn recv(&mut self) -> Result<Option<Frame>, WireError>;
-
-    /// Signals end-of-input to the worker: closes the pipe's stdin, or
-    /// shuts down the socket's write half.  Idempotent; the read side
-    /// stays open so a final `Shard` can still arrive.
-    fn close_send(&mut self);
-
-    /// Forcibly severs the link: kills the child process, or shuts the
-    /// socket down in both directions.  Used for fault injection and for
-    /// tear-down of abandoned aggregations.
-    ///
-    /// # Errors
-    ///
-    /// The underlying `kill(2)` / `shutdown(2)` failure, if any.
-    fn kill(&mut self) -> std::io::Result<()>;
-
-    /// Confirms the worker wound the session down cleanly after `Finish`:
-    /// a pipe worker must exit with status zero; a TCP worker must close
-    /// the connection (it keeps serving other sessions).  Returns
-    /// `Ok(false)` for an unclean shutdown.
-    ///
-    /// # Errors
-    ///
-    /// The transport failure observed while confirming (including a read
-    /// timeout on a socket that never closes).
-    fn confirm_finished(&mut self) -> std::io::Result<bool>;
-}
-
-/// A factory for worker links: opens one [`WorkerConnection`] per worker
-/// index.  The aggregator is written against this trait, so the pipe,
-/// socket and any future transport share every line of routing, merging
-/// and supervision code.
-pub trait Transport: Send {
-    /// Opens the link to worker `index` (spawns the child, or connects the
-    /// socket).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Io`] if a child cannot be spawned,
-    /// [`ClusterError::ConnectFailed`] if a socket cannot be connected.
-    fn open(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError>;
-
-    /// Re-opens the link to worker `index` after a fault, re-resolving the
-    /// worker if the transport supports it.  The default is plain
-    /// [`open`](Self::open) — re-spawn the child, re-dial the same address;
-    /// [`TcpTransport`] additionally falls back to the next
-    /// [registered](crate::WorkerRegistry) replacement address when the
-    /// static one stays unreachable (and remembers the substitution for
-    /// later faults).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`open`](Self::open), from the last address attempted.
-    fn reopen(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        self.open(index)
-    }
-
-    /// Tells the transport that worker `index` no longer exists — a
-    /// scale-down retired its shard — so per-index state (a re-resolved
-    /// replacement address, a pool assignment) must be expired rather than
-    /// remembered forever, and a pooled address can be returned for later
-    /// re-adoption.  The default is a no-op: the pipe transport holds no
-    /// per-index state (the child dies with its connection).
-    fn retire(&self, index: usize) {
-        let _ = index;
-    }
-}
 
 /// Liveness-probes a worker address before recovery or placement adopts
 /// it: a bare TCP connect is not evidence of a serving worker (the kernel
@@ -169,26 +59,15 @@ pub trait Transport: Send {
 /// wedged one times out.  The probed session is separate from (and closed
 /// before) any connection the caller actually adopts.
 ///
-/// Shared by the TCP transport's recovery re-resolution and pool
-/// placement draws, and by the registry's continuous background probing.
+/// Shared by recovery re-resolution and pool placement draws, and by the
+/// registry's continuous background probing.
 #[must_use]
 pub fn probe_worker(addr: &str, connect_timeout: Duration, io_timeout: Duration) -> bool {
-    let Ok(stream) = connect_first(addr, connect_timeout) else {
+    let Ok(mut link) = Link::connect(addr, connect_timeout, Some(io_timeout)) else {
         return false;
     };
-    let _ = stream.set_nodelay(true);
-    let deadline = Some(io_timeout);
-    if stream.set_read_timeout(deadline).is_err() || stream.set_write_timeout(deadline).is_err() {
-        return false;
-    }
-    let mut writer = stream;
-    let Ok(reader) = writer.try_clone() else {
-        return false;
-    };
-    if write_frame(&mut writer, &Frame::Snapshot).is_err() || writer.flush().is_err() {
-        return false;
-    }
-    matches!(read_frame(&mut BufReader::new(reader)), Ok(Some(_)))
+    let greeting = encode_frame(&Frame::Snapshot).expect("a control frame is tiny");
+    link.send(&greeting).is_ok() && matches!(link.recv(), Ok(Some(_)))
 }
 
 /// Connects to the first reachable of `addr`'s resolved socket addresses
@@ -209,37 +88,6 @@ fn connect_first(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
             "address resolved to no socket address",
         )
     }))
-}
-
-/// Opens a configured framed TCP link to `addr`, attributing failure to
-/// worker `index`.
-fn open_tcp_link(
-    index: usize,
-    addr: &str,
-    connect_timeout: Duration,
-    io_timeout: Option<Duration>,
-) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-    let connect = || -> std::io::Result<TcpConnection> {
-        let stream = connect_first(addr, connect_timeout)?;
-        // Frames are already batched; ship them as they flush.
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(io_timeout)?;
-        stream.set_write_timeout(io_timeout)?;
-        let reader = stream.try_clone()?;
-        Ok(TcpConnection {
-            writer: BufWriter::new(stream),
-            reader: BufReader::new(reader),
-            write_open: true,
-        })
-    };
-    match connect() {
-        Ok(conn) => Ok(Box::new(conn)),
-        Err(source) => Err(ClusterError::ConnectFailed {
-            worker: index,
-            addr: addr.to_string(),
-            source,
-        }),
-    }
 }
 
 /// How long [`spawn_listening_worker`] waits for the `listening on`
@@ -392,194 +240,234 @@ impl Drop for ListeningWorkerFleet {
     }
 }
 
-// --------------------------------------------------------------------- pipe
-
-/// The single-box transport: spawn one `knw-worker` child process per
-/// worker and speak frames over its stdin/stdout pipes.
-#[derive(Debug, Clone)]
-pub struct PipeTransport {
-    worker_exe: PathBuf,
+/// One live, framed, bidirectional link to a worker: a buffered writer and
+/// reader over a spawned child's pipes or a connected socket.
+pub(crate) struct Link {
+    /// `None` once the send side was half-closed or the link severed.
+    writer: Option<BufWriter<Box<dyn Write + Send>>>,
+    reader: BufReader<Box<dyn Read + Send>>,
+    peer: Peer,
 }
 
-impl PipeTransport {
-    /// Creates a pipe transport spawning the given worker executable.
-    #[must_use]
-    pub fn new(worker_exe: impl Into<PathBuf>) -> Self {
-        Self {
-            worker_exe: worker_exe.into(),
-        }
-    }
+/// What stands behind a [`Link`]'s byte streams.
+enum Peer {
+    /// A spawned `knw-worker` child, reaped when its link goes.
+    Child(Child),
+    /// A listening worker's socket, kept for `shutdown(2)`.
+    Socket(TcpStream),
 }
 
-impl Transport for PipeTransport {
-    fn open(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        let mut child = Command::new(&self.worker_exe)
+impl Link {
+    /// Spawns `exe` and links to it over its stdin/stdout pipes.
+    pub(crate) fn spawn(exe: &Path) -> std::io::Result<Self> {
+        let mut child = Command::new(exe)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
-            .spawn()
-            .map_err(|e| ClusterError::io(index, e))?;
+            .spawn()?;
         let stdin = child.stdin.take().expect("stdin was piped");
         let stdout = child.stdout.take().expect("stdout was piped");
-        Ok(Box::new(PipeConnection {
-            child,
-            stdin: Some(BufWriter::new(stdin)),
-            stdout: BufReader::new(stdout),
-        }))
-    }
-}
-
-/// A spawned `knw-worker` child on stdin/stdout pipes.
-struct PipeConnection {
-    child: Child,
-    /// `None` once the pipe was half-closed (at `Finish`).
-    stdin: Option<BufWriter<ChildStdin>>,
-    stdout: BufReader<ChildStdout>,
-}
-
-impl WorkerConnection for PipeConnection {
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-        let Some(stdin) = self.stdin.as_mut() else {
-            // Writing after close_send: the pipe is gone, same as a dead
-            // child from the caller's perspective.
-            return Err(WireError::Io(std::io::ErrorKind::BrokenPipe.into()));
-        };
-        write_frame(stdin, frame)?;
-        stdin.flush()?;
-        Ok(())
+        Ok(Self::new(
+            Box::new(stdin),
+            Box::new(stdout),
+            Peer::Child(child),
+        ))
     }
 
-    fn send_raw(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        let Some(stdin) = self.stdin.as_mut() else {
-            return Err(WireError::Io(std::io::ErrorKind::BrokenPipe.into()));
-        };
-        stdin.write_all(bytes)?;
-        stdin.flush()?;
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Frame>, WireError> {
-        read_frame(&mut self.stdout)
-    }
-
-    fn close_send(&mut self) {
-        drop(self.stdin.take());
-    }
-
-    fn kill(&mut self) -> std::io::Result<()> {
-        drop(self.stdin.take());
-        self.child.kill()
-    }
-
-    fn confirm_finished(&mut self) -> std::io::Result<bool> {
-        Ok(self.child.wait()?.success())
-    }
-}
-
-impl Drop for PipeConnection {
-    /// Reaps the child so an abandoned (or failed) link leaves no orphan
-    /// process behind.  A no-op for children already waited on.
-    fn drop(&mut self) {
-        drop(self.stdin.take());
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-// ---------------------------------------------------------------------- tcp
-
-/// The multi-host transport: connect to already-running workers
-/// (`knw-worker --listen <addr>`) over TCP.
-///
-/// Worker addresses come from the static list, from an attached
-/// [`WorkerRegistry`] pool of `knw-worker --listen --register` spares, or
-/// both.  An index beyond the static list — every index of a pool-placed
-/// fleet, whose list is empty — is placed by popping pool
-/// addresses until one passes the connect-and-greet liveness probe
-/// ([`probe_worker`]) and connects.
-///
-/// Recovery re-resolution: [`reopen`](Transport::reopen) first re-dials the
-/// worker's current address; if that stays unreachable and a registry is
-/// attached, it draws a replacement from the pool the same way, and
-/// remembers the substitution so later faults on the same worker dial the
-/// replacement directly.  [`retire`](Transport::retire) — a scale-down
-/// removed the slot — hands the worker's address back to the pool, so a
-/// later grow can re-adopt the still-serving worker.
-#[derive(Debug)]
-pub struct TcpTransport {
-    addrs: Vec<String>,
-    connect_timeout: Duration,
-    io_timeout: Option<Duration>,
-    registry: Option<Arc<WorkerRegistry>>,
-    /// Re-resolved replacement addresses, by worker index.
-    overrides: Mutex<HashMap<usize, String>>,
-}
-
-impl TcpTransport {
-    /// Creates a TCP transport for the given worker addresses, spare
-    /// registry and timeouts.
-    #[must_use]
-    pub fn new(
-        addrs: Vec<String>,
-        registry: Option<Arc<WorkerRegistry>>,
+    /// Connects to `addr` (see [`connect_first`]) with `TCP_NODELAY` and
+    /// `io_timeout` on reads and writes.
+    pub(crate) fn connect(
+        addr: &str,
         connect_timeout: Duration,
         io_timeout: Option<Duration>,
-    ) -> Self {
+    ) -> std::io::Result<Self> {
+        let stream = connect_first(addr, connect_timeout)?;
+        // Frames are already batched; ship them as they flush.
+        let _ = stream.set_nodelay(true);
+        stream.set_read_timeout(io_timeout)?;
+        stream.set_write_timeout(io_timeout)?;
+        let (writer, reader) = (stream.try_clone()?, stream.try_clone()?);
+        Ok(Self::new(
+            Box::new(writer),
+            Box::new(reader),
+            Peer::Socket(stream),
+        ))
+    }
+
+    fn new(writer: Box<dyn Write + Send>, reader: Box<dyn Read + Send>, peer: Peer) -> Self {
         Self {
-            addrs,
-            connect_timeout,
-            io_timeout,
-            registry,
-            overrides: Mutex::new(HashMap::new()),
+            writer: Some(BufWriter::new(writer)),
+            reader: BufReader::new(reader),
+            peer,
         }
     }
 
-    /// The address worker `index` currently resolves to: its registered
-    /// replacement if recovery re-resolved it (or a pool draw placed it
-    /// there), the static address otherwise.  `None` for a grown index
-    /// beyond the static list that has no pool assignment yet.
-    fn current_addr(&self, index: usize) -> Option<String> {
-        self.overrides
-            .lock()
-            .expect("transport overrides lock")
-            .get(&index)
-            .cloned()
-            .or_else(|| self.addrs.get(index).cloned())
+    /// Writes one encoded frame (length prefix included, as [`encode_frame`]
+    /// lays it out) and flushes it, so the frame is on the wire when the
+    /// call returns.  Fails with `BrokenPipe` after a half-close or kill.
+    pub(crate) fn send(&mut self, frame: &[u8]) -> Result<(), WireError> {
+        // Writing after a half-close: the stream is gone, the same as a dead
+        // worker from the caller's side.
+        let writer = self
+            .writer
+            .as_mut()
+            .ok_or_else(|| WireError::Io(std::io::ErrorKind::BrokenPipe.into()))?;
+        writer.write_all(frame)?;
+        writer.flush()?;
+        Ok(())
     }
 
-    /// Draws a probed-healthy address from the attached registry pool,
-    /// assigns it to `index`, and connects — the placement path shared by
-    /// [`open`](Transport::open) on grown indices and
-    /// [`reopen`](Transport::reopen)'s re-resolution fallback.  Returns
-    /// `None` when no attached registry can supply a live address.
-    fn open_from_pool(&self, index: usize) -> Option<Box<dyn WorkerConnection>> {
-        let registry = self.registry.as_ref()?;
-        while let Some(addr) = registry.take_address() {
-            if !probe_worker(
-                &addr,
-                self.connect_timeout,
-                self.io_timeout.unwrap_or(DEFAULT_IO_TIMEOUT),
-            ) {
-                continue;
-            }
-            match open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout) {
-                Ok(conn) => {
-                    self.overrides
-                        .lock()
-                        .expect("transport overrides lock")
-                        .insert(index, addr);
-                    return Some(conn);
-                }
-                Err(_) => continue,
+    /// Reads the worker's next frame (`Ok(None)` on a clean end of stream)
+    /// into a fresh payload buffer, exactly as [`read_frame`] does.
+    pub(crate) fn recv(&mut self) -> Result<Option<Frame>, WireError> {
+        read_frame(&mut self.reader)
+    }
+
+    /// Signals end of input: closes the child's stdin, or shuts the
+    /// socket's write half down.  Idempotent; the read side stays open so a
+    /// final `Shard` can still arrive.
+    pub(crate) fn close_send(&mut self) {
+        if let Some(mut writer) = self.writer.take() {
+            let _ = writer.flush();
+            if let Peer::Socket(socket) = &self.peer {
+                let _ = socket.shutdown(Shutdown::Write);
             }
         }
-        None
+    }
+
+    /// Severs the link: kills and reaps the child, or shuts the socket down
+    /// both ways.  Used for fault injection, resharding and tear-down.
+    pub(crate) fn kill(&mut self) -> std::io::Result<()> {
+        // Sever first: a buffered write still pending towards a wedged peer
+        // then fails fast when the writer drops, instead of blocking.
+        let severed = match &mut self.peer {
+            // Reaped even if the kill fails (the child already exited).
+            Peer::Child(child) => child.kill().and(child.wait().map(drop)),
+            Peer::Socket(socket) => socket.shutdown(Shutdown::Both),
+        };
+        self.writer = None;
+        severed
+    }
+
+    /// Confirms the worker wound the session down cleanly after `Finish`:
+    /// a child must exit with status zero; a listening worker must close
+    /// the connection (it keeps serving other sessions).  `Ok(false)` for
+    /// an unclean shutdown; `Err` for an I/O failure such as a read timeout.
+    pub(crate) fn confirm_finished(&mut self) -> std::io::Result<bool> {
+        if let Peer::Child(child) = &mut self.peer {
+            return Ok(child.wait()?.success());
+        }
+        // A finishing worker sends its Shard and closes the connection;
+        // clean EOF is the handshake.
+        match self.recv() {
+            Ok(None) => Ok(true),
+            Err(WireError::Io(e)) => Err(e),
+            Ok(Some(_)) | Err(_) => Ok(false),
+        }
+    }
+
+    /// The child's process id, for a pipe link.
+    #[cfg(test)]
+    fn pid(&self) -> Option<u32> {
+        match &self.peer {
+            Peer::Child(child) => Some(child.id()),
+            Peer::Socket(_) => None,
+        }
     }
 }
 
-impl Transport for TcpTransport {
-    fn open(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        match self.current_addr(index) {
-            Some(addr) => open_tcp_link(index, &addr, self.connect_timeout, self.io_timeout),
+impl Drop for Link {
+    /// Kills and reaps a child, so an abandoned (or failed) link leaves no
+    /// orphan process behind; a socket just closes.
+    fn drop(&mut self) {
+        if matches!(self.peer, Peer::Child(_)) {
+            let _ = self.kill();
+        }
+    }
+}
+
+/// Where each worker index's [`Link`] comes from: a spawned child per
+/// open, or a TCP address from the static list, from an attached
+/// [`WorkerRegistry`] pool of `knw-worker --listen --register` spares, or
+/// both.  An index beyond the static list — every index of a pool-placed
+/// fleet, whose list is empty — is placed by popping pool addresses until
+/// one passes the connect-and-greet liveness probe ([`probe_worker`]) and
+/// connects.  [`reopen`](Self::reopen) falls back to such a draw when the
+/// usual open fails, and the substitution sticks for later faults on the
+/// same index; [`retire`](Self::retire) — a scale-down removed the slot —
+/// hands the worker's address back to the pool, so a later grow can
+/// re-adopt the still-serving worker.
+pub(crate) struct Placement {
+    /// The `knw-worker` executable to spawn; `None` for TCP workers.
+    spawn: Option<PathBuf>,
+    /// Static TCP addresses, in shard order.
+    addrs: Vec<String>,
+    registry: Option<Arc<WorkerRegistry>>,
+    io_timeout: Option<Duration>,
+    /// Re-resolved replacement addresses and pool draws, by worker index.
+    overrides: HashMap<usize, String>,
+}
+
+impl Placement {
+    /// The placement `config` describes, for a fleet of `shards` workers.
+    /// Refuses a TCP config with neither addresses nor a registry (a typed
+    /// [`ClusterError::Io`]), and a pool placement whose pool cannot cover
+    /// the fleet ([`ClusterError::PoolExhausted`], before any dial).
+    pub(crate) fn new(config: &ClusterConfig, shards: usize) -> Result<Self, ClusterError> {
+        let (spawn, addrs, registry) = match &config.workers {
+            WorkerSource::Spawn(exe) => (Some(exe.clone()), Vec::new(), None),
+            WorkerSource::Tcp { addrs, registry } => (None, addrs.clone(), registry.clone()),
+        };
+        if spawn.is_none() && addrs.is_empty() {
+            // `with_shards` clamps 0 to 1, so an empty list with no pool
+            // would reach `open(0)`; refuse it typed instead.
+            let pool = registry.as_ref().ok_or_else(|| ClusterError::Io {
+                worker: None,
+                source: std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "a TCP cluster needs at least one worker address or a registry pool",
+                ),
+            })?;
+            let live = pool.live_available();
+            if live < shards {
+                return Err(ClusterError::PoolExhausted {
+                    needed: shards,
+                    live,
+                });
+            }
+        }
+        Ok(Self {
+            spawn,
+            addrs,
+            registry,
+            io_timeout: config.io_timeout,
+            overrides: HashMap::new(),
+        })
+    }
+
+    /// Restates a failed start-up open: a pool draw that lost a race after
+    /// the pre-check reports the fleet's shortfall, not the failed draw.
+    pub(crate) fn fleet_error(&self, shards: usize, error: ClusterError) -> ClusterError {
+        match (error, &self.registry) {
+            (ClusterError::PoolExhausted { .. }, Some(pool)) => ClusterError::PoolExhausted {
+                needed: shards,
+                live: pool.live_available(),
+            },
+            (other, _) => other,
+        }
+    }
+
+    /// Opens worker `index`'s link: spawns a child ([`ClusterError::Io`]
+    /// on failure), or dials the address the index resolves to
+    /// ([`ClusterError::ConnectFailed`]) — a pool draw for an index that has
+    /// none ([`ClusterError::PoolExhausted`]).
+    pub(crate) fn open(&mut self, index: usize) -> Result<Link, ClusterError> {
+        if let Some(exe) = &self.spawn {
+            return Link::spawn(exe).map_err(|e| ClusterError::io(index, e));
+        }
+        // The replacement recovery or a pool draw settled on, else the
+        // static address.
+        match self.overrides.get(&index).or(self.addrs.get(index)) {
+            Some(addr) => self.dial(index, addr),
             // A grown index beyond the static list: the pool is the only
             // possible placement.
             None => self
@@ -588,91 +476,57 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn reopen(&self, index: usize) -> Result<Box<dyn WorkerConnection>, ClusterError> {
-        // First choice: the address the worker last answered on (a
-        // supervisor may have restarted it in place).
-        let static_error = match self.open(index) {
-            Ok(conn) => return Ok(conn),
+    /// Re-opens worker `index`'s link after a fault: the usual open first
+    /// (a supervisor may have restarted the worker in place), then a probed
+    /// pool replacement.  Unreachable or unresponsive pops are discarded —
+    /// a stale announcement, or a spare whose listen backlog still accepts
+    /// for a dead serve loop, must not burn a bounded recovery attempt on a
+    /// doomed replay.  Fails with the first attempt's error.
+    pub(crate) fn reopen(&mut self, index: usize) -> Result<Link, ClusterError> {
+        let first_error = match self.open(index) {
+            Ok(link) => return Ok(link),
             Err(e) => e,
         };
-        // Fallback: pop registered replacements until one *answers a
-        // liveness probe* and connects.  Unreachable or unresponsive pops
-        // are discarded — a stale announcement, or a spare whose listen
-        // backlog still accepts for a dead serve loop, must not burn a
-        // bounded recovery attempt on a doomed replay.
-        self.open_from_pool(index).ok_or(static_error)
+        self.open_from_pool(index).ok_or(first_error)
     }
 
-    fn retire(&self, index: usize) {
-        // Expire the override — the index no longer exists, so a later
-        // grow must not inherit a stale substitution — and hand the
-        // still-serving worker's address back to the pool for re-adoption.
-        let expired = self
-            .overrides
-            .lock()
-            .expect("transport overrides lock")
-            .remove(&index);
-        if let Some(registry) = &self.registry {
+    /// Forgets worker `index`, retired by a scale-down: expires its
+    /// override, so a later grow does not inherit a stale substitution, and
+    /// hands the still-serving worker's address back to the pool.
+    pub(crate) fn retire(&mut self, index: usize) {
+        let expired = self.overrides.remove(&index);
+        if let Some(pool) = &self.registry {
             if let Some(addr) = expired.or_else(|| self.addrs.get(index).cloned()) {
-                registry.return_address(addr);
+                pool.return_address(addr);
             }
         }
     }
-}
 
-/// One framed TCP link to a listening worker.
-struct TcpConnection {
-    writer: BufWriter<TcpStream>,
-    reader: BufReader<TcpStream>,
-    write_open: bool,
-}
+    fn dial(&self, index: usize, addr: &str) -> Result<Link, ClusterError> {
+        Link::connect(addr, DEFAULT_CONNECT_TIMEOUT, self.io_timeout).map_err(|source| {
+            ClusterError::ConnectFailed {
+                worker: index,
+                addr: addr.to_string(),
+                source,
+            }
+        })
+    }
 
-impl WorkerConnection for TcpConnection {
-    fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
-        if !self.write_open {
-            return Err(WireError::Io(std::io::ErrorKind::BrokenPipe.into()));
+    /// Draws a probed-healthy address from the pool, assigns it to `index`
+    /// and connects; `None` when no pool can supply a live address.
+    fn open_from_pool(&mut self, index: usize) -> Option<Link> {
+        let pool = self.registry.as_ref()?;
+        let probe_timeout = self.io_timeout.unwrap_or(DEFAULT_IO_TIMEOUT);
+        while let Some(addr) = pool.take_address() {
+            if !probe_worker(&addr, DEFAULT_CONNECT_TIMEOUT, probe_timeout) {
+                continue;
+            }
+            if let Ok(link) = self.dial(index, &addr) {
+                self.overrides.insert(index, addr);
+                return Some(link);
+            }
         }
-        write_frame(&mut self.writer, frame)?;
-        self.writer.flush()?;
-        Ok(())
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        if !self.write_open {
-            return Err(WireError::Io(std::io::ErrorKind::BrokenPipe.into()));
-        }
-        self.writer.write_all(bytes)?;
-        self.writer.flush()?;
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Frame>, WireError> {
-        read_frame(&mut self.reader)
-    }
-
-    fn close_send(&mut self) {
-        if self.write_open {
-            self.write_open = false;
-            let _ = self.writer.flush();
-            let _ = self.writer.get_ref().shutdown(Shutdown::Write);
-        }
-    }
-
-    fn kill(&mut self) -> std::io::Result<()> {
-        self.write_open = false;
-        self.writer.get_ref().shutdown(Shutdown::Both)
-    }
-
-    fn confirm_finished(&mut self) -> std::io::Result<bool> {
-        // A finishing worker sends its Shard and closes the connection (it
-        // may keep serving *other* sessions); clean EOF is the handshake.
-        match read_frame(&mut self.reader) {
-            Ok(None) => Ok(true),
-            Ok(Some(_)) => Ok(false),
-            Err(WireError::Truncated) => Ok(false),
-            Err(WireError::Io(e)) => Err(e),
-            Err(_) => Ok(false),
-        }
+        None
     }
 }
 
@@ -680,11 +534,34 @@ impl WorkerConnection for TcpConnection {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::thread::JoinHandle;
 
-    /// A registry-less transport over `addrs` with the default io timeout.
-    fn tcp<const N: usize>(addrs: [&str; N], connect_timeout: Duration) -> TcpTransport {
-        let addrs = addrs.map(String::from).to_vec();
-        TcpTransport::new(addrs, None, connect_timeout, Some(DEFAULT_IO_TIMEOUT))
+    /// A registry-less TCP placement over `addrs`.
+    fn tcp<const N: usize>(addrs: [&str; N]) -> Placement {
+        Placement::new(&ClusterConfig::tcp(addrs, None), N).expect("a static placement")
+    }
+
+    fn wire(frame: &Frame) -> Vec<u8> {
+        encode_frame(frame).expect("encode")
+    }
+
+    /// A pipe link to `/bin/cat`, which echoes every frame back.
+    fn cat() -> Link {
+        Link::spawn(Path::new("/bin/cat")).expect("spawn cat")
+    }
+
+    /// A one-connection local listener whose accepted stream `peer` runs.
+    fn listen(peer: impl FnOnce(TcpStream) + Send + 'static) -> (String, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        (
+            addr,
+            std::thread::spawn(move || peer(listener.accept().expect("accept").0)),
+        )
+    }
+
+    fn connect(addr: &str) -> Link {
+        Link::connect(addr, DEFAULT_CONNECT_TIMEOUT, Some(DEFAULT_IO_TIMEOUT)).expect("connect")
     }
 
     #[test]
@@ -694,8 +571,7 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             listener.local_addr().expect("addr").to_string()
         };
-        let transport = tcp([addr.as_str()], Duration::from_millis(500));
-        match transport.open(0).map(|_| "a connection") {
+        match tcp([addr.as_str()]).open(0).map(|_| "a connection") {
             Err(ClusterError::ConnectFailed {
                 worker,
                 addr: failed,
@@ -710,10 +586,7 @@ mod tests {
 
     #[test]
     fn unresolvable_address_is_a_connect_failure() {
-        match tcp(["not an address"], DEFAULT_CONNECT_TIMEOUT)
-            .open(0)
-            .map(|_| "a connection")
-        {
+        match tcp(["not an address"]).open(0).map(|_| "a connection") {
             Err(ClusterError::ConnectFailed { worker: 0, .. }) => {}
             other => panic!("expected ConnectFailed, got {other:?}"),
         }
@@ -732,24 +605,83 @@ mod tests {
 
     #[test]
     fn tcp_round_trip_over_a_local_listener() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr").to_string();
-        let echo = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().expect("accept");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut writer = BufWriter::new(stream);
-            let frame = read_frame(&mut reader).expect("read").expect("frame");
-            write_frame(&mut writer, &frame).expect("write");
-            writer.flush().expect("flush");
+        let (addr, echo) = listen(|mut stream| {
+            let frame = read_frame(&mut stream).expect("read").expect("frame");
+            stream.write_all(&wire(&frame)).expect("write");
         });
-        let mut conn = tcp([addr.as_str()], DEFAULT_CONNECT_TIMEOUT)
-            .open(0)
-            .expect("connect");
-        conn.send(&Frame::Snapshot).expect("send");
+        let mut conn = tcp([addr.as_str()]).open(0).expect("connect");
+        conn.send(&wire(&Frame::Snapshot)).expect("send");
         let back = conn.recv().expect("recv").expect("one frame");
         assert_eq!(back, Frame::Snapshot);
         echo.join().expect("echo thread");
         // The peer closed after echoing: a clean shutdown from our side.
         assert!(conn.confirm_finished().expect("confirm"));
+    }
+
+    /// Dropping or killing a pipe link reaps its child: no process is left
+    /// behind, not even a zombie.
+    #[test]
+    fn dropped_or_killed_pipe_links_leave_no_child() {
+        let gone = |pid: u32| !Path::new(&format!("/proc/{pid}")).exists();
+        let link = cat();
+        let pid = link.pid().expect("a child");
+        assert!(!gone(pid), "the child runs while linked");
+        drop(link);
+        assert!(gone(pid), "drop reaps the child");
+
+        let mut link = cat();
+        let pid = link.pid().expect("a child");
+        link.kill().expect("kill");
+        assert!(gone(pid), "kill reaps the child");
+        assert!(
+            link.send(&wire(&Frame::Snapshot)).is_err(),
+            "no send after kill"
+        );
+        assert!(!link.confirm_finished().expect("a killed child"));
+    }
+
+    /// After a socket link's half-close the peer reads a clean EOF between
+    /// frames, and the link still receives the peer's last frame.
+    #[test]
+    fn a_half_closed_socket_still_receives_the_last_frame() {
+        let (addr, peer) = listen(|mut stream| {
+            assert_eq!(read_frame(&mut stream).expect("read"), Some(Frame::Finish));
+            assert_eq!(read_frame(&mut stream).expect("clean EOF"), None);
+            stream
+                .write_all(&wire(&Frame::Shard(vec![7; 3])))
+                .expect("write");
+        });
+        let mut link = connect(&addr);
+        link.send(&wire(&Frame::Finish)).expect("send");
+        link.close_send();
+        link.close_send(); // idempotent
+        assert!(
+            link.send(&wire(&Frame::Snapshot)).is_err(),
+            "no send after close"
+        );
+        assert_eq!(link.recv().expect("recv"), Some(Frame::Shard(vec![7; 3])));
+        peer.join().expect("peer thread");
+        assert!(link.confirm_finished().expect("the peer closed"));
+    }
+
+    /// `confirm_finished` is `true` only for a clean exit (child) or a clean
+    /// close (socket).
+    #[test]
+    fn confirm_finished_tells_clean_from_unclean_ends() {
+        let mut link = cat();
+        link.send(&wire(&Frame::Snapshot)).expect("send");
+        link.close_send();
+        assert_eq!(link.recv().expect("echo"), Some(Frame::Snapshot));
+        assert!(link.confirm_finished().expect("cat exits 0 on EOF"));
+        let mut link = Link::spawn(Path::new("/bin/false")).expect("spawn false");
+        assert!(!link.confirm_finished().expect("false exits 1"));
+
+        // A peer that sends another frame, or half a frame, then closes.
+        for tail in [wire(&Frame::Finish), vec![9, 0, 0, 0, 1]] {
+            let (addr, peer) = listen(move |mut stream| stream.write_all(&tail).expect("write"));
+            let mut link = connect(&addr);
+            peer.join().expect("peer thread");
+            assert!(!link.confirm_finished().expect("an unclean close"));
+        }
     }
 }

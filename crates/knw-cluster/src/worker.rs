@@ -25,8 +25,8 @@
 
 use crate::accept::accept_loop;
 use crate::frame::{
-    read_frame, read_frame_into, write_frame, BatchPayload, Frame, FrameBuf, FrameView, SketchSpec,
-    StreamMode, WireError, WorkerStats,
+    read_frame, read_frame_into, write_frame, Frame, FrameBuf, FrameView, SketchSpec, StreamMode,
+    WireError, WorkerStats,
 };
 use crate::spec::{build_f0, build_l0, f0_shard_from_bytes, l0_shard_from_bytes};
 use crate::spec::{WireF0Sketch, WireL0Sketch};
@@ -42,13 +42,6 @@ enum ShardState {
 }
 
 impl ShardState {
-    fn apply(&mut self, payload: &BatchPayload) -> Result<(), String> {
-        match payload {
-            BatchPayload::Items(items) => self.apply_items(items),
-            BatchPayload::Updates(updates) => self.apply_updates(updates),
-        }
-    }
-
     fn apply_items(&mut self, items: &[u64]) -> Result<(), String> {
         match self {
             ShardState::F0(sketch) => {
@@ -206,17 +199,6 @@ fn run_session(
                     return report(output, message);
                 }
             }
-            FrameView::Owned(Frame::Batch(payload)) => {
-                ingested = true;
-                stats.batches_ingested += 1;
-                stats.updates_ingested += match &payload {
-                    BatchPayload::Items(items) => items.len() as u64,
-                    BatchPayload::Updates(updates) => updates.len() as u64,
-                };
-                if let Err(message) = state.apply(&payload) {
-                    return report(output, message);
-                }
-            }
             FrameView::Owned(Frame::Restore(bytes)) => {
                 // The recovery prologue: only valid on a fresh session —
                 // replacing state that already absorbed batches would
@@ -247,6 +229,8 @@ fn run_session(
                 return send_shard(output, &state)
                     .map_err(|e| format!("failed to send final shard: {e}"));
             }
+            // Batches never land here: a `Batch` payload the borrowing
+            // decode refuses, the codec refuses too.
             FrameView::Owned(other) => {
                 return report(
                     output,
@@ -389,7 +373,7 @@ fn serve_accepting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{HelloConfig, SketchSpec};
+    use crate::frame::{BatchPayload, HelloConfig, SketchSpec};
     use crate::spec::build_f0;
 
     fn hello(spec: SketchSpec) -> Frame {

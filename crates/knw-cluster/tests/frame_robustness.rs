@@ -9,7 +9,8 @@
 //! peer can corrupt its own session, never the survivor's process.
 
 use knw_cluster::{
-    read_frame, write_frame, BatchPayload, Frame, HelloConfig, SketchSpec, WireError, MAX_FRAME_LEN,
+    read_frame, read_frame_into, write_frame, BatchPayload, Frame, FrameBuf, FrameDecoder,
+    FrameView, HelloConfig, SketchSpec, WireError, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 use std::io::Read;
@@ -253,5 +254,48 @@ proptest! {
         }
         prop_assert_eq!(streamed, frames);
         prop_assert!(!decoder.mid_frame(), "decoder must end empty");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A `Batch` frame only ever decodes borrowed.  Valid batches of both
+    /// stream models, every truncation and every single-byte mutation of
+    /// them, through `read_frame_into` and through
+    /// `FrameDecoder::next_view`, yield a borrowed batch, another frame,
+    /// `None` or a typed error — never an owned `Batch`, for which neither
+    /// the worker nor the serve loop has a path.
+    #[test]
+    fn batches_never_decode_as_owned_frames(
+        turnstile in any::<bool>(),
+        values in prop::collection::vec(any::<u64>(), 0..12),
+        flip in 1u8..=255,
+    ) {
+        let payload = if turnstile {
+            BatchPayload::Updates(values.iter().map(|&v| (v, v as i64)).collect())
+        } else {
+            BatchPayload::Items(values)
+        };
+        let wire = encode(&Frame::Batch(payload));
+        let mut variants = vec![wire.clone()];
+        variants.extend((0..wire.len()).map(|cut| wire[..cut].to_vec()));
+        variants.extend((0..wire.len()).map(|i| {
+            let mut mutated = wire.clone();
+            mutated[i] ^= flip;
+            mutated
+        }));
+        let owned_batch = |view: &Result<Option<FrameView<'_>>, WireError>| {
+            matches!(view, Ok(Some(FrameView::Owned(Frame::Batch(_)))))
+        };
+        for bytes in &variants {
+            let mut buf = FrameBuf::new();
+            let blocking = read_frame_into(&mut bytes.as_slice(), &mut buf);
+            prop_assert!(!owned_batch(&blocking), "read_frame_into on {:?}", bytes);
+            let mut decoder = FrameDecoder::new();
+            decoder.push(bytes);
+            let streamed = decoder.next_view();
+            prop_assert!(!owned_batch(&streamed), "next_view on {:?}", bytes);
+        }
     }
 }

@@ -11,7 +11,7 @@
 //!   model implement [`TurnstileEstimator`].
 //!
 //! Every estimator also reports its own space usage in bits
-//! ([`SpaceUsage`](knw_hash::SpaceUsage)), including the space of its hash
+//! ([`SpaceUsage`]), including the space of its hash
 //! function descriptions, mirroring the paper's accounting conventions
 //! (Section 1.2: "all space bounds are given in bits").
 //!

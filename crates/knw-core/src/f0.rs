@@ -7,7 +7,7 @@
 //! `h3(h2(i))`; each counter remembers the deepest level of any item hashed to
 //! its bucket, **stored as an offset from a base level `b`**.  The base is
 //! derived from the rough estimate `R` produced by the always-correct
-//! [`RoughEstimator`](crate::rough::RoughEstimator) run alongside:
+//! [`RoughEstimator`] run alongside:
 //! `b = max(0, ⌈log R⌉ − log(K/32))`, so that the number of items at level
 //! `≥ b` is `Θ(K)` at all times.  Offsets are therefore `O(1)` in expectation
 //! and the counters fit in `O(K)` bits total, which is what the
@@ -19,7 +19,7 @@
 //! `≥ b`: `F̃0 = 2^b · ln(1 − T/K)/ln(1 − 1/K)` where `T = |{j : C_j ≥ 0}|`.
 //!
 //! Small cardinalities (below `Θ(K)`) are served by the Section 3.3 subroutine
-//! ([`SmallF0Estimator`](crate::small_f0::SmallF0Estimator)), exactly as
+//! ([`SmallF0Estimator`]), exactly as
 //! Theorem 4 prescribes.
 //!
 //! # Deviations from the letter of the paper
@@ -324,7 +324,7 @@ impl KnwF0Sketch {
     ///
     /// The `A > 3K` FAIL guard moves out of the per-write path: between
     /// rebases `A` is nondecreasing, so checking it just before every rebase
-    /// (inside [`react_to_rough`](Self::react_to_rough)) and once at batch
+    /// (inside `react_to_rough`) and once at batch
     /// end observes the same maxima, leaving the sticky
     /// [`failed`](Self::failed) flag in the same state.
     ///
@@ -590,6 +590,16 @@ impl KnwF0Sketch {
         }
         if self.config.seed != other.config.seed {
             return Err(SketchError::SeedMismatch);
+        }
+        // A decoded shard can carry any shape; the merge loops assume `K`
+        // counters and matching rough and small-F0 structures on both sides.
+        let shape = |s: &Self| {
+            let counters = s.counters.len() as u64;
+            (s.k, counters, s.rough.shape(), s.small.shape())
+        };
+        let (ours, theirs) = (shape(self), shape(other));
+        if ours != theirs || ours.0 != ours.1 {
+            return Err(SketchError::config_mismatch("shape", ours, theirs));
         }
         Ok(())
     }
@@ -927,6 +937,43 @@ mod tests {
             c.merge_from(&a),
             Err(SketchError::IncompatibleConfig { .. })
         ));
+    }
+
+    /// A decoded shard whose structures have another shape is refused with
+    /// a typed error, never a panic in the merge loops.
+    #[test]
+    fn merge_refuses_forged_shapes() {
+        let mut a = sketch(0.1, 1 << 16, 3);
+        for i in 0..5_000u64 {
+            a.insert(i);
+        }
+        let forgeries: [fn(&mut KnwF0Sketch); 6] = [
+            |s| s.k *= 2,
+            |s| s.counters = Vla::new(s.counters.len() / 2),
+            |s| {
+                let (log_n, k_re, subs) = s.rough.shape();
+                s.rough.forge_shape(log_n + 1, k_re, subs[0]);
+            },
+            |s| {
+                let (log_n, k_re, subs) = s.rough.shape();
+                s.rough.forge_shape(log_n, k_re + 1, subs[0]);
+            },
+            |s| {
+                let (log_n, k_re, subs) = s.rough.shape();
+                s.rough.forge_shape(log_n, k_re, subs[0] + 1);
+            },
+            |s| {
+                s.small =
+                    SmallF0Estimator::new(2 * s.k, Default::default(), &mut SplitMix64::new(1))
+            },
+        ];
+        for (n, forge) in forgeries.iter().enumerate() {
+            let mut forged = a.clone();
+            forge(&mut forged);
+            let refused = |r| matches!(r, Err(SketchError::IncompatibleConfig { .. }));
+            assert!(refused(a.clone().merge_from(&forged)), "forgery {n} into a");
+            assert!(refused(forged.clone().merge_from(&a)), "a into forgery {n}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   array that serves the intermediate regime and certifies the switchover.
 //!
 //! [`KnwL0Sketch`] composes the four pieces exactly as Theorem 10 prescribes
-//! and implements [`TurnstileEstimator`](crate::estimator::TurnstileEstimator).
+//! and implements [`TurnstileEstimator`].
 
 pub mod matrix;
 pub mod rough;

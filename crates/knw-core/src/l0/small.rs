@@ -287,7 +287,7 @@ impl Trial {
 ///
 /// On the wire: the capacity and the trial count (`u64`s), then each trial
 /// (see `Trial`).  The bucket count is derived from the capacity, and the
-/// decoder checks the geometry against [`MAX_COUNTERS`] before reading any
+/// decoder checks the geometry against `MAX_COUNTERS` before reading any
 /// trial, so a few bytes can never declare more counters than a structure
 /// [`new`](Self::new) would build.
 #[derive(Debug, Clone)]

@@ -308,6 +308,21 @@ impl RoughEstimator {
         self.estimate().max(floor)
     }
 
+    /// What [`merge_from_unchecked`](Self::merge_from_unchecked) needs two
+    /// estimators to share: `log n`, `K_RE`, and each sub-estimator's
+    /// counter count.
+    pub(crate) fn shape(&self) -> (u32, u64, Vec<usize>) {
+        let subs = self.subs.iter().map(|sub| sub.counters.len()).collect();
+        (self.log_n, self.k_re, subs)
+    }
+
+    /// Overwrites the [`shape`](Self::shape), as a forged shard could.
+    #[cfg(test)]
+    pub(crate) fn forge_shape(&mut self, log_n: u32, k_re: u64, sub0_len: usize) {
+        (self.log_n, self.k_re) = (log_n, k_re);
+        self.subs[0].counters = FixedWidthVec::zeros(sub0_len, self.subs[0].counters.width());
+    }
+
     /// Merges another RoughEstimator built with the same seed and universe, so
     /// that `self` reflects the union of both streams (counters are pointwise
     /// maxima).

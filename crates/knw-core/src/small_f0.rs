@@ -150,6 +150,12 @@ impl SmallF0Estimator {
         }
     }
 
+    /// What [`merge_from_unchecked`](Self::merge_from_unchecked) needs two
+    /// estimators to share: `K'` and the occupancy array's length.
+    pub(crate) fn shape(&self) -> (u64, u64) {
+        (self.k_prime, self.bits.len())
+    }
+
     /// Merges another small-F0 estimator built with the same `K` and seed.
     ///
     /// # Order-independence contract

@@ -3,7 +3,7 @@
 //! Section 1.2 of the paper defines `H_k(U, V)` as a `k`-wise independent hash
 //! family mapping `U` into `V`, representable in `O(k·log(|U| + |V|))` bits and
 //! evaluable in `O(k)` word operations (the classic construction of Carter and
-//! Wegman [11]).  The main F0 algorithm instantiates
+//! Wegman \[11\]).  The main F0 algorithm instantiates
 //! `h3 ∈ H_k([K³], [K])` with `k = Θ(log(1/ε)/log log(1/ε))`, and the
 //! balls-and-bins analysis (Lemma 2) only requires `2(k+1)`-wise independence.
 //!

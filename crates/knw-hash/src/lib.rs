@@ -17,7 +17,7 @@
 //! * [`tabulation`] — simple and twisted tabulation hashing, our practical
 //!   stand-in for Siegel's construction (Theorem 7) and the Pagh–Pagh uniform
 //!   family (Theorem 6); its module docs give the substitution argument.
-//! * [`uniform`] — the [`HashStrategy`](uniform::HashStrategy) switch that lets
+//! * [`uniform`] — the [`HashStrategy`] switch that lets
 //!   callers pick between the provably `k`-wise family and the fast tabulation
 //!   family for the bucket hash `h3`.
 //! * [`bits`] — constant-time `lsb`/`msb` and logarithm helpers (Theorem 5).

@@ -5,8 +5,8 @@
 //!
 //! # Bucket layout
 //!
-//! Values below [`SUB`] (16) get one exact bucket each.  Above that, each
-//! power-of-two octave is split into [`SUB`] equal sub-buckets — so the
+//! Values below `SUB` (16) get one exact bucket each.  Above that, each
+//! power-of-two octave is split into `SUB` equal sub-buckets — so the
 //! relative width of any bucket is at most 1/16 (~6%), uniformly across
 //! the range.  Values at or above `2^MAX_EXP` (`2^40`, about 18 minutes
 //! when recording nanoseconds) saturate into one final overflow bucket
