@@ -793,6 +793,60 @@ mod tests {
         }
     }
 
+    /// FNV-1a-64 of `bytes`.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The encoded length and FNV-1a-64 digest of `sketch`.
+    fn pin(sketch: &KnwL0Sketch) -> (usize, u64) {
+        let bytes = serde::to_bytes(sketch);
+        (bytes.len(), fnv1a64(&bytes))
+    }
+
+    #[test]
+    fn full_sketch_bytes_are_pinned() {
+        use crate::estimator::MergeableEstimator;
+        let churn = |updates: &[(u64, i64)]| {
+            let mut s = KnwL0Sketch::new(L0Config::new(0.05, 1 << 24).with_seed(7));
+            for batch in updates.chunks(4_096) {
+                s.update_batch(batch);
+            }
+            s
+        };
+        // A 200k-update churn stream: most rough levels hold sparse trials.
+        let updates = signed_stream(200_000, 1 << 17, 3);
+        let whole = churn(&updates);
+        assert_eq!(pin(&whole), (PINNED_CHURN_LEN, PINNED_CHURN_DIGEST));
+        let (a, b) = updates.split_at(updates.len() / 2);
+        let mut merged = churn(a);
+        merged.merge_from(&churn(b)).expect("same seed");
+        assert_eq!(pin(&merged), (PINNED_MERGED_LEN, PINNED_MERGED_DIGEST));
+
+        // A large support: rough level 0 and the exact structure run past
+        // half occupancy, so their trials take the dense form.
+        let mut wide = KnwL0Sketch::new(L0Config::new(0.25, 1 << 20).with_seed(7));
+        let inserts: Vec<(u64, i64)> = (0..200_000u64)
+            .map(|i| ((i * 0x9E37_79B1) % (1 << 20), 1 + (i % 3) as i64))
+            .collect();
+        wide.update_batch(&inserts);
+        assert!(wide.rough.level_count(0) > 39_762 / 2);
+        assert!(wide.exact.estimate() > 20_000 / 2);
+        assert_eq!(pin(&wide), (PINNED_WIDE_LEN, PINNED_WIDE_DIGEST));
+    }
+
+    // How a trial holds its counters in memory must never show in these
+    // bytes.  The merge of the halves equals the whole stream's sketch, so
+    // its pin repeats.
+    const PINNED_CHURN_LEN: usize = 2_473_174;
+    const PINNED_CHURN_DIGEST: u64 = 7_598_669_471_783_027_055;
+    const PINNED_MERGED_LEN: usize = PINNED_CHURN_LEN;
+    const PINNED_MERGED_DIGEST: u64 = PINNED_CHURN_DIGEST;
+    const PINNED_WIDE_LEN: usize = 2_949_598;
+    const PINNED_WIDE_DIGEST: u64 = 18_335_524_903_001_119_003;
+
     #[test]
     fn merge_rejects_mismatched_seeds_and_configs() {
         use crate::estimator::MergeableEstimator;

@@ -25,22 +25,28 @@
 //! `δ = 1/16`, per Appendix A.3) and as the tiny-cardinality path of the full
 //! [`KnwL0Sketch`](crate::l0::KnwL0Sketch) (with `c = 100`).
 //!
-//! # Wire form
+//! # Forms, in memory and on the wire
 //!
 //! The rough oracle's deep levels see few coordinates, so most of its
-//! `2c²`-bucket trials are nearly empty.  A trial therefore serializes its
-//! nonzero counters as `(index, value)` pairs while at most half its buckets
-//! are occupied, and the dense counter array otherwise; the form follows from
-//! the state, so each state has one encoding.  The per-trial occupancy count
-//! is not on the wire: decoding derives it from the counters, after checking
+//! `2c²`-bucket trials are nearly empty.  A trial with at most half its
+//! buckets nonzero is sent as its nonzero counters, `(index, value)` pairs
+//! in bucket order, and any other as the dense counter array; the form
+//! follows from the state, so each state has one encoding.  In memory a
+//! trial holds the same forms: the pairs in an ordered hash table, or the
+//! array.  So encoding is a walk over what the trial holds, decoding copies
+//! the pairs in, and merging two sparse trials walks both: each costs the
+//! nonzero counters, not the buckets.  A trial starts empty and allocates
+//! nothing; updates grow its table and switch it to the array once a table
+//! would take half the array's bytes.  The per-trial occupancy count is
+//! not on the wire: decoding derives it from the counters, after checking
 //! every index and value.
 //!
 //! An empty sparse trial takes a few dozen bytes whatever its bucket count,
-//! so the decoded size of a structure is not bounded by its input.  The
-//! decoder therefore checks the declared geometry (capacity and trial count)
-//! before it allocates any counters: at most `2^22` counters for a
-//! structure on its own, and exactly the geometry [`ExactSmallL0::new`]
-//! gives it where a sketch embeds one (see `ExactSmallL0::deserialize_as`).
+//! yet updates can grow it into its full counter array.  The decoder
+//! therefore checks the declared geometry (capacity and trial count) before
+//! it reads any counters: at most `2^22` counters for a structure on its
+//! own, and exactly the geometry [`ExactSmallL0::new`] gives it where a
+//! sketch embeds one (see `ExactSmallL0::deserialize_as`).
 
 use knw_hash::pairwise::PairwiseHash;
 use knw_hash::primes::random_prime_in_range;
@@ -105,7 +111,258 @@ fn reduce_delta(delta: i64, p: u64) -> u64 {
     }
 }
 
+/// One slot of a sparse trial's table: a bucket and its counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    bucket: u32,
+    value: u32,
+}
+
+/// An empty slot.  Only nonzero counters are stored, so a counter of 0
+/// marks it; its bucket, above every real one, ends a lookup's probe.
+const EMPTY: Slot = Slot {
+    bucket: u32::MAX,
+    value: 0,
+};
+
+/// The nonzero counters of a sparse trial: an ordered hash table (Amble and
+/// Knuth, "Ordered hash tables", 1974) keyed by bucket.
+///
+/// A bucket's home slot `(bucket · scale) >> 32` is monotone in the bucket,
+/// collisions probe linearly into an overflow tail instead of wrapping
+/// around, and every entry sits at the first free slot at or after its home
+/// in increasing bucket order.  So walking the slots yields the entries in
+/// increasing bucket order.
+///
+/// A decoded or merged table is *packed*: `scale` 0 puts every home at slot
+/// 0, so its entries fill its slots in order — the wire pairs as they are —
+/// and it takes exactly the bytes they do.  The first update lays it out
+/// again with room (see [`table_len`]).
+#[derive(Debug, Clone, Default)]
+struct Table {
+    /// The home slot multiplier: `⌊home slots · 2^32 / buckets⌋`, or 0.
+    scale: u64,
+    /// The home slots, then the overflow tail (an eighth of the slots).
+    slots: Vec<Slot>,
+}
+
+/// The slots of a table laid out for `count` entries: home slots at load
+/// under a third, plus the tail.  Lookups then mostly stop at the home
+/// slot, which keeps a table update near the cost of an array update.
+fn table_len(count: u64) -> usize {
+    (count as usize * 4).max(16)
+}
+
+/// The home slots of a `len`-slot table: all but its tail.
+fn home_slots(len: usize) -> usize {
+    len - len / 8
+}
+
+/// Whether `count` entries may sit in a `len`-slot table: home load ≤ ½.
+fn fits(count: u64, len: usize) -> bool {
+    2 * count <= home_slots(len) as u64
+}
+
+impl Table {
+    /// `entries` (increasing buckets, nonzero values) laid out in `len`
+    /// slots with room, or `None` if they run past the tail.
+    fn spread(len: usize, buckets: u64, entries: &[Slot]) -> Option<Self> {
+        let mut table = Self {
+            scale: ((home_slots(len) as u64) << 32) / buckets,
+            slots: vec![EMPTY; len],
+        };
+        let mut next = 0;
+        for &entry in entries {
+            let at = table.home(entry.bucket).max(next);
+            *table.slots.get_mut(at)? = entry;
+            next = at + 1;
+        }
+        Some(table)
+    }
+
+    #[inline]
+    fn home(&self, bucket: u32) -> usize {
+        ((u64::from(bucket) * self.scale) >> 32) as usize
+    }
+
+    /// `Ok` with the slot holding `bucket`, or `Err` with the slot where it
+    /// belongs (possibly one past the end).
+    #[inline]
+    fn find(&self, bucket: u32) -> Result<usize, usize> {
+        let mut at = self.home(bucket);
+        while let Some(slot) = self.slots.get(at) {
+            if slot.bucket >= bucket {
+                return if slot.bucket == bucket {
+                    Ok(at)
+                } else {
+                    Err(at)
+                };
+            }
+            at += 1;
+        }
+        Err(at)
+    }
+
+    /// Puts `slot` at `at`, shifting the run there one slot right; `false`
+    /// (and no change) unless the last slot is empty, so that every run
+    /// ends inside the table.
+    #[inline]
+    fn insert(&mut self, at: usize, mut slot: Slot) -> bool {
+        if self.slots.last().is_none_or(|last| last.value != 0) {
+            return false;
+        }
+        for next in &mut self.slots[at..] {
+            slot = std::mem::replace(next, slot);
+            if slot.value == 0 {
+                break;
+            }
+        }
+        true
+    }
+
+    /// Empties slot `at`, shifting back each following entry of its run that
+    /// may sit nearer its home, so no lookup ever crosses a hole.
+    fn remove(&mut self, at: usize) {
+        let mut hole = at;
+        while let Some(&next) = self.slots.get(hole + 1) {
+            if next.value == 0 || self.home(next.bucket) > hole {
+                break;
+            }
+            self.slots[hole] = next;
+            hole += 1;
+        }
+        self.slots[hole] = EMPTY;
+    }
+}
+
+/// A trial's counters in memory: the nonzero ones in a [`Table`], or the
+/// full array.
+#[derive(Debug, Clone)]
+enum Form {
+    Sparse(Table),
+    Dense(Vec<u32>),
+}
+
+impl Form {
+    /// The form nonzero counters `entries` (increasing buckets) of
+    /// `buckets` buckets are sent in: a packed table while at most half the
+    /// buckets are nonzero, the array otherwise.
+    fn packed(mut entries: Vec<Slot>, buckets: u64) -> Self {
+        if Trial::is_sparse(entries.len() as u64, buckets) {
+            entries.shrink_to_fit();
+            return Self::Sparse(Table {
+                scale: 0,
+                slots: entries,
+            });
+        }
+        Self::dense(&entries, buckets)
+    }
+
+    /// The form nonzero counters `entries` (increasing buckets) are updated
+    /// in: a table of at least `min_len` slots laid out with room, while
+    /// one of at most `buckets / 4` slots (half the array's bytes, at 8
+    /// bytes a slot against 4 a bucket) has room for them, the array
+    /// otherwise.  A table any larger saves little memory and is slower to
+    /// update than the array.
+    fn spread(entries: &[Slot], min_len: usize, buckets: u64) -> Self {
+        let count = entries.len() as u64;
+        let max_len = buckets as usize / 4;
+        let mut len = table_len(count).max(min_len).min(max_len);
+        while fits(count, len) {
+            if let Some(table) = Table::spread(len, buckets, entries) {
+                return Self::Sparse(table);
+            }
+            if len == max_len {
+                break;
+            }
+            len = (2 * len).min(max_len);
+        }
+        Self::dense(entries, buckets)
+    }
+
+    fn dense(entries: &[Slot], buckets: u64) -> Self {
+        let mut counters = vec![0u32; buckets as usize];
+        for entry in entries {
+            counters[entry.bucket as usize] = entry.value;
+        }
+        Self::Dense(counters)
+    }
+}
+
+/// Adds `delta ∈ [1, prime)` to the counter of `bucket` in `counters`,
+/// keeping `nonzero` their nonzero count.
+#[inline]
+fn add_to_array(counters: &mut [u32], nonzero: &mut u64, bucket: u32, delta: u64, prime: u64) {
+    let counter = &mut counters[bucket as usize];
+    let old = *counter;
+    *counter = add_mod(u64::from(old), delta, prime) as u32;
+    match (old == 0, *counter == 0) {
+        (true, false) => *nonzero += 1,
+        (false, true) => *nonzero -= 1,
+        _ => {}
+    }
+}
+
+/// Appends the nonzero counters of `counters` to `out`, in increasing
+/// bucket order.
+fn dense_entries(counters: &[u32], out: &mut Vec<Slot>) {
+    let nonzero = counters.iter().enumerate().filter(|(_, &value)| value != 0);
+    out.extend(nonzero.map(|(bucket, &value)| Slot {
+        bucket: bucket as u32,
+        value,
+    }));
+}
+
+/// Appends the nonzero entrywise sums mod `prime` of two tables' slots
+/// (holes allowed) to `out`, in increasing bucket order: one walk over both.
+fn sum_slots(a: &[Slot], b: &[Slot], prime: u64, out: &mut Vec<Slot>) {
+    let mut a = a.iter().copied().filter(|slot| slot.value != 0);
+    let mut b = b.iter().copied().filter(|slot| slot.value != 0);
+    let (mut x, mut y) = (a.next(), b.next());
+    loop {
+        match (x, y) {
+            (Some(p), Some(q)) if p.bucket < q.bucket => {
+                out.push(p);
+                x = a.next();
+            }
+            (Some(p), Some(q)) if q.bucket < p.bucket => {
+                out.push(q);
+                y = b.next();
+            }
+            (Some(p), Some(q)) => {
+                let value = add_mod(u64::from(p.value), u64::from(q.value), prime) as u32;
+                if value != 0 {
+                    out.push(Slot { value, ..p });
+                }
+                (x, y) = (a.next(), b.next());
+            }
+            (Some(p), None) => {
+                out.push(p);
+                out.extend(a);
+                return;
+            }
+            (None, Some(q)) => {
+                out.push(q);
+                out.extend(b);
+                return;
+            }
+            (None, None) => return,
+        }
+    }
+}
+
 /// One trial of the Lemma 8 structure.
+///
+/// # Forms
+///
+/// A trial holds its counters in the form it is sent in (see the module
+/// docs): a [`Table`] of the nonzero ones, or the array.  Decoding and
+/// merging pick the form from the resulting count and leave a table packed.
+/// Updates lay a table out with room, delete an entry whose counter returns
+/// to 0 (so `nonzero` stays the entry count), and switch to the array once
+/// a table with room would take half its bytes; an array stays an array as
+/// it empties.  The form in memory never shows in the bytes, the
+/// estimate or [`SpaceUsage`].
 ///
 /// # Wire form
 ///
@@ -120,7 +377,7 @@ fn reduce_delta(delta: i64, p: u64) -> u64 {
 ///
 /// The bucket count is not on the wire either: the enclosing structure
 /// derives it from its capacity and passes it to [`read`](Self::read).  The
-/// form is a function of the state, so every trial has exactly one
+/// wire form is a function of the state, so every trial has exactly one
 /// encoding, and decoding rejects the other form, out-of-order or
 /// out-of-range indices, zero values and values `≥ prime`.  `nonzero` is
 /// not on the wire: decoding derives it from the validated counters (the
@@ -131,16 +388,15 @@ fn reduce_delta(delta: i64, p: u64) -> u64 {
 /// rough-oracle trials were sparse (720 nonzero of 39,762 buckets on
 /// average), and 4,086 of the 4,525 exact-structure trials were dense:
 /// that structure runs far past its capacity of 100, and its dense trials
-/// held 10,014–16,031 nonzero of 20,000 buckets, so the dense form wrote
-/// 80 KB where pairs would take 101 KB on average.
+/// held 10,014–16,031 nonzero of 20,000 buckets.
 #[derive(Debug, Clone)]
 struct Trial {
     /// Pairwise hash from the universe into the buckets.
     hash: PairwiseHash,
     /// The random prime modulus for this trial.
     prime: u64,
-    /// Bucket counters, each in `[0, prime)`.
-    counters: Vec<u32>,
+    /// The counters, each in `[0, prime)`.
+    form: Form,
     /// Number of nonzero counters, maintained incrementally.
     nonzero: u64,
 }
@@ -151,21 +407,109 @@ impl Trial {
         Self {
             hash: PairwiseHash::random(buckets, rng),
             prime,
-            counters: vec![0u32; buckets as usize],
+            form: Form::Sparse(Table::default()),
             nonzero: 0,
+        }
+    }
+
+    fn buckets(&self) -> u64 {
+        self.hash.range()
+    }
+
+    /// The nonzero counters, in increasing bucket order.
+    #[cfg(test)]
+    fn entries(&self) -> Vec<Slot> {
+        match &self.form {
+            Form::Sparse(table) => table
+                .slots
+                .iter()
+                .copied()
+                .filter(|s| s.value != 0)
+                .collect(),
+            Form::Dense(counters) => {
+                let mut entries = Vec::new();
+                dense_entries(counters, &mut entries);
+                entries
+            }
         }
     }
 
     #[inline]
     fn update(&mut self, item: u64, delta: i64) {
-        let bucket = self.hash.hash(item) as usize;
-        let old = self.counters[bucket];
-        let new = add_mod(u64::from(old), reduce_delta(delta, self.prime), self.prime) as u32;
-        self.counters[bucket] = new;
-        match (old == 0, new == 0) {
-            (true, false) => self.nonzero += 1,
-            (false, true) => self.nonzero -= 1,
-            _ => {}
+        let bucket = self.hash.hash(item) as u32;
+        let delta = reduce_delta(delta, self.prime);
+        if delta != 0 {
+            self.add(bucket, delta);
+        }
+    }
+
+    /// Adds `delta ∈ [1, prime)` to the counter of `bucket`.
+    #[inline]
+    fn add(&mut self, bucket: u32, delta: u64) {
+        match &mut self.form {
+            Form::Dense(counters) => {
+                add_to_array(counters, &mut self.nonzero, bucket, delta, self.prime);
+            }
+            Form::Sparse(_) => self.add_to_table(bucket, delta),
+        }
+    }
+
+    /// [`add`](Self::add) for a trial that holds a table.
+    #[inline]
+    fn add_to_table(&mut self, bucket: u32, delta: u64) {
+        if matches!(&self.form, Form::Sparse(table) if table.scale == 0 && !table.slots.is_empty())
+        {
+            self.unpack();
+        }
+        let prime = self.prime;
+        let table = match &mut self.form {
+            Form::Sparse(table) => table,
+            // Unpacking can leave the array.
+            Form::Dense(counters) => {
+                return add_to_array(counters, &mut self.nonzero, bucket, delta, prime);
+            }
+        };
+        match table.find(bucket) {
+            Ok(at) => {
+                let new = add_mod(u64::from(table.slots[at].value), delta, prime) as u32;
+                if new == 0 {
+                    table.remove(at);
+                    self.nonzero -= 1;
+                } else {
+                    table.slots[at].value = new;
+                }
+            }
+            Err(at) => {
+                let slot = Slot {
+                    bucket,
+                    value: delta as u32,
+                };
+                if !(fits(self.nonzero + 1, table.slots.len()) && table.insert(at, slot)) {
+                    self.grow_with(slot);
+                }
+                self.nonzero += 1;
+            }
+        }
+    }
+
+    /// Lays a packed table out with room.
+    #[cold]
+    #[inline(never)]
+    fn unpack(&mut self) {
+        if let Form::Sparse(table) = &self.form {
+            self.form = Form::spread(&table.slots, 0, self.buckets());
+        }
+    }
+
+    /// Lays the table's entries out again with `slot`, in twice as many
+    /// slots at least, so that relayouts cost O(1) an update.
+    #[cold]
+    #[inline(never)]
+    fn grow_with(&mut self, slot: Slot) {
+        if let Form::Sparse(table) = &self.form {
+            let mut entries = Vec::with_capacity(self.nonzero as usize + 1);
+            sum_slots(&table.slots, &[slot], self.prime, &mut entries);
+            self.form = Form::spread(&entries, 2 * table.slots.len(), self.buckets());
         }
     }
 
@@ -173,46 +517,102 @@ impl Trial {
     /// linearity: the counters are linear functions of the frequency vector,
     /// so adding them yields the trial state of the union stream).  The
     /// caller guarantees both trials share hash and prime (same seed).
+    ///
+    /// Two tables merge in one walk over both; otherwise the sum is taken in
+    /// a counter array.  Either way the result takes the form its count is
+    /// sent in.
     fn merge_from_unchecked(&mut self, other: &Self) {
         assert_eq!(
             self.prime, other.prime,
             "trials drawn with different primes"
         );
-        assert_eq!(self.counters.len(), other.counters.len());
-        let mut nonzero = 0;
-        for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
-            let merged = add_mod(u64::from(*mine), u64::from(*theirs), self.prime);
-            *mine = merged as u32;
-            if merged != 0 {
-                nonzero += 1;
+        assert_eq!(self.buckets(), other.buckets());
+        let (prime, buckets) = (self.prime, self.buckets());
+        let counters = match (&mut self.form, &other.form) {
+            (Form::Sparse(mine), Form::Sparse(theirs)) => {
+                let mut sum = Vec::with_capacity((self.nonzero + other.nonzero) as usize);
+                sum_slots(&mine.slots, &theirs.slots, prime, &mut sum);
+                self.nonzero = sum.len() as u64;
+                self.form = Form::packed(sum, buckets);
+                return;
             }
+            (Form::Sparse(_), Form::Dense(_)) => {
+                // Addition commutes: sum into a copy of the array.
+                let mine = std::mem::replace(self, other.clone());
+                self.merge_from_unchecked(&mine);
+                return;
+            }
+            (Form::Dense(mine), Form::Sparse(theirs)) => {
+                for slot in theirs.slots.iter().filter(|slot| slot.value != 0) {
+                    let value = u64::from(slot.value);
+                    add_to_array(mine, &mut self.nonzero, slot.bucket, value, prime);
+                }
+                mine
+            }
+            (Form::Dense(mine), Form::Dense(theirs)) => {
+                let mut nonzero = 0;
+                for (counter, &value) in mine.iter_mut().zip(theirs) {
+                    *counter = add_mod(u64::from(*counter), u64::from(value), prime) as u32;
+                    nonzero += u64::from(*counter != 0);
+                }
+                self.nonzero = nonzero;
+                mine
+            }
+        };
+        if Self::is_sparse(self.nonzero, buckets) {
+            let mut entries = Vec::with_capacity(self.nonzero as usize);
+            dense_entries(counters, &mut entries);
+            self.form = Form::packed(entries, buckets);
         }
-        self.nonzero = nonzero;
     }
 
     /// Whether the sparse form is the smaller one: at most half the buckets
     /// are nonzero (8 bytes per pair against 4 per bucket).
-    fn is_sparse(nonzero: u64, buckets: usize) -> bool {
-        nonzero <= buckets as u64 / 2
+    fn is_sparse(nonzero: u64, buckets: u64) -> bool {
+        nonzero <= buckets / 2
     }
 
     fn write(&self, out: &mut Vec<u8>) {
         self.hash.serialize(out);
         self.prime.serialize(out);
-        if Self::is_sparse(self.nonzero, self.counters.len()) {
-            out.push(FORM_SPARSE);
-            self.nonzero.serialize(out);
-            out.reserve(self.nonzero as usize * 8);
-            for (index, &value) in self.counters.iter().enumerate() {
-                if value != 0 {
-                    (index as u32).serialize(out);
-                    value.serialize(out);
+        // A table never holds more than half the buckets (see `Form`), so
+        // it is always sent sparse.
+        if let (Form::Dense(counters), false) =
+            (&self.form, Self::is_sparse(self.nonzero, self.buckets()))
+        {
+            out.push(FORM_DENSE);
+            u32::serialize_slice(counters, out);
+            return;
+        }
+        out.push(FORM_SPARSE);
+        self.nonzero.serialize(out);
+        // Every slot is written and only a nonzero one kept, so the walk
+        // has no branch on the holes; one pair of slack takes the last
+        // write.
+        let start = out.len();
+        let end = start + 8 * self.nonzero as usize;
+        out.resize(end + 8, 0);
+        let mut at = start;
+        let mut put = |bucket: u32, value: u32| {
+            let pair = &mut out[at..at + 8];
+            pair[..4].copy_from_slice(&bucket.to_le_bytes());
+            pair[4..].copy_from_slice(&value.to_le_bytes());
+            at += 8 * usize::from(value != 0);
+        };
+        match &self.form {
+            Form::Sparse(table) => {
+                for slot in &table.slots {
+                    put(slot.bucket, slot.value);
                 }
             }
-        } else {
-            out.push(FORM_DENSE);
-            u32::serialize_slice(&self.counters, out);
+            Form::Dense(counters) => {
+                for (bucket, &value) in counters.iter().enumerate() {
+                    put(bucket as u32, value);
+                }
+            }
         }
+        assert_eq!(at, end, "one pair per nonzero counter");
+        out.truncate(end);
     }
 
     /// Reads a trial of `buckets` buckets.  The caller has bounded
@@ -229,8 +629,7 @@ impl Trial {
                 hash.range()
             )));
         }
-        let buckets = buckets as usize;
-        let (counters, nonzero) = match u8::deserialize(input)? {
+        let (form, nonzero) = match u8::deserialize(input)? {
             FORM_SPARSE => {
                 let pairs = u64::deserialize(input)?;
                 if !Self::is_sparse(pairs, buckets) {
@@ -238,12 +637,20 @@ impl Trial {
                         "sparse trial declares {pairs} pairs for {buckets} buckets"
                     )));
                 }
-                let flat = u32::deserialize_vec(2 * pairs as usize, input)?;
-                let mut counters = vec![0u32; buckets];
-                let mut next = 0usize;
-                for pair in flat.chunks_exact(2) {
-                    let (index, value) = (pair[0] as usize, pair[1]);
-                    if index < next || index >= buckets {
+                let len = 8 * pairs as usize;
+                if input.len() < len {
+                    return Err(Error::new(format!(
+                        "sparse trial truncated: {pairs} pairs in {} bytes",
+                        input.len()
+                    )));
+                }
+                let (body, rest) = input.split_at(len);
+                *input = rest;
+                let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+                let pairs_in = || body.chunks_exact(8).map(|p| (word(&p[..4]), word(&p[4..])));
+                let mut next = 0;
+                for (index, value) in pairs_in() {
+                    if index < next || u64::from(index) >= buckets {
                         return Err(Error::new(format!(
                             "sparse trial index {index} out of order or range"
                         )));
@@ -253,14 +660,15 @@ impl Trial {
                             "sparse trial value {value} not in [1, {prime})"
                         )));
                     }
-                    counters[index] = value;
                     next = index + 1;
                 }
+                let mut entries = Vec::with_capacity(pairs as usize);
+                entries.extend(pairs_in().map(|(bucket, value)| Slot { bucket, value }));
                 // Distinct indices and nonzero values: one bucket per pair.
-                (counters, pairs)
+                (Form::packed(entries, buckets), pairs)
             }
             FORM_DENSE => {
-                let counters = u32::deserialize_vec(buckets, input)?;
+                let counters = u32::deserialize_vec(buckets as usize, input)?;
                 if counters.iter().any(|&c| u64::from(c) >= prime) {
                     return Err(Error::new(format!("dense trial counter not below {prime}")));
                 }
@@ -270,14 +678,14 @@ impl Trial {
                         "dense trial holds only {nonzero} nonzero of {buckets} buckets"
                     )));
                 }
-                (counters, nonzero)
+                (Form::Dense(counters), nonzero)
             }
             tag => return Err(Error::new(format!("invalid trial form tag {tag}"))),
         };
         Ok(Self {
             hash,
             prime,
-            counters,
+            form,
             nonzero,
         })
     }
@@ -441,7 +849,7 @@ impl SpaceUsage for ExactSmallL0 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn fresh(cap: u64, seed: u64) -> ExactSmallL0 {
         let mut rng = SplitMix64::new(seed);
@@ -688,7 +1096,7 @@ mod tests {
             assert_eq!(back.estimate(), left.estimate());
             for (mine, theirs) in back.trials.iter().zip(&left.trials) {
                 assert_eq!(mine.nonzero, theirs.nonzero);
-                assert_eq!(mine.counters, theirs.counters);
+                assert_eq!(mine.entries(), theirs.entries());
             }
 
             let wired: ExactSmallL0 =
@@ -702,6 +1110,183 @@ mod tests {
                 serde::to_bytes(&in_memory),
                 "support {support}"
             );
+        }
+    }
+
+    /// A test-local model of one trial: its nonzero counters by bucket.
+    type Model = BTreeMap<u32, u32>;
+
+    /// Applies `x_item ← x_item + delta` to the models of `s`'s trials.
+    fn model_update(s: &ExactSmallL0, models: &mut [Model], item: u64, delta: i64) {
+        for (trial, model) in s.trials.iter().zip(models) {
+            let bucket = trial.hash.hash(item) as u32;
+            let old = u64::from(model.get(&bucket).copied().unwrap_or(0));
+            let new = (old + reduce_delta(delta, trial.prime)) % trial.prime;
+            if new == 0 {
+                model.remove(&bucket);
+            } else {
+                model.insert(bucket, new as u32);
+            }
+        }
+    }
+
+    /// The encoding `s` must have if its trials hold `models`, written out
+    /// from the wire rules alone.
+    fn model_bytes(s: &ExactSmallL0, models: &[Model]) -> Vec<u8> {
+        let mut out = header(s.capacity, s.trials.len() as u64);
+        for (trial, model) in s.trials.iter().zip(models) {
+            trial.hash.serialize(&mut out);
+            trial.prime.serialize(&mut out);
+            if model.len() as u64 <= s.buckets / 2 {
+                out.push(FORM_SPARSE);
+                (model.len() as u64).serialize(&mut out);
+                for (&bucket, &value) in model {
+                    bucket.serialize(&mut out);
+                    value.serialize(&mut out);
+                }
+            } else {
+                out.push(FORM_DENSE);
+                for bucket in 0..s.buckets as u32 {
+                    model.get(&bucket).copied().unwrap_or(0).serialize(&mut out);
+                }
+            }
+        }
+        out
+    }
+
+    /// Checks `s` against `models`: estimate, per-trial occupancy, bytes,
+    /// and a decode that re-encodes to the same bytes.
+    fn assert_matches(s: &ExactSmallL0, models: &[Model], what: &str) {
+        for (trial, model) in s.trials.iter().zip(models) {
+            assert_eq!(trial.nonzero, model.len() as u64, "{what}");
+        }
+        let most = models.iter().map(|m| m.len() as u64).max().unwrap_or(0);
+        assert_eq!(s.estimate(), most, "{what}");
+        let bytes = serde::to_bytes(s);
+        assert_eq!(bytes, model_bytes(s, models), "{what}");
+        let back: ExactSmallL0 = serde::from_bytes(&bytes).expect("round trip");
+        assert_eq!(serde::to_bytes(&back), bytes, "{what}");
+    }
+
+    /// Whether some trial of `s` holds the counter array.
+    fn is_dense(s: &ExactSmallL0) -> bool {
+        s.trials.iter().any(|t| matches!(t.form, Form::Dense(_)))
+    }
+
+    /// Whether every trial of `s` holds a table.
+    fn is_table(s: &ExactSmallL0) -> bool {
+        s.trials.iter().all(|t| matches!(t.form, Form::Sparse(_)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Per-item updates, coalesced batches and every pairing of forms in
+        /// a merge give the bytes a map of nonzero counters calls for.
+        ///
+        /// Each case builds four structures on a 16- or 800-bucket
+        /// geometry: a small support (a table), a support past half
+        /// occupancy (dense), a support that grew dense and then mostly
+        /// cancelled back to 0 (still dense in memory, sparse on the wire),
+        /// and the negation of the first (their merge is all zeros).
+        #[test]
+        fn both_forms_match_a_map_of_nonzero_counters(
+            geometry in 0usize..2,
+            seed in proptest::prelude::any::<u64>(),
+            kept in 0u64..8,
+        ) {
+            let capacity = [2u64, 20][geometry];
+            let buckets = (2 * capacity * capacity).max(16);
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut stream = |support: u64, len: u64| -> Vec<(u64, i64)> {
+                (0..len)
+                    .map(|_| (next() % support, (next() % 9) as i64 - 4))
+                    .collect()
+            };
+            let small = stream(buckets / 16, buckets / 8);
+            let large = stream(2 * buckets, 6 * buckets);
+            // The large stream again, then cancel all but `kept` items.
+            let mut totals: BTreeMap<u64, i64> = BTreeMap::new();
+            for &(item, delta) in &large {
+                *totals.entry(item).or_default() += delta;
+            }
+            let churned: Vec<(u64, i64)> = large
+                .iter()
+                .copied()
+                .chain(totals.iter().skip(kept as usize).map(|(&item, &total)| (item, -total)))
+                .collect();
+            // The small stream negated: merged with it, every counter
+            // returns to 0.
+            let negated: Vec<(u64, i64)> = small.iter().map(|&(item, delta)| (item, -delta)).collect();
+
+            let mut built = Vec::new();
+            let streams = [
+                ("small", &small),
+                ("large", &large),
+                ("churned", &churned),
+                ("negated", &negated),
+            ];
+            for (name, updates) in streams {
+                let mut one_by_one = fresh(capacity, 31);
+                let mut models = vec![Model::new(); one_by_one.trials.len()];
+                for &(item, delta) in updates {
+                    one_by_one.update(item, delta);
+                    model_update(&one_by_one, &mut models, item, delta);
+                }
+                assert_matches(&one_by_one, &models, name);
+                let mut batched = fresh(capacity, 31);
+                for (item, delta) in crate::coalesce::coalesce_updates(updates) {
+                    batched.update(item, delta);
+                }
+                assert_matches(&batched, &models, name);
+                built.push((name, one_by_one, models));
+            }
+            assert!(is_table(&built[0].1), "small support in a table");
+            assert!(is_dense(&built[1].1), "large support dense");
+            assert!(is_dense(&built[2].1), "a dense trial stays dense");
+            assert!(built[2].1.estimate() <= kept, "cancelled back");
+            assert!(is_table(&built[3].1), "small support in a table");
+
+            for (left, mine, left_models) in &built {
+                for (right, theirs, right_models) in &built {
+                    let mut merged = mine.clone();
+                    merged.merge_from_unchecked(theirs);
+                    let models: Vec<Model> = left_models
+                        .iter()
+                        .zip(right_models)
+                        .zip(&merged.trials)
+                        .map(|((model, other), trial)| {
+                            let mut sum = model.clone();
+                            for (&bucket, &value) in other {
+                                let old = u64::from(sum.get(&bucket).copied().unwrap_or(0));
+                                match (old + u64::from(value)) % trial.prime {
+                                    0 => sum.remove(&bucket),
+                                    total => sum.insert(bucket, total as u32),
+                                };
+                            }
+                            sum
+                        })
+                        .collect();
+                    assert_matches(&merged, &models, &format!("{left} + {right}"));
+                }
+            }
+
+            // Decoded tables are packed; updating one lays it out again.
+            for (name, built, models) in &mut built {
+                let mut decoded: ExactSmallL0 =
+                    serde::from_bytes(&serde::to_bytes(built)).expect("round trip");
+                for &(item, delta) in &small {
+                    decoded.update(item, delta);
+                    model_update(&decoded, models, item, delta);
+                }
+                assert_matches(&decoded, models, &format!("decoded {name}, updated"));
+            }
         }
     }
 

@@ -160,12 +160,49 @@ impl RoughSub {
             + VlaSpaceUsage::space_bits(&self.counters)
             + self.level_counts.len() as u64 * 32
     }
+
+    /// Checks the derived fields against the counters, for `log n` =
+    /// `log_n`: `log n + 2` histogram levels, every counter at most
+    /// `log n + 1`, the histogram counting the counters at each level and
+    /// `min_stored` their minimum.
+    fn check(&self, log_n: u32) -> Result<(), String> {
+        let levels = log_n as usize + 2;
+        if self.level_counts.len() != levels {
+            return Err(format!(
+                "rough counter histogram has {} levels for log n {log_n}",
+                self.level_counts.len()
+            ));
+        }
+        let mut histogram = vec![0u32; levels];
+        let mut min = u64::MAX;
+        for stored in self.counters.iter() {
+            if stored > u64::from(log_n) + 1 {
+                return Err(format!("rough counter level {stored} above log n + 1"));
+            }
+            if stored > 0 {
+                histogram[stored as usize - 1] += 1;
+            }
+            min = min.min(stored);
+        }
+        if histogram != self.level_counts {
+            return Err("rough counter histogram differs from the counters".into());
+        }
+        if !self.counters.is_empty() && min != self.min_stored {
+            return Err("rough counter minimum differs from the counters".into());
+        }
+        Ok(())
+    }
 }
 
 /// The Figure 2 RoughEstimator: an `O(log n)`-bit structure whose estimate is,
 /// with probability `1 − o(1)`, within `[F0(t), 8·F0(t)]` simultaneously for
 /// all times `t` at which `F0(t) ≥ K_RE`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// The wire form is the fields in declaration order.  Decoding checks each
+/// sub-estimator's level histogram and minimum against its counters, and
+/// every counter against `log n`, so a decoded estimator's merge never
+/// indexes past its histogram.
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct RoughEstimator {
     log_n: u32,
     k_re: u64,
@@ -351,6 +388,18 @@ impl RoughEstimator {
     }
 }
 
+impl serde::Deserialize for RoughEstimator {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let log_n = u32::deserialize(input)?;
+        let k_re = u64::deserialize(input)?;
+        let subs = Vec::<RoughSub>::deserialize(input)?;
+        for sub in &subs {
+            sub.check(log_n).map_err(serde::Error::new)?;
+        }
+        Ok(Self { log_n, k_re, subs })
+    }
+}
+
 impl SpaceUsage for RoughEstimator {
     fn space_bits(&self) -> u64 {
         self.subs.iter().map(RoughSub::space_bits).sum::<u64>() + 64
@@ -520,6 +569,44 @@ mod tests {
                 assert_eq!(a.counters.get(idx), b.counters.get(idx));
             }
         }
+    }
+
+    #[test]
+    fn forged_counter_values_fail_to_decode() {
+        let mut re = RoughEstimator::new(1 << 20, 9);
+        run_stream(&mut re, 5_000);
+        let decode = |re: &RoughEstimator| {
+            serde::from_bytes::<RoughEstimator>(&serde::to_bytes(re)).inspect(|back| {
+                // What a forged level would reach: the merge's histogram.
+                RoughEstimator::new(1 << 20, 9).merge_from_unchecked(back);
+            })
+        };
+        assert!(decode(&re).is_ok());
+        let refused = |forge: &dyn Fn(&mut RoughSub), needle: &str| {
+            let mut forged = re.clone();
+            forge(&mut forged.subs[1]);
+            let err = decode(&forged).expect_err("forged estimator accepted");
+            assert!(err.to_string().contains(needle), "{err} lacks {needle:?}");
+        };
+        let top = u64::from(re.log_n) + 1;
+        // log n = 20: 22 histogram levels, counters at most 21.
+        refused(&|sub| sub.level_counts.push(0), "histogram has 23 levels");
+        refused(
+            &|sub| {
+                sub.level_counts.pop();
+            },
+            "histogram has 21 levels",
+        );
+        refused(&|sub| sub.counters.set(0, top + 1), "level 22 above");
+        refused(&|sub| sub.level_counts[2] += 1, "histogram differs");
+        refused(
+            &|sub| {
+                let stored = sub.counters.get(5);
+                sub.counters.set(5, stored % top + 1);
+            },
+            "histogram differs",
+        );
+        refused(&|sub| sub.min_stored += 1, "minimum differs");
     }
 
     #[test]

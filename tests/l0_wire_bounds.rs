@@ -5,7 +5,8 @@
 //! allocate a counter array.  These tests count the bytes the decoding thread
 //! allocates: hostile headers are refused before any counter array exists,
 //! and a genuine sketch decodes into no more memory than building one from
-//! its configuration takes, plus its input.
+//! its configuration takes, plus its input, and about what its nonzero
+//! counters take.
 
 use knw::core::l0::ExactSmallL0;
 use knw::core::{KnwL0Sketch, L0Config, TurnstileEstimator};
@@ -134,6 +135,35 @@ fn a_decoded_sketch_allocates_no_more_than_building_one() {
     assert_eq!(decoded.estimate(), sketch.estimate());
     assert!(
         allocated <= built + bytes.len(),
+        "decoding {} bytes allocated {allocated}, building {built}",
+        bytes.len()
+    );
+}
+
+#[test]
+fn allocation_follows_the_nonzero_counters() {
+    // A new sketch's Lemma 8 trials hold no nonzero counter and allocate
+    // none: the counter matrix and the mid-range row are most of it.
+    let ((), built) = allocated_by(|| drop(KnwL0Sketch::new(config())));
+    assert!(built <= 1 << 20, "building allocated {built} bytes");
+
+    // A 2k-update sketch decodes into little more than its bytes: each
+    // sparse trial's pairs are copied in as they are.
+    let mut sketch = KnwL0Sketch::new(config());
+    let updates: Vec<(u64, i64)> = (0..2_000u64)
+        .map(|i| {
+            (
+                i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40,
+                1 - 2 * (i % 3 == 0) as i64,
+            )
+        })
+        .collect();
+    sketch.update_batch(&updates);
+    let bytes = serde::to_bytes(&sketch);
+    let (decoded, allocated) = allocated_by(|| serde::from_bytes::<KnwL0Sketch>(&bytes));
+    assert_eq!(decoded.expect("round trip").estimate(), sketch.estimate());
+    assert!(
+        allocated <= 4 * bytes.len() + built,
         "decoding {} bytes allocated {allocated}, building {built}",
         bytes.len()
     );
