@@ -99,10 +99,18 @@ pub trait ClusterUpdate: Routable {
     /// The shard's current estimate.
     fn estimate(shard: &Self::Shard) -> f64;
 
-    /// Serializes a (merged) shard back to the bytes a `Frame::Shard`
-    /// reply carries — the serve loop's answer to session `Snapshot` /
-    /// `Finish` requests.
-    fn shard_bytes(shard: &Self::Shard) -> Vec<u8>;
+    /// Appends a (merged) shard's serialized bytes — what a `Frame::Shard`
+    /// reply carries, the serve loop's answer to session `Snapshot` /
+    /// `Finish` requests — to `out`.
+    fn write_shard(shard: &Self::Shard, out: &mut Vec<u8>);
+
+    /// A shard's serialized bytes in a buffer of their own (see
+    /// [`write_shard`](Self::write_shard)).
+    fn shard_bytes(shard: &Self::Shard) -> Vec<u8> {
+        let mut out = Vec::new();
+        Self::write_shard(shard, &mut out);
+        out
+    }
 
     /// Borrows this stream model's updates out of a decoded frame view
     /// (`None` if the view is not a batch of this model) — how the serve
@@ -154,8 +162,8 @@ impl ClusterUpdate for u64 {
         shard.estimate()
     }
 
-    fn shard_bytes(shard: &Self::Shard) -> Vec<u8> {
-        shard.wire_bytes()
+    fn write_shard(shard: &Self::Shard, out: &mut Vec<u8>) {
+        shard.write_wire(out);
     }
 
     fn batch_view<'a>(view: &'a FrameView<'_>) -> Option<&'a [u64]> {
@@ -213,8 +221,8 @@ impl ClusterUpdate for (u64, i64) {
         shard.estimate()
     }
 
-    fn shard_bytes(shard: &Self::Shard) -> Vec<u8> {
-        shard.wire_bytes()
+    fn write_shard(shard: &Self::Shard, out: &mut Vec<u8>) {
+        shard.write_wire(out);
     }
 
     fn batch_view<'a>(view: &'a FrameView<'_>) -> Option<&'a [(u64, i64)]> {
@@ -578,10 +586,12 @@ impl ShardJournal {
     }
 
     /// Re-anchors the journal on an acknowledged snapshot: the serialized
-    /// shard bytes become the checkpoint, the batch list (and any overflow
-    /// mark) is cleared.
-    fn truncate_to_checkpoint(&mut self, bytes: Vec<u8>) {
-        self.checkpoint = Some(bytes);
+    /// shard bytes are copied into the checkpoint (its buffer reused), the
+    /// batch list (and any overflow mark) is cleared.
+    fn truncate_to_checkpoint(&mut self, bytes: &[u8]) {
+        let checkpoint = self.checkpoint.get_or_insert_with(Vec::new);
+        checkpoint.clear();
+        checkpoint.extend_from_slice(bytes);
         self.frames.clear();
         self.journaled = 0;
         self.overflowed = false;
@@ -881,36 +891,50 @@ impl LinkSet {
     /// every request goes out before any reply is read, so the workers
     /// serialize (or wind down) concurrently and the round costs the
     /// slowest worker, not the sum.  A link fault at either step recovers
-    /// the link once and re-requests on the fresh one.  Failures carry the
-    /// worker index they happened on.
+    /// the link once and re-requests on the fresh one.  Each worker's
+    /// `Shard` reply stays in its link's buffer (see
+    /// [`shards`](Self::shards)).  Failures carry the worker index they
+    /// happened on.
     fn exchange(
         &mut self,
         workers: Range<usize>,
         request: &Frame,
-    ) -> Result<Vec<Vec<u8>>, (usize, ClusterError)> {
+    ) -> Result<(), (usize, ClusterError)> {
         for worker in workers.clone() {
             if let Err(error) = self.send_request(worker, request) {
                 self.recover_and_resend(worker, request, error)
                     .map_err(|e| (worker, e))?;
             }
         }
-        // Allocated before the first reply arrives, not collected after
-        // it: this small allocation's place in the heap decides whether
-        // glibc trims the ~16 MB of shards each L0 snapshot decodes, which
-        // every snapshot would then page-fault back in (measured: ~50% more
-        // CPU per update on `l0_serve_churn`).
-        let mut replies = Vec::with_capacity(workers.len());
         for worker in workers {
-            let reply = match self.read_reply(worker, request) {
-                Ok(bytes) => Ok(bytes),
+            if let Err(error) = self.read_reply(worker, request) {
                 // The fresh link replayed the journal; ask it again.
-                Err(error) => self
-                    .recover_and_resend(worker, request, error)
-                    .and_then(|()| self.read_reply(worker, request)),
-            };
-            replies.push(reply.map_err(|e| (worker, e))?);
+                self.recover_and_resend(worker, request, error)
+                    .and_then(|()| self.read_reply(worker, request))
+                    .map_err(|e| (worker, e))?;
+            }
         }
-        Ok(replies)
+        Ok(())
+    }
+
+    /// The `Shard` replies the last [`exchange`](Self::exchange) over
+    /// `workers` left in their links' buffers, with their worker indices.
+    fn shards(
+        &self,
+        workers: impl IntoIterator<Item = usize>,
+    ) -> impl Iterator<Item = (usize, &[u8])> {
+        workers.into_iter().map(|worker| {
+            let shard = self.workers[worker].shard();
+            (worker, shard.expect("an exchange left a Shard reply"))
+        })
+    }
+
+    /// Re-anchors every journal (none when recovery is off) on the shard
+    /// its worker replied to the last full-fleet exchange with.
+    fn checkpoint_journals(&mut self) {
+        for (journal, link) in self.journals.iter_mut().zip(&self.workers) {
+            journal.truncate_to_checkpoint(link.shard().expect("an exchange left a Shard reply"));
+        }
     }
 
     /// Recovers `worker`'s link after `error` and re-sends `request` on the
@@ -939,23 +963,23 @@ impl LinkSet {
         Ok(())
     }
 
-    /// Reads `worker`'s `Shard` reply to `request`.  Session counters
-    /// ([`Frame::Stats`]) a worker reports ahead of its final shard are
-    /// folded into the fleet metrics; the frame is optional, so sessions
-    /// that end before `Finish` handling (or older workers) still hand
-    /// their shard over.  After `Finish` it also confirms the clean
-    /// shutdown.
-    fn read_reply(&mut self, worker: usize, request: &Frame) -> Result<Vec<u8>, ClusterError> {
+    /// Reads `worker`'s `Shard` reply to `request` into its link's buffer.
+    /// Session counters ([`Frame::Stats`]) a worker reports ahead of its
+    /// final shard are folded into the fleet metrics; the frame is
+    /// optional, so sessions that end before `Finish` handling (or older
+    /// workers) still hand their shard over.  After `Finish` it also
+    /// confirms the clean shutdown.
+    fn read_reply(&mut self, worker: usize, request: &Frame) -> Result<(), ClusterError> {
         let link = &mut self.workers[worker];
         let mut stats = None;
         let mut reply = link.recv();
-        if let Ok(Some(Frame::Stats(counters))) = reply {
+        if let Ok(Some(FrameView::Owned(Frame::Stats(counters)))) = reply {
             stats = Some(counters);
             reply = link.recv();
         }
-        let bytes = match reply {
-            Ok(Some(Frame::Shard(bytes))) => bytes,
-            Ok(Some(Frame::Err(message))) => {
+        match reply {
+            Ok(Some(FrameView::Shard(_))) => {}
+            Ok(Some(FrameView::Owned(Frame::Err(message)))) => {
                 return Err(ClusterError::WorkerReported { worker, message })
             }
             Ok(Some(other)) => {
@@ -969,7 +993,7 @@ impl LinkSet {
                 return Err(ClusterError::WorkerDied { worker })
             }
             Err(e) => return Err(wire_fault(worker, e)),
-        };
+        }
         if let Some(stats) = stats {
             self.metrics.record_worker_stats(worker, stats);
         }
@@ -980,7 +1004,7 @@ impl LinkSet {
                 Err(e) => return Err(wire_fault(worker, WireError::Io(e))),
             }
         }
-        Ok(bytes)
+        Ok(())
     }
 }
 
@@ -1063,11 +1087,6 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
 
         let engine = config.pinned(config.engine);
         let mut placement = Placement::new(config, engine.shards)?;
-        // Links first, then the batcher, then the metrics: this start-up
-        // allocation order decides where the send buffer lands in the heap,
-        // and with it whether glibc trims the ~33 MB each L0 snapshot frees
-        // (measured: registering the metrics first cost ~70% more CPU per
-        // update on `l0_serve_churn`, all of it page faults).
         let fresh = ShardJournal::new();
         let mut workers = Vec::with_capacity(engine.shards);
         for index in 0..engine.shards {
@@ -1391,20 +1410,13 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     ) -> Result<(), (usize, ClusterError)> {
         // Drain the retiree (Finish + final shard) and grab the survivor's
         // live shard, each with the usual one-shot recovery.
-        let retired = self.links.exchange(retiree..retiree + 1, &Frame::Finish)?;
-        let live = self
-            .links
+        self.links.exchange(retiree..retiree + 1, &Frame::Finish)?;
+        self.links
             .exchange(survivor..survivor + 1, &Frame::Snapshot)?;
         // Fold the retired shard into the survivor — the shard its keys
         // route to under the shrunk table — and restart the survivor from
         // the merged bytes as its new checkpoint.
-        let merged = merge_shards::<U>(
-            &self.links.spec,
-            [
-                (survivor, live[0].as_slice()),
-                (retiree, retired[0].as_slice()),
-            ],
-        )?;
+        let merged = merge_shards::<U>(&self.links.spec, self.links.shards([survivor, retiree]))?;
         let mut journal = ShardJournal::new();
         journal.checkpoint = Some(U::shard_bytes(merged.as_ref()));
         // One-session-at-a-time: sever the survivor's old session before
@@ -1462,15 +1474,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         let result = self
             .links
             .exchange(0..workers, &Frame::Snapshot)
-            .and_then(|shards| {
-                Ok((
-                    merge_shards::<U>(
-                        &self.links.spec,
-                        shards.iter().map(Vec::as_slice).enumerate(),
-                    )?,
-                    shards,
-                ))
-            });
+            .and_then(|()| merge_shards::<U>(&self.links.spec, self.links.shards(0..workers)));
         self.links
             .metrics
             .snapshot_latency
@@ -1478,12 +1482,8 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         if let Err((worker, error)) = &result {
             self.links.poison(*worker, error);
         }
-        let (mut merged, shards) = result.map_err(|(_, error)| error)?;
-        if self.links.recovery.is_some() {
-            for (journal, bytes) in self.links.journals.iter_mut().zip(shards) {
-                journal.truncate_to_checkpoint(bytes);
-            }
-        }
+        let mut merged = result.map_err(|(_, error)| error)?;
+        self.links.checkpoint_journals();
         // Fold in the locally buffered (not yet shipped) updates, exactly
         // like the in-process router's midstream `merged()`.
         self.batcher.for_each_pending(|batch| {
@@ -1518,15 +1518,11 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         // (reconnect, replay the journal, re-`Finish`) when a policy is
         // configured.
         let workers = self.links.workers.len();
-        let shards = self
-            .links
+        self.links
             .exchange(0..workers, &Frame::Finish)
             .map_err(|(_, error)| error)?;
-        merge_shards::<U>(
-            &self.links.spec,
-            shards.iter().map(Vec::as_slice).enumerate(),
-        )
-        .map_err(|(_, error)| error)
+        merge_shards::<U>(&self.links.spec, self.links.shards(0..workers))
+            .map_err(|(_, error)| error)
     }
 }
 
@@ -1657,7 +1653,12 @@ mod tests {
     /// Half-closes an echo link and collects every frame it echoed.
     fn echoed(link: &mut Link) -> Vec<Frame> {
         link.close_send();
-        std::iter::from_fn(|| link.recv().expect("echoed frame")).collect()
+        std::iter::from_fn(|| {
+            link.recv()
+                .expect("echoed frame")
+                .map(FrameView::into_frame)
+        })
+        .collect()
     }
 
     /// Pins the encoding law the frame chunker's arithmetic rests on: a
@@ -1815,7 +1816,7 @@ mod tests {
         journal.record(frame_of(&[7]), 1, 5);
         assert!(journal.frames.is_empty());
         // A checkpoint re-anchors and re-arms the journal.
-        journal.truncate_to_checkpoint(vec![0xAB]);
+        journal.truncate_to_checkpoint(&[0xAB]);
         assert!(!journal.overflowed);
         assert_eq!(journal.checkpoint.as_deref(), Some(&[0xAB][..]));
         journal.record(frame_of(&[8, 9]), 2, 5);

@@ -30,6 +30,7 @@
 //! prefixes and codec rejections all surface as typed [`WireError`]s, never
 //! panics — a crashed peer must not take the survivor down with it.
 
+use serde::Serialize;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
 
@@ -266,16 +267,70 @@ impl From<std::io::Error> for WireError {
 /// [`WireError::Oversized`] if the encoded frame exceeds [`MAX_FRAME_LEN`],
 /// [`WireError::Io`] on transport failure.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
-    let payload = serde::to_bytes(frame);
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(WireError::Oversized {
-            declared: payload.len() as u64,
-        });
-    }
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-    writer.write_all(&payload)?;
+    writer.write_all(&encode_frame(frame)?)?;
     Ok(())
 }
+
+/// Encodes one frame to its on-the-wire bytes (length prefix + payload),
+/// exactly as [`write_frame`] emits them.  The serve loop uses this to
+/// build queued response bytes without holding a writer.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] if the encoded frame exceeds [`MAX_FRAME_LEN`].
+pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
+    let mut wire = Vec::new();
+    encode_into(&mut wire, |out| frame.serialize(out))?;
+    Ok(wire)
+}
+
+/// Encodes a [`Frame::Shard`] reply into `out` (cleared first, capacity
+/// kept) without the shard ever sitting in a `Vec` of its own: the length
+/// prefix, the `Shard` tag and the byte-vector length are written around
+/// whatever `shard` appends, and the two lengths are patched once it is
+/// done.  The bytes are exactly those of
+/// `encode_frame(&Frame::Shard(bytes))` for the bytes `shard` appends.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] if the encoded frame exceeds [`MAX_FRAME_LEN`].
+pub fn encode_shard_frame(
+    out: &mut Vec<u8>,
+    shard: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    encode_into(out, |out| {
+        out.extend_from_slice(&SHARD_TAG);
+        let count_at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        shard(out);
+        let count = (out.len() - count_at - 8) as u64;
+        out[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+    })
+}
+
+/// The single encoding pass under every frame writer: a length-prefix
+/// placeholder, then whatever `payload` appends, then the prefix patched
+/// to the payload's length.  `out` is cleared first; its capacity is kept.
+fn encode_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+    out.clear();
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = out.len() - 4;
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::Oversized {
+            declared: len as u64,
+        });
+    }
+    out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
+/// The codec's variant index of [`Frame::Shard`], as it leads the payload.
+const SHARD_TAG: [u8; 4] = [4, 0, 0, 0];
+
+/// A `Shard` payload's bytes ahead of the shard: the variant index (4) and
+/// the byte-vector length (8).
+const SHARD_HEADER: usize = 12;
 
 /// Reads one length-prefixed frame.
 ///
@@ -290,24 +345,11 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<(), WireErr
 pub fn read_frame(reader: &mut impl Read) -> Result<Option<Frame>, WireError> {
     // A fresh scratch: the payload buffer is allocated at exactly the
     // frame's length and dropped with the call.
-    Ok(read_frame_into(reader, &mut FrameBuf::new())?.map(FrameView::into_frame))
-}
-
-/// Encodes one frame to its on-the-wire bytes (length prefix + payload),
-/// exactly as [`write_frame`] would emit them.  The serve loop uses this to
-/// build queued response bytes without holding a writer.
-///
-/// # Errors
-///
-/// [`WireError::Oversized`] if the encoded frame exceeds [`MAX_FRAME_LEN`].
-pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
-    let mut wire = Vec::new();
-    write_frame(&mut wire, frame)?;
-    Ok(wire)
+    Ok(FrameBuf::new().read(reader)?.map(FrameView::into_frame))
 }
 
 /// Reusable scratch for the allocation-free frame reader
-/// ([`read_frame_into`]): the payload byte buffer plus decoded-batch
+/// ([`FrameBuf::read`]): the payload byte buffer plus decoded-batch
 /// vectors, all retained (and regrown at most once) across reads.  One
 /// `FrameBuf` per connection; the borrowed [`FrameView`] a read returns is
 /// invalidated by the next read (the borrow checker enforces this).
@@ -324,44 +366,119 @@ impl FrameBuf {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Reads one length-prefixed frame without per-frame allocation.
+    ///
+    /// The reader under [`read_frame`] (same clean-EOF contract, same typed
+    /// errors), but the payload lands in this scratch: `Batch` payloads are
+    /// decoded into its retained vectors and returned as borrowed
+    /// [`FrameView::Items`] / [`FrameView::Updates`] slices, a `Shard`
+    /// comes back as [`FrameView::Shard`] borrowing the payload itself,
+    /// and every other frame comes back as [`FrameView::Owned`].  The hot
+    /// loops — a worker ingesting batches, the aggregator collecting shard
+    /// replies — therefore perform no allocation once the scratch has
+    /// grown to their largest frame.
+    ///
+    /// A batch or shard whose bytes deviate in any way from the strict
+    /// encoding (length prefix not exactly covering the declared element
+    /// count) falls back to the owning codec, which rejects it with the
+    /// codec's error text.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`read_frame`].
+    pub fn read(&mut self, reader: &mut impl Read) -> Result<Option<FrameView<'_>>, WireError> {
+        let filled = self.fill(reader);
+        if !matches!(filled, Ok(true)) {
+            // No whole payload arrived: the scratch holds no frame.
+            self.payload.clear();
+        }
+        if !filled? {
+            return Ok(None);
+        }
+        decode_payload(&self.payload, &mut self.items, &mut self.updates).map(Some)
+    }
+
+    /// Reads one frame's length prefix and payload into `payload`;
+    /// `Ok(false)` on a clean end of stream.
+    fn fill(&mut self, reader: &mut impl Read) -> Result<bool, WireError> {
+        let mut prefix = [0u8; 4];
+        match read_exact_or_eof(reader, &mut prefix, false)? {
+            ReadOutcome::CleanEof => return Ok(false),
+            ReadOutcome::Partial => return Err(WireError::Truncated),
+            ReadOutcome::Full => {}
+        }
+        let len = u32::from_le_bytes(prefix) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(WireError::Oversized {
+                declared: len as u64,
+            });
+        }
+        // A scratch too small for this frame is replaced by exactly `len`
+        // zeroed bytes, so a fresh one costs what a one-shot read does; a
+        // large enough one is reused, zeroing at most the bytes it grows by.
+        if self.payload.capacity() < len {
+            self.payload = vec![0u8; len];
+        } else {
+            self.payload.resize(len, 0);
+        }
+        match read_exact_or_eof(reader, &mut self.payload, true)? {
+            ReadOutcome::Full => Ok(true),
+            _ => Err(WireError::Truncated),
+        }
+    }
+
+    /// The shard bytes of the last frame read, if it was a strictly
+    /// encoded `Shard` — what [`read`](Self::read) returned as
+    /// [`FrameView::Shard`], still held after the view itself is gone.
+    pub(crate) fn shard(&self) -> Option<&[u8]> {
+        shard_bytes(&self.payload)
+    }
 }
 
-/// One decoded frame from [`read_frame_into`]; batch contents borrow the
-/// [`FrameBuf`] scratch instead of allocating per frame.
+/// One decoded frame from [`FrameBuf::read`] or [`FrameDecoder::next_view`];
+/// batch contents and shard bytes borrow the reader's scratch instead of
+/// allocating per frame.
 #[derive(Debug, PartialEq)]
 pub enum FrameView<'a> {
     /// A `Batch(Items(…))` frame, decoded into the scratch.
     Items(&'a [u64]),
     /// A `Batch(Updates(…))` frame, decoded into the scratch.
     Updates(&'a [(u64, i64)]),
+    /// A `Shard(…)` frame's sketch bytes, borrowed from the payload.
+    Shard(&'a [u8]),
     /// Any other frame, decoded through the owning codec path (control
-    /// frames are rare and small; only batches are worth borrowing).
+    /// frames are rare and small; only batches and shards are worth
+    /// borrowing).
     Owned(Frame),
 }
 
 impl FrameView<'_> {
-    /// The owned frame this view shows (a borrowed batch is copied out).
-    fn into_frame(self) -> Frame {
+    /// A short name for protocol-violation diagnostics, as [`Frame::kind`].
+    #[must_use]
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FrameView::Items(_) | FrameView::Updates(_) => "Batch",
+            FrameView::Shard(_) => "Shard",
+            FrameView::Owned(frame) => frame.kind(),
+        }
+    }
+
+    /// The owned frame this view shows (borrowed contents are copied out).
+    pub(crate) fn into_frame(self) -> Frame {
         match self {
             FrameView::Items(items) => Frame::Batch(BatchPayload::Items(items.to_vec())),
             FrameView::Updates(updates) => Frame::Batch(BatchPayload::Updates(updates.to_vec())),
+            FrameView::Shard(bytes) => Frame::Shard(bytes.to_vec()),
             FrameView::Owned(frame) => frame,
         }
     }
 }
 
-/// Reads one length-prefixed frame without per-frame allocation.
-///
-/// The reader under [`read_frame`] (same clean-EOF contract, same typed
-/// errors), but `Batch` payloads are decoded into `buf`'s retained vectors
-/// and returned as borrowed [`FrameView::Items`] / [`FrameView::Updates`]
-/// slices; every other frame comes back as [`FrameView::Owned`].  The hot
-/// ingest loop of a worker is a long run of `Batch` frames, so after
-/// warmup this path performs no allocation at all.
-///
-/// A batch whose bytes deviate in any way from the strict encoding
-/// (length prefix not exactly covering the declared element count) falls
-/// back to the owning codec, which rejects it with the codec's error text.
+/// Reads one length-prefixed frame into `buf`, as [`FrameBuf::read`] does,
+/// except that a `Shard` frame's bytes are copied out into an owned
+/// [`FrameView::Owned`]`(`[`Frame::Shard`]`)`: for callers that keep a
+/// reply past the next read.  Batches stay borrowed.
 ///
 /// # Errors
 ///
@@ -370,51 +487,43 @@ pub fn read_frame_into<'a>(
     reader: &mut impl Read,
     buf: &'a mut FrameBuf,
 ) -> Result<Option<FrameView<'a>>, WireError> {
-    let mut prefix = [0u8; 4];
-    match read_exact_or_eof(reader, &mut prefix, false)? {
-        ReadOutcome::CleanEof => return Ok(None),
-        ReadOutcome::Partial => return Err(WireError::Truncated),
-        ReadOutcome::Full => {}
-    }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized {
-            declared: len as u64,
-        });
-    }
-    // A scratch too small for this frame is replaced by exactly `len`
-    // zeroed bytes, so a fresh one costs what a one-shot read does; a large
-    // enough one is reused.
-    if buf.payload.capacity() < len {
-        buf.payload = vec![0u8; len];
-    } else {
-        buf.payload.clear();
-        buf.payload.resize(len, 0);
-    }
-    match read_exact_or_eof(reader, &mut buf.payload, true)? {
-        ReadOutcome::Full => {}
-        _ => return Err(WireError::Truncated),
-    }
-    decode_payload(&buf.payload, &mut buf.items, &mut buf.updates).map(Some)
+    Ok(buf.read(reader)?.map(|view| match view {
+        FrameView::Shard(bytes) => FrameView::Owned(Frame::Shard(bytes.to_vec())),
+        view => view,
+    }))
+}
+
+/// The shard bytes of a strictly encoded `Shard` payload: the variant
+/// index 4, then a `u64` length equal to the bytes that follow it.
+fn shard_bytes(payload: &[u8]) -> Option<&[u8]> {
+    let (header, bytes) = payload.split_at_checked(SHARD_HEADER)?;
+    let declared = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+    (header[..4] == SHARD_TAG && declared == bytes.len() as u64).then_some(bytes)
 }
 
 /// Decodes one complete frame payload, borrowing `Batch` contents into the
-/// caller's retained scratch vectors.  This is the single decode shared by
-/// the blocking reader ([`read_frame_into`]) and the incremental
-/// [`FrameDecoder`], so the two paths cannot drift in layout or error text.
+/// caller's retained scratch vectors and `Shard` bytes from the payload.
+/// This is the single decode shared by the blocking reader
+/// ([`FrameBuf::read`]) and the incremental [`FrameDecoder`], so the two
+/// paths cannot drift in layout or error text.
 ///
-/// Fast path: a strictly well-formed `Batch` frame.  Layout (all LE):
-/// `[0..4)` Frame variant 1 = Batch, `[4..8)` payload variant (0 = Items,
-/// 1 = Updates), `[8..16)` element count u64, then count × stride bytes.
-/// A batch whose bytes deviate in any way (length not exactly covering the
-/// declared element count) falls back to the owning codec, which rejects
-/// it: the codec refuses truncated and trailing bytes and unknown tags, so
-/// a `Batch` never decodes as [`FrameView::Owned`].
+/// Fast paths: a strictly well-formed `Batch` or `Shard` frame.  A `Batch`
+/// is laid out (all LE) as `[0..4)` Frame variant 1 = Batch, `[4..8)`
+/// payload variant (0 = Items, 1 = Updates), `[8..16)` element count u64,
+/// then count × stride bytes; a `Shard` as variant 4, a u64 byte count,
+/// then the bytes.  A frame whose bytes deviate in any way (length not
+/// exactly covering the declared element count) falls back to the owning
+/// codec, which rejects it: the codec refuses truncated and trailing bytes
+/// and unknown tags, so a `Batch` or `Shard` never decodes as
+/// [`FrameView::Owned`].
 fn decode_payload<'a>(
-    payload: &[u8],
+    payload: &'a [u8],
     items: &'a mut Vec<u64>,
     updates: &'a mut Vec<(u64, i64)>,
 ) -> Result<FrameView<'a>, WireError> {
+    if let Some(bytes) = shard_bytes(payload) {
+        return Ok(FrameView::Shard(bytes));
+    }
     let len = payload.len();
     if len >= 16 && payload[..4] == [1, 0, 0, 0] {
         let tag = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes"));
@@ -515,9 +624,9 @@ impl FrameDecoder {
         self.buf.len() - self.consumed
     }
 
-    /// Decodes the next complete frame, borrowing `Batch` contents from the
-    /// decoder's scratch (the returned view is invalidated by the next
-    /// call).  Returns `Ok(None)` when more bytes are needed.
+    /// Decodes the next complete frame, borrowing `Batch` contents and
+    /// `Shard` bytes from the decoder's scratch (the returned view is
+    /// invalidated by the next call).  Returns `Ok(None)` when more bytes are needed.
     ///
     /// # Errors
     ///

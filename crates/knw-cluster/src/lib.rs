@@ -82,22 +82,30 @@
 //!
 //! # The zero-copy wire path
 //!
-//! `Batch` frames dominate the wire traffic, and both ends handle them
-//! without per-frame allocation:
+//! `Batch` frames dominate the wire traffic and `Shard` replies its bytes
+//! (an L0 shard is over a megabyte), and both are handled in retained
+//! buffers rather than per-frame allocations:
 //!
-//! * **Sending** ([`aggregator`]): each routed batch is encoded once into
-//!   a reused buffer (the fixed-width layout is written directly; no
-//!   owning [`Frame`] or payload `Vec` is built) and handed to the link as
-//!   bytes — the link's one send path, which control frames reach through
-//!   [`encode_frame`].  With recovery enabled, the replay journal shares
-//!   the *encoded* bytes as `Arc<[u8]>`, so replay re-sends them verbatim.
-//! * **Receiving** ([`worker`]): the ingest loop decodes frames with
-//!   [`read_frame_into`] into a per-connection [`FrameBuf`], yielding a
-//!   [`FrameView`] whose batch contents *borrow* the scratch buffer until
-//!   the next read (the borrow checker enforces it; the owning
-//!   [`read_frame`] is the same reader with a fresh scratch per frame).
-//!   Batches always decode borrowed; control frames arrive as
+//! * **Sending batches** ([`aggregator`]): each routed batch is encoded
+//!   once into a reused buffer (the fixed-width layout is written
+//!   directly; no owning [`Frame`] or payload `Vec` is built) and handed
+//!   to the link as bytes — the link's one send path, which control frames
+//!   reach through [`encode_frame`].  With recovery enabled, the replay
+//!   journal shares the *encoded* bytes as `Arc<[u8]>`, so replay re-sends
+//!   them verbatim.
+//! * **Receiving** ([`worker`], [`aggregator`]): frames are read with
+//!   [`FrameBuf::read`] into a per-connection [`FrameBuf`], yielding a
+//!   [`FrameView`] whose batch contents and shard bytes *borrow* the
+//!   scratch buffer until the next read (the borrow checker enforces it;
+//!   the owning [`read_frame`] is the same reader with a fresh scratch per
+//!   frame).  A snapshot leaves each worker's shard in its link's buffer
+//!   and merges straight from there; control frames arrive as
 //!   [`FrameView::Owned`].
+//! * **Sending shards** ([`worker`], [`session`]): a shard is serialized
+//!   once, straight into a retained frame buffer behind a patched length
+//!   prefix ([`encode_shard_frame`]).  The serve loop's reply is one such
+//!   buffer, shared by every waiting session's write queue through an
+//!   `Arc` and reused once the previous reply has drained.
 //!
 //! # Sessions & the serve loop
 //!
@@ -302,9 +310,9 @@ pub use aggregator::{
 pub use error::ClusterError;
 pub use expo::MetricsServer;
 pub use frame::{
-    encode_frame, read_frame, read_frame_into, write_frame, BatchPayload, Frame, FrameBuf,
-    FrameDecoder, FrameView, HelloConfig, SketchSpec, StreamMode, WireError, WorkerStats,
-    MAX_FRAME_LEN,
+    encode_frame, encode_shard_frame, read_frame, read_frame_into, write_frame, BatchPayload,
+    Frame, FrameBuf, FrameDecoder, FrameView, HelloConfig, SketchSpec, StreamMode, WireError,
+    WorkerStats, MAX_FRAME_LEN,
 };
 #[cfg(target_os = "linux")]
 pub use poll::{Event, Interest, Poller};

@@ -31,7 +31,9 @@
 
 use crate::aggregator::{ClusterAggregator, ClusterUpdate};
 use crate::error::ClusterError;
-use crate::frame::{encode_frame, Frame, FrameDecoder, FrameView, HelloConfig, SketchSpec};
+use crate::frame::{
+    encode_frame, encode_shard_frame, Frame, FrameDecoder, FrameView, HelloConfig, SketchSpec,
+};
 use crate::poll::{Interest, Poller};
 use knw_metrics::{knw_log, Counter, Gauge, MetricsRegistry};
 use std::collections::{HashMap, VecDeque};
@@ -216,7 +218,9 @@ struct Session {
     stream: TcpStream,
     decoder: FrameDecoder,
     state: SessionState,
-    write_queue: VecDeque<Vec<u8>>,
+    /// Encoded frames to write, in order; a `Shard` reply is the one
+    /// buffer every waiting session shares.
+    write_queue: VecDeque<Arc<Vec<u8>>>,
     /// Bytes of the queue's front chunk already written.
     write_head: usize,
     queued_bytes: usize,
@@ -252,7 +256,8 @@ impl Session {
         matches!(self.state, SessionState::Finished | SessionState::Errored)
     }
 
-    fn enqueue(&mut self, bytes: Vec<u8>, peak: &mut usize) {
+    fn enqueue(&mut self, bytes: impl Into<Arc<Vec<u8>>>, peak: &mut usize) {
+        let bytes = bytes.into();
         self.queued_bytes += bytes.len();
         *peak = (*peak).max(self.queued_bytes);
         self.write_queue.push_back(bytes);
@@ -355,6 +360,7 @@ pub fn serve_sessions<U: ClusterUpdate>(
         completed: 0,
         accept_failures: 0,
         waiters: Vec::new(),
+        reply: Arc::default(),
         stats: ServeStats::default(),
         metrics: ServeMetrics::register(knw_metrics::global()),
         read_buf: vec![0u8; 64 << 10],
@@ -380,6 +386,9 @@ struct ServeLoop<'a, U: ClusterUpdate> {
     accept_failures: usize,
     /// Sessions whose `Snapshot` / `Finish` awaits this tick's merge.
     waiters: Vec<u64>,
+    /// The last encoded `Shard` reply, shared by its waiters' write queues
+    /// (see [`reusable`]).
+    reply: Arc<Vec<u8>>,
     stats: ServeStats,
     metrics: ServeMetrics,
     read_buf: Vec<u8>,
@@ -621,10 +630,8 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
                         }
                     }
                     other => {
-                        let message = format!(
-                            "protocol violation: expected Hello, got {}",
-                            view_kind(&other)
-                        );
+                        let message =
+                            format!("protocol violation: expected Hello, got {}", other.kind());
                         session.fail(&message, &mut stats.peak_write_queue_bytes);
                     }
                 }
@@ -650,7 +657,7 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
                 other => {
                     let message = format!(
                         "protocol violation: expected Batch/Snapshot/Finish, got {}",
-                        view_kind(&other)
+                        other.kind()
                     );
                     session.fail(&message, &mut stats.peak_write_queue_bytes);
                 }
@@ -665,9 +672,11 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
     /// best-effort `Err` frame to the waiters.
     fn resolve_snapshots(&mut self) -> Result<(), ClusterError> {
         let waiters = std::mem::take(&mut self.waiters);
-        let reply = match self.aggregator.snapshot() {
-            Ok(merged) => encode_frame(&Frame::Shard(U::shard_bytes(merged.as_ref())))
-                .map_err(|e| io_error(std::io::Error::new(ErrorKind::InvalidData, e.to_string()))),
+        match self.aggregator.snapshot() {
+            Ok(merged) => encode_shard_frame(reusable(&mut self.reply), |out| {
+                U::write_shard(merged.as_ref(), out);
+            })
+            .map_err(|e| io_error(std::io::Error::new(ErrorKind::InvalidData, e.to_string()))),
             Err(error) => {
                 let message = error.to_string();
                 for token in &waiters {
@@ -686,7 +695,10 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
             let SessionState::Snapshotting { finish } = session.state else {
                 continue;
             };
-            session.enqueue(reply.clone(), &mut self.stats.peak_write_queue_bytes);
+            session.enqueue(
+                Arc::clone(&self.reply),
+                &mut self.stats.peak_write_queue_bytes,
+            );
             self.stats.snapshots_served += 1;
             self.metrics.snapshots_served.inc();
             session.flush_writes();
@@ -799,12 +811,15 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
     }
 }
 
-/// A short name for protocol-violation diagnostics on a decoded view.
-fn view_kind(view: &FrameView<'_>) -> &'static str {
-    match view {
-        FrameView::Items(_) | FrameView::Updates(_) => "Batch",
-        FrameView::Owned(frame) => frame.kind(),
+/// The reply buffer, writable: the retained one once every write queue that
+/// shared the previous reply has drained it, else a fresh one (the previous
+/// reply stays intact for the sessions still writing it, and is freed by
+/// the last of them).
+fn reusable(reply: &mut Arc<Vec<u8>>) -> &mut Vec<u8> {
+    if Arc::get_mut(reply).is_none() {
+        *reply = Arc::default();
     }
+    Arc::get_mut(reply).expect("a fresh reply buffer is unshared")
 }
 
 /// What [`drive_sessions`] observed — the client half of the soak
@@ -1113,5 +1128,40 @@ mod tests {
         assert!(!session.closeable(), "an active session stays open");
         session.state = SessionState::Finished;
         assert!(session.closeable(), "drained terminal session reaps");
+    }
+
+    /// One waiter's reply buffer keeps its capacity from one snapshot to
+    /// the next once the waiter's queue has drained it; a reply still
+    /// queued is left intact and the next one gets a buffer of its own.
+    #[test]
+    fn a_drained_reply_buffer_is_reused_by_the_next_snapshot() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let mut session = Session::new(listener.accept().expect("accept").0);
+        let mut peak = 0;
+        let mut reply = Arc::default();
+        let snapshot = |reply: &mut Arc<Vec<u8>>, byte: u8| {
+            encode_shard_frame(reusable(reply), |out| out.extend_from_slice(&[byte; 4096]))
+                .expect("encode");
+        };
+
+        snapshot(&mut reply, 1);
+        let (first, capacity) = (reply.as_ptr(), reply.capacity());
+        session.enqueue(Arc::clone(&reply), &mut peak);
+        assert!(session.flush_writes(), "loopback accepts the reply");
+        assert_eq!(session.queued_bytes, 0, "the reply drained");
+        snapshot(&mut reply, 2);
+        assert_eq!(reply.as_ptr(), first, "the drained buffer is reused");
+        assert_eq!(reply.capacity(), capacity);
+
+        let queued = Arc::clone(&reply);
+        snapshot(&mut reply, 3);
+        assert_ne!(
+            reply.as_ptr(),
+            queued.as_ptr(),
+            "a queued reply is not overwritten"
+        );
+        assert_eq!(queued[4 + 12], 2);
+        assert_eq!(reply[4 + 12], 3);
     }
 }

@@ -32,32 +32,46 @@ use knw_core::{
 /// Blanket-implemented for every mergeable F0 estimator that derives the
 /// serde traits — never implement it manually.
 pub trait WireF0Sketch: DynMergeableCardinalityEstimator {
-    /// The sketch serialized with the workspace codec (the payload of a
-    /// `Shard` frame).
-    fn wire_bytes(&self) -> Vec<u8>;
+    /// Appends the sketch serialized with the workspace codec (the payload
+    /// of a `Shard` frame) to `out`.
+    fn write_wire(&self, out: &mut Vec<u8>);
+
+    /// The serialized sketch in a buffer of its own.
+    fn wire_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_wire(&mut out);
+        out
+    }
 }
 
 impl<T> WireF0Sketch for T
 where
     T: DynMergeableCardinalityEstimator + serde::Serialize,
 {
-    fn wire_bytes(&self) -> Vec<u8> {
-        serde::to_bytes(self)
+    fn write_wire(&self, out: &mut Vec<u8>) {
+        self.serialize(out);
     }
 }
 
 /// The turnstile counterpart of [`WireF0Sketch`].
 pub trait WireL0Sketch: DynMergeableTurnstileEstimator {
-    /// The sketch serialized with the workspace codec.
-    fn wire_bytes(&self) -> Vec<u8>;
+    /// Appends the sketch serialized with the workspace codec to `out`.
+    fn write_wire(&self, out: &mut Vec<u8>);
+
+    /// The serialized sketch in a buffer of its own.
+    fn wire_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_wire(&mut out);
+        out
+    }
 }
 
 impl<T> WireL0Sketch for T
 where
     T: DynMergeableTurnstileEstimator + serde::Serialize,
 {
-    fn wire_bytes(&self) -> Vec<u8> {
-        serde::to_bytes(self)
+    fn write_wire(&self, out: &mut Vec<u8>) {
+        self.serialize(out);
     }
 }
 

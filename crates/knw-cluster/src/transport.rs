@@ -29,7 +29,7 @@
 
 use crate::aggregator::{ClusterConfig, WorkerSource};
 use crate::error::ClusterError;
-use crate::frame::{encode_frame, read_frame, Frame, WireError};
+use crate::frame::{encode_frame, Frame, FrameBuf, FrameView, WireError};
 use crate::recovery::WorkerRegistry;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -241,11 +241,15 @@ impl Drop for ListeningWorkerFleet {
 }
 
 /// One live, framed, bidirectional link to a worker: a buffered writer and
-/// reader over a spawned child's pipes or a connected socket.
+/// reader over a spawned child's pipes or a connected socket, and the
+/// retained buffer the worker's frames are read into.
 pub(crate) struct Link {
     /// `None` once the send side was half-closed or the link severed.
     writer: Option<BufWriter<Box<dyn Write + Send>>>,
     reader: BufReader<Box<dyn Read + Send>>,
+    /// Holds the last frame received — a `Shard` reply stays here, read
+    /// in place by the merge, until the next receive.
+    received: FrameBuf,
     peer: Peer,
 }
 
@@ -297,6 +301,7 @@ impl Link {
         Self {
             writer: Some(BufWriter::new(writer)),
             reader: BufReader::new(reader),
+            received: FrameBuf::new(),
             peer,
         }
     }
@@ -317,9 +322,14 @@ impl Link {
     }
 
     /// Reads the worker's next frame (`Ok(None)` on a clean end of stream)
-    /// into a fresh payload buffer, exactly as [`read_frame`] does.
-    pub(crate) fn recv(&mut self) -> Result<Option<Frame>, WireError> {
-        read_frame(&mut self.reader)
+    /// into the link's retained buffer, as [`FrameBuf::read`] does.
+    pub(crate) fn recv(&mut self) -> Result<Option<FrameView<'_>>, WireError> {
+        self.received.read(&mut self.reader)
+    }
+
+    /// The shard bytes of the last frame received, if it was a `Shard`.
+    pub(crate) fn shard(&self) -> Option<&[u8]> {
+        self.received.shard()
     }
 
     /// Signals end of input: closes the child's stdin, or shuts the
@@ -357,11 +367,16 @@ impl Link {
             return Ok(child.wait()?.success());
         }
         // A finishing worker sends its Shard and closes the connection;
-        // clean EOF is the handshake.
-        match self.recv() {
-            Ok(None) => Ok(true),
-            Err(WireError::Io(e)) => Err(e),
-            Ok(Some(_)) | Err(_) => Ok(false),
+        // clean EOF is the handshake, and any further byte is not.  (Read
+        // beside the frame buffer, which still holds that Shard.)
+        let mut byte = [0u8; 1];
+        loop {
+            match self.reader.read(&mut byte) {
+                Ok(0) => return Ok(true),
+                Ok(_) => return Ok(false),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
     }
 
@@ -533,6 +548,7 @@ impl Placement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::read_frame;
     use std::net::TcpListener;
     use std::thread::JoinHandle;
 
@@ -612,7 +628,7 @@ mod tests {
         let mut conn = tcp([addr.as_str()]).open(0).expect("connect");
         conn.send(&wire(&Frame::Snapshot)).expect("send");
         let back = conn.recv().expect("recv").expect("one frame");
-        assert_eq!(back, Frame::Snapshot);
+        assert_eq!(back, FrameView::Owned(Frame::Snapshot));
         echo.join().expect("echo thread");
         // The peer closed after echoing: a clean shutdown from our side.
         assert!(conn.confirm_finished().expect("confirm"));
@@ -659,7 +675,7 @@ mod tests {
             link.send(&wire(&Frame::Snapshot)).is_err(),
             "no send after close"
         );
-        assert_eq!(link.recv().expect("recv"), Some(Frame::Shard(vec![7; 3])));
+        assert_eq!(link.recv().expect("recv"), Some(FrameView::Shard(&[7; 3])));
         peer.join().expect("peer thread");
         assert!(link.confirm_finished().expect("the peer closed"));
     }
@@ -671,7 +687,10 @@ mod tests {
         let mut link = cat();
         link.send(&wire(&Frame::Snapshot)).expect("send");
         link.close_send();
-        assert_eq!(link.recv().expect("echo"), Some(Frame::Snapshot));
+        assert_eq!(
+            link.recv().expect("echo"),
+            Some(FrameView::Owned(Frame::Snapshot))
+        );
         assert!(link.confirm_finished().expect("cat exits 0 on EOF"));
         let mut link = Link::spawn(Path::new("/bin/false")).expect("spawn false");
         assert!(!link.confirm_finished().expect("false exits 1"));

@@ -25,8 +25,8 @@
 
 use crate::accept::accept_loop;
 use crate::frame::{
-    read_frame, read_frame_into, write_frame, Frame, FrameBuf, FrameView, SketchSpec, StreamMode,
-    WireError, WorkerStats,
+    encode_shard_frame, read_frame, write_frame, Frame, FrameBuf, FrameView, SketchSpec,
+    StreamMode, WireError, WorkerStats,
 };
 use crate::spec::{build_f0, build_l0, f0_shard_from_bytes, l0_shard_from_bytes};
 use crate::spec::{WireF0Sketch, WireL0Sketch};
@@ -66,10 +66,10 @@ impl ShardState {
         }
     }
 
-    fn wire_bytes(&self) -> Vec<u8> {
+    fn write_wire(&self, out: &mut Vec<u8>) {
         match self {
-            ShardState::F0(sketch) => sketch.wire_bytes(),
-            ShardState::L0(sketch) => sketch.wire_bytes(),
+            ShardState::F0(sketch) => sketch.write_wire(out),
+            ShardState::L0(sketch) => sketch.write_wire(out),
         }
     }
 
@@ -166,13 +166,14 @@ fn run_session(
     };
 
     // Ingest loop.  Batches — the hot path — are decoded through the
-    // borrowed reader into one retained scratch, so a long stream performs
-    // no per-frame allocation on the worker side; control frames arrive as
-    // owned values exactly as before.
+    // borrowed reader into one retained scratch, and shard replies are
+    // encoded into another, so a long stream performs no per-frame
+    // allocation on the worker side; control frames arrive as owned values.
     let mut buf = FrameBuf::new();
+    let mut reply = Vec::new();
     let mut ingested = false;
     loop {
-        let view = match read_frame_into(input, &mut buf) {
+        let view = match buf.read(input) {
             Ok(Some(view)) => view,
             // Clean EOF without Finish: the aggregator was dropped without
             // reporting; mirror the in-process engine (workers shut down
@@ -215,7 +216,7 @@ fn run_session(
             }
             FrameView::Owned(Frame::Snapshot) => {
                 stats.snapshots_served += 1;
-                if let Err(e) = send_shard(output, &state) {
+                if let Err(e) = send_shard(output, &state, &mut reply) {
                     return Err(format!("failed to send snapshot shard: {e}"));
                 }
             }
@@ -226,12 +227,12 @@ fn run_session(
                 if let Err(e) = write_frame(output, &Frame::Stats(*stats)) {
                     return Err(format!("failed to send session stats: {e}"));
                 }
-                return send_shard(output, &state)
+                return send_shard(output, &state, &mut reply)
                     .map_err(|e| format!("failed to send final shard: {e}"));
             }
             // Batches never land here: a `Batch` payload the borrowing
             // decode refuses, the codec refuses too.
-            FrameView::Owned(other) => {
+            other => {
                 return report(
                     output,
                     format!(
@@ -244,8 +245,15 @@ fn run_session(
     }
 }
 
-fn send_shard(output: &mut impl Write, state: &ShardState) -> Result<(), WireError> {
-    write_frame(output, &Frame::Shard(state.wire_bytes()))?;
+/// Sends the shard as one `Shard` frame, serialized once, straight into the
+/// session's retained `reply` buffer.
+fn send_shard(
+    output: &mut impl Write,
+    state: &ShardState,
+    reply: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    encode_shard_frame(reply, |out| state.write_wire(out))?;
+    output.write_all(reply)?;
     output.flush()?;
     Ok(())
 }

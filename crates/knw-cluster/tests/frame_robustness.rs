@@ -9,8 +9,8 @@
 //! peer can corrupt its own session, never the survivor's process.
 
 use knw_cluster::{
-    read_frame, read_frame_into, write_frame, BatchPayload, Frame, FrameBuf, FrameDecoder,
-    FrameView, HelloConfig, SketchSpec, WireError, MAX_FRAME_LEN,
+    encode_frame, encode_shard_frame, read_frame, read_frame_into, write_frame, BatchPayload,
+    Frame, FrameBuf, FrameDecoder, FrameView, HelloConfig, SketchSpec, WireError, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 use std::io::Read;
@@ -296,6 +296,67 @@ proptest! {
             decoder.push(bytes);
             let streamed = decoder.next_view();
             prop_assert!(!owned_batch(&streamed), "next_view on {:?}", bytes);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A `Shard` frame decodes borrowed, and its in-place encoder writes
+    /// the codec's bytes.  A valid shard comes back as
+    /// [`FrameView::Shard`] over exactly the encoded bytes through
+    /// `FrameBuf::read` and `FrameDecoder::next_view` (and owned, with the
+    /// same bytes, through `read_frame_into`); `encode_shard_frame` — into
+    /// a reused buffer holding an older, longer frame — equals
+    /// `encode_frame(&Frame::Shard(..))` byte for byte; every truncation is
+    /// a typed error, and no single-byte mutation panics or decodes as an
+    /// owned `Shard`, for which the aggregator has no path.
+    #[test]
+    fn shards_decode_borrowed_and_encode_in_place(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        stale in prop::collection::vec(any::<u8>(), 0..160),
+        flip in 1u8..=255,
+    ) {
+        let wire = encode_frame(&Frame::Shard(bytes.clone())).expect("encode");
+        let mut in_place = Vec::new();
+        encode_shard_frame(&mut in_place, |out| out.extend_from_slice(&stale)).expect("encode");
+        encode_shard_frame(&mut in_place, |out| out.extend_from_slice(&bytes)).expect("encode");
+        prop_assert_eq!(&in_place, &wire);
+
+        let mut buf = FrameBuf::new();
+        let blocking = buf.read(&mut wire.as_slice()).expect("valid frame");
+        prop_assert_eq!(blocking, Some(FrameView::Shard(&bytes)));
+        let mut decoder = FrameDecoder::new();
+        decoder.push(&wire);
+        let streamed = decoder.next_view().expect("valid frame");
+        prop_assert_eq!(streamed, Some(FrameView::Shard(&bytes)));
+        let owned = read_frame_into(&mut wire.as_slice(), &mut buf).expect("valid frame");
+        prop_assert_eq!(owned, Some(FrameView::Owned(Frame::Shard(bytes.clone()))));
+
+        for cut in 1..wire.len() {
+            match buf.read(&mut &wire[..cut]) {
+                Err(WireError::Truncated) => {}
+                other => prop_assert!(false, "cut {}: unexpected {:?}", cut, other),
+            }
+        }
+        for i in 0..wire.len() {
+            let mut mutated = wire.clone();
+            mutated[i] ^= flip;
+            let blocking = buf.read(&mut mutated.as_slice());
+            prop_assert!(
+                !matches!(blocking, Ok(Some(FrameView::Owned(Frame::Shard(_))))),
+                "FrameBuf::read on {:?}",
+                mutated
+            );
+            let mut decoder = FrameDecoder::new();
+            decoder.push(&mutated);
+            let streamed = decoder.next_view();
+            prop_assert!(
+                !matches!(streamed, Ok(Some(FrameView::Owned(Frame::Shard(_))))),
+                "next_view on {:?}",
+                mutated
+            );
         }
     }
 }

@@ -1,0 +1,137 @@
+//! A steady-state L0 snapshot allocates what decoding its shards takes,
+//! and not the shard-sized buffers around that decode.
+//!
+//! An L0 shard is large (over a megabyte here and in the benchmark),
+//! so every buffer a snapshot allocates per shard — a receive payload, a
+//! copy of it, a collected reply — costs the aggregator about a shard's
+//! worth of fresh memory, which the allocator may hand back to the kernel
+//! and fault in again on the next snapshot.  The links read each reply
+//! into a retained buffer and the merge decodes it in place, so once two
+//! warm-up snapshots have sized those buffers, the calling thread
+//! allocates no more than decoding the two shards and merging them alone
+//! does, plus a small allowance for the request frames.
+
+use knw_cluster::{
+    build_l0, l0_shard_from_bytes, ClusterConfig, ClusterUpdate, L0ClusterAggregator, SketchSpec,
+};
+use knw_engine::ShardBatcher;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting the bytes each thread asks for, so that
+/// tests running in parallel do not see each other's allocations.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED.try_with(|total| total.set(total.get() + bytes));
+}
+
+// SAFETY: every method forwards to `System` unchanged; counting touches
+// only a const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the bytes it allocated.
+fn allocated_by<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCATED.with(Cell::get);
+    let result = f();
+    (result, ALLOCATED.with(Cell::get) - before)
+}
+
+/// What a snapshot may allocate beyond decoding and merging its shards:
+/// the request frames and their bookkeeping.
+const SLACK: usize = 64 << 10;
+
+/// A churn stream: `distinct` items inserted, every third one deleted
+/// again, every fifth one inserted twice more.
+fn churn(distinct: u64) -> Vec<(u64, i64)> {
+    let mut updates = Vec::new();
+    for i in 0..distinct {
+        let item = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        updates.push((item, 1));
+        if i % 3 == 0 {
+            updates.push((item, -1));
+        }
+        if i % 5 == 0 {
+            updates.push((item, 2));
+        }
+    }
+    updates
+}
+
+#[test]
+fn steady_state_l0_snapshots_allocate_only_the_decoded_shards() {
+    let spec = SketchSpec::l0("knw-l0", 0.05, 1 << 24, 7);
+    let config = ClusterConfig::pipe(2, env!("CARGO_BIN_EXE_knw-worker"));
+    let updates = churn(60_000);
+
+    // The shards the two workers hold, built in this process through the
+    // same routing stage (cluster shards are bit-identical to these).
+    let build = || build_l0(&spec).expect("a zoo estimator");
+    let mut local = [build(), build()];
+    let engine = config.engine;
+    let mut batcher = ShardBatcher::new(engine.routing, engine.shards, engine.batch_size);
+    let mut apply = |worker: usize, batch: Vec<(u64, i64)>| local[worker].update_batch(&batch);
+    batcher.extend_from_slice(&updates, &mut apply);
+    batcher.flush(&mut apply);
+    let shards = local.map(|shard| shard.wire_bytes());
+    // What the snapshot's sketch work allocates on its own: decoding both
+    // shards and merging the second into the first.
+    let ((), sketch_work) = allocated_by(|| {
+        let mut merged = l0_shard_from_bytes(&spec, &shards[0]).expect("decodes");
+        let other = l0_shard_from_bytes(&spec, &shards[1]).expect("decodes");
+        <(u64, i64)>::merge(merged.as_mut(), other.as_ref()).expect("merges");
+    });
+    assert!(
+        shards.iter().all(|bytes| bytes.len() > 2 * SLACK),
+        "shards of {:?} bytes are too small to tell buffers from slack",
+        shards.each_ref().map(Vec::len)
+    );
+
+    let mut cluster = L0ClusterAggregator::start(&config, &spec).expect("start");
+    cluster.ingest_batch(&updates);
+    cluster.flush();
+    let mut estimates = Vec::new();
+    for _ in 0..2 {
+        estimates.push(cluster.estimate().expect("warm-up snapshot"));
+    }
+    let (merged, allocated) = allocated_by(|| cluster.snapshot().expect("snapshot"));
+    estimates.push(merged.estimate());
+    assert!(
+        estimates.iter().all(|&e| e == estimates[0]),
+        "the same stream, the same estimate: {estimates:?}"
+    );
+    assert!(
+        allocated <= sketch_work + SLACK,
+        "a steady-state snapshot allocated {allocated} bytes; decoding and merging \
+         its shards ({:?} bytes on the wire) takes {sketch_work}",
+        shards.each_ref().map(Vec::len)
+    );
+    drop(merged);
+    cluster.finish().expect("finish");
+}
