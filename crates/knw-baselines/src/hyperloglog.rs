@@ -14,7 +14,6 @@ use knw_hash::rng::SplitMix64;
 use knw_hash::tabulation::SimpleTabulation;
 use knw_hash::SpaceUsage;
 use knw_vla::bitvec::FixedWidthVec;
-use knw_vla::SpaceUsage as VlaSpaceUsage;
 
 /// A HyperLogLog sketch.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -97,7 +96,7 @@ impl MergeableEstimator for HyperLogLog {
 
 impl SpaceUsage for HyperLogLog {
     fn space_bits(&self) -> u64 {
-        VlaSpaceUsage::space_bits(&self.registers) + self.hash.space_bits()
+        self.registers.space_bits() + self.hash.space_bits()
     }
 }
 
@@ -198,6 +197,6 @@ mod tests {
     #[test]
     fn space_matches_register_budget() {
         let h = HyperLogLog::new(14, 2);
-        assert!(VlaSpaceUsage::space_bits(&h.registers) == (1 << 14) * 6);
+        assert!(h.registers.space_bits() == (1 << 14) * 6);
     }
 }

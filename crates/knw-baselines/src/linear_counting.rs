@@ -15,7 +15,6 @@ use knw_hash::rng::SplitMix64;
 use knw_hash::tabulation::SimpleTabulation;
 use knw_hash::SpaceUsage;
 use knw_vla::bitvec::BitVec;
-use knw_vla::SpaceUsage as VlaSpaceUsage;
 
 /// A linear-counting bitmap sketch.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -89,7 +88,7 @@ impl MergeableEstimator for LinearCounting {
 
 impl SpaceUsage for LinearCounting {
     fn space_bits(&self) -> u64 {
-        VlaSpaceUsage::space_bits(&self.bits) + self.hash.space_bits()
+        self.bits.space_bits() + self.hash.space_bits()
     }
 }
 

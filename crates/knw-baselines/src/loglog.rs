@@ -13,7 +13,6 @@ use knw_hash::rng::SplitMix64;
 use knw_hash::tabulation::SimpleTabulation;
 use knw_hash::SpaceUsage;
 use knw_vla::bitvec::FixedWidthVec;
-use knw_vla::SpaceUsage as VlaSpaceUsage;
 
 /// A LogLog sketch with `m` 6-bit registers.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -88,7 +87,7 @@ impl MergeableEstimator for LogLog {
 
 impl SpaceUsage for LogLog {
     fn space_bits(&self) -> u64 {
-        VlaSpaceUsage::space_bits(&self.registers) + self.hash.space_bits()
+        self.registers.space_bits() + self.hash.space_bits()
     }
 }
 
@@ -144,7 +143,7 @@ mod tests {
     fn space_is_small() {
         let ll = LogLog::with_error(0.05, 1);
         // 676 → 1024 registers × 6 bits plus the tabulation tables.
-        assert!(VlaSpaceUsage::space_bits(&ll.registers) <= 1024 * 6);
+        assert!(ll.registers.space_bits() <= 1024 * 6);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use crate::error::ClusterError;
 use crate::frame::{
-    encode_frame, BatchPayload, Frame, FrameView, HelloConfig, SketchSpec, StreamMode, WireError,
-    WorkerStats, MAX_FRAME_LEN,
+    encode_frame, BatchPayload, Frame, FrameBuf, FrameView, HelloConfig, SketchSpec, StreamMode,
+    WireError, WorkerStats, MAX_FRAME_LEN,
 };
 use crate::recovery::{RecoveryPolicy, WorkerRegistry};
 use crate::spec::{build_f0, build_l0, f0_shard_from_bytes, l0_shard_from_bytes};
@@ -37,7 +37,9 @@ use std::time::Duration;
 /// deserialization and merging) for its stream model.
 ///
 /// Implemented for `u64` (insert-only F0 workers) and `(u64, i64)`
-/// (turnstile L0 workers); never implement it manually.
+/// (turnstile L0 workers); never implement it manually.  It is where the
+/// crate decides what a stream model means: the worker session, the
+/// aggregator, the serve loop and the `knw-aggregate` CLI all go through it.
 pub trait ClusterUpdate: Routable {
     /// The erased shard-sketch type of this stream model.
     type Shard: ?Sized;
@@ -57,12 +59,6 @@ pub trait ClusterUpdate: Routable {
     /// [`WIRE_BYTES`](Self::WIRE_BYTES) little-endian bytes, matching the
     /// derived serializer — to `out`.
     fn write_wire(&self, out: &mut Vec<u8>);
-
-    /// Reads one update back out of its fixed-width wire encoding — the
-    /// inverse of [`write_wire`](Self::write_wire), over exactly
-    /// [`WIRE_BYTES`](Self::WIRE_BYTES) bytes.  Elastic resharding uses it
-    /// to split journaled frames under a new routing table.
-    fn read_wire(bytes: &[u8]) -> Self;
 
     /// The stream model tag sent in the `Hello` frame.
     fn mode() -> StreamMode;
@@ -130,10 +126,6 @@ impl ClusterUpdate for u64 {
         out.extend_from_slice(&self.to_le_bytes());
     }
 
-    fn read_wire(bytes: &[u8]) -> Self {
-        u64::from_le_bytes(bytes[..8].try_into().expect("8-byte item"))
-    }
-
     fn mode() -> StreamMode {
         StreamMode::F0
     }
@@ -184,13 +176,6 @@ impl ClusterUpdate for (u64, i64) {
     fn write_wire(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.0.to_le_bytes());
         out.extend_from_slice(&self.1.to_le_bytes());
-    }
-
-    fn read_wire(bytes: &[u8]) -> Self {
-        (
-            u64::from_le_bytes(bytes[..8].try_into().expect("8-byte item")),
-            i64::from_le_bytes(bytes[8..16].try_into().expect("8-byte delta")),
-        )
     }
 
     fn mode() -> StreamMode {
@@ -490,18 +475,6 @@ fn encode_batch_frame<U: ClusterUpdate>(buf: &mut Vec<u8>, updates: &[U]) {
     for update in updates {
         update.write_wire(buf);
     }
-}
-
-/// Decodes the updates back out of one journaled `Batch` frame — the
-/// inverse of [`encode_batch_frame`], over the fixed-width layout that
-/// function pins (length prefix, `Frame`/payload tags, update count, then
-/// `WIRE_BYTES` per update).  Only ever applied to frames the journal
-/// itself encoded, so the layout is trusted; elastic resharding uses it to
-/// re-route a split shard's journal under a new epoch table.
-fn decode_journal_frame<U: ClusterUpdate>(frame: &[u8]) -> Vec<U> {
-    let body = &frame[4 + BATCH_FRAME_OVERHEAD..];
-    debug_assert_eq!(body.len() % U::WIRE_BYTES, 0, "journal frame layout");
-    body.chunks_exact(U::WIRE_BYTES).map(U::read_wire).collect()
 }
 
 /// Ships one routed batch as one or more encoded `Batch` frames, each
@@ -1327,10 +1300,15 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                 // epoch table, preserving their relative order.  Linear
                 // hashing guarantees every update stays on `parent` or
                 // moves to `new_index` — never a third shard.
+                // The journal holds only frames it encoded itself, so each
+                // one reads back as a batch of this stream model.
                 let mut kept: Vec<U> = Vec::new();
                 let mut moved: Vec<U> = Vec::new();
+                let mut buf = FrameBuf::new();
                 for (frame, _) in &self.links.journals[parent].frames {
-                    for update in decode_journal_frame::<U>(frame) {
+                    let view = buf.read(&mut &frame[..]).ok().flatten();
+                    let batch = view.as_ref().and_then(U::batch_view);
+                    for &update in batch.expect("a journaled batch frame") {
                         if epoch_shard_for_key(seed, update.routing_key(), new_count) == new_index {
                             moved.push(update);
                         } else {

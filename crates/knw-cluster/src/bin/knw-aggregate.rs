@@ -62,7 +62,7 @@
 
 use knw_cluster::{
     sibling_worker_exe, ClusterAggregator, ClusterConfig, ClusterError, ClusterUpdate,
-    MetricsServer, RecoveryPolicy, SketchSpec, WorkerRegistry, WorkerSource,
+    MetricsServer, RecoveryPolicy, SketchSpec, StreamMode, WorkerRegistry, WorkerSource,
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 use knw_metrics::knw_log;
@@ -76,7 +76,7 @@ struct Options {
     /// `None` until `--workers`; pipe transport defaults to 4, the tcp
     /// transport derives the count from `--connect` and rejects the flag.
     workers: Option<usize>,
-    mode: String,
+    mode: StreamMode,
     /// `None` until `--estimator`; defaults per mode (`knw-f0` / `knw-l0`).
     estimator: Option<String>,
     updates: usize,
@@ -110,7 +110,7 @@ impl Default for Options {
         Self {
             transport: "pipe".into(),
             workers: None,
-            mode: "f0".into(),
+            mode: StreamMode::F0,
             estimator: None,
             updates: 1_000_000,
             universe: 1 << 20,
@@ -150,7 +150,8 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             }
             "--mode" => {
                 opts.mode = match value("--mode")?.as_str() {
-                    mode @ ("f0" | "l0") => mode.to_string(),
+                    "f0" => StreamMode::F0,
+                    "l0" => StreamMode::L0,
                     other => return Err(format!("unknown mode {other:?} (expected f0 or l0)")),
                 };
             }
@@ -410,7 +411,11 @@ fn l0_stream(len: usize, universe: u64, seed: u64) -> Vec<(u64, i64)> {
 /// fleet with the nonblocking event loop, and (once `--sessions N`
 /// completes) print the merged estimate and serve statistics.
 #[cfg(target_os = "linux")]
-fn run_serve(opts: &Options, addr: &str, estimator: &str) -> Result<(), ClusterError> {
+fn run_serve<U: ClusterUpdate>(
+    opts: &Options,
+    addr: &str,
+    spec: &SketchSpec,
+) -> Result<(), ClusterError> {
     use knw_cluster::{serve_sessions, SessionServeOptions};
     use std::net::TcpListener;
 
@@ -470,27 +475,15 @@ fn run_serve(opts: &Options, addr: &str, estimator: &str) -> Result<(), ClusterE
     serve_opts = serve_opts.with_rescale_channel(rescale_rx);
 
     println!(
-        "serving on {bound} ({} workers via {}, `{estimator}`) …",
+        "serving on {bound} ({} workers via {}, `{}`) …",
         config.engine.shards,
         describe(&config),
+        spec.estimator,
     );
 
-    let (stats, estimate) = if opts.mode == "l0" {
-        let spec = SketchSpec::l0(estimator, opts.epsilon, opts.universe, opts.seed);
-        let mut aggregator = ClusterAggregator::<(u64, i64)>::start(&config, &spec)?;
-        let stats = serve_sessions(&listener, &mut aggregator, &serve_opts)?;
-        let merged = aggregator.finish()?;
-        (
-            stats,
-            <(u64, i64) as ClusterUpdate>::estimate(merged.as_ref()),
-        )
-    } else {
-        let spec = SketchSpec::f0(estimator, opts.epsilon, opts.universe, opts.seed);
-        let mut aggregator = ClusterAggregator::<u64>::start(&config, &spec)?;
-        let stats = serve_sessions(&listener, &mut aggregator, &serve_opts)?;
-        let merged = aggregator.finish()?;
-        (stats, <u64 as ClusterUpdate>::estimate(merged.as_ref()))
-    };
+    let mut aggregator = ClusterAggregator::<U>::start(&config, spec)?;
+    let stats = serve_sessions(&listener, &mut aggregator, &serve_opts)?;
+    let estimate = U::estimate(aggregator.finish()?.as_ref());
 
     println!(
         "sessions served    : {} ({} errored, {} refused; peak {} concurrent)",
@@ -508,7 +501,11 @@ fn run_serve(opts: &Options, addr: &str, estimator: &str) -> Result<(), ClusterE
 }
 
 #[cfg(not(target_os = "linux"))]
-fn run_serve(_opts: &Options, _addr: &str, _estimator: &str) -> Result<(), ClusterError> {
+fn run_serve<U: ClusterUpdate>(
+    _opts: &Options,
+    _addr: &str,
+    _spec: &SketchSpec,
+) -> Result<(), ClusterError> {
     Err(ClusterError::Io {
         worker: None,
         source: std::io::Error::new(
@@ -532,35 +529,21 @@ fn metrics_server(opts: &Options) -> Result<Option<MetricsServer>, ClusterError>
     Ok(Some(server))
 }
 
-/// Streams `stream` through a fleet started from `config` and through one
-/// local sketch; returns the cluster-merged and single-process estimates.
-fn aggregate<U: ClusterUpdate>(
-    config: &ClusterConfig,
-    spec: &SketchSpec,
-    stream: &[U],
-) -> Result<(f64, f64), ClusterError> {
-    let mut cluster = ClusterAggregator::<U>::start(config, spec)?;
-    for chunk in stream.chunks(1 << 16) {
-        cluster.ingest_batch(chunk);
-    }
-    let merged = cluster.finish()?;
-    let mut single = U::build(spec)?;
-    U::apply(single.as_mut(), stream);
-    Ok((U::estimate(merged.as_ref()), U::estimate(single.as_ref())))
-}
-
-fn run(opts: &Options) -> Result<(), ClusterError> {
-    let estimator = opts.estimator.clone().unwrap_or_else(|| {
-        if opts.mode == "l0" {
-            "knw-l0"
-        } else {
-            "knw-f0"
-        }
-        .to_string()
-    });
+/// Runs the flags in one stream model: serve mode, or the synthetic
+/// workload, which the dispatch in [`run`] hands in as `stream`.
+fn run_model<U: ClusterUpdate>(
+    opts: &Options,
+    default_estimator: &str,
+    stream: fn(usize, u64, u64) -> Vec<U>,
+) -> Result<(), ClusterError> {
+    let estimator = opts.estimator.as_deref().unwrap_or(default_estimator);
+    let spec = SketchSpec {
+        mode: U::mode(),
+        ..SketchSpec::f0(estimator, opts.epsilon, opts.universe, opts.seed)
+    };
 
     if let Some(addr) = &opts.serve {
-        return run_serve(opts, addr, &estimator);
+        return run_serve::<U>(opts, addr, &spec);
     }
 
     // Held until the run finishes, then dropped.
@@ -569,7 +552,7 @@ fn run(opts: &Options) -> Result<(), ClusterError> {
     let config = configure(opts)?;
 
     println!(
-        "aggregating over {} workers via {} ({:?} routing{}) for `{estimator}` over {} updates …",
+        "aggregating over {} workers via {} ({:?} routing{}) for `{}` over {} updates …",
         config.engine.shards,
         describe(&config),
         opts.routing,
@@ -578,24 +561,20 @@ fn run(opts: &Options) -> Result<(), ClusterError> {
         } else {
             ""
         },
+        spec.estimator,
         opts.updates,
     );
 
-    let (cluster_estimate, single_estimate) = if opts.mode == "l0" {
-        let spec = SketchSpec::l0(&estimator, opts.epsilon, opts.universe, opts.seed);
-        aggregate(
-            &config,
-            &spec,
-            &l0_stream(opts.updates, opts.universe, opts.seed),
-        )?
-    } else {
-        let spec = SketchSpec::f0(&estimator, opts.epsilon, opts.universe, opts.seed);
-        aggregate(
-            &config,
-            &spec,
-            &f0_stream(opts.updates, opts.universe, opts.seed),
-        )?
-    };
+    // The fleet-merged estimate, and one local sketch over the same stream.
+    let stream = stream(opts.updates, opts.universe, opts.seed);
+    let mut cluster = ClusterAggregator::<U>::start(&config, &spec)?;
+    for chunk in stream.chunks(1 << 16) {
+        cluster.ingest_batch(chunk);
+    }
+    let cluster_estimate = U::estimate(cluster.finish()?.as_ref());
+    let mut single = U::build(&spec)?;
+    U::apply(single.as_mut(), &stream);
+    let single_estimate = U::estimate(single.as_ref());
 
     println!("cluster-merged estimate : {cluster_estimate}");
     println!("single-process estimate : {single_estimate}");
@@ -604,6 +583,15 @@ fn run(opts: &Options) -> Result<(), ClusterError> {
         cluster_estimate.to_bits() == single_estimate.to_bits()
     );
     Ok(())
+}
+
+/// The one place the CLI decides its stream model: the update type, the
+/// default estimator and the synthetic stream all follow `--mode`.
+fn run(opts: &Options) -> Result<(), ClusterError> {
+    match opts.mode {
+        StreamMode::F0 => run_model::<u64>(opts, "knw-f0", f0_stream),
+        StreamMode::L0 => run_model::<(u64, i64)>(opts, "knw-l0", l0_stream),
+    }
 }
 
 fn main() -> ExitCode {

@@ -65,6 +65,12 @@
 //! | `Err{message}` | worker → aggregator | worker-side failure, before the worker exits nonzero |
 //! | `Stats{counters}` | worker → aggregator | session ingest counters ([`WorkerStats`]), sent once before the final `Finish` shard |
 //!
+//! A worker runs one generic session ([`worker`]): the spec's
+//! [`StreamMode`] picks the update type once — `u64` items for F0,
+//! `(u64, i64)` updates for L0 — and [`ClusterUpdate`] then builds, feeds,
+//! restores and encodes the shard, as it does for the aggregator, the
+//! serve loop and the `knw-aggregate` CLI.
+//!
 //! Routing reuses [`knw_engine::ShardBatcher`] — the *same* code that
 //! routes the in-process `ShardedEngine` — so in-process and
 //! cross-process runs of the same [`EngineConfig`](knw_engine::EngineConfig)

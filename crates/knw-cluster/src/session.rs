@@ -58,15 +58,16 @@ const TICK: Duration = Duration::from_secs(2);
 /// mirrors the sequential serve loop's bounded accept retries.
 const MAX_ACCEPT_FAILURES: usize = 64;
 
+/// Concurrent-session ceiling: connections beyond it are refused (accepted
+/// and immediately closed) instead of admitted.
+const MAX_CONCURRENT: usize = 4096;
+
 /// Knobs of [`serve_sessions`].
 #[derive(Debug, Clone)]
 pub struct SessionServeOptions {
     /// Stop after this many sessions completed (`None`: serve forever —
     /// the loop then only returns on a fleet fault).
     pub max_sessions: Option<usize>,
-    /// Concurrent-session ceiling; connections beyond it are refused
-    /// (accepted and immediately closed) instead of admitted.
-    pub max_concurrent: usize,
     /// Per-session write-queue bound in bytes: a session whose queue
     /// exceeds it stops being read until the queue drains below half.
     pub max_write_queue: usize,
@@ -86,7 +87,6 @@ impl Default for SessionServeOptions {
     fn default() -> Self {
         Self {
             max_sessions: None,
-            max_concurrent: 4096,
             max_write_queue: 1 << 20,
             idle_timeout: Some(Duration::from_secs(30)),
             rescale: None,
@@ -99,13 +99,6 @@ impl SessionServeOptions {
     #[must_use]
     pub fn with_max_sessions(mut self, count: usize) -> Self {
         self.max_sessions = Some(count);
-        self
-    }
-
-    /// Caps concurrently admitted sessions.
-    #[must_use]
-    pub fn with_max_concurrent(mut self, count: usize) -> Self {
-        self.max_concurrent = count.max(1);
         self
     }
 
@@ -143,7 +136,7 @@ pub struct ServeStats {
     /// Sessions that errored (protocol violation, mid-frame abort, idle
     /// timeout, codec rejection).
     pub sessions_errored: usize,
-    /// Connections refused over [`SessionServeOptions::max_concurrent`].
+    /// Connections refused over the concurrent-session ceiling.
     pub sessions_refused: usize,
     /// Most sessions simultaneously admitted.
     pub peak_concurrent: usize,
@@ -504,7 +497,7 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     self.accept_failures = 0;
-                    if self.sessions.len() >= self.options.max_concurrent {
+                    if self.sessions.len() >= MAX_CONCURRENT {
                         self.stats.sessions_refused += 1;
                         self.metrics.sessions_refused.inc();
                         drop(stream);
@@ -1100,11 +1093,9 @@ mod tests {
     fn options_builders_clamp_and_compose() {
         let options = SessionServeOptions::default()
             .with_max_sessions(5)
-            .with_max_concurrent(0)
             .with_max_write_queue(0)
             .with_idle_timeout(None);
         assert_eq!(options.max_sessions, Some(5));
-        assert_eq!(options.max_concurrent, 1, "concurrency clamps to one");
         assert_eq!(options.max_write_queue, 1, "queue bound clamps to one");
         assert!(options.idle_timeout.is_none());
     }

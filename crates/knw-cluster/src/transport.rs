@@ -29,7 +29,7 @@
 
 use crate::aggregator::{ClusterConfig, WorkerSource};
 use crate::error::ClusterError;
-use crate::frame::{encode_frame, Frame, FrameBuf, FrameView, WireError};
+use crate::frame::{encode_frame, Frame, FrameBuf, FrameView, HelloConfig, SketchSpec, WireError};
 use crate::recovery::WorkerRegistry;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -52,10 +52,12 @@ pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// Liveness-probes a worker address before recovery or placement adopts
 /// it: a bare TCP connect is not evidence of a serving worker (the kernel
 /// completes handshakes into a dead or wedged process's listen backlog),
-/// so the probe opens a throwaway connection, greets it with a frame, and
-/// requires **any** framed reply within `io_timeout` — a live `knw-worker`
-/// serve loop answers even this out-of-order greeting with a typed `Err`
-/// frame before closing the session, while a dead one yields EOF and a
+/// so the probe opens a throwaway connection, runs a minimal session on it
+/// — a `Hello` for the cheap `exact` F0 sketch, then a `Snapshot` — and
+/// requires **any** framed reply within `io_timeout`.  A live `knw-worker`
+/// answers with the empty sketch's `Shard` and ends the session quietly
+/// when the probe hangs up, so a probe is neither a protocol violation nor
+/// a failed session on the worker's side; a dead worker yields EOF and a
 /// wedged one times out.  The probed session is separate from (and closed
 /// before) any connection the caller actually adopts.
 ///
@@ -66,7 +68,12 @@ pub fn probe_worker(addr: &str, connect_timeout: Duration, io_timeout: Duration)
     let Ok(mut link) = Link::connect(addr, connect_timeout, Some(io_timeout)) else {
         return false;
     };
-    let greeting = encode_frame(&Frame::Snapshot).expect("a control frame is tiny");
+    let hello = Frame::Hello(HelloConfig {
+        worker_index: 0,
+        spec: SketchSpec::f0("exact", 0.5, 1 << 10, 0),
+    });
+    let mut greeting = encode_frame(&hello).expect("a control frame is tiny");
+    greeting.extend(encode_frame(&Frame::Snapshot).expect("a control frame is tiny"));
     link.send(&greeting).is_ok() && matches!(link.recv(), Ok(Some(_)))
 }
 
@@ -578,6 +585,19 @@ mod tests {
 
     fn connect(addr: &str) -> Link {
         Link::connect(addr, DEFAULT_CONNECT_TIMEOUT, Some(DEFAULT_IO_TIMEOUT)).expect("connect")
+    }
+
+    /// A probe is a well-formed session to a real worker: the worker
+    /// answers it and ends the session without an error.
+    #[test]
+    fn a_probe_is_a_clean_worker_session() {
+        let (addr, worker) = listen(|stream| {
+            let session = crate::worker::serve_connection(&stream, Some(DEFAULT_IO_TIMEOUT));
+            assert_eq!(session, Ok(()));
+        });
+        let timeout = DEFAULT_IO_TIMEOUT;
+        assert!(probe_worker(&addr, timeout, timeout));
+        worker.join().expect("the probed session ends cleanly");
     }
 
     #[test]

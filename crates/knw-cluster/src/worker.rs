@@ -5,8 +5,11 @@
 //! same loop serves the `knw-worker` binary in both of its modes —
 //! stdin/stdout pipes when spawned by an aggregator, a TCP serve loop
 //! ([`serve`]) under `knw-worker --listen <addr>` — as well as Unix
-//! sockets and in-process tests over byte buffers.  The loop is a strict
-//! little state machine:
+//! sockets and in-process tests over byte buffers.
+//!
+//! A session is one generic loop: the `Hello` frame's stream model picks
+//! the update type once, and the shard sketch is then built, fed, restored
+//! and encoded through [`ClusterUpdate`].  It is a strict state machine:
 //!
 //! ```text
 //! wait Hello ──► ingest loop:  Restore   → adopt checkpointed shard bytes
@@ -24,72 +27,15 @@
 //! and process supervisors see the crash.
 
 use crate::accept::accept_loop;
+use crate::aggregator::ClusterUpdate;
 use crate::frame::{
     encode_shard_frame, read_frame, write_frame, Frame, FrameBuf, FrameView, SketchSpec,
     StreamMode, WireError, WorkerStats,
 };
-use crate::spec::{build_f0, build_l0, f0_shard_from_bytes, l0_shard_from_bytes};
-use crate::spec::{WireF0Sketch, WireL0Sketch};
 use knw_metrics::knw_log;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
-
-/// The worker's shard sketch, in whichever stream model the spec named.
-enum ShardState {
-    F0(Box<dyn WireF0Sketch>),
-    L0(Box<dyn WireL0Sketch>),
-}
-
-impl ShardState {
-    fn apply_items(&mut self, items: &[u64]) -> Result<(), String> {
-        match self {
-            ShardState::F0(sketch) => {
-                sketch.insert_batch(items);
-                Ok(())
-            }
-            ShardState::L0(_) => {
-                Err("stream-model mismatch: insert-only batch sent to an L0 worker".into())
-            }
-        }
-    }
-
-    fn apply_updates(&mut self, updates: &[(u64, i64)]) -> Result<(), String> {
-        match self {
-            ShardState::L0(sketch) => {
-                sketch.update_batch(updates);
-                Ok(())
-            }
-            ShardState::F0(_) => {
-                Err("stream-model mismatch: turnstile batch sent to an F0 worker".into())
-            }
-        }
-    }
-
-    fn write_wire(&self, out: &mut Vec<u8>) {
-        match self {
-            ShardState::F0(sketch) => sketch.write_wire(out),
-            ShardState::L0(sketch) => sketch.write_wire(out),
-        }
-    }
-
-    /// Adopts a checkpointed shard (the recovery replay prologue): the
-    /// bytes are decoded against `spec` in this state's stream model and
-    /// *replace* the current sketch.
-    fn restore(&mut self, spec: &SketchSpec, bytes: &[u8]) -> Result<(), String> {
-        match self {
-            ShardState::F0(sketch) => {
-                *sketch = f0_shard_from_bytes(spec, bytes)
-                    .map_err(|e| format!("restore rejected: {e}"))?;
-            }
-            ShardState::L0(sketch) => {
-                *sketch = l0_shard_from_bytes(spec, bytes)
-                    .map_err(|e| format!("restore rejected: {e}"))?;
-            }
-        }
-        Ok(())
-    }
-}
 
 /// Sends an `Err` frame best-effort (the pipe may already be gone) and
 /// returns the message as the loop's error.
@@ -153,22 +99,31 @@ fn run_session(
         Ok(None) => return Ok(()),
         Err(e) => return report(output, format!("handshake failed: {e}")),
     };
-    let spec = hello.spec;
-    let mut state = match spec.mode {
-        StreamMode::F0 => match build_f0(&spec) {
-            Ok(sketch) => ShardState::F0(sketch),
-            Err(e) => return report(output, e.to_string()),
-        },
-        StreamMode::L0 => match build_l0(&spec) {
-            Ok(sketch) => ShardState::L0(sketch),
-            Err(e) => return report(output, e.to_string()),
-        },
+    // The one place the session decides its stream model.
+    match hello.spec.mode {
+        StreamMode::F0 => ingest::<u64>(input, output, stats, &hello.spec),
+        StreamMode::L0 => ingest::<(u64, i64)>(input, output, stats, &hello.spec),
+    }
+}
+
+/// The ingest loop of a session whose `Hello` named the stream model of
+/// `U`: builds the shard sketch from `spec`, then applies batches, adopts a
+/// `Restore`, and answers `Snapshot` / `Finish` through [`ClusterUpdate`].
+fn ingest<U: ClusterUpdate>(
+    input: &mut impl Read,
+    output: &mut impl Write,
+    stats: &mut WorkerStats,
+    spec: &SketchSpec,
+) -> Result<(), String> {
+    let mut shard = match U::build(spec) {
+        Ok(shard) => shard,
+        Err(e) => return report(output, e.to_string()),
     };
 
-    // Ingest loop.  Batches — the hot path — are decoded through the
-    // borrowed reader into one retained scratch, and shard replies are
-    // encoded into another, so a long stream performs no per-frame
-    // allocation on the worker side; control frames arrive as owned values.
+    // Batches — the hot path — are decoded through the borrowed reader
+    // into one retained scratch, and shard replies are encoded into
+    // another, so a long stream performs no per-frame allocation on the
+    // worker side; control frames arrive as owned values.
     let mut buf = FrameBuf::new();
     let mut reply = Vec::new();
     let mut ingested = false;
@@ -183,51 +138,46 @@ fn run_session(
             Err(e) => return report(output, format!("bad frame: {e}")),
         };
         stats.frames_received += 1;
+        if let Some(batch) = U::batch_view(&view) {
+            ingested = true;
+            stats.batches_ingested += 1;
+            stats.updates_ingested += batch.len() as u64;
+            U::apply(&mut shard, batch);
+            continue;
+        }
         match view {
-            FrameView::Items(items) => {
-                ingested = true;
-                stats.batches_ingested += 1;
-                stats.updates_ingested += items.len() as u64;
-                if let Err(message) = state.apply_items(items) {
-                    return report(output, message);
-                }
-            }
-            FrameView::Updates(updates) => {
-                ingested = true;
-                stats.batches_ingested += 1;
-                stats.updates_ingested += updates.len() as u64;
-                if let Err(message) = state.apply_updates(updates) {
-                    return report(output, message);
-                }
+            // A batch of the other stream model.
+            FrameView::Items(_) | FrameView::Updates(_) => {
+                let sent = match view {
+                    FrameView::Items(_) => "insert-only batch sent to an L0",
+                    _ => "turnstile batch sent to an F0",
+                };
+                return report(output, format!("stream-model mismatch: {sent} worker"));
             }
             FrameView::Owned(Frame::Restore(bytes)) => {
                 // The recovery prologue: only valid on a fresh session —
                 // replacing state that already absorbed batches would
                 // silently drop them.
                 if ingested {
-                    return report(
-                        output,
-                        "protocol violation: Restore after a Batch".to_string(),
-                    );
+                    return report(output, "protocol violation: Restore after a Batch".into());
                 }
-                if let Err(message) = state.restore(&spec, &bytes) {
-                    return report(output, message);
-                }
+                shard = match U::shard_from_bytes(spec, &bytes) {
+                    Ok(restored) => restored,
+                    Err(e) => return report(output, format!("restore rejected: {e}")),
+                };
             }
             FrameView::Owned(Frame::Snapshot) => {
                 stats.snapshots_served += 1;
-                if let Err(e) = send_shard(output, &state, &mut reply) {
-                    return Err(format!("failed to send snapshot shard: {e}"));
-                }
+                send_shard::<U>(output, &shard, &mut reply)
+                    .map_err(|e| format!("failed to send snapshot shard: {e}"))?;
             }
             FrameView::Owned(Frame::Finish) => {
                 // The session's counters ride back to the aggregator just
                 // ahead of the final shard, so fleet-wide health rolls up
                 // without a second round trip.
-                if let Err(e) = write_frame(output, &Frame::Stats(*stats)) {
-                    return Err(format!("failed to send session stats: {e}"));
-                }
-                return send_shard(output, &state, &mut reply)
+                write_frame(output, &Frame::Stats(*stats))
+                    .map_err(|e| format!("failed to send session stats: {e}"))?;
+                return send_shard::<U>(output, &shard, &mut reply)
                     .map_err(|e| format!("failed to send final shard: {e}"));
             }
             // Batches never land here: a `Batch` payload the borrowing
@@ -247,12 +197,12 @@ fn run_session(
 
 /// Sends the shard as one `Shard` frame, serialized once, straight into the
 /// session's retained `reply` buffer.
-fn send_shard(
+fn send_shard<U: ClusterUpdate>(
     output: &mut impl Write,
-    state: &ShardState,
+    shard: &U::Shard,
     reply: &mut Vec<u8>,
 ) -> Result<(), WireError> {
-    encode_shard_frame(reply, |out| state.write_wire(out))?;
+    encode_shard_frame(reply, |out| U::write_shard(shard, out))?;
     output.write_all(reply)?;
     output.flush()?;
     Ok(())
@@ -288,13 +238,6 @@ impl ServeOptions {
     #[must_use]
     pub fn with_max_sessions(mut self, sessions: usize) -> Self {
         self.max_sessions = Some(sessions);
-        self
-    }
-
-    /// Sets the per-connection read/write timeout.
-    #[must_use]
-    pub fn with_io_timeout(mut self, timeout: Duration) -> Self {
-        self.io_timeout = Some(timeout);
         self
     }
 }

@@ -4,8 +4,8 @@
 //! run for every estimator in both the F0 and L0 zoos.
 //!
 //! Runs in CI (`cargo test -p knw-cluster`); needs nothing but process
-//! spawning.  `CARGO_BIN_EXE_knw-worker` points at the worker binary cargo
-//! builds alongside these tests.
+//! spawning.  `CARGO_BIN_EXE_knw-worker` and `CARGO_BIN_EXE_knw-aggregate`
+//! point at the binaries cargo builds alongside these tests.
 
 use knw_cluster::{
     build_f0, build_l0, f0_estimator_names, l0_estimator_names, ClusterConfig, ClusterError,
@@ -206,4 +206,30 @@ fn hash_affine_cluster_matches_the_local_partition() {
             .expect("compatible shards");
     }
     assert_eq!(merged.estimate().to_bits(), local.estimate().to_bits());
+}
+
+/// The `knw-aggregate` binary end to end, in both stream models: two
+/// spawned workers, and the fleet-merged estimate bit-identical to the
+/// binary's own single-process run.
+#[test]
+fn aggregate_cli_is_bit_identical_in_both_modes() {
+    for mode in ["f0", "l0"] {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_knw-aggregate"))
+            .args(["--worker", WORKER_EXE, "--workers", "2"])
+            .args(["--updates", "20000", "--mode", mode])
+            .output()
+            .expect("run knw-aggregate");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "--mode {mode} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert!(
+            stdout
+                .lines()
+                .any(|line| line.starts_with("bit-identical") && line.ends_with(": true")),
+            "--mode {mode} printed no bit-identical line:\n{stdout}"
+        );
+    }
 }

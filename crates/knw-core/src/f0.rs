@@ -61,7 +61,7 @@ use knw_hash::prime_field::Mersenne61;
 use knw_hash::rng::{Rng64, SplitMix64};
 use knw_hash::uniform::BucketHash;
 use knw_hash::{SpaceUsage, LANES};
-use knw_vla::{SpaceUsage as VlaSpaceUsage, Vla};
+use knw_vla::Vla;
 
 /// The paper's subsampling divisor: `b = max(0, est − log(K/32))`.
 pub const PAPER_SUBSAMPLE_DIVISOR: u64 = 32;
@@ -610,7 +610,7 @@ impl SpaceUsage for KnwF0Sketch {
         self.h1.space_bits()
             + self.h2.space_bits()
             + self.h3.space_bits()
-            + VlaSpaceUsage::space_bits(&self.counters)
+            + self.counters.space_bits()
             + self.rough.space_bits()
             + self.small.space_bits()
             // b, est, A, occupied, failed and bookkeeping words.

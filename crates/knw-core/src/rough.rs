@@ -26,7 +26,6 @@ use knw_hash::rng::SplitMix64;
 use knw_hash::uniform::{BucketHash, HashStrategy};
 use knw_hash::SpaceUsage;
 use knw_vla::bitvec::FixedWidthVec;
-use knw_vla::SpaceUsage as VlaSpaceUsage;
 
 /// The occupancy threshold constant `ρ = 0.99·(1 − e^{−1/3})` from Figure 2.
 pub const RHO: f64 = 0.99 * (1.0 - 0.716_531_310_573_789_3); // 1 - e^{-1/3}
@@ -157,7 +156,7 @@ impl RoughSub {
         self.h1.space_bits()
             + self.h2.space_bits()
             + self.h3.space_bits()
-            + VlaSpaceUsage::space_bits(&self.counters)
+            + self.counters.space_bits()
             + self.level_counts.len() as u64 * 32
     }
 

@@ -20,7 +20,6 @@ use knw_hash::rng::SplitMix64;
 use knw_hash::uniform::{BucketHash, HashStrategy};
 use knw_hash::SpaceUsage;
 use knw_vla::bitvec::BitVec;
-use knw_vla::SpaceUsage as VlaSpaceUsage;
 
 /// How many distinct indices are tracked exactly (the paper's constant 100).
 pub const EXACT_CAPACITY: usize = 100;
@@ -222,7 +221,7 @@ impl SpaceUsage for SmallF0Estimator {
         // The exact buffer is charged at its capacity (the paper's O(log n)
         // term times the constant 100), the array at K' bits, plus hashes.
         (EXACT_CAPACITY as u64) * 64
-            + VlaSpaceUsage::space_bits(&self.bits)
+            + self.bits.space_bits()
             + self.h2.space_bits()
             + self.h3.space_bits()
             + 64

@@ -170,7 +170,9 @@ where
 /// Default hand-off batch size (updates per channel message).
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
-/// Default bounded-channel capacity, in batches per shard.
+/// Bounded-channel capacity, in batches, per shard of a [`ShardedEngine`]:
+/// bounds memory and applies back-pressure when shards fall behind the
+/// router.
 pub const DEFAULT_QUEUE_DEPTH: usize = 4;
 
 /// Sizing and routing knobs shared by [`ShardedEngine`] and the
@@ -182,9 +184,6 @@ pub struct EngineConfig {
     /// Updates per hand-off batch.  Larger batches amortize channel traffic;
     /// smaller batches reduce snapshot latency.
     pub batch_size: usize,
-    /// Bounded channel capacity, in batches, per shard.  Bounds memory and
-    /// applies back-pressure when shards fall behind the router.
-    pub queue_depth: usize,
     /// How batches are assigned to shards (see [`RoutingPolicy`]).
     pub routing: RoutingPolicy,
     /// Whether the router pre-coalesces turnstile batches before hand-off
@@ -196,15 +195,14 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Creates a configuration with the given shard count and default batch
-    /// size / queue depth / round-robin routing.  A shard count of zero is
+    /// Creates a configuration with the given shard count, the default
+    /// batch size and round-robin routing.  A shard count of zero is
     /// clamped to one.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         Self {
             shards: shards.max(1),
             batch_size: DEFAULT_BATCH_SIZE,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
             routing: RoutingPolicy::RoundRobin,
             precoalesce: false,
         }
@@ -223,14 +221,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Sets the per-shard bounded channel capacity in batches (clamped to at
-    /// least one).
-    #[must_use]
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth.max(1);
         self
     }
 
@@ -256,15 +246,14 @@ impl EngineConfig {
     pub fn normalized(self) -> Self {
         Self::new(self.shards)
             .with_batch_size(self.batch_size)
-            .with_queue_depth(self.queue_depth)
             .with_routing(self.routing)
             .with_precoalesce(self.precoalesce)
     }
 }
 
 impl Default for EngineConfig {
-    /// One shard per available core (minimum one), default batch size and
-    /// queue depth.
+    /// One shard per available core (minimum one) and the default batch
+    /// size.
     fn default() -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         Self::new(cores)
@@ -295,10 +284,9 @@ mod tests {
 
     #[test]
     fn config_clamps_degenerate_values() {
-        let cfg = EngineConfig::new(0).with_batch_size(0).with_queue_depth(0);
+        let cfg = EngineConfig::new(0).with_batch_size(0);
         assert_eq!(cfg.shards, 1);
         assert_eq!(cfg.batch_size, 1);
-        assert_eq!(cfg.queue_depth, 1);
         assert!(EngineConfig::default().shards >= 1);
     }
 }

@@ -1,7 +1,7 @@
 //! The threaded sharded ingestion engine, generic over the update type.
 
 use crate::routing::{BatcherMetrics, Routable, ShardBatcher};
-use crate::{merge_shards, EngineConfig, ShardSketch};
+use crate::{merge_shards, EngineConfig, ShardSketch, DEFAULT_QUEUE_DEPTH};
 use knw_core::SketchError;
 use knw_metrics::Counter;
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -85,7 +85,7 @@ where
         let workers = (0..config.shards)
             .map(|shard| {
                 let mut sketch = factory(shard);
-                let (tx, rx) = sync_channel::<ShardMsg<S, U>>(config.queue_depth);
+                let (tx, rx) = sync_channel::<ShardMsg<S, U>>(DEFAULT_QUEUE_DEPTH);
                 let handle = std::thread::Builder::new()
                     .name(format!("knw-shard-{shard}"))
                     .spawn(move || {

@@ -24,11 +24,4 @@ pub mod vla;
 pub use bitvec::{BitVec, FixedWidthVec};
 pub use vla::Vla;
 
-/// Types that can report the number of bits of state they occupy.
-///
-/// Mirror of `knw_hash::SpaceUsage`, duplicated here so that this crate stays
-/// dependency-free; the core crate provides blanket conversions.
-pub trait SpaceUsage {
-    /// Number of bits of persistent state held by `self`.
-    fn space_bits(&self) -> u64;
-}
+pub use knw_hash::SpaceUsage;
