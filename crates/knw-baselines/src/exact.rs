@@ -66,10 +66,28 @@ impl CardinalityEstimator for ExactCounter {
 
 /// An exact L0 (Hamming norm) counter maintaining the full frequency vector,
 /// used as ground truth by the turnstile experiments.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+///
+/// The wire form is the codec's map (a `u64` count, then the
+/// `(item, frequency)` pairs) and the nonzero count.  The pairs are written
+/// in increasing item order, so a state has one encoding whatever order
+/// its updates came in; decoding reads them in any order.
+#[derive(Debug, Clone, Default, serde::Deserialize)]
 pub struct ExactL0Counter {
     frequencies: std::collections::HashMap<u64, i64>,
     nonzero: u64,
+}
+
+impl serde::Serialize for ExactL0Counter {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        let mut pairs: Vec<(u64, i64)> = self.frequencies.iter().map(|(&k, &v)| (k, v)).collect();
+        pairs.sort_unstable();
+        (pairs.len() as u64).serialize(out);
+        for (item, frequency) in pairs {
+            item.serialize(out);
+            frequency.serialize(out);
+        }
+        self.nonzero.serialize(out);
+    }
 }
 
 impl ExactL0Counter {
@@ -169,6 +187,31 @@ mod tests {
         c.update(2, 3);
         assert_eq!(c.count(), 0);
         assert_eq!(c.estimate(), 0.0);
+    }
+
+    #[test]
+    fn exact_l0_bytes_are_canonical() {
+        let updates: Vec<(u64, i64)> = (0..2_000u64)
+            .map(|i| {
+                (
+                    i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 700,
+                    (i % 7) as i64 - 3,
+                )
+            })
+            .collect();
+        let mut forward = ExactL0Counter::new();
+        let mut backward = ExactL0Counter::new();
+        for &(item, delta) in &updates {
+            forward.update(item, delta);
+        }
+        for &(item, delta) in updates.iter().rev() {
+            backward.update(item, delta);
+        }
+        let bytes = serde::to_bytes(&forward);
+        assert_eq!(serde::to_bytes(&backward), bytes, "update order shows");
+        let back: ExactL0Counter = serde::from_bytes(&bytes).expect("round trip");
+        assert_eq!(serde::to_bytes(&back), bytes, "decode then encode");
+        assert_eq!(back.count(), forward.count());
     }
 
     #[test]

@@ -40,9 +40,15 @@ use std::time::Duration;
 /// (turnstile L0 workers); never implement it manually.  It is where the
 /// crate decides what a stream model means: the worker session, the
 /// aggregator, the serve loop and the `knw-aggregate` CLI all go through it.
+///
+/// Reports merge the workers' shard bytes through
+/// [`merge_wire`](Self::merge_wire) into one accumulator the aggregator
+/// keeps, which [`ClusterAggregator::snapshot`] lends out and the serve
+/// loop encodes its replies from.
 pub trait ClusterUpdate: Routable {
-    /// The erased shard-sketch type of this stream model.
-    type Shard: ?Sized;
+    /// The erased shard-sketch type of this stream model.  `Send`, as
+    /// the aggregator holds one (see [`ClusterAggregator::snapshot`]).
+    type Shard: ?Sized + Send;
 
     /// Encoded size of one update inside a `Batch` frame's array (the
     /// workspace codec is fixed-width: 8 bytes per `u64` item, 16 per
@@ -74,14 +80,16 @@ pub trait ClusterUpdate: Routable {
     /// [`ClusterError::UnknownEstimator`] for names outside the zoo.
     fn build(spec: &SketchSpec) -> Result<Box<Self::Shard>, ClusterError>;
 
-    /// Decodes a worker's shard bytes; the error is the codec's message.
+    /// Decodes a worker's shard bytes into a sketch of their own (a
+    /// worker's `Restore`); reports merge them in place instead, through
+    /// [`merge_wire`](Self::merge_wire).  The error is the codec's message.
     ///
     /// # Errors
     ///
     /// The codec rejection, as a message the caller attributes to a worker.
     fn shard_from_bytes(spec: &SketchSpec, bytes: &[u8]) -> Result<Box<Self::Shard>, String>;
 
-    /// Applies buffered (not yet dispatched) updates to a merged snapshot.
+    /// Applies a batch of updates to a shard (a worker's ingest).
     fn apply(shard: &mut Self::Shard, batch: &[Self]);
 
     /// Merges `other` into `into` (exact for every workspace sketch).
@@ -91,6 +99,19 @@ pub trait ClusterUpdate: Routable {
     /// The sketch-level incompatibility, if the shards disagree on
     /// configuration or seeds.
     fn merge(into: &mut Self::Shard, other: &Self::Shard) -> Result<(), SketchError>;
+
+    /// Merges a worker's shard bytes into `into` or, with `replace`, makes
+    /// `into` that shard ([`MergeableEstimator::merge_from_bytes`]): how
+    /// every report folds the fleet's shards.  A KNW L0 shard is added
+    /// straight from the bytes, so a report builds no sketch per shard.
+    ///
+    /// # Errors
+    ///
+    /// [`SketchError::Decode`] for bytes the decoder refuses, else the
+    /// merge's refusal; `into` is then unchanged.
+    ///
+    /// [`MergeableEstimator::merge_from_bytes`]: knw_core::MergeableEstimator::merge_from_bytes
+    fn merge_wire(into: &mut Self::Shard, bytes: &[u8], replace: bool) -> Result<(), SketchError>;
 
     /// The shard's current estimate.
     fn estimate(shard: &Self::Shard) -> f64;
@@ -150,6 +171,10 @@ impl ClusterUpdate for u64 {
         into.merge_dyn(other as &dyn DynMergeableCardinalityEstimator)
     }
 
+    fn merge_wire(into: &mut Self::Shard, bytes: &[u8], replace: bool) -> Result<(), SketchError> {
+        into.merge_wire(bytes, replace)
+    }
+
     fn estimate(shard: &Self::Shard) -> f64 {
         shard.estimate()
     }
@@ -200,6 +225,10 @@ impl ClusterUpdate for (u64, i64) {
 
     fn merge(into: &mut Self::Shard, other: &Self::Shard) -> Result<(), SketchError> {
         into.merge_dyn(other as &dyn DynMergeableTurnstileEstimator)
+    }
+
+    fn merge_wire(into: &mut Self::Shard, bytes: &[u8], replace: bool) -> Result<(), SketchError> {
+        into.merge_wire(bytes, replace)
     }
 
     fn estimate(shard: &Self::Shard) -> f64 {
@@ -1023,6 +1052,11 @@ pub struct ClusterAggregator<U: ClusterUpdate> {
     precoalesce: bool,
     updates: u64,
     links: LinkSet,
+    /// The sketch every report merges the fleet's shards into.  `start`
+    /// builds it once; each report merges the shards into it again, the
+    /// first replacing what it held, so reports reuse its memory.
+    /// `finish` moves it out.
+    merged: Box<U::Shard>,
 }
 
 /// The insert-only (F0) front of [`ClusterAggregator`].
@@ -1055,8 +1089,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     pub fn start(config: &ClusterConfig, spec: &SketchSpec) -> Result<Self, ClusterError> {
         let mut spec = spec.clone();
         spec.mode = U::mode();
-        // Fail fast on bad specs, before any process or connection exists.
-        let _ = U::build(&spec)?;
+        // Fail fast on bad specs, before any process or connection exists;
+        // the sketch built doing so is what reports merge into.
+        let merged = U::build(&spec)?;
 
         let engine = config.pinned(config.engine);
         let mut placement = Placement::new(config, engine.shards)?;
@@ -1092,6 +1127,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                 send_buf: Vec::new(),
                 metrics: AggregatorMetrics::register(engine.shards),
             },
+            merged,
         })
     }
 
@@ -1185,10 +1221,11 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     ///   total is unchanged for idempotent (F0) and linear (L0) sketches
     ///   alike.  Round-robin shards are an arbitrary partition, so a new
     ///   shard simply starts empty and joins the rotation.
-    /// - **Shrink**: the highest shard is `Finish`ed, its final shard is
-    ///   merged (exactly, via `merge_dyn`) into the split parent's live
-    ///   snapshot, and the parent restarts from the merged bytes as its
-    ///   new checkpoint.  Survivor indices never shift.
+    /// - **Shrink**: the highest shard is `Finish`ed, its final shard and
+    ///   the split parent's live snapshot are merged (exactly, through the
+    ///   same accumulator as every report), and the parent restarts from
+    ///   the merged bytes as its new checkpoint.  Survivor indices never
+    ///   shift.
     ///
     /// Retired TCP workers return their addresses to the registry pool;
     /// grown shards draw fresh ones (spawned children on pipes, registry
@@ -1394,9 +1431,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         // Fold the retired shard into the survivor — the shard its keys
         // route to under the shrunk table — and restart the survivor from
         // the merged bytes as its new checkpoint.
-        let merged = merge_shards::<U>(&self.links.spec, self.links.shards([survivor, retiree]))?;
+        merge_shards::<U>(&mut self.merged, self.links.shards([survivor, retiree]))?;
         let mut journal = ShardJournal::new();
-        journal.checkpoint = Some(U::shard_bytes(merged.as_ref()));
+        journal.checkpoint = Some(U::shard_bytes(&self.merged));
         // One-session-at-a-time: sever the survivor's old session before
         // dialing the fresh one that restores the merged checkpoint.
         let _ = self.links.workers[survivor].kill();
@@ -1422,10 +1459,20 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         Ok(())
     }
 
-    /// Requests a shard snapshot from every worker and merges them (plus
-    /// any locally buffered updates) into one sketch summarizing every
-    /// update ingested so far.  The cluster keeps running — this is the
-    /// paper's midstream "reporting".
+    /// Ships every pending batch, requests a shard snapshot from every
+    /// worker and merges them into one sketch summarizing every update
+    /// ingested so far.  The cluster keeps running — this is the paper's
+    /// midstream "reporting".
+    ///
+    /// The sketch is the aggregator's own accumulator, borrowed: the shards
+    /// are merged into it straight from their links' buffers
+    /// ([`ClusterUpdate::merge_wire`]), and the next report merges into it
+    /// again.  Clone or encode it to keep it past that.  Shipping the
+    /// pending batches first means the workers ingest them once, into
+    /// live shards, and the report applies none to the accumulator itself:
+    /// a batch applied to a merged L0 sketch costs several times what a
+    /// worker pays for it (its tables are packed and re-laid out on their
+    /// first update), and the worker would ingest it later anyway.
     ///
     /// With recovery enabled, a worker lost during the exchange is
     /// reconnected and replayed *inside* this call (the snapshot waits for
@@ -1440,7 +1487,8 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// are unrecoverable), [`ClusterError::RecoveryExhausted`] /
     /// [`ClusterError::JournalOverflow`] if recovery was enabled but could
     /// not rebuild it, or the transport / codec / merge failure.
-    pub fn snapshot(&mut self) -> Result<Box<U::Shard>, ClusterError> {
+    pub fn snapshot(&mut self) -> Result<&U::Shard, ClusterError> {
+        self.flush();
         self.links.check_fault()?;
         // *Any* failure below leaves the request/reply conversation in an
         // unknown state (some workers may still have a Shard reply queued),
@@ -1452,7 +1500,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         let result = self
             .links
             .exchange(0..workers, &Frame::Snapshot)
-            .and_then(|()| merge_shards::<U>(&self.links.spec, self.links.shards(0..workers)));
+            .and_then(|()| merge_shards::<U>(&mut self.merged, self.links.shards(0..workers)));
         self.links
             .metrics
             .snapshot_latency
@@ -1460,14 +1508,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         if let Err((worker, error)) = &result {
             self.links.poison(*worker, error);
         }
-        let mut merged = result.map_err(|(_, error)| error)?;
+        result.map_err(|(_, error)| error)?;
         self.links.checkpoint_journals();
-        // Fold in the locally buffered (not yet shipped) updates, exactly
-        // like the in-process router's midstream `merged()`.
-        self.batcher.for_each_pending(|batch| {
-            U::apply(merged.as_mut(), batch);
-        });
-        Ok(merged)
+        Ok(&self.merged)
     }
 
     /// Snapshots and reports the current estimate.
@@ -1476,12 +1519,13 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     ///
     /// Same as [`snapshot`](Self::snapshot).
     pub fn estimate(&mut self) -> Result<f64, ClusterError> {
-        Ok(U::estimate(self.snapshot()?.as_ref()))
+        Ok(U::estimate(self.snapshot()?))
     }
 
     /// Ships all pending batches, sends `Finish`, collects every worker's
     /// final shard, waits for the processes to exit, and returns the merged
-    /// sketch of the whole stream.
+    /// sketch of the whole stream: the accumulator
+    /// [`snapshot`](Self::snapshot) lends, moved out.
     ///
     /// # Errors
     ///
@@ -1499,8 +1543,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         self.links
             .exchange(0..workers, &Frame::Finish)
             .map_err(|(_, error)| error)?;
-        merge_shards::<U>(&self.links.spec, self.links.shards(0..workers))
-            .map_err(|(_, error)| error)
+        merge_shards::<U>(&mut self.merged, self.links.shards(0..workers))
+            .map_err(|(_, error)| error)?;
+        Ok(self.merged)
     }
 }
 
@@ -1595,24 +1640,25 @@ fn with_backoff(
     })
 }
 
-/// The decode-and-merge fold every report ends in: decodes each
-/// `(worker, bytes)` shard and merges it into the first (exact for every
-/// workspace sketch).  Failures carry the worker the bytes came from.
+/// The fold every report ends in — snapshot, finish and shrink alike:
+/// each `(worker, bytes)` shard merged from its bytes into `into`, the
+/// first replacing what `into` held (exact for every workspace sketch).
+/// Failures carry the worker the bytes came from; bytes the decoder
+/// refuses are a [`ClusterError::Frame`] fault of that worker.
 fn merge_shards<'b, U: ClusterUpdate>(
-    spec: &SketchSpec,
+    into: &mut U::Shard,
     shards: impl IntoIterator<Item = (usize, &'b [u8])>,
-) -> Result<Box<U::Shard>, (usize, ClusterError)> {
-    let mut merged: Option<Box<U::Shard>> = None;
-    for (worker, bytes) in shards {
-        let shard = U::shard_from_bytes(spec, bytes)
-            .map_err(|message| (worker, ClusterError::Frame { worker, message }))?;
-        match &mut merged {
-            None => merged = Some(shard),
-            Some(into) => U::merge(into.as_mut(), shard.as_ref())
-                .map_err(|e| (worker, ClusterError::Sketch(e)))?,
-        }
+) -> Result<(), (usize, ClusterError)> {
+    for (at, (worker, bytes)) in shards.into_iter().enumerate() {
+        U::merge_wire(into, bytes, at == 0).map_err(|error| {
+            let error = match error {
+                SketchError::Decode(message) => ClusterError::Frame { worker, message },
+                other => ClusterError::Sketch(other),
+            };
+            (worker, error)
+        })?;
     }
-    Ok(merged.expect("cluster always has at least one worker"))
+    Ok(())
 }
 
 // Dropping a `ClusterAggregator` drops its worker links; a link to a

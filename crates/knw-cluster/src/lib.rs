@@ -6,10 +6,11 @@
 //! that property inside one process — threads exchanging cloned sketches.
 //! This crate is the missing layer: worker **processes** that never share
 //! memory ingest substreams and exchange **serialized** shards with an
-//! aggregator, which merges them with the same `merge_dyn` fold the
-//! in-process engine uses.  Workers scale across cores, across machines,
-//! or across restarts — and the combine step at the end is cheap and
-//! exact.
+//! aggregator, which merges them, as exactly as the in-process engine's
+//! `merge_dyn` fold, straight from their bytes into one sketch it keeps
+//! ([`ClusterUpdate::merge_wire`]).  Workers scale across cores, across
+//! machines, or across restarts — and the combine step at the end is
+//! cheap and exact.
 //!
 //! # Process topology and worker links
 //!
@@ -29,7 +30,7 @@
 //!                          │        │        │        │
 //!                          └──one Shard{serialized bytes} each──┐
 //!                                                               ▼
-//!                          deserialize → merge_dyn fold → merged estimate
+//!                     merge_wire fold into the kept sketch → merged estimate
 //! ```
 //!
 //! The frame layer runs over any byte stream, and the aggregator reaches
@@ -145,7 +146,8 @@
 //! session interleavings stay bit-identical to a single-process run over
 //! the union of the streams.  `Snapshot`/`Finish` requests arriving in
 //! the same tick coalesce into **one** point-in-time merge (pending
-//! batcher contents included), whose encoded `Shard` reply is shared.
+//! batcher contents shipped to the workers first), whose encoded `Shard`
+//! reply is shared.
 //!
 //! Backpressure is per session and byte-bounded: replies go into a
 //! bounded write queue, and a session whose queue exceeds
@@ -233,7 +235,7 @@
 //! splits the parent's replay journal under the new table (new shard =
 //! parent checkpoint ⊕ moved updates; parent restarts with the kept ones),
 //! a shrink `Finish`es the top shard and folds its final bytes into the
-//! split parent via the same exact `merge_dyn` used everywhere else.
+//! split parent through the same exact merge as every report.
 //! Retired workers hand their addresses back to the pool; `knw-aggregate
 //! --pool <reg> --workers N --serve …` exposes the whole flow on the CLI,
 //! including a runtime `rescale N` command.  Reshard traffic is counted under

@@ -659,7 +659,9 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
     }
 
     /// Produces ONE point-in-time merged shard for every session whose
-    /// `Snapshot`/`Finish` is pending, queues the replies, and resumes
+    /// `Snapshot`/`Finish` is pending — encoded from the aggregator's
+    /// borrowed accumulator straight into the retained reply buffer, which
+    /// all waiters share — queues the replies, and resumes
     /// (or finishes) the waiters.  A fleet failure poisons the aggregator
     /// and aborts the serve loop with the typed error, after a
     /// best-effort `Err` frame to the waiters.
@@ -667,7 +669,7 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
         let waiters = std::mem::take(&mut self.waiters);
         match self.aggregator.snapshot() {
             Ok(merged) => encode_shard_frame(reusable(&mut self.reply), |out| {
-                U::write_shard(merged.as_ref(), out);
+                U::write_shard(merged, out);
             })
             .map_err(|e| io_error(std::io::Error::new(ErrorKind::InvalidData, e.to_string()))),
             Err(error) => {

@@ -23,18 +23,29 @@ use knw_baselines::{
 };
 use knw_core::{
     DynMergeableCardinalityEstimator, DynMergeableTurnstileEstimator, F0Config, KnwF0Sketch,
-    KnwL0Sketch, L0Config,
+    KnwL0Sketch, L0Config, MergeableEstimator, SketchError,
 };
 
 /// An F0 shard sketch that can ship itself over the wire: the mergeable
 /// estimator contract plus serialization to the workspace's binary codec.
 ///
 /// Blanket-implemented for every mergeable F0 estimator that derives the
-/// serde traits — never implement it manually.
-pub trait WireF0Sketch: DynMergeableCardinalityEstimator {
+/// serde traits — never implement it manually.  It is `Send`, so an
+/// aggregator holding its merged shard can move to a serving thread.
+pub trait WireF0Sketch: DynMergeableCardinalityEstimator + Send {
     /// Appends the sketch serialized with the workspace codec (the payload
     /// of a `Shard` frame) to `out`.
     fn write_wire(&self, out: &mut Vec<u8>);
+
+    /// Merges a `Shard` frame's payload into this sketch, or with `replace`
+    /// makes this sketch that shard
+    /// ([`MergeableEstimator::merge_from_bytes`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SketchError::Decode`] for bytes the decoder refuses, else the
+    /// merge's refusal; the sketch is then unchanged.
+    fn merge_wire(&mut self, bytes: &[u8], replace: bool) -> Result<(), SketchError>;
 
     /// The serialized sketch in a buffer of its own.
     fn wire_bytes(&self) -> Vec<u8> {
@@ -46,17 +57,33 @@ pub trait WireF0Sketch: DynMergeableCardinalityEstimator {
 
 impl<T> WireF0Sketch for T
 where
-    T: DynMergeableCardinalityEstimator + serde::Serialize,
+    T: DynMergeableCardinalityEstimator
+        + MergeableEstimator<MergeError = SketchError>
+        + Send
+        + serde::Serialize
+        + serde::Deserialize,
 {
     fn write_wire(&self, out: &mut Vec<u8>) {
         self.serialize(out);
     }
+
+    fn merge_wire(&mut self, bytes: &[u8], replace: bool) -> Result<(), SketchError> {
+        self.merge_from_bytes(bytes, replace)
+    }
 }
 
 /// The turnstile counterpart of [`WireF0Sketch`].
-pub trait WireL0Sketch: DynMergeableTurnstileEstimator {
+pub trait WireL0Sketch: DynMergeableTurnstileEstimator + Send {
     /// Appends the sketch serialized with the workspace codec to `out`.
     fn write_wire(&self, out: &mut Vec<u8>);
+
+    /// Merges a `Shard` frame's payload into this sketch, or with `replace`
+    /// makes this sketch that shard (see [`WireF0Sketch::merge_wire`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`WireF0Sketch::merge_wire`].
+    fn merge_wire(&mut self, bytes: &[u8], replace: bool) -> Result<(), SketchError>;
 
     /// The serialized sketch in a buffer of its own.
     fn wire_bytes(&self) -> Vec<u8> {
@@ -68,10 +95,18 @@ pub trait WireL0Sketch: DynMergeableTurnstileEstimator {
 
 impl<T> WireL0Sketch for T
 where
-    T: DynMergeableTurnstileEstimator + serde::Serialize,
+    T: DynMergeableTurnstileEstimator
+        + MergeableEstimator<MergeError = SketchError>
+        + Send
+        + serde::Serialize
+        + serde::Deserialize,
 {
     fn write_wire(&self, out: &mut Vec<u8>) {
         self.serialize(out);
+    }
+
+    fn merge_wire(&mut self, bytes: &[u8], replace: bool) -> Result<(), SketchError> {
+        self.merge_from_bytes(bytes, replace)
     }
 }
 
@@ -296,6 +331,66 @@ mod tests {
             matches!(&error, Err(message) if message.contains("range 0")),
             "{error:?}"
         );
+    }
+
+    /// A `KnwF0Sketch` shard whose base level is forged past `log n` is a
+    /// decode error.  Derived decoding accepted it, and the next insert
+    /// shifted `1 << b` out of range: a panic in a debug build, a wrong
+    /// filter in a release one.  Every change to the level fields that
+    /// still decodes merges and ingests without a panic.
+    #[test]
+    fn forged_f0_base_is_a_decode_error_not_a_shift_overflow() {
+        let spec = SketchSpec::f0("knw-f0", 0.1, 1 << 16, 3);
+        let mut sketch = KnwF0Sketch::new(F0Config::new(0.1, 1 << 16).with_seed(3));
+        let items: Vec<u64> = (0..40_000).map(|i| i * 0x9E37_79B9 % (1 << 16)).collect();
+        sketch.insert_batch(&items);
+        assert!(sketch.base_level() > 0, "the stream moved the base");
+        let bytes = serde::to_bytes(&sketch);
+        assert!(f0_shard_from_bytes(&spec, &bytes).is_ok());
+        // `occupied`, then `base` and `est`, in place.
+        let occupied = sketch.occupancy().to_le_bytes();
+        let at: Vec<usize> = (0..bytes.len() - 12)
+            .filter(|&i| {
+                bytes[i..i + 8] == occupied
+                    && bytes[i + 8..i + 12] == sketch.base_level().to_le_bytes()
+            })
+            .collect();
+        assert_eq!(
+            at.len(),
+            1,
+            "occupancy and base are not unique in the shard"
+        );
+        let (base_at, est_at) = (at[0] + 8, at[0] + 12);
+        let forge = |at: usize, value: &[u8]| {
+            let mut forged = bytes.clone();
+            forged[at..at + value.len()].copy_from_slice(value);
+            f0_shard_from_bytes(&spec, &forged).map(|_| "a shard")
+        };
+        for base in [17u32, 63, 64, 200, u32::MAX] {
+            let error = forge(base_at, &base.to_le_bytes());
+            assert!(matches!(&error, Err(m) if m.contains("base")), "{error:?}");
+        }
+        for est in [-1i64, 128, i64::MAX, i64::MIN] {
+            let error = forge(est_at, &est.to_le_bytes());
+            assert!(matches!(&error, Err(m) if m.contains("est")), "{error:?}");
+        }
+        // Each byte of the bit budget, occupancy, base and est set to 0x00,
+        // 0x01, 0x40 and 0xFF: whatever decodes merges both ways round and
+        // takes more inserts.
+        for at in at[0] - 8..est_at + 8 {
+            for value in [0x00, 0x01, 0x40, 0xFF] {
+                let mut mutant = bytes.clone();
+                mutant[at] = value;
+                let Ok(mut shard) = f0_shard_from_bytes(&spec, &mutant) else {
+                    continue;
+                };
+                let mut genuine = build_f0(&spec).expect("builds");
+                let _ = genuine.merge_dyn(shard.as_ref());
+                let _ = shard.merge_dyn(genuine.as_ref());
+                genuine.insert_batch(&items[..2_000]);
+                shard.insert_batch(&items[..2_000]);
+            }
+        }
     }
 
     #[test]

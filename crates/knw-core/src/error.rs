@@ -44,6 +44,16 @@ pub enum SketchError {
         /// Index of the shard whose worker died.
         shard: usize,
     },
+    /// Bytes offered for a merge
+    /// ([`merge_from_bytes`](crate::estimator::MergeableEstimator::merge_from_bytes))
+    /// are not an encoding the sketch's decoder accepts.
+    Decode(String),
+}
+
+impl From<serde::Error> for SketchError {
+    fn from(error: serde::Error) -> Self {
+        SketchError::Decode(error.to_string())
+    }
 }
 
 impl SketchError {
@@ -90,6 +100,7 @@ impl fmt::Display for SketchError {
             SketchError::ShardPanicked { shard } => {
                 write!(f, "shard worker {shard} panicked; its sketch state is lost")
             }
+            SketchError::Decode(message) => f.write_str(message),
         }
     }
 }

@@ -120,6 +120,33 @@ pub trait MergeableEstimator: Sized {
     /// Returns an error if the sketches were built with different parameters
     /// or hash functions, in which case `self` is left unchanged.
     fn merge_from(&mut self, other: &Self) -> Result<(), Self::MergeError>;
+
+    /// Merges the sketch `bytes` encode into `self` or, with `replace`,
+    /// makes `self` that sketch: what decoding `bytes` and then
+    /// [`merge_from`](Self::merge_from) (or assigning) does.
+    ///
+    /// The provided body does just that.  A sketch whose encoding can be
+    /// added to its state in place overrides it, so a merge from the wire
+    /// costs one pass over the bytes and builds no second sketch.  An
+    /// override refuses every encoding the decoder refuses and, even with
+    /// `replace`, every sketch `merge_from` would refuse.
+    ///
+    /// # Errors
+    ///
+    /// The decoder's rejection or the merge's; `self` is then unchanged.
+    fn merge_from_bytes(&mut self, bytes: &[u8], replace: bool) -> Result<(), Self::MergeError>
+    where
+        Self: serde::Deserialize,
+        Self::MergeError: From<serde::Error>,
+    {
+        let other: Self = serde::from_bytes(bytes)?;
+        if replace {
+            *self = other;
+            Ok(())
+        } else {
+            self.merge_from(&other)
+        }
+    }
 }
 
 /// Object-safe mergeable cardinality estimator: the erased counterpart of

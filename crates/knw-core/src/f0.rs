@@ -67,7 +67,13 @@ use knw_vla::Vla;
 pub const PAPER_SUBSAMPLE_DIVISOR: u64 = 32;
 
 /// The space-optimal KNW F0 (distinct elements) sketch.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// The wire form is the fields in declaration order.  Decoding refuses a
+/// `log n` other than the configuration's, a base level past it, an `est`
+/// outside `[0, 128)`, and a bit budget or occupancy the counters do not
+/// give, so no forged shard reaches a shift, an exponent or a running
+/// total out of range.
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct KnwF0Sketch {
     config: F0Config,
     /// Number of counters `K = 1/ε²` (power of two).
@@ -602,6 +608,67 @@ impl KnwF0Sketch {
             return Err(SketchError::config_mismatch("shape", ours, theirs));
         }
         Ok(())
+    }
+}
+
+impl serde::Deserialize for KnwF0Sketch {
+    /// Reads the fields in declaration order, then checks the levels:
+    /// `log n` is the configuration's (at most 63), the base `b` at most
+    /// `log n` — what `1 << b` and the rebase clamp assume — and `est` in
+    /// `[0, 128)`.  `est` is `⌊log₂ R⌋` of a rough estimate `R` above 1 and
+    /// at most `2^62 · K_RE`.  The bit budget `A` and the occupancy `T`,
+    /// which ingestion updates incrementally, must be what the counters give.
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let sketch = Self {
+            config: F0Config::deserialize(input)?,
+            k: u64::deserialize(input)?,
+            log_n: u32::deserialize(input)?,
+            subsample_divisor: u64::deserialize(input)?,
+            h1: PairwiseHash::deserialize(input)?,
+            h2: PairwiseHash::deserialize(input)?,
+            h3: BucketHash::deserialize(input)?,
+            counters: Vla::deserialize(input)?,
+            a_bits: u64::deserialize(input)?,
+            occupied: u64::deserialize(input)?,
+            base: u32::deserialize(input)?,
+            est: i64::deserialize(input)?,
+            failed: bool::deserialize(input)?,
+            rough: RoughEstimator::deserialize(input)?,
+            rough_cached: f64::deserialize(input)?,
+            small: SmallF0Estimator::deserialize(input)?,
+            updates: u64::deserialize(input)?,
+        };
+        let (log_n, base, est) = (sketch.log_n, sketch.base, sketch.est);
+        // `F0Config::log_universe`, without its panics on a forged universe.
+        let universe = sketch.config.universe;
+        let expected = universe
+            .checked_next_power_of_two()
+            .filter(|_| universe > 0)
+            .map(|pow2| knw_hash::bits::bits_for_universe(pow2).max(1));
+        if expected != Some(log_n) {
+            return Err(serde::Error::new(format!(
+                "F0 sketch log n {log_n} refused"
+            )));
+        }
+        if base > log_n || !(0..128).contains(&est) {
+            return Err(serde::Error::new(format!(
+                "F0 sketch base {base} or est {est} out of range for log n {log_n}"
+            )));
+        }
+        let (mut a_bits, mut occupied) = (0u64, 0u64);
+        for j in 0..sketch.counters.len() {
+            // The counter stores `C + 1`: `⌈log₂(C + 2)⌉` bits, occupied iff
+            // `C ≥ 0`.
+            let stored = sketch.counters.read(j);
+            a_bits += u64::from(ceil_log2(stored.saturating_add(1)));
+            occupied += u64::from(stored != 0);
+        }
+        if (a_bits, occupied) != (sketch.a_bits, sketch.occupied) {
+            return Err(serde::Error::new(
+                "F0 sketch bit budget or occupancy differs from its counters",
+            ));
+        }
+        Ok(sketch)
     }
 }
 

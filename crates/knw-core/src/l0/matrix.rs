@@ -25,6 +25,7 @@ use knw_hash::primes::random_prime_in_range;
 use knw_hash::rng::{Rng64, SplitMix64};
 use knw_hash::uniform::{BucketHash, HashStrategy};
 use knw_hash::{SpaceUsage, LANES};
+use serde::Deserialize;
 
 /// The Lemma 6 counter matrix plus the hash functions that address it.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -265,19 +266,94 @@ impl L0Matrix {
         assert_eq!(self.k, other.k);
         assert_eq!(self.log_n, other.log_n);
         assert_eq!(self.counters.len(), other.counters.len());
-        let k = self.k as usize;
-        for (row, nonzero) in self.row_nonzero.iter_mut().enumerate() {
+        self.add_counters(other.counters.iter().copied(), false);
+    }
+
+    /// Adds `theirs`, the row-major counters of a matrix of this shape,
+    /// cell by cell — or with `replace` takes them — and recounts each
+    /// row's occupancy.
+    fn add_counters(&mut self, mut theirs: impl Iterator<Item = u64>, replace: bool) {
+        let field = self.field;
+        let rows = self.counters.chunks_exact_mut(self.k as usize);
+        for (row, nonzero) in rows.zip(&mut self.row_nonzero) {
             let mut occupied = 0;
-            for col in 0..k {
-                let idx = row * k + col;
-                let merged = self.field.add(self.counters[idx], other.counters[idx]);
-                self.counters[idx] = merged;
-                if merged != 0 {
-                    occupied += 1;
-                }
+            for (counter, value) in row.iter_mut().zip(theirs.by_ref()) {
+                *counter = field.add(if replace { 0 } else { *counter }, value);
+                occupied += u64::from(*counter != 0);
             }
             *nonzero = occupied;
         }
+    }
+
+    /// Whether `other` has this matrix's shape and draws (hashes, salts and
+    /// prime): the draws of the same seed.
+    pub(crate) fn same_draws(&self, other: &Self) -> bool {
+        (self.h1, self.h2, self.h4, self.field) == (other.h1, other.h2, other.h4, other.field)
+            && self.h3 == other.h3
+            && self.salts == other.salts
+            && (self.k, self.log_n) == (other.k, other.log_n)
+    }
+
+    /// Checks that `input` starts with an encoding the decoder and
+    /// [`check_shape`](Self::check_shape) accept, of this matrix's shape,
+    /// and advances past it; returns whether it has this matrix's draws,
+    /// and the bytes of its counters.  Changes nothing and allocates no
+    /// counters.
+    pub(crate) fn check_wire<'a>(
+        &self,
+        input: &mut &'a [u8],
+    ) -> Result<(bool, &'a [u8]), serde::Error> {
+        let (h1, h2) = (
+            PairwiseHash::deserialize(input)?,
+            PairwiseHash::deserialize(input)?,
+        );
+        let h3 = BucketHash::deserialize(input)?;
+        let h4 = PairwiseHash::deserialize(input)?;
+        let salts = super::read_words(input)?;
+        let field = DynField::deserialize(input)?;
+        let counters = super::read_words(input)?;
+        let row_nonzero = super::read_words(input)?;
+        let (k, log_n) = (u64::deserialize(input)?, u32::deserialize(input)?);
+        let shaped = (k, log_n) == (self.k, self.log_n)
+            && salts.len() == 8 * self.salts.len()
+            && counters.len() == 8 * self.counters.len()
+            && row_nonzero.len() == 8 * self.row_nonzero.len();
+        if !shaped {
+            return Err(serde::Error::new(format!(
+                "counter matrix shape differs from K = {} with log n = {}",
+                self.k, self.log_n
+            )));
+        }
+        let same = (h1, h2, h4, field) == (self.h1, self.h2, self.h4, self.field)
+            && h3 == self.h3
+            && super::words(salts).eq(self.salts.iter().copied());
+        let p = field.modulus();
+        let in_field = (2..1u64 << 62).contains(&p)
+            && super::words(salts)
+                .chain(super::words(counters))
+                .all(|c| c < p);
+        if !in_field {
+            return Err(serde::Error::new(format!(
+                "counter matrix value outside the field of {p}"
+            )));
+        }
+        let occupied = counters
+            .chunks_exact(8 * self.k as usize)
+            .map(|row| super::words(row).filter(|&c| c != 0).count() as u64);
+        if !occupied.eq(super::words(row_nonzero)) {
+            return Err(serde::Error::new(
+                "counter matrix row occupancy differs from its counters",
+            ));
+        }
+        Ok((same, counters))
+    }
+
+    /// Adds the matrix [`check_wire`](Self::check_wire) accepted at the
+    /// front of `input` to this one in place — or with `replace` makes this
+    /// one that matrix — and advances past it.
+    pub(crate) fn merge_wire(&mut self, input: &mut &[u8], replace: bool) {
+        let (_, counters) = self.check_wire(input).expect("checked by check_wire");
+        self.add_counters(super::words(counters), replace);
     }
 }
 

@@ -33,6 +33,7 @@ use knw_hash::primes::random_prime_in_range;
 use knw_hash::rng::{Rng64, SplitMix64};
 use knw_hash::uniform::BucketHash;
 use knw_hash::SpaceUsage;
+use serde::Deserialize;
 
 pub use matrix::L0Matrix;
 pub use rough::RoughL0Estimator;
@@ -43,6 +44,27 @@ const EXACT_CAPACITY: u64 = 100;
 
 /// Failure probability of the exact small-L0 path.
 const EXACT_DELTA: f64 = 1.0 / 32.0;
+
+/// Reads a length-prefixed sequence of `u64`s (the codec's `Vec<u64>`)
+/// without copying it: the bytes of its words.
+fn read_words<'a>(input: &mut &'a [u8]) -> Result<&'a [u8], serde::Error> {
+    let len = u64::deserialize(input)?;
+    let bytes = len
+        .checked_mul(8)
+        .and_then(|bytes| usize::try_from(bytes).ok())
+        .filter(|&bytes| bytes <= input.len())
+        .ok_or_else(|| serde::Error::new(format!("sequence of {len} words truncated")))?;
+    let (words, rest) = input.split_at(bytes);
+    *input = rest;
+    Ok(words)
+}
+
+/// The little-endian `u64`s of `bytes` from [`read_words`].
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("8 bytes")))
+}
 
 /// The single-row intermediate structure: `2K` Lemma 6 counters with no
 /// subsampling, the turnstile analogue of the Section 3.3 bit array.
@@ -134,15 +156,71 @@ impl MidRangeRow {
         assert_eq!(self.field.modulus(), other.field.modulus());
         assert_eq!(self.k_prime, other.k_prime);
         assert_eq!(self.counters.len(), other.counters.len());
+        self.add_counters(other.counters.iter().copied(), false);
+    }
+
+    /// Adds `theirs`, the counters of a row of this shape — or with
+    /// `replace` takes them — and recounts the occupancy.
+    fn add_counters(&mut self, theirs: impl Iterator<Item = u64>, replace: bool) {
         let mut nonzero = 0;
-        for (mine, theirs) in self.counters.iter_mut().zip(other.counters.iter()) {
-            let merged = self.field.add(*mine, *theirs);
-            *mine = merged;
-            if merged != 0 {
-                nonzero += 1;
-            }
+        for (mine, value) in self.counters.iter_mut().zip(theirs) {
+            *mine = self.field.add(if replace { 0 } else { *mine }, value);
+            nonzero += u64::from(*mine != 0);
         }
         self.nonzero = nonzero;
+    }
+
+    /// Whether `other` has this row's shape and draws.
+    fn same_draws(&self, other: &Self) -> bool {
+        (self.h2, self.h4, self.field, self.k_prime)
+            == (other.h2, other.h4, other.field, other.k_prime)
+            && self.h3 == other.h3
+            && self.salts == other.salts
+    }
+
+    /// Checks that `input` starts with an encoding the decoder and
+    /// [`check_shape`](Self::check_shape) accept, of this row's shape, and
+    /// advances past it; returns whether it has this row's draws, and the
+    /// bytes of its counters.  Changes nothing.
+    fn check_wire<'a>(&self, input: &mut &'a [u8]) -> Result<(bool, &'a [u8]), serde::Error> {
+        let h2 = PairwiseHash::deserialize(input)?;
+        let h3 = BucketHash::deserialize(input)?;
+        let h4 = PairwiseHash::deserialize(input)?;
+        let salts = read_words(input)?;
+        let field = DynField::deserialize(input)?;
+        let counters = read_words(input)?;
+        let (nonzero, k_prime) = (u64::deserialize(input)?, u64::deserialize(input)?);
+        let shaped = k_prime == self.k_prime
+            && salts.len() == 8 * self.salts.len()
+            && counters.len() == 8 * self.counters.len();
+        if !shaped {
+            return Err(serde::Error::new(format!(
+                "mid-range row shape differs from 2K = {k_prime}"
+            )));
+        }
+        let same = (h2, h4, field) == (self.h2, self.h4, self.field)
+            && h3 == self.h3
+            && words(salts).eq(self.salts.iter().copied());
+        let p = field.modulus();
+        if !(2..1u64 << 62).contains(&p) || words(salts).chain(words(counters)).any(|c| c >= p) {
+            return Err(serde::Error::new(format!(
+                "mid-range row value outside the field of {p}"
+            )));
+        }
+        if words(counters).filter(|&c| c != 0).count() as u64 != nonzero {
+            return Err(serde::Error::new(
+                "mid-range row occupancy differs from its counters",
+            ));
+        }
+        Ok((same, counters))
+    }
+
+    /// Adds the row [`check_wire`](Self::check_wire) accepted at the front
+    /// of `input` to this one in place — or with `replace` makes this one
+    /// that row — and advances past it.
+    fn merge_wire(&mut self, input: &mut &[u8], replace: bool) {
+        let (_, counters) = self.check_wire(input).expect("checked by check_wire");
+        self.add_counters(words(counters), replace);
     }
 
     fn estimate(&self) -> f64 {
@@ -366,58 +444,106 @@ impl KnwL0Sketch {
         &self.matrix
     }
 
-    fn compatible(&self, other: &Self) -> Result<(), SketchError> {
-        if self.config.epsilon != other.config.epsilon {
+    /// Refuses a configuration other than this sketch's.
+    fn check_config(&self, theirs: &L0Config) -> Result<(), SketchError> {
+        if self.config.epsilon != theirs.epsilon {
             return Err(SketchError::config_mismatch(
                 "epsilon",
                 self.config.epsilon,
-                other.config.epsilon,
+                theirs.epsilon,
             ));
         }
-        if self.config.universe != other.config.universe {
+        if self.config.universe != theirs.universe {
             return Err(SketchError::config_mismatch(
                 "universe",
                 self.config.universe,
-                other.config.universe,
+                theirs.universe,
             ));
         }
-        if self.config.stream_length_bound != other.config.stream_length_bound {
+        if self.config.stream_length_bound != theirs.stream_length_bound {
             return Err(SketchError::config_mismatch(
                 "stream_length_bound",
                 self.config.stream_length_bound,
-                other.config.stream_length_bound,
+                theirs.stream_length_bound,
             ));
         }
-        if self.config.update_magnitude_bound != other.config.update_magnitude_bound {
+        if self.config.update_magnitude_bound != theirs.update_magnitude_bound {
             return Err(SketchError::config_mismatch(
                 "update_magnitude_bound",
                 self.config.update_magnitude_bound,
-                other.config.update_magnitude_bound,
+                theirs.update_magnitude_bound,
             ));
         }
-        if self.config.hash_strategy != other.config.hash_strategy {
+        if self.config.hash_strategy != theirs.hash_strategy {
             return Err(SketchError::config_mismatch(
                 "hash_strategy",
                 self.config.hash_strategy,
-                other.config.hash_strategy,
+                theirs.hash_strategy,
             ));
         }
-        if self.config.seed != other.config.seed {
+        if self.config.seed != theirs.seed {
             return Err(SketchError::SeedMismatch);
         }
+        Ok(())
+    }
+
+    fn compatible(&self, other: &Self) -> Result<(), SketchError> {
+        self.check_config(&other.config)?;
         // Equal configurations give equal draws and dimensions, except for
         // sketches decoded from forged bytes; refuse those here rather than
         // in a component merge's assertion.
         let same_draws = self.k == other.k
-            && self.matrix.num_rows() == other.matrix.num_rows()
-            && self.matrix.prime() == other.matrix.prime()
-            && self.mid.field.modulus() == other.mid.field.modulus()
-            && self.rough.primes().eq(other.rough.primes())
-            && self.exact.primes().eq(other.exact.primes());
+            && self.matrix.same_draws(&other.matrix)
+            && self.rough.same_draws(&other.rough)
+            && self.exact.same_draws(&other.exact)
+            && self.mid.same_draws(&other.mid);
         if !same_draws {
             return Err(SketchError::SeedMismatch);
         }
         Ok(())
+    }
+
+    /// Checks that `bytes` encode a sketch the decoder accepts and
+    /// [`compatible`](Self::compatible) would merge into this one, in one
+    /// pass that builds nothing: the same checks, in the same order of
+    /// error kinds, as decoding and then merging.
+    fn check_wire(&self, bytes: &[u8]) -> Result<(), SketchError> {
+        let input = &mut &bytes[..];
+        let config = L0Config::deserialize(input)?;
+        let k = u64::deserialize(input)?;
+        let mut same = self.matrix.check_wire(input)?.0;
+        same &= self.rough.check_wire(input)?;
+        same &= self.exact.check_wire(input)?;
+        same &= self.mid.check_wire(input)?.0;
+        u64::deserialize(input)?;
+        if !input.is_empty() {
+            let trailing = format!("{} trailing bytes after deserializing", input.len());
+            return Err(serde::Error::new(trailing).into());
+        }
+        self.check_config(&config)?;
+        if k != self.k || !same {
+            return Err(SketchError::SeedMismatch);
+        }
+        Ok(())
+    }
+
+    /// Adds the sketch `bytes` encode, which [`check_wire`](Self::check_wire)
+    /// accepted, component by component in place — or with `replace`
+    /// makes this sketch that one, copying instead of adding.
+    fn merge_wire(&mut self, bytes: &[u8], replace: bool) {
+        let (input, checked) = (&mut &bytes[..], "checked by check_wire");
+        L0Config::deserialize(input).expect(checked);
+        u64::deserialize(input).expect(checked);
+        self.matrix.merge_wire(input, replace);
+        self.rough.merge_wire(input, replace);
+        self.exact.merge_wire(input, replace);
+        self.mid.merge_wire(input, replace);
+        let updates = u64::deserialize(input).expect(checked);
+        self.updates = if replace {
+            updates
+        } else {
+            self.updates.saturating_add(updates)
+        };
     }
 }
 
@@ -469,7 +595,25 @@ impl crate::estimator::MergeableEstimator for KnwL0Sketch {
         self.rough.merge_from_unchecked(&other.rough);
         self.exact.merge_from_unchecked(&other.exact);
         self.mid.merge_from_unchecked(&other.mid);
-        self.updates += other.updates;
+        self.updates = self.updates.saturating_add(other.updates);
+        Ok(())
+    }
+
+    /// Merges a sketch from its encoding in place, with no decoded sketch
+    /// in between: the result is byte for byte what decoding `bytes` and
+    /// then [`merge_from`](crate::estimator::MergeableEstimator::merge_from) (or assigning) gives.
+    ///
+    /// A first pass runs every check the decoder and `merge_from` make,
+    /// and, even with `replace`, refuses a configuration or draws other
+    /// than this sketch's.  Only then does a second pass add the counters
+    /// straight from the bytes (or, with `replace`, copy them): sparse
+    /// trials through the branch-free two-run merge, arrays and matrix
+    /// cells entrywise.  So a refused encoding leaves `self` untouched, and
+    /// a sketch merged into again and again keeps its memory: a trial held
+    /// as an array stays one, and a table keeps its capacity.
+    fn merge_from_bytes(&mut self, bytes: &[u8], replace: bool) -> Result<(), SketchError> {
+        self.check_wire(bytes)?;
+        self.merge_wire(bytes, replace);
         Ok(())
     }
 }
@@ -784,13 +928,74 @@ mod tests {
             let wired: KnwL0Sketch =
                 serde::from_bytes(&serde::to_bytes(&right)).expect("round trip");
             after_wire.merge_from(&wired).expect("same seed");
-            assert_eq!(
-                serde::to_bytes(&after_wire),
-                serde::to_bytes(&in_memory),
-                "{len} updates"
-            );
+            let expected = serde::to_bytes(&in_memory);
+            assert_eq!(serde::to_bytes(&after_wire), expected, "{len} updates");
             assert_eq!(after_wire.estimate_l0(), in_memory.estimate_l0());
+
+            // Merged straight from the bytes, into the live left sketch and
+            // into a sketch replaced by the left bytes first: the same bytes.
+            let right_bytes = serde::to_bytes(&right);
+            let mut from_wire = left.clone();
+            from_wire
+                .merge_from_bytes(&right_bytes, false)
+                .expect("same seed");
+            assert_eq!(serde::to_bytes(&from_wire), expected, "{len} updates");
+            let mut replaced = right.clone();
+            replaced.merge_from_bytes(&bytes, true).expect("same seed");
+            assert_eq!(serde::to_bytes(&replaced), bytes, "{len} updates");
+            replaced
+                .merge_from_bytes(&right_bytes, false)
+                .expect("same seed");
+            assert_eq!(serde::to_bytes(&replaced), expected, "{len} updates");
         }
+    }
+
+    /// A single-byte change at every position of a shard (its low bit or
+    /// its high bit flipped, or set to 0x00 or 0xFF, in turn) is refused by
+    /// the merge from the bytes exactly when decoding and merging refuse it.
+    /// A refused shard leaves the sketch's bytes as they were; an accepted
+    /// one merges to the bytes decoding and merging give.
+    #[test]
+    fn merge_from_bytes_refuses_exactly_what_decoding_and_merging_refuse() {
+        use crate::estimator::MergeableEstimator;
+        let small = |stream_seed| {
+            let mut s = KnwL0Sketch::new(L0Config::new(0.5, 1 << 6).with_seed(5));
+            s.update_batch(&signed_stream(300, 64, stream_seed));
+            s
+        };
+        let (sketch, shard) = (small(1), small(2));
+        let (before, bytes) = (serde::to_bytes(&sketch), serde::to_bytes(&shard));
+        let mutations: [fn(u8) -> u8; 4] = [|b| b ^ 1, |b| b ^ 0x80, |_| 0, |_| 0xFF];
+        let (mut refused, mut accepted) = (0, 0);
+        for (at, mutate) in (0..bytes.len()).zip(mutations.iter().cycle()) {
+            let mut mutant = bytes.clone();
+            mutant[at] = mutate(mutant[at]);
+            if mutant == bytes {
+                continue;
+            }
+            let decoded_and_merged =
+                serde::from_bytes::<KnwL0Sketch>(&mutant)
+                    .ok()
+                    .and_then(|other| {
+                        let mut merged = sketch.clone();
+                        merged.merge_from(&other).ok().map(|()| merged)
+                    });
+            let mut from_wire = sketch.clone();
+            let result = from_wire.merge_from_bytes(&mutant, false);
+            if let Some(merged) = decoded_and_merged {
+                assert_eq!(result, Ok(()), "byte {at} refused");
+                assert_eq!(serde::to_bytes(&from_wire), serde::to_bytes(&merged));
+                accepted += 1;
+            } else {
+                assert!(result.is_err(), "byte {at} accepted");
+                assert_eq!(serde::to_bytes(&from_wire), before, "byte {at}");
+                refused += 1;
+            }
+        }
+        assert!(
+            refused > 0 && accepted > 0,
+            "{refused} refused, {accepted} accepted"
+        );
     }
 
     /// FNV-1a-64 of `bytes`.

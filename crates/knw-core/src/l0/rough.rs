@@ -140,9 +140,45 @@ impl RoughL0Estimator {
         self.fired = fired_levels(&self.levels);
     }
 
-    /// The primes of every level's trials, level by level.
-    pub(crate) fn primes(&self) -> impl Iterator<Item = u64> + '_ {
-        self.levels.iter().flat_map(ExactSmallL0::primes)
+    /// Whether `other` has this estimator's level hash, `log n` and level
+    /// draws: the draws of the same seed.
+    pub(crate) fn same_draws(&self, other: &Self) -> bool {
+        (self.level_hash, self.log_n) == (other.level_hash, other.log_n)
+            && self.levels.len() == other.levels.len()
+            && self
+                .levels
+                .iter()
+                .zip(&other.levels)
+                .all(|(mine, theirs)| mine.same_draws(theirs))
+    }
+
+    /// Checks that `input` starts with an encoding the decoder accepts, of
+    /// this estimator's `log n`, and advances past it; returns whether it
+    /// has this estimator's draws (see [`ExactSmallL0::check_wire`]).
+    /// Changes nothing.
+    pub(crate) fn check_wire(&self, input: &mut &[u8]) -> Result<bool, Error> {
+        let level_hash = PairwiseHash::deserialize(input)?;
+        let log_n = u32::deserialize(input)?;
+        if log_n != self.log_n {
+            return Err(Error::new(format!("rough oracle log n {log_n} refused")));
+        }
+        let mut same = level_hash == self.level_hash;
+        for level in &self.levels {
+            same &= level.check_wire(input)?;
+        }
+        Ok(same)
+    }
+
+    /// Adds the estimator [`check_wire`](Self::check_wire) accepted at the
+    /// front of `input` to this one in place — or with `replace` makes this
+    /// one that estimator — and advances past it.
+    pub(crate) fn merge_wire(&mut self, input: &mut &[u8], replace: bool) {
+        PairwiseHash::deserialize(input).expect("checked");
+        u32::deserialize(input).expect("checked");
+        for level in &mut self.levels {
+            level.merge_wire(input, replace);
+        }
+        self.fired = fired_levels(&self.levels);
     }
 
     /// Decodes an estimator whose `log n` must equal `log_n`, checked

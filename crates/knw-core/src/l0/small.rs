@@ -53,6 +53,7 @@ use knw_hash::primes::random_prime_in_range;
 use knw_hash::rng::SplitMix64;
 use knw_hash::SpaceUsage;
 use serde::{Deserialize, Error, Serialize};
+use std::hint::select_unpredictable;
 
 /// The interval each trial draws its prime from: ~135 000 candidates, so the
 /// probability that the prime divides any fixed bounded frequency is tiny,
@@ -87,15 +88,13 @@ const FORM_SPARSE: u8 = 0;
 /// Wire form tag: every counter, as a `u32` array.
 const FORM_DENSE: u8 = 1;
 
-/// `(a + b) mod p` for `a, b < p`: one conditional subtraction, no division.
+/// `(a + b) mod p` for `a, b < p` and a prime of [`PRIME_RANGE`], so the
+/// sum fits a `u32`: the sum or the sum less `p`, whichever is smaller
+/// (less `p` wraps around below `p`), so no branch and no division.
 #[inline]
-fn add_mod(a: u64, b: u64, p: u64) -> u64 {
+fn add_mod(a: u32, b: u32, p: u32) -> u32 {
     let sum = a + b;
-    if sum >= p {
-        sum - p
-    } else {
-        sum
-    }
+    sum.min(sum.wrapping_sub(p))
 }
 
 /// `delta mod p` in `[0, p)`; the division only runs for `|delta| ≥ p`.
@@ -146,9 +145,17 @@ struct Table {
     slots: Vec<Slot>,
 }
 
-/// The slots of a table laid out for `count` entries: home slots at load
-/// under a third, plus the tail.  Lookups then mostly stop at the home
-/// slot, which keeps a table update near the cost of an array update.
+/// The slots of a table laid out for `count` entries: four times as many,
+/// so the home slots start at load 2/7, plus the tail.
+///
+/// Lookups want room: most of them stop at the home slot, which keeps a
+/// table update near the cost of an array update.  Encoding wants few
+/// slots: it walks every slot of a table, holes included, and that walk is
+/// bound by memory.  Measured on a 1.4 MB churn shard (ε = 0.05, n = 2^24,
+/// 14 alternating runs each, 2-vCPU Xeon): twice as many slots with home
+/// load up to ¾ encoded 11% faster but ingested 6.6% slower (10 of 14
+/// pairs), and three times with load up to ⅔ ingested slower in 13 of 14.
+/// Ingest speed is what the roomy layout is for, so it stays.
 fn table_len(count: u64) -> usize {
     (count as usize * 4).max(16)
 }
@@ -178,6 +185,22 @@ impl Table {
             next = at + 1;
         }
         Some(table)
+    }
+
+    /// Packs the table in place: its entries, in order, at the front of
+    /// its slots and nothing after them.  The slots keep their memory.
+    fn pack(&mut self) {
+        if self.scale == 0 {
+            return;
+        }
+        let mut kept = 0;
+        for at in 0..self.slots.len() {
+            let slot = self.slots[at];
+            self.slots[kept] = slot;
+            kept += usize::from(slot.value != 0);
+        }
+        self.slots.truncate(kept);
+        self.scale = 0;
     }
 
     #[inline]
@@ -290,21 +313,117 @@ impl Form {
 }
 
 /// Adds `delta ∈ [1, prime)` to the counter of `bucket` in `counters`,
-/// keeping `nonzero` their nonzero count.
+/// keeping `nonzero` their nonzero count, with no branch on the values.
 #[inline]
-fn add_to_array(counters: &mut [u32], nonzero: &mut u64, bucket: u32, delta: u64, prime: u64) {
+fn add_to_array(counters: &mut [u32], nonzero: &mut u64, bucket: u32, delta: u32, prime: u32) {
     let counter = &mut counters[bucket as usize];
     let old = *counter;
-    *counter = add_mod(u64::from(old), delta, prime) as u32;
-    match (old == 0, *counter == 0) {
-        (true, false) => *nonzero += 1,
-        (false, true) => *nonzero -= 1,
-        _ => {}
+    *counter = add_mod(old, delta, prime);
+    *nonzero = *nonzero + u64::from(*counter != 0) - u64::from(old != 0);
+}
+
+/// A little-endian `u32` from four bytes.
+#[inline]
+fn word(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+}
+
+/// A run of nonzero counters in increasing bucket order, with no holes: a
+/// packed table's slots, or a sparse trial's pairs on the wire.
+trait Run {
+    /// The number of counters in the run.
+    fn count(&self) -> usize;
+
+    /// Counter `index` of the run.
+    fn at(&self, index: usize) -> Slot;
+}
+
+impl Run for [Slot] {
+    fn count(&self) -> usize {
+        self.len()
     }
+
+    #[inline]
+    fn at(&self, index: usize) -> Slot {
+        self[index]
+    }
+}
+
+/// A sparse trial's `(u32 index, u32 value)` pairs as they sit on the wire.
+struct WirePairs<'a>(&'a [u8]);
+
+impl Run for WirePairs<'_> {
+    fn count(&self) -> usize {
+        self.0.len() / 8
+    }
+
+    #[inline]
+    fn at(&self, index: usize) -> Slot {
+        let pair = &self.0[8 * index..8 * index + 8];
+        Slot {
+            bucket: word(&pair[..4]),
+            value: word(&pair[4..]),
+        }
+    }
+}
+
+/// Adds the run `theirs` into the run `mine` mod `prime`, in place: the
+/// nonzero entrywise sums, in increasing bucket order.
+///
+/// One forward walk over both runs with no branch on their contents.  Each
+/// step compares the two front buckets, adds the values the comparisons
+/// select (a side not taken adds 0), writes the sum to the next output slot
+/// and moves that slot on only if the sum is nonzero, then advances each
+/// run whose bucket it took.  `mine` first moves to the back of its buffer;
+/// the output, which never gets ahead of the input, fills it from the front.
+fn merge_runs<R: Run + ?Sized>(mine: &mut Vec<Slot>, theirs: &R, prime: u32) {
+    let (ours, count) = (mine.len(), theirs.count());
+    if ours == 0 {
+        mine.extend((0..count).map(|index| theirs.at(index)));
+        return;
+    }
+    let end = ours + count;
+    if mine.capacity() < end {
+        // Growing in place would copy `mine` twice, to grow and to move.
+        let mut grown = Vec::with_capacity(end);
+        grown.resize(count, EMPTY);
+        grown.extend_from_slice(mine);
+        *mine = grown;
+    } else {
+        mine.resize(end, EMPTY);
+        mine.copy_within(0..ours, count);
+    }
+    let (mut i, mut j, mut out) = (count, 0, 0);
+    while i < end && j < count {
+        let (x, y) = (mine[i], theirs.at(j));
+        let (take_x, take_y) = (x.bucket <= y.bucket, y.bucket <= x.bucket);
+        // Selects the compiler keeps as conditional moves; as plain `if`s
+        // they become branches around the loads, taken half the time.
+        let value = add_mod(
+            select_unpredictable(take_x, x.value, 0),
+            select_unpredictable(take_y, y.value, 0),
+            prime,
+        );
+        mine[out] = Slot {
+            bucket: x.bucket.min(y.bucket),
+            value,
+        };
+        out += usize::from(value != 0);
+        i += usize::from(take_x);
+        j += usize::from(take_y);
+    }
+    // One run is used up; the rest of the other follows as it is.
+    for j in j..count {
+        mine[out] = theirs.at(j);
+        out += 1;
+    }
+    mine.copy_within(i..end, out);
+    mine.truncate(out + end - i);
 }
 
 /// Appends the nonzero counters of `counters` to `out`, in increasing
 /// bucket order.
+#[cfg(test)]
 fn dense_entries(counters: &[u32], out: &mut Vec<Slot>) {
     let nonzero = counters.iter().enumerate().filter(|(_, &value)| value != 0);
     out.extend(nonzero.map(|(bucket, &value)| Slot {
@@ -313,8 +432,9 @@ fn dense_entries(counters: &[u32], out: &mut Vec<Slot>) {
     }));
 }
 
-/// Appends the nonzero entrywise sums mod `prime` of two tables' slots
-/// (holes allowed) to `out`, in increasing bucket order: one walk over both.
+/// The entrywise sum of two tables' slots (holes allowed) the plain way,
+/// one branch per entry: the oracle [`merge_runs`] is tested against.
+#[cfg(test)]
 fn sum_slots(a: &[Slot], b: &[Slot], prime: u64, out: &mut Vec<Slot>) {
     let mut a = a.iter().copied().filter(|slot| slot.value != 0);
     let mut b = b.iter().copied().filter(|slot| slot.value != 0);
@@ -330,9 +450,12 @@ fn sum_slots(a: &[Slot], b: &[Slot], prime: u64, out: &mut Vec<Slot>) {
                 y = b.next();
             }
             (Some(p), Some(q)) => {
-                let value = add_mod(u64::from(p.value), u64::from(q.value), prime) as u32;
+                let value = (u64::from(p.value) + u64::from(q.value)) % prime;
                 if value != 0 {
-                    out.push(Slot { value, ..p });
+                    out.push(Slot {
+                        value: value as u32,
+                        ..p
+                    });
                 }
                 (x, y) = (a.next(), b.next());
             }
@@ -356,13 +479,16 @@ fn sum_slots(a: &[Slot], b: &[Slot], prime: u64, out: &mut Vec<Slot>) {
 /// # Forms
 ///
 /// A trial holds its counters in the form it is sent in (see the module
-/// docs): a [`Table`] of the nonzero ones, or the array.  Decoding and
-/// merging pick the form from the resulting count and leave a table packed.
-/// Updates lay a table out with room, delete an entry whose counter returns
-/// to 0 (so `nonzero` stays the entry count), and switch to the array once
-/// a table with room would take half its bytes; an array stays an array as
-/// it empties.  The form in memory never shows in the bytes, the
-/// estimate or [`SpaceUsage`].
+/// docs): a [`Table`] of the nonzero ones, or the array.  Decoding picks
+/// the form from the count and leaves a table packed.  Merging leaves a
+/// table packed too, and makes it the array once more than half the
+/// buckets are nonzero.  Updates lay a table out with room, delete an
+/// entry whose counter returns to 0 (so `nonzero` stays the entry count),
+/// and switch to the array once a table with room would take half its
+/// bytes.  An array stays an array as it empties, under updates and merges
+/// alike, so a sketch merged into again and again keeps its memory.  The
+/// form in memory never shows in the bytes, the estimate or
+/// [`SpaceUsage`].
 ///
 /// # Wire form
 ///
@@ -416,6 +542,12 @@ impl Trial {
         self.hash.range()
     }
 
+    /// The prime as the counters' width: it is below `2^21` (see
+    /// [`PRIME_RANGE`]).
+    fn modulus(&self) -> u32 {
+        self.prime as u32
+    }
+
     /// The nonzero counters, in increasing bucket order.
     #[cfg(test)]
     fn entries(&self) -> Vec<Slot> {
@@ -437,7 +569,8 @@ impl Trial {
     #[inline]
     fn update(&mut self, item: u64, delta: i64) {
         let bucket = self.hash.hash(item) as u32;
-        let delta = reduce_delta(delta, self.prime);
+        // Below the prime, so below 2^21.
+        let delta = reduce_delta(delta, self.prime) as u32;
         if delta != 0 {
             self.add(bucket, delta);
         }
@@ -445,10 +578,11 @@ impl Trial {
 
     /// Adds `delta ∈ [1, prime)` to the counter of `bucket`.
     #[inline]
-    fn add(&mut self, bucket: u32, delta: u64) {
+    fn add(&mut self, bucket: u32, delta: u32) {
+        let prime = self.modulus();
         match &mut self.form {
             Form::Dense(counters) => {
-                add_to_array(counters, &mut self.nonzero, bucket, delta, self.prime);
+                add_to_array(counters, &mut self.nonzero, bucket, delta, prime);
             }
             Form::Sparse(_) => self.add_to_table(bucket, delta),
         }
@@ -456,12 +590,12 @@ impl Trial {
 
     /// [`add`](Self::add) for a trial that holds a table.
     #[inline]
-    fn add_to_table(&mut self, bucket: u32, delta: u64) {
+    fn add_to_table(&mut self, bucket: u32, delta: u32) {
         if matches!(&self.form, Form::Sparse(table) if table.scale == 0 && !table.slots.is_empty())
         {
             self.unpack();
         }
-        let prime = self.prime;
+        let prime = self.modulus();
         let table = match &mut self.form {
             Form::Sparse(table) => table,
             // Unpacking can leave the array.
@@ -471,7 +605,7 @@ impl Trial {
         };
         match table.find(bucket) {
             Ok(at) => {
-                let new = add_mod(u64::from(table.slots[at].value), delta, prime) as u32;
+                let new = add_mod(table.slots[at].value, delta, prime);
                 if new == 0 {
                     table.remove(at);
                     self.nonzero -= 1;
@@ -482,7 +616,7 @@ impl Trial {
             Err(at) => {
                 let slot = Slot {
                     bucket,
-                    value: delta as u32,
+                    value: delta,
                 };
                 if !(fits(self.nonzero + 1, table.slots.len()) && table.insert(at, slot)) {
                     self.grow_with(slot);
@@ -508,7 +642,8 @@ impl Trial {
     fn grow_with(&mut self, slot: Slot) {
         if let Form::Sparse(table) = &self.form {
             let mut entries = Vec::with_capacity(self.nonzero as usize + 1);
-            sum_slots(&table.slots, &[slot], self.prime, &mut entries);
+            entries.extend(table.slots.iter().copied().filter(|slot| slot.value != 0));
+            merge_runs(&mut entries, &[slot][..], self.modulus());
             self.form = Form::spread(&entries, 2 * table.slots.len(), self.buckets());
         }
     }
@@ -517,53 +652,91 @@ impl Trial {
     /// linearity: the counters are linear functions of the frequency vector,
     /// so adding them yields the trial state of the union stream).  The
     /// caller guarantees both trials share hash and prime (same seed).
-    ///
-    /// Two tables merge in one walk over both; otherwise the sum is taken in
-    /// a counter array.  Either way the result takes the form its count is
-    /// sent in.
     fn merge_from_unchecked(&mut self, other: &Self) {
         assert_eq!(
             self.prime, other.prime,
             "trials drawn with different primes"
         );
         assert_eq!(self.buckets(), other.buckets());
-        let (prime, buckets) = (self.prime, self.buckets());
-        let counters = match (&mut self.form, &other.form) {
-            (Form::Sparse(mine), Form::Sparse(theirs)) => {
-                let mut sum = Vec::with_capacity((self.nonzero + other.nonzero) as usize);
-                sum_slots(&mine.slots, &theirs.slots, prime, &mut sum);
-                self.nonzero = sum.len() as u64;
-                self.form = Form::packed(sum, buckets);
-                return;
+        match &other.form {
+            Form::Sparse(table) if table.scale == 0 => self.add_run(&table.slots[..]),
+            Form::Sparse(table) => {
+                let mut packed = table.clone();
+                packed.pack();
+                self.add_run(&packed.slots[..]);
             }
-            (Form::Sparse(_), Form::Dense(_)) => {
-                // Addition commutes: sum into a copy of the array.
-                let mine = std::mem::replace(self, other.clone());
-                self.merge_from_unchecked(&mine);
-                return;
-            }
-            (Form::Dense(mine), Form::Sparse(theirs)) => {
-                for slot in theirs.slots.iter().filter(|slot| slot.value != 0) {
-                    let value = u64::from(slot.value);
-                    add_to_array(mine, &mut self.nonzero, slot.bucket, value, prime);
-                }
-                mine
-            }
-            (Form::Dense(mine), Form::Dense(theirs)) => {
-                let mut nonzero = 0;
-                for (counter, &value) in mine.iter_mut().zip(theirs) {
-                    *counter = add_mod(u64::from(*counter), u64::from(value), prime) as u32;
-                    nonzero += u64::from(*counter != 0);
-                }
-                self.nonzero = nonzero;
-                mine
-            }
-        };
-        if Self::is_sparse(self.nonzero, buckets) {
-            let mut entries = Vec::with_capacity(self.nonzero as usize);
-            dense_entries(counters, &mut entries);
-            self.form = Form::packed(entries, buckets);
+            Form::Dense(counters) => self.add_counters(counters.iter().copied(), false),
         }
+    }
+
+    /// Adds the counters of `view`, a trial with this one's hash and prime
+    /// that passed [`TrialView::check`] — or with `replace` takes them.
+    fn add_view(&mut self, view: &TrialView<'_>, replace: bool) {
+        match view.body {
+            Body::Sparse(pairs) => {
+                if replace {
+                    self.clear();
+                }
+                self.add_run(&WirePairs(pairs));
+            }
+            Body::Dense(counters) => {
+                self.add_counters(counters.chunks_exact(4).map(word), replace);
+            }
+        }
+    }
+
+    /// Adds the nonzero counters `theirs`.  A table takes them in one walk
+    /// over both runs ([`merge_runs`]), packed, and becomes the array once
+    /// more than half the buckets are nonzero; an array takes them one by
+    /// one.
+    fn add_run<R: Run + ?Sized>(&mut self, theirs: &R) {
+        let (prime, buckets) = (self.modulus(), self.buckets());
+        match &mut self.form {
+            Form::Sparse(table) => {
+                table.pack();
+                merge_runs(&mut table.slots, theirs, prime);
+                self.nonzero = table.slots.len() as u64;
+                if !Self::is_sparse(self.nonzero, buckets) {
+                    self.form = Form::dense(&table.slots, buckets);
+                }
+            }
+            Form::Dense(counters) => {
+                for index in 0..theirs.count() {
+                    let slot = theirs.at(index);
+                    add_to_array(counters, &mut self.nonzero, slot.bucket, slot.value, prime);
+                }
+            }
+        }
+    }
+
+    /// Adds a whole counter array `theirs`, in bucket order — or with
+    /// `replace` takes it; a table becomes the array first.
+    fn add_counters(&mut self, theirs: impl Iterator<Item = u32>, replace: bool) {
+        let (prime, buckets) = (self.modulus(), self.buckets());
+        if let Form::Sparse(table) = &mut self.form {
+            table.pack();
+            self.form = Form::dense(&table.slots, buckets);
+        }
+        if let Form::Dense(counters) = &mut self.form {
+            let mut nonzero = 0;
+            for (counter, value) in counters.iter_mut().zip(theirs) {
+                *counter = add_mod(if replace { 0 } else { *counter }, value, prime);
+                nonzero += u64::from(*counter != 0);
+            }
+            self.nonzero = nonzero;
+        }
+    }
+
+    /// Sets every counter to 0, keeping the form and its memory.
+    fn clear(&mut self) {
+        match &mut self.form {
+            Form::Sparse(table) => {
+                table.slots.clear();
+                table.scale = 0;
+            }
+            Form::Dense(counters) => counters.fill(0),
+        }
+        self.nonzero = 0;
     }
 
     /// Whether the sparse form is the smaller one: at most half the buckets
@@ -615,9 +788,44 @@ impl Trial {
         out.truncate(end);
     }
 
-    /// Reads a trial of `buckets` buckets.  The caller has bounded
-    /// `buckets` (see [`buckets_for`]) before this allocates the counters.
+    /// Reads a trial of `buckets` buckets (see [`TrialView`]).
     fn read(input: &mut &[u8], buckets: u64) -> Result<Self, Error> {
+        let view = TrialView::read(input, buckets)?;
+        let nonzero = view.check()?;
+        Ok(view.materialise(nonzero))
+    }
+}
+
+/// A trial's encoding borrowed from the wire: its hash and prime, and the
+/// bytes of its counters in their form.
+///
+/// [`read`](Self::read) checks everything up to the counters and
+/// [`check`](Self::check) the counters, without building or changing
+/// anything.  Decoding then materialises a checked view into a [`Trial`],
+/// and merging from the wire adds one to a trial in place.  Both read
+/// trials only through here, so they accept exactly the same bytes.
+struct TrialView<'a> {
+    hash: PairwiseHash,
+    prime: u64,
+    body: Body<'a>,
+}
+
+/// The counter bytes of a [`TrialView`].
+#[derive(Clone, Copy)]
+enum Body<'a> {
+    /// [`FORM_SPARSE`]: the nonzero counters as 8-byte pairs.
+    Sparse(&'a [u8]),
+    /// [`FORM_DENSE`]: every counter as a 4-byte word.
+    Dense(&'a [u8]),
+}
+
+impl<'a> TrialView<'a> {
+    /// Reads a trial of `buckets` buckets up to its counters: the prime in
+    /// its range, the hash onto `buckets` buckets, a known form tag and,
+    /// for the sparse form, a pair count the form allows, then takes the
+    /// counters' bytes.  The caller has bounded `buckets` (see
+    /// [`buckets_for`]).
+    fn read(input: &mut &'a [u8], buckets: u64) -> Result<Self, Error> {
         let hash = PairwiseHash::deserialize(input)?;
         let prime = u64::deserialize(input)?;
         if !PRIME_RANGE.contains(&prime) {
@@ -629,65 +837,110 @@ impl Trial {
                 hash.range()
             )));
         }
-        let (form, nonzero) = match u8::deserialize(input)? {
+        let (len, sparse) = match u8::deserialize(input)? {
             FORM_SPARSE => {
                 let pairs = u64::deserialize(input)?;
-                if !Self::is_sparse(pairs, buckets) {
+                if !Trial::is_sparse(pairs, buckets) {
                     return Err(Error::new(format!(
                         "sparse trial declares {pairs} pairs for {buckets} buckets"
                     )));
                 }
-                let len = 8 * pairs as usize;
-                if input.len() < len {
-                    return Err(Error::new(format!(
-                        "sparse trial truncated: {pairs} pairs in {} bytes",
-                        input.len()
-                    )));
-                }
-                let (body, rest) = input.split_at(len);
-                *input = rest;
-                let word = |bytes: &[u8]| u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
-                let pairs_in = || body.chunks_exact(8).map(|p| (word(&p[..4]), word(&p[4..])));
-                let mut next = 0;
-                for (index, value) in pairs_in() {
-                    if index < next || u64::from(index) >= buckets {
-                        return Err(Error::new(format!(
-                            "sparse trial index {index} out of order or range"
-                        )));
-                    }
-                    if value == 0 || u64::from(value) >= prime {
-                        return Err(Error::new(format!(
-                            "sparse trial value {value} not in [1, {prime})"
-                        )));
-                    }
+                (8 * pairs as usize, true)
+            }
+            FORM_DENSE => (4 * buckets as usize, false),
+            tag => return Err(Error::new(format!("invalid trial form tag {tag}"))),
+        };
+        if input.len() < len {
+            return Err(Error::new(format!(
+                "trial truncated: {len} bytes of counters in {}",
+                input.len()
+            )));
+        }
+        let (counters, rest) = input.split_at(len);
+        *input = rest;
+        let body = if sparse {
+            Body::Sparse(counters)
+        } else {
+            Body::Dense(counters)
+        };
+        Ok(Self { hash, prime, body })
+    }
+
+    /// Checks the counters and returns how many are nonzero.  Sparse pairs
+    /// must have increasing indices below the bucket count and values in
+    /// `[1, prime)`, so each pair is one nonzero bucket; dense counters
+    /// must be below the prime, and more than half of them nonzero (else
+    /// the trial is sent sparse).
+    fn check(&self) -> Result<u64, Error> {
+        let (prime, buckets) = (self.prime, self.hash.range());
+        match self.body {
+            Body::Sparse(pairs) => {
+                // The walk keeps the first bad pair's position instead of
+                // branching on each pair; only a refused trial is looked at
+                // again, for the message.
+                let (mut next, mut first_bad) = (0, usize::MAX);
+                for (at, pair) in pairs.chunks_exact(8).enumerate() {
+                    let (index, value) = (u64::from(word(&pair[..4])), u64::from(word(&pair[4..])));
+                    let good =
+                        (next <= index) & (index < buckets) & (value.wrapping_sub(1) < prime - 1);
+                    first_bad = first_bad.min(if good { usize::MAX } else { at });
                     next = index + 1;
                 }
-                let mut entries = Vec::with_capacity(pairs as usize);
-                entries.extend(pairs_in().map(|(bucket, value)| Slot { bucket, value }));
-                // Distinct indices and nonzero values: one bucket per pair.
-                (Form::packed(entries, buckets), pairs)
+                if first_bad == usize::MAX {
+                    return Ok(pairs.len() as u64 / 8);
+                }
+                let pair = |at: usize| {
+                    let pair = &pairs[8 * at..8 * at + 8];
+                    (word(&pair[..4]), word(&pair[4..]))
+                };
+                let (index, value) = pair(first_bad);
+                let next = first_bad
+                    .checked_sub(1)
+                    .map_or(0, |before| pair(before).0 + 1);
+                Err(Error::new(if index < next || u64::from(index) >= buckets {
+                    format!("sparse trial index {index} out of order or range")
+                } else {
+                    format!("sparse trial value {value} not in [1, {prime})")
+                }))
             }
-            FORM_DENSE => {
-                let counters = u32::deserialize_vec(buckets as usize, input)?;
-                if counters.iter().any(|&c| u64::from(c) >= prime) {
+            Body::Dense(counters) => {
+                let (mut nonzero, mut largest) = (0, 0);
+                for counter in counters.chunks_exact(4).map(word) {
+                    nonzero += u64::from(counter != 0);
+                    largest = largest.max(counter);
+                }
+                if u64::from(largest) >= prime {
                     return Err(Error::new(format!("dense trial counter not below {prime}")));
                 }
-                let nonzero = counters.iter().filter(|&&c| c != 0).count() as u64;
-                if Self::is_sparse(nonzero, buckets) {
+                if Trial::is_sparse(nonzero, buckets) {
                     return Err(Error::new(format!(
                         "dense trial holds only {nonzero} nonzero of {buckets} buckets"
                     )));
                 }
-                (Form::Dense(counters), nonzero)
+                Ok(nonzero)
             }
-            tag => return Err(Error::new(format!("invalid trial form tag {tag}"))),
+        }
+    }
+
+    /// The trial a checked view encodes; `nonzero` is what
+    /// [`check`](Self::check) returned.
+    fn materialise(&self, nonzero: u64) -> Trial {
+        let form = match self.body {
+            Body::Sparse(pairs) => {
+                let entries = pairs.chunks_exact(8).map(|pair| Slot {
+                    bucket: word(&pair[..4]),
+                    value: word(&pair[4..]),
+                });
+                Form::packed(entries.collect(), self.hash.range())
+            }
+            Body::Dense(counters) => Form::Dense(counters.chunks_exact(4).map(word).collect()),
         };
-        Ok(Self {
-            hash,
-            prime,
+        Trial {
+            hash: self.hash,
+            prime: self.prime,
             form,
             nonzero,
-        })
+        }
     }
 }
 
@@ -747,13 +1000,57 @@ impl ExactSmallL0 {
     }
 
     /// The primes of the trials, in trial order.
+    #[cfg(test)]
     pub(crate) fn primes(&self) -> impl Iterator<Item = u64> + '_ {
         self.trials.iter().map(|trial| trial.prime)
     }
 
+    /// Whether `other` has this structure's geometry and its trials' hashes
+    /// and primes: the draws of the same seed.
+    pub(crate) fn same_draws(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.trials.len() == other.trials.len()
+            && self
+                .trials
+                .iter()
+                .zip(&other.trials)
+                .all(|(mine, theirs)| (mine.hash, mine.prime) == (theirs.hash, theirs.prime))
+    }
+
+    /// Checks that `input` starts with an encoding the decoder accepts, of
+    /// this structure's geometry, and advances past it; returns whether its
+    /// trials have this structure's hashes and primes.  Changes nothing.
+    pub(crate) fn check_wire(&self, input: &mut &[u8]) -> Result<bool, Error> {
+        self.read_geometry(input)?;
+        let mut same = true;
+        for trial in &self.trials {
+            let view = TrialView::read(input, self.buckets)?;
+            view.check()?;
+            same &= (view.hash, view.prime) == (trial.hash, trial.prime);
+        }
+        Ok(same)
+    }
+
+    /// Adds the structure [`check_wire`](Self::check_wire) accepted at the
+    /// front of `input` to this one in place — or with `replace` makes this
+    /// one that structure — and advances past it.
+    pub(crate) fn merge_wire(&mut self, input: &mut &[u8], replace: bool) {
+        self.read_geometry(input).expect("checked");
+        for trial in &mut self.trials {
+            let view = TrialView::read(input, self.buckets).expect("checked");
+            trial.add_view(&view, replace);
+        }
+    }
+
+    /// Reads a capacity and trial count that must equal this structure's.
+    fn read_geometry(&self, input: &mut &[u8]) -> Result<(), Error> {
+        Self::read_header(input, Some((self.capacity, self.trials.len() as u64))).map(drop)
+    }
+
     /// Reads the capacity and trial count, requires them to equal `shape`
-    /// when one is given and to pass [`buckets_for`], then reads the trials.
-    fn read(input: &mut &[u8], shape: Option<(u64, u64)>) -> Result<Self, Error> {
+    /// when one is given and to pass [`buckets_for`]; returns them with the
+    /// bucket count.
+    fn read_header(input: &mut &[u8], shape: Option<(u64, u64)>) -> Result<(u64, u64, u64), Error> {
         let capacity = u64::deserialize(input)?;
         let trials = u64::deserialize(input)?;
         let buckets = buckets_for(capacity, trials)
@@ -763,6 +1060,13 @@ impl ExactSmallL0 {
                     "small-L0 geometry of capacity {capacity} and {trials} trials refused"
                 ))
             })?;
+        Ok((capacity, trials, buckets))
+    }
+
+    /// Reads the header (see [`read_header`](Self::read_header)), then the
+    /// trials.
+    fn read(input: &mut &[u8], shape: Option<(u64, u64)>) -> Result<Self, Error> {
+        let (capacity, trials, buckets) = Self::read_header(input, shape)?;
         let trials = (0..trials)
             .map(|_| Trial::read(input, buckets))
             .collect::<Result<_, _>>()?;
@@ -970,7 +1274,8 @@ mod tests {
             let edges = [0, 1, 2, p / 2, p - 2, p - 1];
             for a in edges {
                 for b in edges {
-                    assert_eq!(add_mod(a, b, p), (a + b) % p, "{a} + {b} mod {p}");
+                    let sum = add_mod(a as u32, b as u32, p as u32);
+                    assert_eq!(u64::from(sum), (a + b) % p, "{a} + {b} mod {p}");
                 }
             }
             let signed = p as i64;
@@ -1099,17 +1404,131 @@ mod tests {
                 assert_eq!(mine.entries(), theirs.entries());
             }
 
-            let wired: ExactSmallL0 =
-                serde::from_bytes(&serde::to_bytes(&right)).expect("round trip");
+            let right_bytes = serde::to_bytes(&right);
+            let wired: ExactSmallL0 = serde::from_bytes(&right_bytes).expect("round trip");
             let mut in_memory = left.clone();
             in_memory.merge_from_unchecked(&right);
             let mut after_wire = back;
             after_wire.merge_from_unchecked(&wired);
-            assert_eq!(
-                serde::to_bytes(&after_wire),
-                serde::to_bytes(&in_memory),
-                "support {support}"
-            );
+            let expected = serde::to_bytes(&in_memory);
+            assert_eq!(serde::to_bytes(&after_wire), expected, "support {support}");
+
+            // Merged straight from the bytes, into the live structure and
+            // into one replaced by the left bytes first: the same bytes
+            // again, the checks pass over exactly one structure, and a trial
+            // held as an array stays one.
+            let wire_merge = |into: &mut ExactSmallL0, bytes: &[u8], replace: bool| {
+                let mut input = bytes;
+                assert!(into.check_wire(&mut input).expect("valid"), "same draws");
+                assert!(input.is_empty(), "one structure checked");
+                into.merge_wire(&mut &bytes[..], replace);
+            };
+            let mut from_wire = left.clone();
+            wire_merge(&mut from_wire, &right_bytes, false);
+            assert_eq!(serde::to_bytes(&from_wire), expected, "support {support}");
+            let dense = |s: &ExactSmallL0| -> Vec<bool> {
+                let form = |t: &Trial| matches!(t.form, Form::Dense(_));
+                s.trials.iter().map(form).collect()
+            };
+            let mut refilled = from_wire;
+            let dense_before = dense(&refilled);
+            wire_merge(&mut refilled, &bytes, true);
+            assert_eq!(serde::to_bytes(&refilled), bytes, "support {support}");
+            for (before, after) in dense_before.iter().zip(dense(&refilled)) {
+                assert!(!before || after, "an array stays an array");
+            }
+            wire_merge(&mut refilled, &right_bytes, false);
+            assert_eq!(serde::to_bytes(&refilled), expected, "support {support}");
+        }
+    }
+
+    /// Sorted runs with overlapping buckets, as `(mine, theirs)`; with
+    /// `cancel`, shared buckets sum to 0 about `cancel` times in four.
+    fn overlapping_runs(seed: u64, lens: (usize, usize), cancel: u64) -> (Vec<Slot>, Vec<Slot>) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut run = |len: usize| {
+            let mut out = Vec::new();
+            let mut bucket = 0;
+            while out.len() < len {
+                if next() % 2 == 0 {
+                    let value = 1 + (next() % (P - 1)) as u32;
+                    out.push(Slot { bucket, value });
+                }
+                bucket += 1;
+            }
+            out
+        };
+        let (mine, mut theirs) = (run(lens.0), run(lens.1));
+        for slot in &mut theirs {
+            if let Ok(at) = mine.binary_search_by_key(&slot.bucket, |s| s.bucket) {
+                if next() % 4 < cancel {
+                    slot.value = (P - u64::from(mine[at].value)) as u32;
+                }
+            }
+        }
+        (mine, theirs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The branch-free two-run merge, from slots and from wire pairs,
+        /// gives what the plain one-branch-per-entry merge gives: either run
+        /// empty, shared buckets, and shared buckets whose sums cancel.
+        #[test]
+        fn merge_runs_matches_the_plain_merge(
+            seed in proptest::prelude::any::<u64>(),
+            mine in 0usize..120,
+            theirs in 0usize..120,
+            cancel in 0u64..5,
+        ) {
+            let (mine, theirs) = overlapping_runs(seed, (mine, theirs), cancel);
+            let mut expected = Vec::new();
+            sum_slots(&mine, &theirs, P, &mut expected);
+            let mut merged = mine.clone();
+            merge_runs(&mut merged, &theirs[..], P as u32);
+            proptest::prop_assert_eq!(&merged, &expected);
+            let pairs: Vec<u8> = theirs
+                .iter()
+                .flat_map(|slot| [slot.bucket.to_le_bytes(), slot.value.to_le_bytes()])
+                .flatten()
+                .collect();
+            let mut from_wire = mine.clone();
+            merge_runs(&mut from_wire, &WirePairs(&pairs), P as u32);
+            proptest::prop_assert_eq!(&from_wire, &expected);
+        }
+    }
+
+    #[test]
+    fn merge_runs_covers_the_edges() {
+        let slot = |bucket, value| Slot { bucket, value };
+        let cases: [(Vec<Slot>, Vec<Slot>); 5] = [
+            (vec![], vec![]),
+            (vec![], vec![slot(3, 1)]),
+            (vec![slot(3, 1)], vec![]),
+            // Everything cancels.
+            (
+                vec![slot(1, 5), slot(9, 1)],
+                vec![slot(1, P as u32 - 5), slot(9, P as u32 - 1)],
+            ),
+            // Their run ends first, then mine's tail moves down.
+            (
+                vec![slot(0, 1), slot(4, 2), slot(7, 3), slot(8, 4)],
+                vec![slot(0, P as u32 - 1), slot(5, 6)],
+            ),
+        ];
+        for (mine, theirs) in cases {
+            let mut expected = Vec::new();
+            sum_slots(&mine, &theirs, P, &mut expected);
+            let mut merged = mine.clone();
+            merge_runs(&mut merged, &theirs[..], P as u32);
+            assert_eq!(merged, expected, "{mine:?} + {theirs:?}");
         }
     }
 

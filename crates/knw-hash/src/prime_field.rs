@@ -228,17 +228,14 @@ impl DynField {
         m as u64
     }
 
-    /// Modular addition.
+    /// Modular addition: the sum or the sum less `p`, whichever is smaller
+    /// (less `p` wraps around below `p`), so no branch.
     #[inline]
     #[must_use]
     pub fn add(&self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.p && b < self.p);
         let s = a + b;
-        if s >= self.p {
-            s - self.p
-        } else {
-            s
-        }
+        s.min(s.wrapping_sub(self.p))
     }
 
     /// Modular subtraction.

@@ -37,7 +37,7 @@ pub enum HashStrategy {
 }
 
 /// The bucket hash `h3 : [u] → [K]`, drawn according to a [`HashStrategy`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum BucketHash {
     /// Carter–Wegman polynomial variant.
     Poly(KWiseHash),
