@@ -1467,12 +1467,14 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// The sketch is the aggregator's own accumulator, borrowed: the shards
     /// are merged into it straight from their links' buffers
     /// ([`ClusterUpdate::merge_wire`]), and the next report merges into it
-    /// again.  Clone or encode it to keep it past that.  Shipping the
-    /// pending batches first means the workers ingest them once, into
-    /// live shards, and the report applies none to the accumulator itself:
-    /// a batch applied to a merged L0 sketch costs several times what a
-    /// worker pays for it (its tables are packed and re-laid out on their
-    /// first update), and the worker would ingest it later anyway.
+    /// again.  Clone or encode it to keep it past that.  Both stream models
+    /// ship the pending batches first, so the workers ingest them once,
+    /// into live shards, and the report applies none to the accumulator
+    /// itself.  For L0 this is the cheaper path: a batch applied to a
+    /// merged L0 sketch costs several times what a worker pays for it (its
+    /// tables are packed and re-laid out on their first update), and the
+    /// worker would ingest it later anyway.  For F0 it keeps one snapshot
+    /// path; the cost is more, smaller batch frames between snapshots.
     ///
     /// With recovery enabled, a worker lost during the exchange is
     /// reconnected and replayed *inside* this call (the snapshot waits for

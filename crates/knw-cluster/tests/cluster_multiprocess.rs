@@ -90,9 +90,9 @@ fn four_process_run_is_bit_identical_for_every_l0_estimator() {
     }
 }
 
-/// Midstream reporting: a snapshot (serialized shards + locally buffered
-/// updates) reproduces the single-process prefix estimate exactly, and the
-/// cluster keeps running afterwards.
+/// Midstream reporting: a snapshot (locally buffered updates shipped, then
+/// the workers' serialized shards merged) reproduces the single-process
+/// prefix estimate exactly, and the cluster keeps running afterwards.
 #[test]
 fn midstream_snapshots_track_the_stream_exactly() {
     let spec = SketchSpec::f0("knw-f0", 0.05, 1 << 20, 11);

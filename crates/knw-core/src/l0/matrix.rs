@@ -28,7 +28,7 @@ use knw_hash::{SpaceUsage, LANES};
 use serde::Deserialize;
 
 /// The Lemma 6 counter matrix plus the hash functions that address it.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct L0Matrix {
     /// `h1 ∈ H_2([n], [0, n−1])` — row (level) selection via `lsb`.
     h1: PairwiseHash,
@@ -213,44 +213,6 @@ impl L0Matrix {
         self.row_nonzero.iter().sum()
     }
 
-    /// Checks that a decoded matrix is shaped as [`new`](Self::new) builds
-    /// one with `k` columns: `log n + 1 ≤ 64` rows of `k` counters, hash
-    /// ranges and salts to match, every salt and counter in the field and
-    /// each row occupancy equal to its row's nonzero count.  Updates and
-    /// merges index and add by these without further checks.
-    pub(crate) fn check_shape(&self, k: u64) -> Result<(), String> {
-        let rows = u64::from(self.log_n) + 1;
-        let shaped = self.k == k
-            && k.is_power_of_two()
-            && self.log_n <= 63
-            && self.h1.range() == 1u64 << self.log_n
-            && self.h2.range() == k.saturating_pow(3).min(1u64 << 60)
-            && self.h3.range() == k
-            && self.h4.range() == k
-            && self.salts.len() as u64 == k
-            && self.row_nonzero.len() as u64 == rows
-            && rows.checked_mul(k) == Some(self.counters.len() as u64);
-        if !shaped {
-            return Err(format!(
-                "counter matrix shape differs from K = {k} with log n = {}",
-                self.log_n
-            ));
-        }
-        let p = self.field.modulus();
-        if !(2..1u64 << 62).contains(&p) || self.salts.iter().chain(&self.counters).any(|&c| c >= p)
-        {
-            return Err(format!("counter matrix value outside the field of {p}"));
-        }
-        let occupied = self
-            .counters
-            .chunks_exact(k as usize)
-            .map(|row| row.iter().filter(|&&c| c != 0).count() as u64);
-        if !occupied.eq(self.row_nonzero.iter().copied()) {
-            return Err("counter matrix row occupancy differs from its counters".into());
-        }
-        Ok(())
-    }
-
     /// Merges another matrix built with the *same seed and geometry* by
     /// entrywise field addition, recomputing the per-row occupancy counts.
     ///
@@ -294,66 +256,131 @@ impl L0Matrix {
             && (self.k, self.log_n) == (other.k, other.log_n)
     }
 
-    /// Checks that `input` starts with an encoding the decoder and
-    /// [`check_shape`](Self::check_shape) accept, of this matrix's shape,
-    /// and advances past it; returns whether it has this matrix's draws,
-    /// and the bytes of its counters.  Changes nothing and allocates no
-    /// counters.
-    pub(crate) fn check_wire<'a>(
-        &self,
-        input: &mut &'a [u8],
-    ) -> Result<(bool, &'a [u8]), serde::Error> {
-        let (h1, h2) = (
-            PairwiseHash::deserialize(input)?,
-            PairwiseHash::deserialize(input)?,
-        );
-        let h3 = BucketHash::deserialize(input)?;
-        let h4 = PairwiseHash::deserialize(input)?;
-        let salts = super::read_words(input)?;
-        let field = DynField::deserialize(input)?;
-        let counters = super::read_words(input)?;
-        let row_nonzero = super::read_words(input)?;
-        let (k, log_n) = (u64::deserialize(input)?, u32::deserialize(input)?);
-        let shaped = (k, log_n) == (self.k, self.log_n)
-            && salts.len() == 8 * self.salts.len()
-            && counters.len() == 8 * self.counters.len()
-            && row_nonzero.len() == 8 * self.row_nonzero.len();
+    /// Adds the counters of `view`, a matrix of this one's draws that
+    /// passed [`MatrixView::check`] — or with `replace` takes them.
+    pub(crate) fn add_view(&mut self, view: &MatrixView<'_>, replace: bool) {
+        self.add_counters(super::words(view.counters), replace);
+    }
+}
+
+/// A matrix's encoding borrowed from the wire: its hashes, field and
+/// geometry, and the bytes of its salts, counters and row occupancies.
+///
+/// [`read`](Self::read) only parses; [`check`](Self::check) is the one
+/// validator.  Decoding materialises a checked view into an [`L0Matrix`],
+/// and merging from the wire adds one to a matrix in place, so both accept
+/// exactly the same bytes.
+pub(crate) struct MatrixView<'a> {
+    h1: PairwiseHash,
+    h2: PairwiseHash,
+    h3: BucketHash,
+    h4: PairwiseHash,
+    salts: &'a [u8],
+    field: DynField,
+    counters: &'a [u8],
+    row_nonzero: &'a [u8],
+    k: u64,
+    log_n: u32,
+}
+
+impl<'a> MatrixView<'a> {
+    /// Reads the fields in declaration order, borrowing the word sequences.
+    pub(crate) fn read(input: &mut &'a [u8]) -> Result<Self, serde::Error> {
+        Ok(Self {
+            h1: PairwiseHash::deserialize(input)?,
+            h2: PairwiseHash::deserialize(input)?,
+            h3: BucketHash::deserialize(input)?,
+            h4: PairwiseHash::deserialize(input)?,
+            salts: super::read_words(input)?,
+            field: DynField::deserialize(input)?,
+            counters: super::read_words(input)?,
+            row_nonzero: super::read_words(input)?,
+            k: u64::deserialize(input)?,
+            log_n: u32::deserialize(input)?,
+        })
+    }
+
+    /// The `log2` of the universe the matrix declares.
+    pub(crate) fn log_n(&self) -> u32 {
+        self.log_n
+    }
+
+    /// Checks that the matrix is shaped as [`L0Matrix::new`] builds one
+    /// with `k` columns: `log n + 1 ≤ 64` rows of `k` counters, hash
+    /// ranges and salts to match, every salt and counter in the field and
+    /// each row occupancy equal to its row's nonzero count.  Updates and
+    /// merges index and add by these without further checks.
+    pub(crate) fn check(&self, k: u64) -> Result<(), serde::Error> {
+        let words = |bytes: &[u8]| bytes.len() as u64 / 8;
+        let rows = u64::from(self.log_n) + 1;
+        let shaped = self.k == k
+            && k.is_power_of_two()
+            && self.log_n <= 63
+            && self.h1.range() == 1u64 << self.log_n
+            && self.h2.range() == k.saturating_pow(3).min(1u64 << 60)
+            && self.h3.range() == k
+            && self.h4.range() == k
+            && words(self.salts) == k
+            && words(self.row_nonzero) == rows
+            && rows.checked_mul(k) == Some(words(self.counters));
         if !shaped {
             return Err(serde::Error::new(format!(
-                "counter matrix shape differs from K = {} with log n = {}",
-                self.k, self.log_n
+                "counter matrix shape differs from K = {k} with log n = {}",
+                self.log_n
             )));
         }
-        let same = (h1, h2, h4, field) == (self.h1, self.h2, self.h4, self.field)
-            && h3 == self.h3
-            && super::words(salts).eq(self.salts.iter().copied());
-        let p = field.modulus();
-        let in_field = (2..1u64 << 62).contains(&p)
-            && super::words(salts)
-                .chain(super::words(counters))
-                .all(|c| c < p);
-        if !in_field {
+        let p = self.field.modulus();
+        let values = super::words(self.salts).chain(super::words(self.counters));
+        if !(2..1u64 << 62).contains(&p) || values.fold(0, u64::max) >= p {
             return Err(serde::Error::new(format!(
                 "counter matrix value outside the field of {p}"
             )));
         }
-        let occupied = counters
-            .chunks_exact(8 * self.k as usize)
+        let occupied = self
+            .counters
+            .chunks_exact(8 * k as usize)
             .map(|row| super::words(row).filter(|&c| c != 0).count() as u64);
-        if !occupied.eq(super::words(row_nonzero)) {
+        if !occupied.eq(super::words(self.row_nonzero)) {
             return Err(serde::Error::new(
                 "counter matrix row occupancy differs from its counters",
             ));
         }
-        Ok((same, counters))
+        Ok(())
     }
 
-    /// Adds the matrix [`check_wire`](Self::check_wire) accepted at the
-    /// front of `input` to this one in place — or with `replace` makes this
-    /// one that matrix — and advances past it.
-    pub(crate) fn merge_wire(&mut self, input: &mut &[u8], replace: bool) {
-        let (_, counters) = self.check_wire(input).expect("checked by check_wire");
-        self.add_counters(super::words(counters), replace);
+    /// Whether the view has `matrix`'s shape and draws (hashes, salts and
+    /// prime): the draws of the same seed.
+    pub(crate) fn same_draws(&self, matrix: &L0Matrix) -> bool {
+        (self.h1, self.h2, self.h4, self.field) == (matrix.h1, matrix.h2, matrix.h4, matrix.field)
+            && self.h3 == matrix.h3
+            && super::words(self.salts).eq(matrix.salts.iter().copied())
+            && (self.k, self.log_n) == (matrix.k, matrix.log_n)
+    }
+
+    /// The matrix a checked view encodes.
+    pub(crate) fn materialise(self) -> L0Matrix {
+        L0Matrix {
+            h1: self.h1,
+            h2: self.h2,
+            h3: self.h3,
+            h4: self.h4,
+            salts: super::words(self.salts).collect(),
+            field: self.field,
+            counters: super::words(self.counters).collect(),
+            row_nonzero: super::words(self.row_nonzero).collect(),
+            k: self.k,
+            log_n: self.log_n,
+        }
+    }
+}
+
+impl Deserialize for L0Matrix {
+    /// Reads a matrix and checks it against the `K` it declares (see
+    /// [`MatrixView::check`]).
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let view = MatrixView::read(input)?;
+        view.check(view.k)?;
+        Ok(view.materialise())
     }
 }
 
@@ -488,15 +515,20 @@ mod tests {
 
     #[test]
     fn check_shape_accepts_built_matrices_and_refuses_forged_ones() {
+        let check = |m: &L0Matrix, k: u64| {
+            let bytes = serde::to_bytes(m);
+            let view = MatrixView::read(&mut &bytes[..]).expect("parses");
+            view.check(k).map_err(|err| err.to_string())
+        };
         let mut m = fresh(64, 8);
         for i in 0..2_000u64 {
             m.update(i, 3);
         }
-        assert_eq!(m.check_shape(64), Ok(()));
+        assert_eq!(check(&m, 64), Ok(()));
         let refused = |forge: &dyn Fn(&mut L0Matrix), needle: &str| {
             let mut forged = m.clone();
             forge(&mut forged);
-            let err = forged.check_shape(64).expect_err("forged matrix accepted");
+            let err = check(&forged, 64).expect_err("forged matrix accepted");
             assert!(err.contains(needle), "{err} lacks {needle:?}");
         };
         refused(&|f| f.k = 32, "shape");
@@ -512,6 +544,6 @@ mod tests {
         refused(&|f| f.counters[5] = f.field.modulus(), "outside the field");
         refused(&|f| f.salts[0] = u64::MAX, "outside the field");
         refused(&|f| f.row_nonzero[0] += 1, "occupancy");
-        assert!(m.check_shape(128).is_err());
+        assert!(check(&m, 128).is_err());
     }
 }

@@ -36,6 +36,7 @@ use knw_hash::SpaceUsage;
 use serde::Deserialize;
 
 pub use matrix::L0Matrix;
+use matrix::MatrixView;
 pub use rough::RoughL0Estimator;
 pub use small::ExactSmallL0;
 
@@ -68,7 +69,7 @@ fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
 
 /// The single-row intermediate structure: `2K` Lemma 6 counters with no
 /// subsampling, the turnstile analogue of the Section 3.3 bit array.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 struct MidRangeRow {
     h2: PairwiseHash,
     h3: BucketHash,
@@ -178,79 +179,8 @@ impl MidRangeRow {
             && self.salts == other.salts
     }
 
-    /// Checks that `input` starts with an encoding the decoder and
-    /// [`check_shape`](Self::check_shape) accept, of this row's shape, and
-    /// advances past it; returns whether it has this row's draws, and the
-    /// bytes of its counters.  Changes nothing.
-    fn check_wire<'a>(&self, input: &mut &'a [u8]) -> Result<(bool, &'a [u8]), serde::Error> {
-        let h2 = PairwiseHash::deserialize(input)?;
-        let h3 = BucketHash::deserialize(input)?;
-        let h4 = PairwiseHash::deserialize(input)?;
-        let salts = read_words(input)?;
-        let field = DynField::deserialize(input)?;
-        let counters = read_words(input)?;
-        let (nonzero, k_prime) = (u64::deserialize(input)?, u64::deserialize(input)?);
-        let shaped = k_prime == self.k_prime
-            && salts.len() == 8 * self.salts.len()
-            && counters.len() == 8 * self.counters.len();
-        if !shaped {
-            return Err(serde::Error::new(format!(
-                "mid-range row shape differs from 2K = {k_prime}"
-            )));
-        }
-        let same = (h2, h4, field) == (self.h2, self.h4, self.field)
-            && h3 == self.h3
-            && words(salts).eq(self.salts.iter().copied());
-        let p = field.modulus();
-        if !(2..1u64 << 62).contains(&p) || words(salts).chain(words(counters)).any(|c| c >= p) {
-            return Err(serde::Error::new(format!(
-                "mid-range row value outside the field of {p}"
-            )));
-        }
-        if words(counters).filter(|&c| c != 0).count() as u64 != nonzero {
-            return Err(serde::Error::new(
-                "mid-range row occupancy differs from its counters",
-            ));
-        }
-        Ok((same, counters))
-    }
-
-    /// Adds the row [`check_wire`](Self::check_wire) accepted at the front
-    /// of `input` to this one in place — or with `replace` makes this one
-    /// that row — and advances past it.
-    fn merge_wire(&mut self, input: &mut &[u8], replace: bool) {
-        let (_, counters) = self.check_wire(input).expect("checked by check_wire");
-        self.add_counters(words(counters), replace);
-    }
-
     fn estimate(&self) -> f64 {
         invert_occupancy(self.nonzero as f64, self.k_prime)
-    }
-
-    /// Checks that a decoded row is shaped as [`new`](Self::new) builds one
-    /// for `K = k`: `2k` counters, hash ranges and salts to match, every
-    /// salt and counter in the field and `nonzero` equal to the counters'
-    /// nonzero count.
-    fn check_shape(&self, k: u64) -> Result<(), String> {
-        let k_prime = self.k_prime;
-        let shaped = k.checked_mul(2) == Some(k_prime)
-            && self.h2.range() == k_prime.saturating_pow(3).min(1u64 << 60)
-            && self.h3.range() == k_prime
-            && self.h4.range() == k_prime
-            && self.salts.len() as u64 == k_prime
-            && self.counters.len() as u64 == k_prime;
-        if !shaped {
-            return Err(format!("mid-range row shape differs from 2K = 2 x {k}"));
-        }
-        let p = self.field.modulus();
-        if !(2..1u64 << 62).contains(&p) || self.salts.iter().chain(&self.counters).any(|&c| c >= p)
-        {
-            return Err(format!("mid-range row value outside the field of {p}"));
-        }
-        if self.counters.iter().filter(|&&c| c != 0).count() as u64 != self.nonzero {
-            return Err("mid-range row occupancy differs from its counters".into());
-        }
-        Ok(())
     }
 
     fn space_bits(&self) -> u64 {
@@ -263,15 +193,146 @@ impl MidRangeRow {
     }
 }
 
+/// A mid-range row's encoding borrowed from the wire (see
+/// [`matrix::MatrixView`]): [`read`](Self::read) only parses and
+/// [`check`](Self::check) is the one validator, for decoding and for
+/// merging from the wire alike.
+struct MidView<'a> {
+    h2: PairwiseHash,
+    h3: BucketHash,
+    h4: PairwiseHash,
+    salts: &'a [u8],
+    field: DynField,
+    counters: &'a [u8],
+    nonzero: u64,
+    k_prime: u64,
+}
+
+impl<'a> MidView<'a> {
+    /// Reads the fields in declaration order, borrowing the word sequences.
+    fn read(input: &mut &'a [u8]) -> Result<Self, serde::Error> {
+        Ok(Self {
+            h2: PairwiseHash::deserialize(input)?,
+            h3: BucketHash::deserialize(input)?,
+            h4: PairwiseHash::deserialize(input)?,
+            salts: read_words(input)?,
+            field: DynField::deserialize(input)?,
+            counters: read_words(input)?,
+            nonzero: u64::deserialize(input)?,
+            k_prime: u64::deserialize(input)?,
+        })
+    }
+
+    /// Checks that the row is shaped as [`MidRangeRow::new`] builds one for
+    /// `K = k`: `2k` counters, hash ranges and salts to match, every salt
+    /// and counter in the field and `nonzero` equal to the counters'
+    /// nonzero count.
+    fn check(&self, k: u64) -> Result<(), serde::Error> {
+        let k_prime = self.k_prime;
+        let shaped = k.checked_mul(2) == Some(k_prime)
+            && self.h2.range() == k_prime.saturating_pow(3).min(1u64 << 60)
+            && self.h3.range() == k_prime
+            && self.h4.range() == k_prime
+            && self.salts.len() as u64 / 8 == k_prime
+            && self.counters.len() as u64 / 8 == k_prime;
+        if !shaped {
+            return Err(serde::Error::new(format!(
+                "mid-range row shape differs from 2K = 2 x {k}"
+            )));
+        }
+        let p = self.field.modulus();
+        let values = words(self.salts).chain(words(self.counters));
+        if !(2..1u64 << 62).contains(&p) || values.fold(0, u64::max) >= p {
+            return Err(serde::Error::new(format!(
+                "mid-range row value outside the field of {p}"
+            )));
+        }
+        if words(self.counters).filter(|&c| c != 0).count() as u64 != self.nonzero {
+            return Err(serde::Error::new(
+                "mid-range row occupancy differs from its counters",
+            ));
+        }
+        Ok(())
+    }
+
+    /// Whether the view has `row`'s shape and draws.
+    fn same_draws(&self, row: &MidRangeRow) -> bool {
+        (self.h2, self.h4, self.field, self.k_prime) == (row.h2, row.h4, row.field, row.k_prime)
+            && self.h3 == row.h3
+            && words(self.salts).eq(row.salts.iter().copied())
+    }
+
+    /// The row a checked view encodes.
+    fn materialise(self) -> MidRangeRow {
+        MidRangeRow {
+            h2: self.h2,
+            h3: self.h3,
+            h4: self.h4,
+            salts: words(self.salts).collect(),
+            field: self.field,
+            counters: words(self.counters).collect(),
+            nonzero: self.nonzero,
+            k_prime: self.k_prime,
+        }
+    }
+}
+
+/// A sketch's encoding in field order: the counter matrix and the
+/// mid-range row borrowed, the rough oracle and the exact structure as the
+/// caller's readers return them.  Decoding, the wire check and the wire
+/// merge all walk an encoding through [`read`](Self::read), with readers
+/// that decode, check or merge those two parts.
+struct SketchView<'a, R, E> {
+    config: L0Config,
+    k: u64,
+    matrix: MatrixView<'a>,
+    rough: R,
+    exact: E,
+    mid: MidView<'a>,
+    updates: u64,
+}
+
+impl<'a, R, E> SketchView<'a, R, E> {
+    /// Reads the fields in declaration order: `rough` reads the rough
+    /// oracle, given the `log n` the matrix declares, and `exact` the exact
+    /// structure.  Checks only what those readers check; see
+    /// [`check`](Self::check).
+    fn read(
+        input: &mut &'a [u8],
+        rough: impl FnOnce(&mut &'a [u8], u32) -> Result<R, serde::Error>,
+        exact: impl FnOnce(&mut &'a [u8]) -> Result<E, serde::Error>,
+    ) -> Result<Self, serde::Error> {
+        let config = L0Config::deserialize(input)?;
+        let k = u64::deserialize(input)?;
+        let matrix = MatrixView::read(input)?;
+        let rough = rough(input, matrix.log_n())?;
+        Ok(Self {
+            config,
+            k,
+            matrix,
+            rough,
+            exact: exact(input)?,
+            mid: MidView::read(input)?,
+            updates: u64::deserialize(input)?,
+        })
+    }
+
+    /// Checks the counter matrix and the mid-range row against `K`.
+    fn check(&self) -> Result<(), serde::Error> {
+        self.matrix.check(self.k)?;
+        self.mid.check(self.k)
+    }
+}
+
 /// The KNW L0 (Hamming norm) sketch: `(1 ± O(ε))`-approximation of
 /// `|{i : x_i ≠ 0}|` under turnstile updates, with O(1) update and reporting
 /// time (Theorem 10).
 ///
 /// The wire form is the fields in declaration order.  Decoding checks each
-/// component's shape, the counter matrix's before the rough oracle's levels
-/// are allocated, so a decoded sketch never holds more than
-/// `64` levels of the fixed Appendix A.3 geometry (about 41 MB of level
-/// counters), whatever its bytes declare.
+/// component's shape; the rough oracle's `log n` must be the counter
+/// matrix's and at most 63 before any of its levels is read, so a decoded
+/// sketch never holds more than `64` levels of the fixed Appendix A.3
+/// geometry (about 41 MB of level counters), whatever its bytes declare.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct KnwL0Sketch {
     config: L0Config,
@@ -509,19 +570,23 @@ impl KnwL0Sketch {
     /// error kinds, as decoding and then merging.
     fn check_wire(&self, bytes: &[u8]) -> Result<(), SketchError> {
         let input = &mut &bytes[..];
-        let config = L0Config::deserialize(input)?;
-        let k = u64::deserialize(input)?;
-        let mut same = self.matrix.check_wire(input)?.0;
-        same &= self.rough.check_wire(input)?;
-        same &= self.exact.check_wire(input)?;
-        same &= self.mid.check_wire(input)?.0;
-        u64::deserialize(input)?;
+        let view = SketchView::read(
+            input,
+            |input, _| self.rough.check_wire(input),
+            |input| self.exact.check_wire(input),
+        )?;
+        view.check()?;
         if !input.is_empty() {
             let trailing = format!("{} trailing bytes after deserializing", input.len());
             return Err(serde::Error::new(trailing).into());
         }
-        self.check_config(&config)?;
-        if k != self.k || !same {
+        self.check_config(&view.config)?;
+        let same_draws = view.k == self.k
+            && view.matrix.same_draws(&self.matrix)
+            && view.rough
+            && view.exact
+            && view.mid.same_draws(&self.mid);
+        if !same_draws {
             return Err(SketchError::SeedMismatch);
         }
         Ok(())
@@ -529,47 +594,51 @@ impl KnwL0Sketch {
 
     /// Adds the sketch `bytes` encode, which [`check_wire`](Self::check_wire)
     /// accepted, component by component in place — or with `replace`
-    /// makes this sketch that one, copying instead of adding.
+    /// makes this sketch that one, copying instead of adding.  Checks
+    /// nothing again.
     fn merge_wire(&mut self, bytes: &[u8], replace: bool) {
-        let (input, checked) = (&mut &bytes[..], "checked by check_wire");
-        L0Config::deserialize(input).expect(checked);
-        u64::deserialize(input).expect(checked);
-        self.matrix.merge_wire(input, replace);
-        self.rough.merge_wire(input, replace);
-        self.exact.merge_wire(input, replace);
-        self.mid.merge_wire(input, replace);
-        let updates = u64::deserialize(input).expect(checked);
+        let (rough, exact) = (&mut self.rough, &mut self.exact);
+        let view = SketchView::read(
+            &mut &bytes[..],
+            |input, _| {
+                rough.merge_wire(input, replace);
+                Ok(())
+            },
+            |input| {
+                exact.merge_wire(input, replace);
+                Ok(())
+            },
+        )
+        .expect("checked by check_wire");
+        self.matrix.add_view(&view.matrix, replace);
+        self.mid.add_counters(words(view.mid.counters), replace);
         self.updates = if replace {
-            updates
+            view.updates
         } else {
-            self.updates.saturating_add(updates)
+            self.updates.saturating_add(view.updates)
         };
     }
 }
 
 impl serde::Deserialize for KnwL0Sketch {
-    /// Reads the fields in declaration order and checks their shapes: the
-    /// counter matrix and the mid-range row against `K`, the rough oracle's
-    /// `log n` against the matrix's (before its levels are read) and the
-    /// exact structure against its fixed capacity and failure probability.
+    /// Reads the fields in declaration order, the rough oracle with the
+    /// counter matrix's `log n` (at most 63, checked before its levels are
+    /// read) and the exact structure with its fixed capacity and failure
+    /// probability, then checks the counter matrix and the mid-range row
+    /// against `K`.
     fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let config = L0Config::deserialize(input)?;
-        let k = u64::deserialize(input)?;
-        let matrix = L0Matrix::deserialize(input)?;
-        matrix.check_shape(k).map_err(serde::Error::new)?;
-        let log_n = (matrix.num_rows() - 1) as u32;
-        let rough = RoughL0Estimator::deserialize_as(input, log_n)?;
-        let exact = ExactSmallL0::deserialize_as(input, EXACT_CAPACITY, EXACT_DELTA)?;
-        let mid = MidRangeRow::deserialize(input)?;
-        mid.check_shape(k).map_err(serde::Error::new)?;
+        let view = SketchView::read(input, RoughL0Estimator::deserialize_as, |input| {
+            ExactSmallL0::deserialize_as(input, EXACT_CAPACITY, EXACT_DELTA)
+        })?;
+        view.check()?;
         Ok(Self {
-            config,
-            k,
-            matrix,
-            rough,
-            exact,
-            mid,
-            updates: u64::deserialize(input)?,
+            config: view.config,
+            k: view.k,
+            matrix: view.matrix.materialise(),
+            rough: view.rough,
+            exact: view.exact,
+            mid: view.mid.materialise(),
+            updates: view.updates,
         })
     }
 }

@@ -334,32 +334,13 @@ impl<U: Routable> ShardBatcher<U> {
         }
     }
 
-    /// Calls `f` on every non-empty pending (not yet dispatched) buffer,
-    /// without dispatching it.  Used by snapshot paths that fold pending
-    /// updates into a merged sketch directly.
-    pub fn for_each_pending(&self, mut f: impl FnMut(&[U])) {
-        match &self.buffers {
-            Buffers::RoundRobin { buffer, .. } => {
-                if !buffer.is_empty() {
-                    f(buffer);
-                }
-            }
-            Buffers::HashAffine { buffers, .. } => {
-                for buffer in buffers {
-                    if !buffer.is_empty() {
-                        f(buffer);
-                    }
-                }
-            }
-        }
-    }
-
     /// Total number of buffered, not-yet-dispatched updates.
     #[must_use]
     pub fn pending_len(&self) -> usize {
-        let mut len = 0;
-        self.for_each_pending(|b| len += b.len());
-        len
+        match &self.buffers {
+            Buffers::RoundRobin { buffer, .. } => buffer.len(),
+            Buffers::HashAffine { buffers, .. } => buffers.iter().map(Vec::len).sum(),
+        }
     }
 
     /// The configured batch size.
@@ -514,10 +495,10 @@ mod tests {
             }
         });
         assert_eq!(dispatched.len(), 1);
-        let mut pending = Vec::new();
-        b.for_each_pending(|batch| pending.extend_from_slice(batch));
-        assert_eq!(pending, &[4, 5]);
         assert_eq!(b.pending_len(), 2);
+        let flushed = collect_dispatches(&mut b, |b, sink| b.flush(&mut |s, batch| sink(s, batch)));
+        assert_eq!(flushed, [(1, vec![4, 5])]);
+        assert_eq!(b.pending_len(), 0);
     }
 
     #[test]
