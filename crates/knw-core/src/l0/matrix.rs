@@ -375,8 +375,9 @@ impl<'a> MatrixView<'a> {
 }
 
 impl Deserialize for L0Matrix {
-    /// Reads a matrix and checks it against the `K` it declares (see
-    /// [`MatrixView::check`]).
+    /// Reads a matrix and checks it against the `K` it declares: the shape
+    /// [`L0Matrix::new`] builds, values in the field and row occupancies
+    /// that match the counters.
     fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
         let view = MatrixView::read(input)?;
         view.check(view.k)?;
