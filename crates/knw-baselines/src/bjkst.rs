@@ -20,7 +20,13 @@ use knw_hash::SpaceUsage;
 use std::collections::HashSet;
 
 /// The BJKST distinct-elements sketch.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// The wire form is the fields in declaration order, with the sample
+/// written in increasing order (one state, one encoding).  Decoding
+/// refuses states no insert or merge reaches: a sample over capacity, a
+/// sampled level outside `[z, log n]`, or a fingerprint outside the
+/// fingerprint hash's range.
+#[derive(Debug, Clone)]
 pub struct BjkstSketch {
     /// Fingerprints of the sampled items (fingerprint collisions are part of
     /// the analysis and folded into the error budget).
@@ -82,6 +88,56 @@ impl BjkstSketch {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+}
+
+impl serde::Serialize for BjkstSketch {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        crate::write_sorted(&self.sample, out);
+        self.z.serialize(out);
+        self.capacity.serialize(out);
+        self.level_hash.serialize(out);
+        self.fingerprint_hash.serialize(out);
+        self.log_n.serialize(out);
+        self.seed.serialize(out);
+    }
+}
+
+impl serde::Deserialize for BjkstSketch {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let sketch = Self {
+            sample: HashSet::deserialize(input)?,
+            z: u32::deserialize(input)?,
+            capacity: usize::deserialize(input)?,
+            level_hash: PairwiseHash::deserialize(input)?,
+            fingerprint_hash: PairwiseHash::deserialize(input)?,
+            log_n: u32::deserialize(input)?,
+            seed: u64::deserialize(input)?,
+        };
+        if sketch.sample.len() > sketch.capacity {
+            return Err(serde::Error::new(format!(
+                "BJKST sample of {} exceeds capacity {}",
+                sketch.sample.len(),
+                sketch.capacity
+            )));
+        }
+        let range = sketch.fingerprint_hash.range();
+        for &packed in &sketch.sample {
+            // `insert` packs the level above a 48-bit fingerprint.
+            let (level, fingerprint) = (packed >> 48, packed & ((1 << 48) - 1));
+            if !(u64::from(sketch.z)..=u64::from(sketch.log_n)).contains(&level) {
+                return Err(serde::Error::new(format!(
+                    "BJKST sampled level {level} outside [z, log n] = [{}, {}]",
+                    sketch.z, sketch.log_n
+                )));
+            }
+            if fingerprint >= range {
+                return Err(serde::Error::new(format!(
+                    "BJKST fingerprint {fingerprint} outside its hash range {range}"
+                )));
+            }
+        }
+        Ok(sketch)
     }
 }
 
@@ -197,6 +253,55 @@ mod tests {
             last_z = s.level();
             assert!(s.sample.len() <= s.capacity());
         }
+    }
+
+    #[test]
+    fn bjkst_bytes_are_canonical() {
+        let items: Vec<u64> = (0..5_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (1 << 20))
+            .collect();
+        let (mut forward, mut backward) = (
+            BjkstSketch::new(256, 1 << 20, 11),
+            BjkstSketch::new(256, 1 << 20, 11),
+        );
+        items.iter().for_each(|&item| forward.insert(item));
+        items.iter().rev().for_each(|&item| backward.insert(item));
+        assert!(forward.level() > 0);
+        assert_eq!(
+            crate::canonical_pin(&forward, &backward),
+            (PINNED_LEN, PINNED_DIGEST)
+        );
+    }
+
+    const PINNED_LEN: usize = 1_282;
+    const PINNED_DIGEST: u64 = 7_477_602_221_977_255_124;
+
+    /// Each check of the decoder on forged bytes: the sample sits first
+    /// (a count, then the entries in increasing order), then `z` and the
+    /// capacity.
+    #[test]
+    fn forged_samples_are_decode_errors() {
+        let mut sketch = BjkstSketch::new(64, 1 << 16, 5);
+        (0..2_000u64).for_each(|i| sketch.insert(i * 7_919));
+        let (z, len) = (sketch.level(), sketch.sample.len());
+        assert!(z > 0 && len > 1);
+        let bytes = serde::to_bytes(&sketch);
+        let capacity_at = 8 + 8 * len + 4;
+        let forge = |at: usize, value: u64| {
+            let mut forged = bytes.clone();
+            forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            serde::from_bytes::<BjkstSketch>(&forged)
+                .map(|_| ())
+                .unwrap_err()
+                .to_string()
+        };
+        let entry = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+        let below = (u64::from(z) - 1) << 48 | (entry & ((1 << 48) - 1));
+        assert!(forge(8, below).contains("level"));
+        let wide = entry | sketch.fingerprint_hash.range();
+        assert!(forge(8, wide).contains("fingerprint"));
+        assert!(forge(capacity_at, len as u64 - 1).contains("capacity"));
+        assert!(serde::from_bytes::<BjkstSketch>(&bytes).is_ok());
     }
 
     #[test]

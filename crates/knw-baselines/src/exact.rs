@@ -7,9 +7,19 @@ use knw_hash::SpaceUsage;
 use std::collections::HashSet;
 
 /// An exact distinct counter backed by a hash set.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+///
+/// The wire form is the codec's set, written in increasing item order, so
+/// a state has one encoding whatever order its items came in; decoding
+/// reads them in any order.
+#[derive(Debug, Clone, Default, serde::Deserialize)]
 pub struct ExactCounter {
     seen: HashSet<u64>,
+}
+
+impl serde::Serialize for ExactCounter {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        crate::write_sorted(&self.seen, out);
+    }
 }
 
 impl ExactCounter {
@@ -174,6 +184,23 @@ mod tests {
         assert!(!c.contains(500));
         assert_eq!(c.space_bits(), 137 * 64);
     }
+
+    #[test]
+    fn exact_bytes_are_canonical() {
+        let items: Vec<u64> = (0..3_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 1_000)
+            .collect();
+        let (mut forward, mut backward) = (ExactCounter::new(), ExactCounter::new());
+        items.iter().for_each(|&item| forward.insert(item));
+        items.iter().rev().for_each(|&item| backward.insert(item));
+        assert_eq!(
+            crate::canonical_pin(&forward, &backward),
+            (PINNED_EXACT_LEN, PINNED_EXACT_DIGEST)
+        );
+    }
+
+    const PINNED_EXACT_LEN: usize = 6_936;
+    const PINNED_EXACT_DIGEST: u64 = 10_362_426_488_420_925_193;
 
     #[test]
     fn exact_l0_tracks_cancellation() {

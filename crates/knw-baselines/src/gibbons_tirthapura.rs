@@ -18,7 +18,12 @@ use knw_hash::SpaceUsage;
 use std::collections::HashSet;
 
 /// The Gibbons–Tirthapura distinct-sampling sketch.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+///
+/// The wire form is the fields in declaration order, with the sample
+/// written in increasing order (one state, one encoding).  Decoding
+/// refuses states no insert or merge reaches: a sample over capacity, or
+/// a sampled item whose level is below `z` (a merge would drop it).
+#[derive(Debug, Clone)]
 pub struct GibbonsTirthapura {
     /// Sampled item identifiers (full identifiers — this is the point of the
     /// comparison with BJKST).
@@ -69,6 +74,51 @@ impl GibbonsTirthapura {
     pub fn level(&self) -> u32 {
         self.z
     }
+
+    /// The level `lsb(level_hash(item))`, capped at `log n`.
+    fn item_level(&self, item: u64) -> u32 {
+        lsb_with_cap(self.level_hash.hash(item), self.log_n)
+    }
+}
+
+impl serde::Serialize for GibbonsTirthapura {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        crate::write_sorted(&self.sample, out);
+        self.z.serialize(out);
+        self.capacity.serialize(out);
+        self.level_hash.serialize(out);
+        self.log_n.serialize(out);
+        self.seed.serialize(out);
+    }
+}
+
+impl serde::Deserialize for GibbonsTirthapura {
+    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let sketch = Self {
+            sample: HashSet::deserialize(input)?,
+            z: u32::deserialize(input)?,
+            capacity: usize::deserialize(input)?,
+            level_hash: PairwiseHash::deserialize(input)?,
+            log_n: u32::deserialize(input)?,
+            seed: u64::deserialize(input)?,
+        };
+        if sketch.sample.len() > sketch.capacity {
+            return Err(serde::Error::new(format!(
+                "Gibbons-Tirthapura sample of {} exceeds capacity {}",
+                sketch.sample.len(),
+                sketch.capacity
+            )));
+        }
+        let below = |&&item: &&u64| sketch.item_level(item) < sketch.z;
+        if let Some(&item) = sketch.sample.iter().find(below) {
+            return Err(serde::Error::new(format!(
+                "Gibbons-Tirthapura sampled item {item} has level {} below z {}",
+                sketch.item_level(item),
+                sketch.z
+            )));
+        }
+        Ok(sketch)
+    }
 }
 
 impl MergeableEstimator for GibbonsTirthapura {
@@ -96,7 +146,7 @@ impl MergeableEstimator for GibbonsTirthapura {
         self.sample
             .retain(|&i| lsb_with_cap(level_hash.hash(i), log_n) >= target);
         for &item in &other.sample {
-            if lsb_with_cap(self.level_hash.hash(item), self.log_n) >= self.z {
+            if self.item_level(item) >= self.z {
                 self.sample.insert(item);
             }
         }
@@ -120,7 +170,7 @@ impl SpaceUsage for GibbonsTirthapura {
 
 impl CardinalityEstimator for GibbonsTirthapura {
     fn insert(&mut self, item: u64) {
-        if lsb_with_cap(self.level_hash.hash(item), self.log_n) < self.z {
+        if self.item_level(item) < self.z {
             return;
         }
         self.sample.insert(item);
@@ -196,6 +246,53 @@ mod tests {
             a.merge_from(&c),
             Err(SketchError::IncompatibleConfig { .. })
         ));
+    }
+
+    #[test]
+    fn gibbons_tirthapura_bytes_are_canonical() {
+        let items: Vec<u64> = (0..5_000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (1 << 20))
+            .collect();
+        let (mut forward, mut backward) = (
+            GibbonsTirthapura::new(256, 1 << 20, 11),
+            GibbonsTirthapura::new(256, 1 << 20, 11),
+        );
+        items.iter().for_each(|&item| forward.insert(item));
+        items.iter().rev().for_each(|&item| backward.insert(item));
+        assert!(forward.level() > 0);
+        assert_eq!(
+            crate::canonical_pin(&forward, &backward),
+            (PINNED_LEN, PINNED_DIGEST)
+        );
+    }
+
+    const PINNED_LEN: usize = 1_337;
+    const PINNED_DIGEST: u64 = 15_845_884_443_357_182_215;
+
+    /// Each check of the decoder on forged bytes: the sample sits first
+    /// (a count, then the items in increasing order), then `z` and the
+    /// capacity.
+    #[test]
+    fn forged_samples_are_decode_errors() {
+        let mut sketch = GibbonsTirthapura::new(64, 1 << 16, 5);
+        (0..2_000u64).for_each(|i| sketch.insert(i * 7_919));
+        let (z, len) = (sketch.level(), sketch.sample.len());
+        assert!(z > 0 && len > 1);
+        let bytes = serde::to_bytes(&sketch);
+        let forge = |at: usize, value: u64| {
+            let mut forged = bytes.clone();
+            forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            serde::from_bytes::<GibbonsTirthapura>(&forged)
+                .map(|_| ())
+                .unwrap_err()
+                .to_string()
+        };
+        let below = (0..)
+            .find(|&item| sketch.item_level(item) < z)
+            .expect("an item");
+        assert!(forge(8, below).contains("below z"));
+        assert!(forge(8 + 8 * len + 4, len as u64 - 1).contains("capacity"));
+        assert!(serde::from_bytes::<GibbonsTirthapura>(&bytes).is_ok());
     }
 
     #[test]

@@ -120,6 +120,29 @@ pub fn all_l0_estimators(
     ]
 }
 
+/// Writes an item set as the codec writes a set — a `u64` count, then the
+/// items — in increasing order, so one state has one encoding.
+fn write_sorted(set: &std::collections::HashSet<u64>, out: &mut Vec<u8>) {
+    let mut items: Vec<u64> = set.iter().copied().collect();
+    items.sort_unstable();
+    serde::Serialize::serialize(&items, out);
+}
+
+/// Asserts that `a` and `b`, one state reached in two insertion orders,
+/// encode alike, and that the bytes decode and encode back to themselves.
+/// Returns the bytes' length and FNV-1a-64 digest, for a pin.
+#[cfg(test)]
+fn canonical_pin<T: serde::Serialize + serde::Deserialize>(a: &T, b: &T) -> (usize, u64) {
+    let bytes = serde::to_bytes(a);
+    assert_eq!(serde::to_bytes(b), bytes, "insertion order shows");
+    let back: T = serde::from_bytes(&bytes).expect("round trip");
+    assert_eq!(serde::to_bytes(&back), bytes, "decode then encode");
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    (bytes.len(), digest)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -537,8 +537,9 @@ fn cluster_summary(_c: &mut Criterion) {
 /// The session front end under load: 1,000 concurrent client sessions —
 /// the 10M-item stream split evenly across them — multiplexed by one
 /// nonblocking `serve_sessions` loop over a 4-worker pipe fleet, driven
-/// by the single-threaded `drive_sessions` client event loop on
-/// localhost.  Measures the whole round trip (connect, `Hello`, batched
+/// on localhost by the single-threaded `drive_sessions` client, which
+/// sends one batch per session per turn over blocking sockets.  Measures
+/// the whole round trip (connect, `Hello`, batched
 /// `Batch` frames, `Finish`, per-session `Shard` replies, final merge),
 /// so the ns/op lands next to the plain 4-worker cluster runs and the
 /// session-multiplexing overhead stays visible across PRs.  Linux-only

@@ -19,8 +19,7 @@ use crate::frame::{
     WireError, WorkerStats, MAX_FRAME_LEN,
 };
 use crate::recovery::{RecoveryPolicy, WorkerRegistry};
-use crate::spec::{build_f0, build_l0, f0_shard_from_bytes, l0_shard_from_bytes};
-use crate::spec::{WireF0Sketch, WireL0Sketch};
+use crate::spec::{build_f0, build_l0, WireF0Sketch, WireL0Sketch};
 use crate::transport::{Link, Placement, DEFAULT_IO_TIMEOUT};
 use knw_core::{DynMergeableCardinalityEstimator, DynMergeableTurnstileEstimator, SketchError};
 use knw_engine::{BatcherMetrics, EngineConfig, Routable, RoutingPolicy, ShardBatcher};
@@ -81,13 +80,19 @@ pub trait ClusterUpdate: Routable {
     fn build(spec: &SketchSpec) -> Result<Box<Self::Shard>, ClusterError>;
 
     /// Decodes a worker's shard bytes into a sketch of their own (a
-    /// worker's `Restore`); reports merge them in place instead, through
-    /// [`merge_wire`](Self::merge_wire).  The error is the codec's message.
+    /// worker's `Restore`): the sketch `spec` [`build`](Self::build)s, made
+    /// that shard by [`merge_wire`](Self::merge_wire) with `replace`, so the
+    /// spec's own type reads the bytes.  Reports merge in place instead.
     ///
     /// # Errors
     ///
-    /// The codec rejection, as a message the caller attributes to a worker.
-    fn shard_from_bytes(spec: &SketchSpec, bytes: &[u8]) -> Result<Box<Self::Shard>, String>;
+    /// An unknown estimator name or the decoder's refusal, as a message the
+    /// caller attributes to a worker.
+    fn shard_from_bytes(spec: &SketchSpec, bytes: &[u8]) -> Result<Box<Self::Shard>, String> {
+        let mut shard = Self::build(spec).map_err(|e| e.to_string())?;
+        Self::merge_wire(&mut shard, bytes, true).map_err(|e| e.to_string())?;
+        Ok(shard)
+    }
 
     /// Applies a batch of updates to a shard (a worker's ingest).
     fn apply(shard: &mut Self::Shard, batch: &[Self]);
@@ -159,10 +164,6 @@ impl ClusterUpdate for u64 {
         build_f0(spec)
     }
 
-    fn shard_from_bytes(spec: &SketchSpec, bytes: &[u8]) -> Result<Box<Self::Shard>, String> {
-        f0_shard_from_bytes(spec, bytes)
-    }
-
     fn apply(shard: &mut Self::Shard, batch: &[u64]) {
         shard.insert_batch(batch);
     }
@@ -213,10 +214,6 @@ impl ClusterUpdate for (u64, i64) {
 
     fn build(spec: &SketchSpec) -> Result<Box<Self::Shard>, ClusterError> {
         build_l0(spec)
-    }
-
-    fn shard_from_bytes(spec: &SketchSpec, bytes: &[u8]) -> Result<Box<Self::Shard>, String> {
-        l0_shard_from_bytes(spec, bytes)
     }
 
     fn apply(shard: &mut Self::Shard, batch: &[(u64, i64)]) {
@@ -479,7 +476,7 @@ const BATCH_FRAME_OVERHEAD: usize = 16;
 /// The most updates one `Batch` frame can carry with its encoded payload
 /// still within [`MAX_FRAME_LEN`]; the send boundary chunks larger routed
 /// batches so an `Oversized` frame cannot be constructed locally.
-fn max_updates_per_frame<U: ClusterUpdate>() -> usize {
+pub(crate) fn max_updates_per_frame<U: ClusterUpdate>() -> usize {
     (MAX_FRAME_LEN - BATCH_FRAME_OVERHEAD) / U::WIRE_BYTES
 }
 
@@ -489,7 +486,7 @@ fn max_updates_per_frame<U: ClusterUpdate>() -> usize {
 /// by test.  Writing the fixed-width layout directly means the hot dispatch
 /// path never materializes an owning `Frame` or a payload `Vec`: one reused
 /// buffer carries every outgoing batch.
-fn encode_batch_frame<U: ClusterUpdate>(buf: &mut Vec<u8>, updates: &[U]) {
+pub(crate) fn encode_batch_frame<U: ClusterUpdate>(buf: &mut Vec<u8>, updates: &[U]) {
     buf.clear();
     let payload_len = BATCH_FRAME_OVERHEAD + updates.len() * U::WIRE_BYTES;
     buf.reserve(4 + payload_len);
@@ -1017,7 +1014,7 @@ impl LinkSet {
 /// [`ClusterError::Timeout`]: part of a frame was already consumed, so
 /// resuming reads in place would misparse leftover bytes as a fresh length
 /// prefix.  Everything else keeps its I/O or codec identity.
-fn wire_fault(index: usize, error: WireError) -> ClusterError {
+pub(crate) fn wire_fault(index: usize, error: WireError) -> ClusterError {
     use std::io::ErrorKind;
     match error {
         WireError::Io(e) => match e.kind() {

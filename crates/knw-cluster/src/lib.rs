@@ -120,8 +120,8 @@
 //! wire.  The [`session`] module (Linux) turns it around into
 //! **estimation-as-a-service**: `knw-aggregate --serve <addr>` runs a
 //! single-threaded nonblocking readiness loop ([`serve_sessions`], built
-//! on the [`poll`] epoll wrapper — the offline-shim discipline again, no
-//! external event library) that multiplexes hundreds-to-thousands of
+//! on the crate's private epoll wrapper — the offline-shim discipline
+//! again, no external event library) that multiplexes hundreds-to-thousands of
 //! concurrent *client* sessions over one shared worker fleet.  Each
 //! session is a state machine, never a thread:
 //!
@@ -161,6 +161,11 @@
 //! [`ClusterError::Desynced`] (recoverable only by re-dial + journal
 //! replay).  Fleet-side failures poison the aggregator under the same
 //! rules as the blocking path and abort the serve loop typed.
+//!
+//! The matching client, [`drive_sessions`], needs no event loop of its
+//! own: it connects every session, then drives them in lockstep over
+//! blocking sockets, one turn of frames each, reading a turn's replies
+//! before the next turn.
 //!
 //! # Failure model & recovery
 //!
@@ -303,7 +308,7 @@ pub mod error;
 pub mod expo;
 pub mod frame;
 #[cfg(target_os = "linux")]
-pub mod poll;
+mod poll;
 pub mod recovery;
 #[cfg(target_os = "linux")]
 pub mod session;
@@ -322,8 +327,6 @@ pub use frame::{
     Frame, FrameBuf, FrameDecoder, FrameView, HelloConfig, SketchSpec, StreamMode, WireError,
     WorkerStats, MAX_FRAME_LEN,
 };
-#[cfg(target_os = "linux")]
-pub use poll::{Event, Interest, Poller};
 pub use recovery::{
     register_worker, RecoveryPolicy, WorkerRegistry, DEFAULT_BACKOFF, DEFAULT_JOURNAL_CAP,
     DEFAULT_MAX_RETRIES,
@@ -331,8 +334,7 @@ pub use recovery::{
 #[cfg(target_os = "linux")]
 pub use session::{drive_sessions, serve_sessions, DriveStats, ServeStats, SessionServeOptions};
 pub use spec::{
-    build_f0, build_l0, f0_estimator_names, f0_shard_from_bytes, l0_estimator_names,
-    l0_shard_from_bytes, WireF0Sketch, WireL0Sketch,
+    build_f0, build_l0, f0_estimator_names, l0_estimator_names, WireF0Sketch, WireL0Sketch,
 };
 pub use transport::{
     probe_worker, spawn_listening_worker, ListeningWorkerFleet, BANNER_DEADLINE, DEFAULT_IO_TIMEOUT,

@@ -1,6 +1,7 @@
 //! A thin, dependency-free readiness-polling wrapper over the kernel's
 //! `epoll(7)` interface — the event-notification substrate of the
-//! multi-session serve loop (see [`session`](crate::session)).
+//! multi-session serve loop (see [`session`](crate::session)), its only
+//! user.
 //!
 //! The workspace builds in offline environments with no crates.io access,
 //! so `mio`/`tokio` cannot be dependencies; the same discipline that gives
@@ -63,16 +64,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Write-readiness only.
-    pub const WRITABLE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 
     fn bits(self) -> u32 {
         let mut bits = EPOLLRDHUP;
@@ -105,13 +96,6 @@ impl Event {
     #[must_use]
     pub fn writable(&self) -> bool {
         self.bits & (EPOLLOUT | EPOLLHUP | EPOLLERR) != 0
-    }
-
-    /// The peer closed or the fd is in an error state; the next read or
-    /// write will report the specifics.
-    #[must_use]
-    pub fn hangup(&self) -> bool {
-        self.bits & (EPOLLHUP | EPOLLRDHUP | EPOLLERR) != 0
     }
 }
 
@@ -283,8 +267,12 @@ mod tests {
         let mut events = Vec::new();
 
         // A fresh, empty socket: writable but not readable.
+        let both = Interest {
+            readable: true,
+            writable: true,
+        };
         poller
-            .register(server.as_raw_fd(), 7, Interest::BOTH)
+            .register(server.as_raw_fd(), 7, both)
             .expect("register");
         poller
             .wait(&mut events, Some(Duration::from_secs(2)))
@@ -307,8 +295,12 @@ mod tests {
         // Interest can be narrowed: write-only registration stops the
         // read-readiness wakeups even with bytes pending.
         client.write_all(b"more").expect("write");
+        let write_only = Interest {
+            readable: false,
+            writable: true,
+        };
         poller
-            .modify(server.as_raw_fd(), 7, Interest::WRITABLE)
+            .modify(server.as_raw_fd(), 7, write_only)
             .expect("modify");
         poller
             .wait(&mut events, Some(Duration::from_secs(2)))

@@ -1,5 +1,5 @@
-//! The multi-session serve loop: one nonblocking event loop
-//! ([`Poller`]) multiplexing hundreds-to-thousands of
+//! The multi-session serve loop: one nonblocking event loop (over the
+//! crate's private epoll wrapper) multiplexing hundreds-to-thousands of
 //! concurrent client sessions over one shared
 //! [`ClusterAggregator`] — the
 //! estimation-as-a-service shape, with **no thread per session**.
@@ -23,16 +23,23 @@
 //! the loop or its neighbours.  Fault taxonomy mirrors the wire layer's:
 //! a session idle past the deadline *between* frames is a plain timeout,
 //! while one that stalls *mid-frame* is desynchronized and is told so in
-//! its `Err` frame (see
-//! [`WireError::TimedOutMidFrame`](crate::WireError::TimedOutMidFrame)).
+//! its `Err` frame (see [`WireError::TimedOutMidFrame`]).
 //! A fleet-side failure poisons the aggregator exactly as in the blocking
 //! path: waiting sessions get a best-effort `Err` frame and
 //! [`serve_sessions`] returns the typed error.
+//!
+//! [`drive_sessions`] is the matching client, for tests, benches and
+//! examples.  It is no event loop: it drives its sessions in lockstep
+//! over blocking sockets, one turn of frames per session at a time, and
+//! reads each turn's replies before the next turn.
 
-use crate::aggregator::{ClusterAggregator, ClusterUpdate};
+use crate::aggregator::{
+    encode_batch_frame, max_updates_per_frame, wire_fault, ClusterAggregator, ClusterUpdate,
+};
 use crate::error::ClusterError;
 use crate::frame::{
-    encode_frame, encode_shard_frame, Frame, FrameDecoder, FrameView, HelloConfig, SketchSpec,
+    encode_frame, encode_shard_frame, Frame, FrameBuf, FrameDecoder, FrameView, HelloConfig,
+    SketchSpec, WireError,
 };
 use crate::poll::{Interest, Poller};
 use knw_metrics::{knw_log, Counter, Gauge, MetricsRegistry};
@@ -827,46 +834,39 @@ pub struct DriveStats {
     pub shard_replies: usize,
     /// Total bytes written to the server.
     pub bytes_sent: u64,
-    /// Frames encoded and queued toward the server across all sessions
-    /// (`Hello`, `Batch`, `Snapshot`, `Finish`).
+    /// Frames sent across all sessions (`Hello`, `Batch`, `Snapshot`,
+    /// `Finish`).
     pub frames_sent: u64,
-    /// Largest encoded chunk any session ever held pending on its socket,
-    /// in bytes — the drain-side mirror of the server's
-    /// [`ServeStats::peak_write_queue_bytes`].
+    /// Largest frame sent, in bytes: a full `Batch` frame once any session
+    /// streams one.
     pub peak_queued_bytes: usize,
 }
 
-/// Client state for one in-flight driven session.
-struct ClientSession<'a, U> {
-    stream: TcpStream,
-    updates: &'a [U],
-    cursor: usize,
-    /// The encoded chunk currently being written.
-    out: Vec<u8>,
-    out_head: usize,
-    batches_since_snapshot: usize,
-    sent_finish: bool,
-    expected_shards: usize,
-    decoder: FrameDecoder,
-    shards_received: usize,
-    done: bool,
-    registered: Interest,
-}
-
-/// Drives `streams.len()` **concurrent** client sessions against a
-/// [`serve_sessions`] endpoint at `addr` from a single thread (its own
-/// nonblocking event loop — no thread per session on either side).  Each
-/// session sends `Hello{spec}`, its stream as `Batch` frames of `batch`
-/// updates (with a `Snapshot` request every `snapshot_every` batches, if
-/// set), then `Finish`, and waits for every expected `Shard` reply.
+/// Drives `streams.len()` concurrent client sessions against a
+/// [`serve_sessions`] endpoint at `addr` from one thread, over blocking
+/// sockets whose read and write timeouts are `deadline`.
+///
+/// Every session connects and sends `Hello{spec}` before any of them
+/// streams, so the server holds them all at once.  Then the sessions take
+/// turns: in each turn, every session with updates left sends its next
+/// `Batch` of `batch` updates, followed by a `Snapshot` request after every
+/// `snapshot_every` of its own batches (if set) and by `Finish` after its
+/// last one.  After each turn the client reads the `Shard` replies that
+/// turn asked for.  Lockstep cannot deadlock: the serve loop never blocks
+/// on a client and stops reading a session only while that session's
+/// unread replies exceed its write-queue bound, and a session's requests
+/// are the last bytes the client writes to it before reading their
+/// replies.
 ///
 /// # Errors
 ///
-/// [`ClusterError::WorkerReported`] (session index as the "worker") if
-/// the server answers any session with an `Err` frame,
-/// [`ClusterError::Timeout`] if the drive exceeds `deadline`, and
-/// [`ClusterError::Io`] / [`ClusterError::Frame`] on transport or codec
-/// failures.
+/// Typed per session (its index is the "worker"): an `Err` reply, also one
+/// left by a server that refused the session mid-write, is
+/// [`ClusterError::WorkerReported`]; a socket timeout or a passed
+/// `deadline` is [`ClusterError::Timeout`] ([`ClusterError::Desynced`]
+/// inside a reply); EOF where a `Shard` was due is
+/// [`ClusterError::WorkerDied`]; an empty or undecodable shard is
+/// [`ClusterError::Frame`] and any other reply [`ClusterError::Protocol`].
 pub fn drive_sessions<U: ClusterUpdate>(
     addr: &str,
     spec: &SketchSpec,
@@ -875,216 +875,127 @@ pub fn drive_sessions<U: ClusterUpdate>(
     snapshot_every: Option<usize>,
     deadline: Duration,
 ) -> Result<DriveStats, ClusterError> {
-    let batch = batch.max(1);
+    let batch = batch.clamp(1, max_updates_per_frame::<U>());
     let started = Instant::now();
     let mut stats = DriveStats::default();
-    let mut poller = Poller::new().map_err(io_error)?;
-    let mut clients: HashMap<u64, ClientSession<'_, U>> = HashMap::new();
-    for (index, updates) in streams.iter().enumerate() {
-        let stream = TcpStream::connect(addr).map_err(|e| ClusterError::ConnectFailed {
+    let mut reply = FrameBuf::new();
+    let timeout = Some(deadline.max(Duration::from_millis(1)));
+    let mut sockets = Vec::with_capacity(streams.len());
+    for index in 0..streams.len() {
+        let mut stream = TcpStream::connect(addr).map_err(|e| ClusterError::ConnectFailed {
             worker: index,
             addr: addr.to_string(),
             source: e,
         })?;
-        stream.set_nonblocking(true).map_err(io_error)?;
         let _ = stream.set_nodelay(true);
+        stream.set_read_timeout(timeout).map_err(io_error)?;
+        stream.set_write_timeout(timeout).map_err(io_error)?;
         let hello = encode_frame(&Frame::Hello(HelloConfig {
             worker_index: index as u64,
             spec: spec.clone(),
         }))
         .map_err(|e| io_error(std::io::Error::new(ErrorKind::InvalidData, e.to_string())))?;
+        send(&mut stream, index, &hello, &mut reply)?;
         stats.frames_sent += 1;
+        stats.bytes_sent += hello.len() as u64;
         stats.peak_queued_bytes = stats.peak_queued_bytes.max(hello.len());
-        let token = index as u64;
-        poller
-            .register(stream.as_raw_fd(), token, Interest::BOTH)
-            .map_err(io_error)?;
-        clients.insert(
-            token,
-            ClientSession {
-                stream,
-                updates,
-                cursor: 0,
-                out: hello,
-                out_head: 0,
-                batches_since_snapshot: 0,
-                sent_finish: false,
-                expected_shards: 1,
-                decoder: FrameDecoder::new(),
-                shards_received: 0,
-                done: false,
-                registered: Interest::BOTH,
-            },
-        );
+        sockets.push(stream);
     }
 
-    let mut events = Vec::new();
-    let mut read_buf = vec![0u8; 64 << 10];
-    while !clients.is_empty() {
-        if started.elapsed() > deadline {
-            let &worker = clients.keys().next().expect("nonempty");
-            return Err(ClusterError::Timeout {
-                worker: worker as usize,
-            });
-        }
-        poller
-            .wait(&mut events, Some(Duration::from_millis(100)))
-            .map_err(io_error)?;
-        for event in &events {
-            let Some(client) = clients.get_mut(&event.token) else {
-                continue;
-            };
-            if event.writable() {
-                client_write(client, batch, snapshot_every, &mut stats)?;
-            }
-            if event.readable() {
-                client_read(client, event.token as usize, &mut read_buf, &mut stats)?;
-            }
-        }
-        let mut finished = Vec::new();
-        for (&token, client) in &mut clients {
-            if client.done {
-                finished.push(token);
+    let snapshot = encode_frame(&Frame::Snapshot).expect("tiny frame");
+    let finish = encode_frame(&Frame::Finish).expect("tiny frame");
+    // A session's last turn; one with no updates still takes a turn to
+    // send `Finish`.
+    let last_turn = |updates: &[U]| updates.len().div_ceil(batch).max(1) - 1;
+    let turns = streams.iter().map(|s| last_turn(s) + 1).max().unwrap_or(0);
+    // The `Shard` replies each session's requests of this turn are owed.
+    let mut owed = vec![0usize; streams.len()];
+    let mut out = Vec::new();
+    for turn in 0..turns {
+        for (index, (stream, updates)) in sockets.iter_mut().zip(streams).enumerate() {
+            if turn > last_turn(updates) {
                 continue;
             }
-            let desired = Interest {
-                readable: true,
-                writable: client.out_head < client.out.len() || !client.sent_finish,
-            };
-            if desired != client.registered {
-                poller
-                    .modify(client.stream.as_raw_fd(), token, desired)
-                    .map_err(io_error)?;
-                client.registered = desired;
+            if started.elapsed() > deadline {
+                return Err(ClusterError::Timeout { worker: index });
             }
+            out.clear();
+            if let Some(chunk) = updates.chunks(batch).nth(turn) {
+                encode_batch_frame(&mut out, chunk);
+                stats.peak_queued_bytes = stats.peak_queued_bytes.max(out.len());
+                stats.frames_sent += 1;
+                if snapshot_every.is_some_and(|every| (turn + 1) % every.max(1) == 0) {
+                    out.extend_from_slice(&snapshot);
+                    owed[index] += 1;
+                }
+            }
+            if turn == last_turn(updates) {
+                out.extend_from_slice(&finish);
+                owed[index] += 1;
+            }
+            send(stream, index, &out, &mut reply)?;
+            stats.frames_sent += owed[index] as u64;
+            stats.bytes_sent += out.len() as u64;
         }
-        for token in finished {
-            let client = clients.remove(&token).expect("finished client exists");
-            let _ = poller.deregister(client.stream.as_raw_fd());
-            stats.sessions += 1;
+        for (index, stream) in sockets.iter_mut().enumerate() {
+            for _ in 0..std::mem::take(&mut owed[index]) {
+                read_shard(stream, index, &mut reply)?;
+                stats.shard_replies += 1;
+            }
+            stats.sessions += usize::from(turn == last_turn(&streams[index]));
         }
     }
     Ok(stats)
 }
 
-/// Writes as much of a client's conversation as the socket accepts,
-/// lazily encoding the next frame(s) whenever the current chunk drains.
-fn client_write<U: ClusterUpdate>(
-    client: &mut ClientSession<'_, U>,
-    batch: usize,
-    snapshot_every: Option<usize>,
-    stats: &mut DriveStats,
+/// Writes encoded frames to session `index`.  A session the server refused
+/// gets an `Err` frame before the server closes it, so a failed write
+/// first looks for that frame: it, not the broken pipe, says why.
+fn send(
+    stream: &mut TcpStream,
+    index: usize,
+    bytes: &[u8],
+    reply: &mut FrameBuf,
 ) -> Result<(), ClusterError> {
-    loop {
-        if client.out_head == client.out.len() {
-            client.out.clear();
-            client.out_head = 0;
-            if client.cursor < client.updates.len() {
-                let end = (client.cursor + batch).min(client.updates.len());
-                let chunk = client.updates[client.cursor..end].to_vec();
-                client.cursor = end;
-                client.out = encode_frame(&Frame::Batch(U::payload(chunk))).map_err(|e| {
-                    io_error(std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
-                })?;
-                stats.frames_sent += 1;
-                client.batches_since_snapshot += 1;
-                if snapshot_every.is_some_and(|every| client.batches_since_snapshot >= every) {
-                    client.batches_since_snapshot = 0;
-                    client.expected_shards += 1;
-                    let mut snapshot = encode_frame(&Frame::Snapshot).expect("tiny frame");
-                    snapshot.extend_from_slice(&client.out);
-                    std::mem::swap(&mut client.out, &mut snapshot);
-                    stats.frames_sent += 1;
-                }
-            } else if !client.sent_finish {
-                client.out = encode_frame(&Frame::Finish).expect("tiny frame");
-                client.sent_finish = true;
-                stats.frames_sent += 1;
-            } else {
-                return Ok(());
-            }
-            stats.peak_queued_bytes = stats.peak_queued_bytes.max(client.out.len());
-        }
-        match client.stream.write(&client.out[client.out_head..]) {
-            Ok(0) => {
-                return Err(io_error(std::io::Error::new(
-                    ErrorKind::WriteZero,
-                    "server closed the session mid-conversation",
-                )))
-            }
-            Ok(n) => {
-                client.out_head += n;
-                stats.bytes_sent += n as u64;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_error(e)),
+    let error = match stream.write_all(bytes) {
+        Ok(()) => return Ok(()),
+        Err(error) => error,
+    };
+    if !matches!(error.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
+        if let Ok(Some(FrameView::Owned(Frame::Err(message)))) = reply.read(stream) {
+            return Err(ClusterError::WorkerReported {
+                worker: index,
+                message,
+            });
         }
     }
+    Err(wire_fault(index, WireError::Io(error)))
 }
 
-/// Reads and decodes a client's replies; the session is done once every
-/// expected `Shard` arrived after `Finish` was sent.
-fn client_read<U: ClusterUpdate>(
-    client: &mut ClientSession<'_, U>,
+/// Reads one nonempty `Shard` reply from session `index`.
+fn read_shard(
+    stream: &mut TcpStream,
     index: usize,
-    read_buf: &mut [u8],
-    stats: &mut DriveStats,
+    reply: &mut FrameBuf,
 ) -> Result<(), ClusterError> {
-    loop {
-        match client.stream.read(read_buf) {
-            Ok(0) => {
-                if client.sent_finish && client.shards_received >= client.expected_shards {
-                    client.done = true;
-                    return Ok(());
-                }
-                return Err(ClusterError::WorkerDied { worker: index });
-            }
-            Ok(n) => client.decoder.push(&read_buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(ClusterError::io(index, e)),
-        }
-        loop {
-            match client.decoder.next_frame() {
-                Ok(Some(Frame::Shard(bytes))) => {
-                    if bytes.is_empty() {
-                        return Err(ClusterError::Frame {
-                            worker: index,
-                            message: "empty shard reply".to_string(),
-                        });
-                    }
-                    client.shards_received += 1;
-                    stats.shard_replies += 1;
-                    if client.sent_finish && client.shards_received >= client.expected_shards {
-                        client.done = true;
-                        return Ok(());
-                    }
-                }
-                Ok(Some(Frame::Err(message))) => {
-                    return Err(ClusterError::WorkerReported {
-                        worker: index,
-                        message,
-                    })
-                }
-                Ok(Some(other)) => {
-                    return Err(ClusterError::Protocol {
-                        worker: index,
-                        expected: "Shard",
-                        got: other.kind().to_string(),
-                    })
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    return Err(ClusterError::Frame {
-                        worker: index,
-                        message: e.to_string(),
-                    })
-                }
-            }
-        }
+    match reply.read(stream) {
+        Ok(Some(FrameView::Shard([]))) => Err(ClusterError::Frame {
+            worker: index,
+            message: "empty shard reply".to_string(),
+        }),
+        Ok(Some(FrameView::Shard(_))) => Ok(()),
+        Ok(Some(FrameView::Owned(Frame::Err(message)))) => Err(ClusterError::WorkerReported {
+            worker: index,
+            message,
+        }),
+        Ok(Some(other)) => Err(ClusterError::Protocol {
+            worker: index,
+            expected: "Shard",
+            got: other.kind().to_string(),
+        }),
+        Ok(None) | Err(WireError::Truncated) => Err(ClusterError::WorkerDied { worker: index }),
+        Err(error) => Err(wire_fault(index, error)),
     }
-    Ok(())
 }
 
 #[cfg(test)]

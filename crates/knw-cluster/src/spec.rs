@@ -1,13 +1,13 @@
-//! Resolving a [`SketchSpec`] to a live sketch, and shard bytes back to a
-//! mergeable sketch — the name→type registry of the wire format.
+//! Resolving a [`SketchSpec`] to a live sketch — the name→type registry of
+//! the wire format.
 //!
 //! The worker binary and the aggregator are separate processes; the only
 //! thing they share is the spec travelling in the `Hello` frame.  This
 //! module is the single place where an estimator *name* (the same string
 //! `CardinalityEstimator::name` / `TurnstileEstimator::name` reports) is
-//! mapped to a concrete type, for construction on the worker and for
-//! deserialization on the aggregator, so the two sides cannot disagree
-//! about what a shard's bytes mean.
+//! mapped to a concrete type.  Shard bytes are read by the sketch the spec
+//! builds (`ClusterUpdate::shard_from_bytes`), so the two sides cannot
+//! disagree about what a shard's bytes mean.
 //!
 //! The constructors mirror `knw_baselines::all_f0_estimators` /
 //! `all_l0_estimators` parameter-for-parameter: a cluster run over spec
@@ -200,59 +200,10 @@ pub fn build_l0(spec: &SketchSpec) -> Result<Box<dyn WireL0Sketch>, ClusterError
     })
 }
 
-fn decode<T: serde::Deserialize>(bytes: &[u8]) -> Result<T, String> {
-    serde::from_bytes(bytes).map_err(|e| e.to_string())
-}
-
-/// Deserializes a `Shard` frame's bytes back into the concrete F0 sketch
-/// `spec` names, boxed behind the mergeable contract.  Codec failures come
-/// back as the raw message (the caller attributes them to a worker).
-///
-/// # Errors
-///
-/// The codec's rejection message, or the unknown-estimator name prefixed
-/// with `unknown estimator`.
-pub fn f0_shard_from_bytes(
-    spec: &SketchSpec,
-    bytes: &[u8],
-) -> Result<Box<dyn WireF0Sketch>, String> {
-    Ok(match spec.estimator.as_str() {
-        "knw-f0" => Box::new(decode::<KnwF0Sketch>(bytes)?),
-        "hyperloglog" => Box::new(decode::<HyperLogLog>(bytes)?),
-        "loglog" => Box::new(decode::<LogLog>(bytes)?),
-        "flajolet-martin" => Box::new(decode::<FlajoletMartin>(bytes)?),
-        "kmv-bottom-k" => Box::new(decode::<KMinValues>(bytes)?),
-        "bjkst" => Box::new(decode::<BjkstSketch>(bytes)?),
-        "gibbons-tirthapura" => Box::new(decode::<GibbonsTirthapura>(bytes)?),
-        "linear-counting" => Box::new(decode::<LinearCounting>(bytes)?),
-        "ams" => Box::new(decode::<AmsEstimator>(bytes)?),
-        "exact" => Box::new(decode::<ExactCounter>(bytes)?),
-        other => return Err(format!("unknown estimator {other:?}")),
-    })
-}
-
-/// Deserializes L0 shard bytes; codec failures come back as the raw message
-/// (the caller attributes them to a worker).
-///
-/// # Errors
-///
-/// The codec's rejection message, or the unknown-estimator name prefixed
-/// with `unknown estimator`.
-pub fn l0_shard_from_bytes(
-    spec: &SketchSpec,
-    bytes: &[u8],
-) -> Result<Box<dyn WireL0Sketch>, String> {
-    Ok(match spec.estimator.as_str() {
-        "knw-l0" => Box::new(decode::<KnwL0Sketch>(bytes)?),
-        "ganguly-l0" => Box::new(decode::<GangulyL0>(bytes)?),
-        "exact-l0" => Box::new(decode::<ExactL0Counter>(bytes)?),
-        other => return Err(format!("unknown estimator {other:?}")),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::ClusterUpdate;
     use crate::frame::SketchSpec;
 
     #[test]
@@ -263,7 +214,7 @@ mod tests {
             assert_eq!(sketch.name(), name, "registry name drifted");
             sketch.insert_batch(&[1, 2, 3, 2, 1]);
             let bytes = sketch.wire_bytes();
-            let wired = f0_shard_from_bytes(&spec, &bytes).expect("round trip");
+            let wired = u64::shard_from_bytes(&spec, &bytes).expect("round trip");
             assert_eq!(wired.estimate(), sketch.estimate(), "{name} deviated");
         }
     }
@@ -276,7 +227,7 @@ mod tests {
             assert_eq!(sketch.name(), name, "registry name drifted");
             sketch.update_batch(&[(1, 5), (2, -3), (1, -5)]);
             let bytes = sketch.wire_bytes();
-            let wired = l0_shard_from_bytes(&spec, &bytes).expect("round trip");
+            let wired = <(u64, i64)>::shard_from_bytes(&spec, &bytes).expect("round trip");
             assert_eq!(wired.estimate(), sketch.estimate(), "{name} deviated");
         }
     }
@@ -288,13 +239,13 @@ mod tests {
             build_f0(&spec),
             Err(ClusterError::UnknownEstimator { .. })
         ));
-        assert!(f0_shard_from_bytes(&spec, &[]).is_err());
+        assert!(u64::shard_from_bytes(&spec, &[]).is_err());
         let spec = SketchSpec::l0("no-such-sketch", 0.1, 1 << 16, 1);
         assert!(matches!(
             build_l0(&spec),
             Err(ClusterError::UnknownEstimator { .. })
         ));
-        assert!(l0_shard_from_bytes(&spec, &[]).is_err());
+        assert!(<(u64, i64)>::shard_from_bytes(&spec, &[]).is_err());
     }
 
     #[test]
@@ -303,7 +254,7 @@ mod tests {
         let sketch = build_f0(&spec).expect("builds");
         let mut bytes = sketch.wire_bytes();
         bytes.truncate(bytes.len() / 2);
-        assert!(f0_shard_from_bytes(&spec, &bytes).is_err());
+        assert!(u64::shard_from_bytes(&spec, &bytes).is_err());
     }
 
     /// A `KnwF0Sketch` shard whose domain-compression hash `h2` claims a
@@ -313,7 +264,7 @@ mod tests {
     fn forged_f0_hash_range_is_a_decode_error_not_a_panic() {
         let spec = SketchSpec::f0("knw-f0", 0.1, 1 << 16, 3);
         let bytes = build_f0(&spec).expect("builds").wire_bytes();
-        assert!(f0_shard_from_bytes(&spec, &bytes).is_ok());
+        assert!(u64::shard_from_bytes(&spec, &bytes).is_ok());
         // h2 ranges over [K³]: its range and power-of-two flag, in place.
         let cube = knw_core::F0Config::new(spec.epsilon, spec.universe)
             .num_bins()
@@ -326,7 +277,7 @@ mod tests {
         assert_eq!(at.len(), 1, "h2's range is not unique in the shard");
         let mut forged = bytes;
         forged[at[0]..at[0] + 8].fill(0);
-        let error = f0_shard_from_bytes(&spec, &forged).map(|_| "a shard");
+        let error = u64::shard_from_bytes(&spec, &forged).map(|_| "a shard");
         assert!(
             matches!(&error, Err(message) if message.contains("range 0")),
             "{error:?}"
@@ -346,7 +297,7 @@ mod tests {
         sketch.insert_batch(&items);
         assert!(sketch.base_level() > 0, "the stream moved the base");
         let bytes = serde::to_bytes(&sketch);
-        assert!(f0_shard_from_bytes(&spec, &bytes).is_ok());
+        assert!(u64::shard_from_bytes(&spec, &bytes).is_ok());
         // `occupied`, then `base` and `est`, in place.
         let occupied = sketch.occupancy().to_le_bytes();
         let at: Vec<usize> = (0..bytes.len() - 12)
@@ -364,7 +315,7 @@ mod tests {
         let forge = |at: usize, value: &[u8]| {
             let mut forged = bytes.clone();
             forged[at..at + value.len()].copy_from_slice(value);
-            f0_shard_from_bytes(&spec, &forged).map(|_| "a shard")
+            u64::shard_from_bytes(&spec, &forged).map(|_| "a shard")
         };
         for base in [17u32, 63, 64, 200, u32::MAX] {
             let error = forge(base_at, &base.to_le_bytes());
@@ -381,7 +332,7 @@ mod tests {
             for value in [0x00, 0x01, 0x40, 0xFF] {
                 let mut mutant = bytes.clone();
                 mutant[at] = value;
-                let Ok(mut shard) = f0_shard_from_bytes(&spec, &mutant) else {
+                let Ok(mut shard) = u64::shard_from_bytes(&spec, &mutant) else {
                     continue;
                 };
                 let mut genuine = build_f0(&spec).expect("builds");
@@ -409,7 +360,7 @@ mod tests {
             let mut mutant = bytes.clone();
             let at = rng.next_below(bytes.len() as u64) as usize;
             mutant[at] ^= 1 + rng.next_below(255) as u8;
-            match l0_shard_from_bytes(&spec, &mutant) {
+            match <(u64, i64)>::shard_from_bytes(&spec, &mutant) {
                 // Every accepted encoding is the canonical one of its state,
                 // and merges with a genuine shard either way round succeed or
                 // return an error, never panic.

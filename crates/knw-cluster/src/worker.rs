@@ -387,7 +387,7 @@ mod tests {
         let Frame::Shard(bytes) = &replies[2] else {
             panic!("expected Shard, got {}", replies[2].kind());
         };
-        let wired = crate::spec::f0_shard_from_bytes(&spec, bytes).expect("decodes");
+        let wired = u64::shard_from_bytes(&spec, bytes).expect("decodes");
         let mut local = build_f0(&spec).expect("builds");
         local.insert_batch(&(0..900).collect::<Vec<_>>());
         assert_eq!(wired.estimate(), local.estimate());
@@ -453,7 +453,7 @@ mod tests {
         let Frame::Shard(bytes) = &replies[1] else {
             panic!("expected Shard, got {}", replies[1].kind());
         };
-        let restored = crate::spec::f0_shard_from_bytes(&spec, bytes).expect("decodes");
+        let restored = u64::shard_from_bytes(&spec, bytes).expect("decodes");
         let mut local = build_f0(&spec).expect("builds");
         local.insert_batch(&(0..900).collect::<Vec<_>>());
         assert_eq!(restored.estimate().to_bits(), local.estimate().to_bits());
@@ -484,6 +484,22 @@ mod tests {
         let (result, replies) = run(&wire);
         assert!(result.is_err());
         assert!(matches!(replies.as_slice(), [Frame::Err(m)] if m.contains("restore rejected")));
+    }
+
+    /// A checkpoint is read by the sketch the session's spec builds: a
+    /// knw-l0 shard of another ε is refused, as the aggregator's fold
+    /// refuses it, instead of replacing the session's sketch.
+    #[test]
+    fn restore_of_a_shard_built_for_another_spec_is_rejected() {
+        let other = crate::spec::build_l0(&SketchSpec::l0("knw-l0", 0.1, 1 << 12, 9));
+        let wire = script(&[
+            hello(SketchSpec::l0("knw-l0", 0.05, 1 << 12, 9)),
+            Frame::Restore(other.expect("builds").wire_bytes()),
+        ]);
+        let (result, replies) = run(&wire);
+        assert!(result.is_err());
+        let rejected = |m: &str| m.starts_with("restore rejected: ");
+        assert!(matches!(replies.as_slice(), [Frame::Err(m)] if rejected(m)));
     }
 
     #[test]

@@ -10,10 +10,9 @@
 #![cfg(target_os = "linux")]
 
 use knw_cluster::{
-    build_f0, build_l0, f0_estimator_names, f0_shard_from_bytes, l0_estimator_names,
-    l0_shard_from_bytes, read_frame, serve_sessions, write_frame, ClusterConfig, ClusterError,
-    ClusterUpdate, F0ClusterAggregator, Frame, L0ClusterAggregator, MetricsServer,
-    SessionServeOptions, SketchSpec,
+    build_f0, build_l0, f0_estimator_names, l0_estimator_names, read_frame, serve_sessions,
+    write_frame, ClusterConfig, ClusterError, ClusterUpdate, F0ClusterAggregator, Frame,
+    L0ClusterAggregator, MetricsServer, SessionServeOptions, SketchSpec,
 };
 use knw_cluster::{drive_sessions, ClusterAggregator};
 use knw_engine::EngineConfig;
@@ -199,7 +198,7 @@ fn a_thousand_concurrent_f0_sessions_aggregate_bit_identically() {
         "write queues must stay bounded: {stats:?}"
     );
 
-    let merged = f0_shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
+    let merged = u64::shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
     let mut single = build_f0(&spec).expect("zoo name");
     single.insert_batch(&stream);
     assert_eq!(
@@ -233,7 +232,8 @@ fn a_thousand_concurrent_l0_sessions_aggregate_bit_identically() {
     assert_eq!(stats.updates_ingested, stream.len() as u64);
     assert_eq!(drive.sessions, SESSIONS);
 
-    let merged = l0_shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
+    let merged =
+        <(u64, i64)>::shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
     let mut single = build_l0(&spec).expect("zoo name");
     single.update_batch(&stream);
     assert_eq!(
@@ -260,7 +260,7 @@ fn every_zoo_member_serves_concurrent_sessions_bit_identically() {
             SessionServeOptions::default(),
         );
         assert_eq!(stats.sessions_served, 16, "{name}: {stats:?}");
-        let merged = f0_shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
+        let merged = u64::shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
         let mut single = build_f0(&spec).expect("zoo name");
         single.insert_batch(&f0_stream);
         assert_eq!(
@@ -282,7 +282,8 @@ fn every_zoo_member_serves_concurrent_sessions_bit_identically() {
             SessionServeOptions::default(),
         );
         assert_eq!(stats.sessions_served, 16, "{name}: {stats:?}");
-        let merged = l0_shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
+        let merged =
+            <(u64, i64)>::shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
         let mut single = build_l0(&spec).expect("zoo name");
         single.update_batch(&l0_stream);
         assert_eq!(
@@ -315,9 +316,62 @@ fn midstream_snapshots_are_served_without_disturbing_the_aggregate() {
     );
     assert_eq!(stats.snapshots_served, drive.shard_replies as u64);
 
-    let merged = f0_shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
+    let merged = u64::shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
     let mut single = build_f0(&spec).expect("zoo name");
     single.insert_batch(&stream);
+    assert_eq!(merged.estimate().to_bits(), single.estimate().to_bits());
+}
+
+/// Sessions of unequal length: one session streams a single batch, so it
+/// finishes in the client's first turn and is reaped while the others
+/// still stream (with midstream snapshots).  Every session is served, and
+/// the aggregate stays bit-identical to a single-process run, for both
+/// stream models.
+#[test]
+fn a_one_batch_session_finishes_while_the_others_stream() {
+    const SESSIONS: usize = 8;
+    const BATCH: usize = 250;
+    /// The first session gets one batch; the rest share the remainder.
+    fn unequal<U: Clone>(stream: &[U]) -> Vec<Vec<U>> {
+        let (short, rest) = stream.split_at(BATCH);
+        let mut streams = vec![short.to_vec()];
+        streams.extend(split(rest, SESSIONS - 1));
+        streams
+    }
+
+    let f0_stream = items(20_000);
+    let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
+    let (stats, drive, merged_bytes) = serve_and_drive(
+        &spec,
+        unequal(&f0_stream),
+        BATCH,
+        Some(3),
+        |spec| F0ClusterAggregator::start(&config(2), spec).expect("spawn fleet"),
+        SessionServeOptions::default(),
+    );
+    assert_eq!(stats.sessions_served, SESSIONS, "{stats:?}");
+    assert_eq!(drive.sessions, SESSIONS, "{drive:?}");
+    let merged = u64::shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
+    let mut single = build_f0(&spec).expect("zoo name");
+    single.insert_batch(&f0_stream);
+    assert_eq!(merged.estimate().to_bits(), single.estimate().to_bits());
+
+    let l0_stream = updates(20_000);
+    let spec = SketchSpec::l0("knw-l0", EPS, UNIVERSE, SEED);
+    let (stats, drive, merged_bytes) = serve_and_drive(
+        &spec,
+        unequal(&l0_stream),
+        BATCH,
+        Some(3),
+        |spec| L0ClusterAggregator::start(&config(2), spec).expect("spawn fleet"),
+        SessionServeOptions::default(),
+    );
+    assert_eq!(stats.sessions_served, SESSIONS, "{stats:?}");
+    assert_eq!(drive.sessions, SESSIONS, "{drive:?}");
+    let merged =
+        <(u64, i64)>::shard_from_bytes(&spec, &merged_bytes).expect("merged shard decodes");
+    let mut single = build_l0(&spec).expect("zoo name");
+    single.update_batch(&l0_stream);
     assert_eq!(merged.estimate().to_bits(), single.estimate().to_bits());
 }
 
@@ -348,6 +402,33 @@ fn spec_mismatch_is_refused_with_a_typed_err_frame() {
     }
     let stats = server.join().expect("server thread");
     assert_eq!(stats.sessions_errored, 1, "{stats:?}");
+}
+
+/// A refused session whose client is still writing large batches when the
+/// server closes it reports the server's `Err` frame, not the broken pipe
+/// its next write hits.
+#[test]
+fn a_refused_session_mid_write_reports_the_err_frame() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let serve_spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
+    let mut aggregator = F0ClusterAggregator::start(&config(2), &serve_spec).expect("spawn fleet");
+    let options = SessionServeOptions::default().with_max_sessions(1);
+    let server = std::thread::spawn(move || {
+        let stats = serve_sessions(&listener, &mut aggregator, &options).expect("serve");
+        drop(aggregator);
+        stats
+    });
+
+    let wrong_spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED + 1);
+    let streams = vec![items(1 << 22)];
+    let err = drive_sessions::<u64>(&addr, &wrong_spec, &streams, 1 << 18, None, DEADLINE)
+        .expect_err("mismatched spec must be refused");
+    assert!(
+        matches!(&err, ClusterError::WorkerReported { message, .. } if message.contains("spec")),
+        "expected the refusal, got {err}"
+    );
+    assert_eq!(server.join().expect("server thread").sessions_errored, 1);
 }
 
 /// The serve-side half of the desync taxonomy: a client that sends half a

@@ -8,8 +8,8 @@
 
 use knw_baselines::{all_f0_estimators, all_l0_estimators};
 use knw_cluster::{
-    build_f0, build_l0, f0_estimator_names, f0_shard_from_bytes, l0_estimator_names,
-    l0_shard_from_bytes, ClusterError, SketchSpec,
+    build_f0, build_l0, f0_estimator_names, l0_estimator_names, ClusterError, ClusterUpdate,
+    SketchSpec,
 };
 use std::collections::BTreeSet;
 
@@ -64,7 +64,7 @@ fn every_zoo_name_resolves_and_round_trips_through_the_registry() {
             "registry renamed the sketch"
         );
         built.insert_batch(&[1, 2, 3, 5, 8, 13]);
-        let decoded = f0_shard_from_bytes(&spec, &built.wire_bytes())
+        let decoded = u64::shard_from_bytes(&spec, &built.wire_bytes())
             .unwrap_or_else(|e| panic!("{:?} shard bytes rejected: {e}", estimator.name()));
         assert_eq!(decoded.estimate().to_bits(), built.estimate().to_bits());
     }
@@ -78,7 +78,7 @@ fn every_zoo_name_resolves_and_round_trips_through_the_registry() {
             "registry renamed the sketch"
         );
         built.update_batch(&[(1, 4), (2, -1), (1, -4), (9, 2)]);
-        let decoded = l0_shard_from_bytes(&spec, &built.wire_bytes())
+        let decoded = <(u64, i64)>::shard_from_bytes(&spec, &built.wire_bytes())
             .unwrap_or_else(|e| panic!("{:?} shard bytes rejected: {e}", estimator.name()));
         assert_eq!(decoded.estimate().to_bits(), built.estimate().to_bits());
     }
@@ -119,12 +119,12 @@ fn unknown_names_are_typed_errors_naming_the_spec_field() {
 #[test]
 fn unknown_names_are_rejected_on_the_decode_side_too() {
     let f0 = SketchSpec::f0("no-such-sketch", EPS, UNIVERSE, SEED);
-    let message = f0_shard_from_bytes(&f0, &[1, 2, 3])
+    let message = u64::shard_from_bytes(&f0, &[1, 2, 3])
         .map(|_| ())
         .unwrap_err();
     assert!(message.contains("no-such-sketch"), "{message}");
     let l0 = SketchSpec::l0("no-such-sketch", EPS, UNIVERSE, SEED);
-    let message = l0_shard_from_bytes(&l0, &[1, 2, 3])
+    let message = <(u64, i64)>::shard_from_bytes(&l0, &[1, 2, 3])
         .map(|_| ())
         .unwrap_err();
     assert!(message.contains("no-such-sketch"), "{message}");
@@ -160,7 +160,7 @@ fn forged_f0_counter_width_is_a_decode_error_not_a_panic() {
     let mut wide_fields = bytes;
     wide_fields[at[0] + 8] = 65;
     for forged in [wide_counter, wide_fields] {
-        let error = f0_shard_from_bytes(&spec, &forged).map(|_| "a shard");
+        let error = u64::shard_from_bytes(&spec, &forged).map(|_| "a shard");
         assert!(error.is_err(), "{error:?}");
     }
 }

@@ -24,8 +24,8 @@
 //! ```
 
 use knw::cluster::{
-    build_l0, l0_shard_from_bytes, read_frame, run_worker, write_frame, BatchPayload, Frame,
-    HelloConfig, SketchSpec,
+    build_l0, read_frame, run_worker, write_frame, BatchPayload, ClusterUpdate, Frame, HelloConfig,
+    SketchSpec,
 };
 use knw::stream::partition_updates_by_item;
 use std::os::unix::net::UnixStream;
@@ -103,7 +103,7 @@ fn main() {
             bytes.len(),
             parts[index].len()
         );
-        let shard = l0_shard_from_bytes(&spec, &bytes).expect("decode shard");
+        let shard = <(u64, i64)>::shard_from_bytes(&spec, &bytes).expect("decode shard");
         <(u64, i64) as knw::cluster::ClusterUpdate>::merge(merged.as_mut(), shard.as_ref())
             .expect("compatible shards");
     }

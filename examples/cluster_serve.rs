@@ -97,9 +97,10 @@ fn main() {
         (stats, merged.estimate())
     });
 
-    // Tier zero: the clients — also one thread, one event loop, driving
-    // all 64 sessions concurrently with a midstream `Snapshot` every other
-    // batch to exercise point-in-time merges under interleaving.
+    // Tier zero: the clients — also one thread, driving all 64 sessions
+    // in lockstep over blocking sockets (one batch per session per turn)
+    // with a midstream `Snapshot` every other batch to exercise
+    // point-in-time merges under interleaving.
     let drive = drive_sessions(
         &front_addr,
         &spec,
