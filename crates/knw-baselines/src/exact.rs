@@ -165,6 +165,11 @@ impl knw_core::TurnstileEstimator for ExactL0Counter {
     fn name(&self) -> &'static str {
         "exact-l0"
     }
+
+    fn clear(&mut self) {
+        self.frequencies.clear();
+        self.nonzero = 0;
+    }
 }
 
 #[cfg(test)]

@@ -195,6 +195,11 @@ impl TurnstileEstimator for GangulyL0 {
     fn name(&self) -> &'static str {
         "ganguly-l0"
     }
+
+    fn clear(&mut self) {
+        self.cells.fill(0);
+        self.row_nonzero.fill(0);
+    }
 }
 
 #[cfg(test)]

@@ -303,4 +303,37 @@ mod tests {
             );
         }
     }
+
+    /// `clear` gives a fresh estimator's bytes after a churn, and a stream
+    /// applied after it gives the bytes it gives on a fresh estimator.
+    fn assert_clears_to_fresh<T>(fresh: impl Fn() -> T)
+    where
+        T: knw_core::TurnstileEstimator + serde::Serialize,
+    {
+        let stream = |len: u64, universe: u64, salt: u64| -> Vec<(u64, i64)> {
+            (0..len)
+                .map(|i| {
+                    let mixed = (i ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (mixed % universe, (mixed >> 40) as i64 % 5 - 1)
+                })
+                .collect()
+        };
+        let mut cleared = fresh();
+        cleared.update_batch(&stream(50_000, 20_000, 1));
+        assert!(cleared.estimate() > 1_000.0, "{}", cleared.name());
+        cleared.clear();
+        let mut fresh = fresh();
+        assert_eq!(serde::to_bytes(&cleared), serde::to_bytes(&fresh));
+        assert_eq!(cleared.estimate(), fresh.estimate());
+        let after = stream(8_000, 3_000, 2);
+        cleared.update_batch(&after);
+        fresh.update_batch(&after);
+        assert_eq!(serde::to_bytes(&cleared), serde::to_bytes(&fresh));
+    }
+
+    #[test]
+    fn l0_baselines_clear_to_a_fresh_estimator() {
+        assert_clears_to_fresh(|| GangulyL0::new(0.1, 1 << 16, 40, 3));
+        assert_clears_to_fresh(ExactL0Counter::new);
+    }
 }

@@ -436,7 +436,7 @@ fn cluster_summary(_c: &mut Criterion) {
     // The elastic-resharding path: the fleet starts at 2 workers and grows
     // to 4 at the stream's midpoint, placed from a registry pool of two
     // spares — hash-affine routing, so both splits re-route the journaled
-    // first half (checkpoint migration + filtered replay), the full cost
+    // first half (filtered replay from empty), the full cost
     // of an exact mid-stream grow landing next to the fault-free and
     // recovery runs.
     {
@@ -573,13 +573,20 @@ fn serve_summary(_c: &mut Criterion) {
                 let addr = listener.local_addr().expect("bound address").to_string();
                 let serve_spec = spec.clone();
                 let server_config = config.clone();
+                let (ready, started) = std::sync::mpsc::channel();
                 let server = std::thread::spawn(move || {
                     let mut aggregator = F0ClusterAggregator::start(&server_config, &serve_spec)
                         .expect("spawn fleet");
+                    // The client connects once the fleet is up: 1,000
+                    // connects while it spawns overflow the listener's
+                    // backlog of 128, and each dropped SYN waits out a 1 s
+                    // retransmit.
+                    ready.send(()).expect("the client waits");
                     let options = SessionServeOptions::default().with_max_sessions(SESSIONS);
                     serve_sessions(&listener, &mut aggregator, &options).expect("serve loop");
                     aggregator.finish().expect("merge the fleet").estimate()
                 });
+                started.recv().expect("the fleet started");
                 drive_sessions(
                     &addr,
                     &spec,

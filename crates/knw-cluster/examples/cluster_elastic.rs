@@ -16,11 +16,12 @@
 //!    with the registry and no static address list — with hash-affine
 //!    routing and journaling on;
 //! 3. stream the steady phase, then `scale_to(4)` when the burst arrives
-//!    (the two new shards replay their split parents' checkpoints +
-//!    re-routed journals), stream the burst;
-//! 4. `scale_to(2)` on the drain (retired shards fold into their split
-//!    parents via the exact merge, their workers return to the pool),
-//!    stream the tail;
+//!    (the two new shards and their split parents replay the parents'
+//!    re-routed journals from empty), stream the burst;
+//! 4. `scale_to(2)` on the drain (retired shards' final replies fold into
+//!    the aggregator's accumulator via the exact merge, their workers
+//!    return to the pool, their keys route to their split parents), stream
+//!    the tail;
 //! 5. finish and compare bits against the single-process fold.
 
 use knw_cluster::{
@@ -103,8 +104,8 @@ fn main() {
     single.update_batch(&steady);
 
     // The burst arrives: grow to 4.  The two new shards are placed from
-    // the remaining spares; each inherits its split parent's checkpoint
-    // plus the journaled updates the grown routing table moves over.
+    // the remaining spares; each replays the journaled updates (those
+    // since the last snapshot) the grown routing table moves over.
     cluster.scale_to(4).expect("grow 2 -> 4 on the burst");
     println!(
         "burst: grew to 4 workers ({} spare(s) left)",

@@ -40,10 +40,12 @@ use std::time::Duration;
 /// crate decides what a stream model means: the worker session, the
 /// aggregator, the serve loop and the `knw-aggregate` CLI all go through it.
 ///
-/// Reports merge the workers' shard bytes through
+/// Reports fold every worker's shard bytes through
 /// [`merge_wire`](Self::merge_wire) into one accumulator the aggregator
-/// keeps, which [`ClusterAggregator::snapshot`] lends out and the serve
-/// loop encodes its replies from.
+/// keeps, never replacing it, which [`ClusterAggregator::snapshot`] lends
+/// out and the serve loop encodes its replies from.  So a reply must be
+/// what brings that accumulator to the total once folded in:
+/// [`replied`](Self::replied) states what a worker's shard holds for it.
 pub trait ClusterUpdate: Routable {
     /// The erased shard-sketch type of this stream model.  `Send`, as
     /// the aggregator holds one (see [`ClusterAggregator::snapshot`]).
@@ -82,7 +84,7 @@ pub trait ClusterUpdate: Routable {
     /// Decodes a worker's shard bytes into a sketch of their own (a
     /// worker's `Restore`): the sketch `spec` [`build`](Self::build)s, made
     /// that shard by [`merge_wire`](Self::merge_wire) with `replace`, so the
-    /// spec's own type reads the bytes.  Reports merge in place instead.
+    /// spec's own type reads the bytes.  Reports fold in place instead.
     ///
     /// # Errors
     ///
@@ -96,6 +98,19 @@ pub trait ClusterUpdate: Routable {
 
     /// Applies a batch of updates to a shard (a worker's ingest).
     fn apply(shard: &mut Self::Shard, batch: &[Self]);
+
+    /// What a worker does to its shard once a `Shard` reply carrying it is
+    /// written, so that the aggregator's fold of every reply holds the
+    /// fleet's total.  A turnstile (L0) sketch folds by sum, so the worker
+    /// starts over ([`TurnstileEstimator::clear`]) and its next reply
+    /// carries the batches since this one: a snapshot ships what changed.
+    /// An insert-only (F0) sketch folds by union, which is idempotent, so
+    /// the worker keeps its state and replies with all it holds: an F0
+    /// sketch whose pruning thresholds have risen skips almost every item,
+    /// and one started afresh at every snapshot would climb them again.
+    ///
+    /// [`TurnstileEstimator::clear`]: knw_core::TurnstileEstimator::clear
+    fn replied(shard: &mut Self::Shard);
 
     /// Merges `other` into `into` (exact for every workspace sketch).
     ///
@@ -168,6 +183,8 @@ impl ClusterUpdate for u64 {
         shard.insert_batch(batch);
     }
 
+    fn replied(_: &mut Self::Shard) {}
+
     fn merge(into: &mut Self::Shard, other: &Self::Shard) -> Result<(), SketchError> {
         into.merge_dyn(other as &dyn DynMergeableCardinalityEstimator)
     }
@@ -218,6 +235,10 @@ impl ClusterUpdate for (u64, i64) {
 
     fn apply(shard: &mut Self::Shard, batch: &[(u64, i64)]) {
         shard.update_batch(batch);
+    }
+
+    fn replied(shard: &mut Self::Shard) {
+        shard.clear();
     }
 
     fn merge(into: &mut Self::Shard, other: &Self::Shard) -> Result<(), SketchError> {
@@ -532,21 +553,21 @@ fn send_encoded_batch_capped<U: ClusterUpdate>(
     result
 }
 
-/// One shard's replay journal: everything needed to rebuild the shard's
-/// state on a fresh worker — the serialized checkpoint of the last
-/// acknowledged snapshot (if any) plus every batch routed to the shard
-/// since.  Sound because shard state is a pure fold of its batch stream:
-/// `checkpoint ⊕ fold(batches)` *is* the state, byte for byte.
+/// One shard's replay journal: every batch routed to the shard since the
+/// last acknowledged snapshot.  The aggregator's accumulator already holds
+/// everything acknowledged, so a fresh worker that starts empty and
+/// replays the journal holds what the lost one had not yet reported: a
+/// shard is a pure fold of its batch stream, and the accumulator folds the
+/// replacement's replies as it folded the lost worker's.
 ///
 /// The journal stores *encoded* `Batch` frames (prefix included, shared
 /// with the send path via `Arc`), not update values: replay is a straight
 /// send of bytes already proven well-formed, with no re-encoding —
 /// and one journal type serves both stream models.
 struct ShardJournal {
-    /// Serialized shard bytes of the last acknowledged snapshot.
-    checkpoint: Option<Vec<u8>>,
-    /// Encoded frames dispatched since the checkpoint, in dispatch order,
-    /// each with the number of updates it carries (the cap accounting).
+    /// Encoded frames dispatched since the last acknowledged snapshot, in
+    /// dispatch order, each with the number of updates it carries (the cap
+    /// accounting).
     frames: Vec<(Arc<[u8]>, usize)>,
     /// Total updates across `frames`.
     journaled: usize,
@@ -559,7 +580,6 @@ struct ShardJournal {
 impl ShardJournal {
     fn new() -> Self {
         Self {
-            checkpoint: None,
             frames: Vec::new(),
             journaled: 0,
             overflowed: false,
@@ -584,25 +604,20 @@ impl ShardJournal {
         }
     }
 
-    /// Re-anchors the journal on an acknowledged snapshot: the serialized
-    /// shard bytes are copied into the checkpoint (its buffer reused), the
-    /// batch list (and any overflow mark) is cleared.
-    fn truncate_to_checkpoint(&mut self, bytes: &[u8]) {
-        let checkpoint = self.checkpoint.get_or_insert_with(Vec::new);
-        checkpoint.clear();
-        checkpoint.extend_from_slice(bytes);
+    /// Empties the journal on an acknowledged snapshot, whose replies the
+    /// accumulator now holds, and clears any overflow mark.
+    fn acknowledge(&mut self) {
         self.frames.clear();
         self.journaled = 0;
         self.overflowed = false;
     }
 
-    /// Builds a shard's post-reshard journal: the given checkpoint plus
-    /// `updates` re-encoded as capped `Batch` frames (the same chunking the
-    /// send path applies, so replaying the journal is indistinguishable
-    /// from having dispatched the updates directly).
-    fn from_split<U: ClusterUpdate>(checkpoint: Option<Vec<u8>>, updates: &[U]) -> Self {
+    /// Builds a shard's post-reshard journal: `updates` re-encoded as
+    /// capped `Batch` frames (the same chunking the send path applies, so
+    /// replaying the journal is indistinguishable from having dispatched
+    /// the updates directly).
+    fn from_split<U: ClusterUpdate>(updates: &[U]) -> Self {
         let mut journal = Self::new();
-        journal.checkpoint = checkpoint;
         let cap = max_updates_per_frame::<U>().max(1);
         for chunk in updates.chunks(cap) {
             let mut buf = Vec::new();
@@ -928,12 +943,10 @@ impl LinkSet {
         })
     }
 
-    /// Re-anchors every journal (none when recovery is off) on the shard
-    /// its worker replied to the last full-fleet exchange with.
-    fn checkpoint_journals(&mut self) {
-        for (journal, link) in self.journals.iter_mut().zip(&self.workers) {
-            journal.truncate_to_checkpoint(link.shard().expect("an exchange left a Shard reply"));
-        }
+    /// Empties every journal (none when recovery is off) once the last
+    /// full-fleet exchange's replies are folded.
+    fn acknowledge_journals(&mut self) {
+        self.journals.iter_mut().for_each(ShardJournal::acknowledge);
     }
 
     /// Recovers `worker`'s link after `error` and re-sends `request` on the
@@ -1049,10 +1062,10 @@ pub struct ClusterAggregator<U: ClusterUpdate> {
     precoalesce: bool,
     updates: u64,
     links: LinkSet,
-    /// The sketch every report merges the fleet's shards into.  `start`
-    /// builds it once; each report merges the shards into it again, the
-    /// first replacing what it held, so reports reuse its memory.
-    /// `finish` moves it out.
+    /// The sketch every report folds the fleet's replies into.  `start`
+    /// builds it once and nothing ever replaces it: it holds every
+    /// acknowledged update, and reports reuse its memory.  `finish` moves
+    /// it out.
     merged: Box<U::Shard>,
 }
 
@@ -1210,19 +1223,20 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// ([`ShardBatcher::install_epoch`]) after the shard states have been
     /// made consistent with the new table:
     ///
-    /// - **Grow** (hash-affine): the split parent's replay journal is
-    ///   decoded and re-routed under the new table; the new shard starts
-    ///   from the parent's checkpoint plus the moved updates, and the
-    ///   parent restarts on a fresh session replaying only the kept ones.
-    ///   `kept ⊕ (checkpoint ⊕ moved) = checkpoint ⊕ all`, so the fleet
-    ///   total is unchanged for idempotent (F0) and linear (L0) sketches
-    ///   alike.  Round-robin shards are an arbitrary partition, so a new
-    ///   shard simply starts empty and joins the rotation.
-    /// - **Shrink**: the highest shard is `Finish`ed, its final shard and
-    ///   the split parent's live snapshot are merged (exactly, through the
-    ///   same accumulator as every report), and the parent restarts from
-    ///   the merged bytes as its new checkpoint.  Survivor indices never
-    ///   shift.
+    /// - **Grow** (hash-affine): the split parent's replay journal (its
+    ///   updates since the last acknowledged snapshot) is decoded and
+    ///   re-routed under the new table; the new shard starts empty and
+    ///   replays the moved updates, and the parent restarts on a fresh
+    ///   session replaying only the kept ones.  `kept ⊕ moved` is what the
+    ///   parent had not yet reported, and the accumulator holds the rest,
+    ///   so the fleet total is unchanged for idempotent (F0) and linear
+    ///   (L0) sketches alike.  Round-robin shards are an arbitrary
+    ///   partition, so a new shard simply starts empty and joins the
+    ///   rotation.
+    /// - **Shrink**: the highest shard is `Finish`ed and its final reply
+    ///   folded into the accumulator, as every report folds; its keys then
+    ///   route to the split parent, which runs on untouched.  Survivor
+    ///   indices never shift.
     ///
     /// Retired TCP workers return their addresses to the registry pool;
     /// grown shards draw fresh ones (spawned children on pipes, registry
@@ -1351,11 +1365,8 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                     }
                 }
                 let moved_keys: HashSet<u64> = moved.iter().map(Routable::routing_key).collect();
-                let journal_new = ShardJournal::from_split::<U>(
-                    self.links.journals[parent].checkpoint.clone(),
-                    &moved,
-                );
-                let journal_parent = ShardJournal::from_split::<U>(None, &kept);
+                let journal_new = ShardJournal::from_split(&moved);
+                let journal_parent = ShardJournal::from_split(&kept);
                 let replayed = (journal_new.frames.len() + journal_parent.frames.len()) as u64;
                 // Attach the new worker first: if the pool (or spawn)
                 // cannot cover it, the old fleet is untouched.
@@ -1399,47 +1410,24 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         Ok(())
     }
 
-    /// One shrink step: retire the highest shard into its split parent and
-    /// install the shrunk epoch table.  Any failure past the retiree's
-    /// `Finish` poisons the run — a fleet short one shard's updates cannot
-    /// be trusted.
+    /// One shrink step: retire the highest shard into the accumulator and
+    /// install the shrunk epoch table, which routes its keys to its split
+    /// parent.  Any failure past the retiree's `Finish` poisons the run — a
+    /// fleet short one shard's updates cannot be trusted.
     fn shrink_one(&mut self) -> Result<(), ClusterError> {
         let retiree = self.links.workers.len() - 1;
-        let survivor = split_parent(retiree);
-        self.shrink_step(retiree, survivor)
-            .map_err(|(worker, error)| {
-                self.links.poison(worker, &error);
-                error
-            })
-    }
-
-    /// [`shrink_one`](Self::shrink_one)'s steps, each failure attributed to
-    /// the worker it happened on.
-    fn shrink_step(
-        &mut self,
-        retiree: usize,
-        survivor: usize,
-    ) -> Result<(), (usize, ClusterError)> {
-        // Drain the retiree (Finish + final shard) and grab the survivor's
-        // live shard, each with the usual one-shot recovery.
-        self.links.exchange(retiree..retiree + 1, &Frame::Finish)?;
-        self.links
-            .exchange(survivor..survivor + 1, &Frame::Snapshot)?;
-        // Fold the retired shard into the survivor — the shard its keys
-        // route to under the shrunk table — and restart the survivor from
-        // the merged bytes as its new checkpoint.
-        merge_shards::<U>(&mut self.merged, self.links.shards([survivor, retiree]))?;
-        let mut journal = ShardJournal::new();
-        journal.checkpoint = Some(U::shard_bytes(&self.merged));
-        // One-session-at-a-time: sever the survivor's old session before
-        // dialing the fresh one that restores the merged checkpoint.
-        let _ = self.links.workers[survivor].kill();
-        let link = self
+        // Drain the retiree (Finish + final reply, with the usual one-shot
+        // recovery) and fold its reply.  The survivor is left alone: its
+        // journal and its unreported updates stay where they are, and
+        // restarting it from the accumulator would count an L0 total twice.
+        let folded = self
             .links
-            .open(survivor, &journal)
-            .map_err(|error| (survivor, error))?;
-        self.links.workers[survivor] = link;
-        self.links.journals[survivor] = journal;
+            .exchange(retiree..retiree + 1, &Frame::Finish)
+            .and_then(|()| merge_shards::<U>(&mut self.merged, self.links.shards([retiree])));
+        if let Err((_, error)) = folded {
+            self.links.poison(retiree, &error);
+            return Err(error);
+        }
         // Pop the highest index LAST, so no survivor's index ever shifts;
         // the placement returns the retired worker's address to its pool.
         drop(self.links.workers.pop());
@@ -1451,20 +1439,22 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
             "knw-aggregate",
             "shard retired",
             retiree = retiree,
-            survivor = survivor,
+            survivor = split_parent(retiree),
         );
         Ok(())
     }
 
     /// Ships every pending batch, requests a shard snapshot from every
-    /// worker and merges them into one sketch summarizing every update
-    /// ingested so far.  The cluster keeps running — this is the paper's
-    /// midstream "reporting".
+    /// worker and folds the replies into one sketch summarizing every
+    /// update ingested so far.  The cluster keeps running — this is the
+    /// paper's midstream "reporting".
     ///
-    /// The sketch is the aggregator's own accumulator, borrowed: the shards
-    /// are merged into it straight from their links' buffers
+    /// The sketch is the aggregator's own accumulator, borrowed: every
+    /// reply is merged into it straight from its link's buffer
     /// ([`ClusterUpdate::merge_wire`]), and the next report merges into it
-    /// again.  Clone or encode it to keep it past that.  Both stream models
+    /// again.  Clone or encode it to keep it past that.  An L0 worker
+    /// replies with its updates since its last reply, an F0 worker with
+    /// all it holds (see [`ClusterUpdate::replied`]).  Both stream models
     /// ship the pending batches first, so the workers ingest them once,
     /// into live shards, and the report applies none to the accumulator
     /// itself.  For L0 this is the cheaper path: a batch applied to a
@@ -1476,9 +1466,9 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// With recovery enabled, a worker lost during the exchange is
     /// reconnected and replayed *inside* this call (the snapshot waits for
     /// the recovery — it never merges a partial cluster), and an
-    /// acknowledged snapshot doubles as the journals' checkpoint: each
-    /// worker's serialized shard bytes replace its batch log, so journal
-    /// memory is bounded by snapshot cadence, not stream length.
+    /// acknowledged snapshot empties the journals, since the accumulator
+    /// now holds what they logged: journal memory is bounded by snapshot
+    /// cadence, not stream length.
     ///
     /// # Errors
     ///
@@ -1508,7 +1498,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
             self.links.poison(*worker, error);
         }
         result.map_err(|(_, error)| error)?;
-        self.links.checkpoint_journals();
+        self.links.acknowledge_journals();
         Ok(&self.merged)
     }
 
@@ -1521,8 +1511,8 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         Ok(U::estimate(self.snapshot()?))
     }
 
-    /// Ships all pending batches, sends `Finish`, collects every worker's
-    /// final shard, waits for the processes to exit, and returns the merged
+    /// Ships all pending batches, sends `Finish`, folds every worker's
+    /// final reply, waits for the processes to exit, and returns the merged
     /// sketch of the whole stream: the accumulator
     /// [`snapshot`](Self::snapshot) lends, moved out.
     ///
@@ -1550,11 +1540,11 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
 
 /// Opens worker `index`'s link through `placement` — re-opened after a
 /// fault, which may re-resolve the worker — and primes the fresh
-/// session from `journal`: `Hello`, `Restore` of the checkpoint (if any),
-/// then every journaled frame, byte for byte.  A session starts from empty
-/// state and a shard is a pure fold of its batch stream, so the primed
-/// session holds exactly the journaled shard.  Start-up, recovery and
-/// resharding all attach links through here.
+/// session from `journal`: `Hello`, then every journaled frame, byte for
+/// byte.  A session starts from empty state and a shard is a pure fold of
+/// its batch stream, so the primed session holds exactly the journaled
+/// updates.  Start-up, recovery and resharding all attach links through
+/// here.
 fn prime_link(
     placement: &mut Placement,
     index: usize,
@@ -1571,15 +1561,9 @@ fn prime_link(
         worker_index: index as u64,
         spec: spec.clone(),
     });
-    let restore = journal
-        .checkpoint
-        .iter()
-        .map(|bytes| Frame::Restore(bytes.clone()));
-    for frame in std::iter::once(hello).chain(restore) {
-        encode_frame(&frame)
-            .and_then(|wire| link.send(&wire))
-            .map_err(|e| wire_fault(index, e))?;
-    }
+    encode_frame(&hello)
+        .and_then(|wire| link.send(&wire))
+        .map_err(|e| wire_fault(index, e))?;
     for (frame, _) in &journal.frames {
         link.send(frame).map_err(|e| wire_fault(index, e))?;
     }
@@ -1640,16 +1624,17 @@ fn with_backoff(
 }
 
 /// The fold every report ends in — snapshot, finish and shrink alike:
-/// each `(worker, bytes)` shard merged from its bytes into `into`, the
-/// first replacing what `into` held (exact for every workspace sketch).
-/// Failures carry the worker the bytes came from; bytes the decoder
-/// refuses are a [`ClusterError::Frame`] fault of that worker.
+/// each `(worker, bytes)` reply merged from its bytes into `into`, which
+/// is never replaced (exact for every workspace sketch; see
+/// [`ClusterUpdate::replied`] for why the fold is the total).  Failures
+/// carry the worker the bytes came from; bytes the decoder refuses are a
+/// [`ClusterError::Frame`] fault of that worker.
 fn merge_shards<'b, U: ClusterUpdate>(
     into: &mut U::Shard,
     shards: impl IntoIterator<Item = (usize, &'b [u8])>,
 ) -> Result<(), (usize, ClusterError)> {
-    for (at, (worker, bytes)) in shards.into_iter().enumerate() {
-        U::merge_wire(into, bytes, at == 0).map_err(|error| {
+    for (worker, bytes) in shards {
+        U::merge_wire(into, bytes, false).map_err(|error| {
             let error = match error {
                 SketchError::Decode(message) => ClusterError::Frame { worker, message },
                 other => ClusterError::Sketch(other),
@@ -1818,7 +1803,8 @@ mod tests {
     }
 
     /// The journal records frames up to its update cap, discards itself on
-    /// overflow, and re-anchors (clearing the overflow) on a checkpoint.
+    /// overflow, and empties (clearing the overflow) on an acknowledged
+    /// snapshot.
     #[test]
     fn journal_caps_and_checkpoints() {
         let frame_of = |items: &[u64]| -> Arc<[u8]> {
@@ -1838,10 +1824,9 @@ mod tests {
         // Further frames are not accumulated while overflowed.
         journal.record(frame_of(&[7]), 1, 5);
         assert!(journal.frames.is_empty());
-        // A checkpoint re-anchors and re-arms the journal.
-        journal.truncate_to_checkpoint(&[0xAB]);
+        // An acknowledged snapshot empties and re-arms the journal.
+        journal.acknowledge();
         assert!(!journal.overflowed);
-        assert_eq!(journal.checkpoint.as_deref(), Some(&[0xAB][..]));
         journal.record(frame_of(&[8, 9]), 2, 5);
         assert_eq!(journal.journaled, 2);
         assert_eq!(journal.frames.len(), 1);

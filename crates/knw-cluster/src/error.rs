@@ -101,8 +101,8 @@ pub enum ClusterError {
     /// ([`RecoveryPolicy::journal_cap`](crate::RecoveryPolicy)) before the
     /// fault: the batches needed to rebuild the shard were discarded to
     /// honour the memory bound, so the worker cannot be replayed.  Take
-    /// snapshots more often (each acknowledged snapshot truncates the
-    /// journal to a checkpoint) or raise the cap.
+    /// snapshots more often (each acknowledged snapshot empties the
+    /// journal) or raise the cap.
     JournalOverflow {
         /// Index of the worker whose journal overflowed.
         worker: usize,

@@ -140,8 +140,10 @@ pub enum Frame {
     Hello(HelloConfig),
     /// Aggregator → worker: a batch of stream updates to ingest.
     Batch(BatchPayload),
-    /// Aggregator → worker: request the current shard bytes (midstream
-    /// reporting); the worker answers with [`Frame::Shard`] and keeps going.
+    /// Aggregator → worker: request the shard bytes the aggregator folds
+    /// (midstream reporting): an L0 worker's updates since its last reply,
+    /// an F0 worker's whole shard.  The worker answers with
+    /// [`Frame::Shard`] and keeps going.
     Snapshot,
     /// Aggregator → worker: finalize — answer with [`Frame::Shard`] and
     /// exit cleanly.
@@ -150,11 +152,12 @@ pub enum Frame {
     Shard(Vec<u8>),
     /// Worker → aggregator: a worker-side failure, in human-readable form.
     Err(String),
-    /// Aggregator → worker: restore a checkpointed shard (the serialized
-    /// bytes of a previously acknowledged snapshot).  Sent by the recovery
-    /// path right after `Hello`, before any `Batch`, so a reconnected
-    /// worker resumes from the checkpoint instead of replaying the whole
-    /// stream; a `Restore` after any `Batch` is a protocol violation.
+    /// Aggregator → worker: start the session from these serialized shard
+    /// bytes instead of an empty shard; valid right after `Hello`, and a
+    /// `Restore` after any `Batch` is a protocol violation.  The
+    /// aggregator no longer sends it (a recovered worker starts empty and
+    /// replays the batches since the last acknowledged snapshot); workers
+    /// still accept it.
     Restore(Vec<u8>),
     /// Worker → registry: a listening worker announcing the address it
     /// serves on (the `knw-worker --register` handshake; see

@@ -30,7 +30,7 @@
 //!                          │        │        │        │
 //!                          └──one Shard{serialized bytes} each──┐
 //!                                                               ▼
-//!                     merge_wire fold into the kept sketch → merged estimate
+//!           merge_wire fold into the kept sketch, never replaced → merged estimate
 //! ```
 //!
 //! The frame layer runs over any byte stream, and the aggregator reaches
@@ -60,7 +60,7 @@
 //! |---|---|---|
 //! | `Hello{worker_index, spec}` | aggregator → worker | handshake: which sketch to build ([`SketchSpec`]: stream model, zoo name, ε, n, seed) |
 //! | `Batch{Items\|Updates}` | aggregator → worker | a routed batch of stream updates |
-//! | `Snapshot` | aggregator → worker | request the current shard bytes (midstream reporting); the worker keeps running |
+//! | `Snapshot` | aggregator → worker | request the shard bytes the aggregator folds (midstream reporting): an L0 worker's updates since its last reply, an F0 worker's whole shard; the worker keeps running |
 //! | `Finish` | aggregator → worker | finalize: send the shard and exit cleanly |
 //! | `Shard{bytes}` | worker → aggregator | the serialized shard sketch (the workspace serde codec) |
 //! | `Err{message}` | worker → aggregator | worker-side failure, before the worker exits nonzero |
@@ -186,24 +186,25 @@
 //! With a [`RecoveryPolicy`] configured
 //! ([`ClusterConfig::with_recovery`], `knw-aggregate --recover`), those
 //! link faults stop being run-fatal.
-//! The aggregator keeps a bounded per-shard **replay journal** — the
-//! serialized checkpoint of the last acknowledged snapshot plus every
-//! batch routed to the shard since ([`RecoveryPolicy::journal_cap`] bounds
-//! it, in updates) — and on `WorkerDied` / `Timeout` / `ConnectFailed` it
-//! re-resolves the worker (the same address or a respawned child by
-//! default; a spare host announced through the [`WorkerRegistry`] /
-//! `knw-worker --register` handshake when the static address stays dead),
-//! opens a fresh link, restores the checkpoint (`Restore` frame), replays
-//! the journal, and resumes.  The replay is *exact*, not approximate:
-//! every session starts from fresh state and a shard is a pure fold of its
-//! batch stream, so `checkpoint ⊕ fold(journal)` reproduces the lost
-//! shard byte for byte — each journaled batch is applied exactly once to
-//! exactly one live session (a batch sent to a link that then faulted is
-//! never double-counted, because the dead session's state is discarded
-//! wholesale and rebuilt).  Reports wait for an in-flight recovery — a
-//! snapshot never merges a partial cluster — and each acknowledged
-//! snapshot truncates the journals to fresh checkpoints, so journal
-//! memory is bounded by snapshot cadence, not stream length.
+//! The aggregator keeps a bounded per-shard **replay journal** — every
+//! batch routed to the shard since the last acknowledged snapshot
+//! ([`RecoveryPolicy::journal_cap`] bounds it, in updates); everything
+//! acknowledged before is already in the accumulator every report folds
+//! into.  On `WorkerDied` / `Timeout` / `ConnectFailed` it re-resolves the
+//! worker (the same address or a respawned child by default; a spare host
+//! announced through the [`WorkerRegistry`] / `knw-worker --register`
+//! handshake when the static address stays dead), opens a fresh link,
+//! replays the journal into the empty session, and resumes.  The replay is
+//! *exact*, not approximate: every session starts from fresh state and a
+//! shard is a pure fold of its batch stream, so the replacement holds
+//! exactly what the lost worker had not yet reported, and `accumulator ⊕
+//! its replies` is the total byte for byte — each journaled batch is
+//! applied exactly once to exactly one live session (a batch sent to a
+//! link that then faulted is never double-counted, because the dead
+//! session's state is discarded wholesale and rebuilt).  Reports wait for
+//! an in-flight recovery — a snapshot never merges a partial cluster — and
+//! each acknowledged snapshot empties the journals, so journal memory is
+//! bounded by snapshot cadence, not stream length.
 //!
 //! Recovery itself fails typed and bounded: when every reconnect attempt
 //! the policy allows ([`RecoveryPolicy::max_retries`], linear
@@ -237,10 +238,12 @@
 //! [`ShardBatcher`](knw_engine::ShardBatcher) — still the single hash
 //! site): linear hashing makes each grow step a *refinement* that moves
 //! keys from exactly one split-parent shard to the new shard.  A grow
-//! splits the parent's replay journal under the new table (new shard =
-//! parent checkpoint ⊕ moved updates; parent restarts with the kept ones),
-//! a shrink `Finish`es the top shard and folds its final bytes into the
-//! split parent through the same exact merge as every report.
+//! splits the parent's replay journal under the new table (the new shard
+//! replays the moved updates and the parent restarts with the kept ones,
+//! both from empty: the accumulator holds what the parent reported), a
+//! shrink `Finish`es the top shard and folds its final reply into the
+//! accumulator, as every report folds; the split parent, which its keys
+//! route to from then on, runs on untouched.
 //! Retired workers hand their addresses back to the pool; `knw-aggregate
 //! --pool <reg> --workers N --serve …` exposes the whole flow on the CLI,
 //! including a runtime `rescale N` command.  Reshard traffic is counted under

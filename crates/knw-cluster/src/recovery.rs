@@ -47,7 +47,7 @@ pub const DEFAULT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Default per-shard replay-journal bound, in updates.  At 8–16 bytes per
 /// update this caps journal memory at 32–64 MiB per shard; every
-/// acknowledged snapshot truncates the journal back to a checkpoint.
+/// acknowledged snapshot empties the journal.
 pub const DEFAULT_JOURNAL_CAP: usize = 1 << 22;
 
 /// How the aggregator recovers lost workers: reconnect-and-replay sizing.
@@ -59,7 +59,8 @@ pub const DEFAULT_JOURNAL_CAP: usize = 1 << 22;
 /// the link (same address, a respawned child, or a freshly
 /// [registered](WorkerRegistry) replacement), the aggregator replays the
 /// shard's journal through it, and the run resumes — bit-identical,
-/// because the shard state is a pure fold of exactly those batches.
+/// because the shard state is a pure fold of exactly those batches, the
+/// ones its worker had not yet reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Reconnect attempts per fault before giving up with
@@ -71,8 +72,8 @@ pub struct RecoveryPolicy {
     /// exceed this, the journal is discarded (memory stays bounded) and a
     /// later fault on that shard surfaces as
     /// [`JournalOverflow`](crate::ClusterError::JournalOverflow) instead of
-    /// recovering.  Acknowledged snapshots truncate the journal to a
-    /// checkpoint, restarting the budget.
+    /// recovering.  Acknowledged snapshots empty the journal, restarting
+    /// the budget.
     pub journal_cap: usize,
 }
 

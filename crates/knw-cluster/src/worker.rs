@@ -12,14 +12,19 @@
 //! and encoded through [`ClusterUpdate`].  It is a strict state machine:
 //!
 //! ```text
-//! wait Hello ──► ingest loop:  Restore   → adopt checkpointed shard bytes
-//!                                          (recovery replay prologue;
-//!                                          only before the first Batch)
+//! wait Hello ──► ingest loop:  Restore   → adopt shard bytes (only before
+//!                                          the first Batch; the aggregator
+//!                                          no longer sends it)
 //!                              Batch     → apply to the shard sketch
-//!                              Snapshot  → reply Shard{bytes}, keep going
+//!                              Snapshot  → reply Shard{bytes}, then an L0
+//!                                          shard starts over; keep going
 //!                              Finish    → reply Shard{bytes}, exit Ok
 //!                              clean EOF → exit Ok (aggregator went away)
 //! ```
+//!
+//! The aggregator folds every reply into the sketch it keeps, so a reply
+//! carries what that fold needs ([`ClusterUpdate::replied`]): an L0 shard
+//! the updates since the last reply, an F0 shard all it holds.
 //!
 //! Every failure — codec rejection, protocol violation, unknown estimator,
 //! stream-model mismatch — is reported to the aggregator as an `Err` frame
@@ -108,7 +113,8 @@ fn run_session(
 
 /// The ingest loop of a session whose `Hello` named the stream model of
 /// `U`: builds the shard sketch from `spec`, then applies batches, adopts a
-/// `Restore`, and answers `Snapshot` / `Finish` through [`ClusterUpdate`].
+/// `Restore`, and answers `Snapshot` / `Finish` through [`ClusterUpdate`],
+/// applying [`ClusterUpdate::replied`] once a snapshot reply is written.
 fn ingest<U: ClusterUpdate>(
     input: &mut impl Read,
     output: &mut impl Write,
@@ -170,6 +176,7 @@ fn ingest<U: ClusterUpdate>(
                 stats.snapshots_served += 1;
                 send_shard::<U>(output, &shard, &mut reply)
                     .map_err(|e| format!("failed to send snapshot shard: {e}"))?;
+                U::replied(&mut shard);
             }
             FrameView::Owned(Frame::Finish) => {
                 // The session's counters ride back to the aggregator just

@@ -6,12 +6,14 @@
 //! of it, a decoded sketch, a merged table — would cost the aggregator
 //! about a shard's worth of fresh memory, which the allocator may hand back
 //! to the kernel and fault in again on the next snapshot.  The links read
-//! each reply into a retained buffer, and the aggregator merges every shard
-//! from there into the one sketch it keeps across snapshots, the first
-//! shard copied over what it held, so its memory is kept.  So once two
-//! warm-up snapshots have sized those buffers, a snapshot allocates under
-//! [`BUDGET`] in all on the calling thread: the request frames and a few
-//! decoded hashes, nothing the size of a shard.
+//! each reply into a retained buffer, and the aggregator folds every reply
+//! from there into the one sketch it keeps across snapshots, so its memory
+//! is kept.  So once two warm-up snapshots have sized those buffers, a
+//! snapshot allocates under [`BUDGET`] in all on the calling thread: the
+//! request frames and a few decoded hashes, nothing the size of a shard.
+//! That holds too when each worker replies with a shard-sized delta every
+//! time, once a few more warm-up snapshots have sized the accumulator's
+//! tables for the sums.
 
 use knw_cluster::{build_l0, ClusterConfig, L0ClusterAggregator, SketchSpec};
 use knw_engine::ShardBatcher;
@@ -125,4 +127,40 @@ fn steady_state_l0_snapshots_allocate_under_64_kib() {
         shards.each_ref().map(Vec::len)
     );
     cluster.finish().expect("finish");
+}
+
+/// The same budget while every snapshot folds real deltas: the churn is
+/// ingested again before each snapshot, so each worker replies with the
+/// shard of a whole pass, as large as its first, and the accumulator sums
+/// the passes.  Each snapshot's estimate is a single sketch's over every
+/// pass so far.
+#[test]
+fn l0_snapshots_folding_fresh_deltas_allocate_under_64_kib() {
+    let spec = SketchSpec::l0("knw-l0", 0.05, 1 << 24, 7);
+    let config = ClusterConfig::pipe(2, env!("CARGO_BIN_EXE_knw-worker"));
+    let updates = churn(60_000);
+    let mut local = build_l0(&spec).expect("a zoo estimator");
+    let mut cluster = L0ClusterAggregator::start(&config, &spec).expect("start");
+    for pass in 0..7 {
+        cluster.ingest_batch(&updates);
+        cluster.flush();
+        local.update_batch(&updates);
+        let (estimate, allocated) =
+            allocated_by(|| cluster.snapshot().expect("snapshot").estimate());
+        assert_eq!(
+            estimate.to_bits(),
+            local.estimate().to_bits(),
+            "pass {pass}"
+        );
+        // Warm-up passes size the accumulator's tables: folding a delta
+        // grows a table to hold its entries and the delta's, and the two
+        // workers' deltas differ, so the capacities settle over a few
+        // passes (336 bytes a snapshot from the fifth pass on, measured).
+        assert!(
+            pass < 4 || allocated < BUDGET,
+            "pass {pass}: a snapshot folding deltas allocated {allocated} bytes"
+        );
+    }
+    let merged = cluster.finish().expect("finish");
+    assert_eq!(merged.estimate().to_bits(), local.estimate().to_bits());
 }

@@ -98,10 +98,13 @@ pub trait TurnstileEstimator: SpaceUsage {
         }
     }
 
-    /// Legacy alias of [`update_batch`](Self::update_batch).
-    fn update_all(&mut self, updates: &[(u64, i64)]) {
-        self.update_batch(updates);
-    }
+    /// Returns the sketch to the empty state of its configuration: its
+    /// encoding is then a fresh sketch's, and a stream applied afterwards
+    /// gives what it gives on a fresh sketch.  The hash draws stay, and so
+    /// does the memory, so a sketch cleared after every report costs no
+    /// rebuild.  A linear sketch cleared after each report summarizes
+    /// the updates since that report, and the reports sum to the stream.
+    fn clear(&mut self);
 }
 
 /// Estimators that can be merged with another sketch built over a *different*

@@ -170,6 +170,12 @@ impl L0Matrix {
         }
     }
 
+    /// Sets every counter to 0, keeping the draws.
+    pub(crate) fn clear(&mut self) {
+        self.counters.fill(0);
+        self.row_nonzero.fill(0);
+    }
+
     /// Number of nonzero cells in row `row` (the occupancy `T` of Figure 4).
     #[must_use]
     pub fn row_occupancy(&self, row: usize) -> u64 {

@@ -171,6 +171,11 @@ impl MidRangeRow {
         self.nonzero = nonzero;
     }
 
+    fn clear(&mut self) {
+        self.counters.fill(0);
+        self.nonzero = 0;
+    }
+
     /// Whether `other` has this row's shape and draws.
     fn same_draws(&self, other: &Self) -> bool {
         (self.h2, self.h4, self.field, self.k_prime)
@@ -713,6 +718,17 @@ impl TurnstileEstimator for KnwL0Sketch {
     fn name(&self) -> &'static str {
         "knw-l0"
     }
+
+    /// Zeroes every component in place: each Lemma 8 trial keeps its form
+    /// and its table's layout, so a worker that clears its shard after
+    /// every reply ingests the next batches at its steady-state cost.
+    fn clear(&mut self) {
+        self.matrix.clear();
+        self.rough.clear();
+        self.exact.clear();
+        self.mid.clear();
+        self.updates = 0;
+    }
 }
 
 #[cfg(test)]
@@ -956,6 +972,40 @@ mod tests {
                 forged.clone().merge_from(&s),
                 Err(SketchError::SeedMismatch)
             );
+        }
+    }
+
+    /// `clear` gives the bytes of a fresh sketch of the configuration after
+    /// a churn that left dense exact trials and laid-out rough tables, keeps
+    /// those forms, and a stream applied after it gives the bytes it gives
+    /// on a fresh sketch, per update and batched.
+    #[test]
+    fn clear_encodes_and_ingests_like_a_fresh_sketch() {
+        let forms = |s: &KnwL0Sketch| {
+            let levels = s.rough.levels().iter().map(ExactSmallL0::forms);
+            (s.exact.forms(), levels.collect::<Vec<_>>())
+        };
+        let mut cleared = sketch(0.1, 21);
+        cleared.update_batch(&signed_stream(60_000, 200_000, 11));
+        let before = forms(&cleared);
+        assert!(before.0 .0 > 0, "no dense exact trial: {before:?}");
+        assert!(before.1.iter().any(|&(_, spread)| spread > 0), "{before:?}");
+        cleared.clear();
+        let mut fresh = sketch(0.1, 21);
+        assert_eq!(serde::to_bytes(&cleared), serde::to_bytes(&fresh));
+        assert_eq!(cleared.estimate_l0(), 0.0);
+        assert_eq!(forms(&cleared), before, "clear changed a trial's form");
+        for (len, universe) in [(3_000, 500), (40_000, 200_000)] {
+            let stream = signed_stream(len, universe, 12 + len as u64);
+            for &(item, delta) in &stream[..100] {
+                cleared.update(item, delta);
+                fresh.update(item, delta);
+            }
+            cleared.update_batch(&stream[100..]);
+            fresh.update_batch(&stream[100..]);
+            assert_eq!(serde::to_bytes(&cleared), serde::to_bytes(&fresh), "{len}");
+            cleared.clear();
+            fresh = sketch(0.1, 21);
         }
     }
 

@@ -140,6 +140,18 @@ impl RoughL0Estimator {
         self.fired = fired_levels(&self.levels);
     }
 
+    /// The levels' Lemma 8 structures.
+    #[cfg(test)]
+    pub(crate) fn levels(&self) -> &[ExactSmallL0] {
+        &self.levels
+    }
+
+    /// Sets every level's counters to 0, keeping their memory.
+    pub(crate) fn clear(&mut self) {
+        self.levels.iter_mut().for_each(ExactSmallL0::clear);
+        self.fired = 0;
+    }
+
     /// Whether `other` has this estimator's level hash, `log n` and level
     /// draws: the draws of the same seed.
     pub(crate) fn same_draws(&self, other: &Self) -> bool {

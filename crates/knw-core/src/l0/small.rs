@@ -727,13 +727,14 @@ impl Trial {
         }
     }
 
-    /// Sets every counter to 0, keeping the form and its memory.
+    /// Sets every counter to 0, keeping the form and its memory.  A table
+    /// laid out with room keeps its layout, so the updates that follow
+    /// find their slots without growing it again.
     fn clear(&mut self) {
         match &mut self.form {
-            Form::Sparse(table) => {
-                table.slots.clear();
-                table.scale = 0;
-            }
+            // A packed table holds no empty slot (see `Table`).
+            Form::Sparse(table) if table.scale == 0 => table.slots.clear(),
+            Form::Sparse(table) => table.slots.fill(EMPTY),
             Form::Dense(counters) => counters.fill(0),
         }
         self.nonzero = 0;
@@ -1005,6 +1006,17 @@ impl ExactSmallL0 {
         self.trials.iter().map(|trial| trial.prime)
     }
 
+    /// How many trials hold the counter array, and how many a table laid
+    /// out with room.
+    #[cfg(test)]
+    pub(crate) fn forms(&self) -> (usize, usize) {
+        let count = |form: fn(&Form) -> bool| self.trials.iter().filter(|t| form(&t.form)).count();
+        (
+            count(|form| matches!(form, Form::Dense(_))),
+            count(|form| matches!(form, Form::Sparse(table) if table.scale != 0)),
+        )
+    }
+
     /// Whether `other` has this structure's geometry and its trials' hashes
     /// and primes: the draws of the same seed.
     pub(crate) fn same_draws(&self, other: &Self) -> bool {
@@ -1105,6 +1117,14 @@ impl ExactSmallL0 {
     #[must_use]
     pub fn saturated(&self) -> bool {
         self.estimate() > self.capacity
+    }
+
+    /// Sets every counter to 0 (see [`TurnstileEstimator::clear`]): each
+    /// trial keeps its form and its table's layout.
+    ///
+    /// [`TurnstileEstimator::clear`]: crate::TurnstileEstimator::clear
+    pub(crate) fn clear(&mut self) {
+        self.trials.iter_mut().for_each(Trial::clear);
     }
 
     /// Merges another structure built with the *same seed and parameters* by
