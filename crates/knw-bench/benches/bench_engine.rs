@@ -435,8 +435,8 @@ fn cluster_summary(_c: &mut Criterion) {
     );
     // The elastic-resharding path: the fleet starts at 2 workers and grows
     // to 4 at the stream's midpoint, placed from a registry pool of two
-    // spares — hash-affine routing, so both splits re-route the journaled
-    // first half (filtered replay from empty), the full cost
+    // spares — hash-affine routing, so each grow opens an empty worker
+    // that the split parent's moved keys reach from then on, the full cost
     // of an exact mid-stream grow landing next to the fault-free and
     // recovery runs.
     {

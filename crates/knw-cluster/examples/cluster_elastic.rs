@@ -14,10 +14,10 @@
 //!    --register` spares announcing themselves to it;
 //! 2. place a **2-worker** fleet from the pool — a TCP [`ClusterConfig`]
 //!    with the registry and no static address list — with hash-affine
-//!    routing and journaling on;
+//!    routing;
 //! 3. stream the steady phase, then `scale_to(4)` when the burst arrives
-//!    (the two new shards and their split parents replay the parents'
-//!    re-routed journals from empty), stream the burst;
+//!    (the two new shards start empty and the grown routing table sends
+//!    them keys from then on), stream the burst;
 //! 4. `scale_to(2)` on the drain (retired shards' final replies fold into
 //!    the aggregator's accumulator via the exact merge, their workers
 //!    return to the pool, their keys route to their split parents), stream
@@ -26,7 +26,7 @@
 
 use knw_cluster::{
     build_l0, sibling_worker_exe, spawn_listening_worker, ClusterConfig, L0ClusterAggregator,
-    RecoveryPolicy, SketchSpec, WorkerRegistry,
+    SketchSpec, WorkerRegistry,
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 use std::process::Child;
@@ -79,17 +79,13 @@ fn main() {
         std::thread::sleep(Duration::from_millis(5));
     }
 
-    // A 2-worker fleet drawn from the pool.  Journaling (the recovery
-    // policy) is what makes later rescales possible: grown shards replay
-    // split journals, so without it `scale_to` refuses typed.
+    // A 2-worker fleet drawn from the pool.
     let spec = SketchSpec::l0("knw-l0", 0.1, 1 << 12, 97);
-    let config = ClusterConfig::tcp(Vec::<String>::new(), Some(Arc::clone(&registry)))
-        .with_engine(
-            EngineConfig::new(2)
-                .with_batch_size(512)
-                .with_routing(RoutingPolicy::HashAffine { seed: 7 }),
-        )
-        .with_recovery(RecoveryPolicy::default());
+    let config = ClusterConfig::tcp(Vec::<String>::new(), Some(Arc::clone(&registry))).with_engine(
+        EngineConfig::new(2)
+            .with_batch_size(512)
+            .with_routing(RoutingPolicy::HashAffine { seed: 7 }),
+    );
     let mut cluster =
         L0ClusterAggregator::start(&config, &spec).expect("place 2 workers from the pool");
     let mut single = build_l0(&spec).expect("zoo estimator");
@@ -103,9 +99,10 @@ fn main() {
     cluster.ingest_batch(&steady);
     single.update_batch(&steady);
 
-    // The burst arrives: grow to 4.  The two new shards are placed from
-    // the remaining spares; each replays the journaled updates (those
-    // since the last snapshot) the grown routing table moves over.
+    // The burst arrives: grow to 4.  The two new shards are placed empty
+    // from the remaining spares; the keys the grown routing table moves
+    // reach them from the next batch on, while their earlier updates stay
+    // with the split parents.  The fold sums both.
     cluster.scale_to(4).expect("grow 2 -> 4 on the burst");
     println!(
         "burst: grew to 4 workers ({} spare(s) left)",
@@ -116,7 +113,7 @@ fn main() {
     single.update_batch(&burst);
 
     // The drain: shrink back to 2.  Each retiree's final shard folds into
-    // its split parent via the exact merge, and its still-serving worker
+    // the accumulator via the exact merge, and its still-serving worker
     // returns to the pool for the next burst to re-adopt.
     cluster.scale_to(2).expect("shrink 4 -> 2 on the drain");
     println!(

@@ -15,17 +15,16 @@
 
 use crate::error::ClusterError;
 use crate::frame::{
-    encode_frame, BatchPayload, Frame, FrameBuf, FrameView, HelloConfig, SketchSpec, StreamMode,
-    WireError, WorkerStats, MAX_FRAME_LEN,
+    encode_frame, BatchPayload, Frame, FrameView, HelloConfig, SketchSpec, StreamMode, WireError,
+    WorkerStats, MAX_FRAME_LEN,
 };
 use crate::recovery::{RecoveryPolicy, WorkerRegistry};
 use crate::spec::{build_f0, build_l0, WireF0Sketch, WireL0Sketch};
 use crate::transport::{Link, Placement, DEFAULT_IO_TIMEOUT};
 use knw_core::{DynMergeableCardinalityEstimator, DynMergeableTurnstileEstimator, SketchError};
-use knw_engine::{BatcherMetrics, EngineConfig, Routable, RoutingPolicy, ShardBatcher};
-use knw_hash::rng::{epoch_shard_for_key, split_parent};
+use knw_engine::{BatcherMetrics, EngineConfig, Routable, ShardBatcher};
+use knw_hash::rng::split_parent;
 use knw_metrics::{knw_log, Counter, Histogram};
-use std::collections::HashSet;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -81,8 +80,8 @@ pub trait ClusterUpdate: Routable {
     /// [`ClusterError::UnknownEstimator`] for names outside the zoo.
     fn build(spec: &SketchSpec) -> Result<Box<Self::Shard>, ClusterError>;
 
-    /// Decodes a worker's shard bytes into a sketch of their own (a
-    /// worker's `Restore`): the sketch `spec` [`build`](Self::build)s, made
+    /// Decodes shard bytes into a sketch of their own (how a client reads
+    /// a `Shard` reply): the sketch `spec` [`build`](Self::build)s, made
     /// that shard by [`merge_wire`](Self::merge_wire) with `replace`, so the
     /// spec's own type reads the bytes.  Reports fold in place instead.
     ///
@@ -301,9 +300,7 @@ pub struct ClusterConfig {
     pub workers: WorkerSource,
     /// Reconnect-and-replay recovery for faulted workers (`None` — the
     /// default — fails the run on the first worker fault).  It also
-    /// retries a worker that cannot be reached at start-up, and elastic
-    /// resharding ([`ClusterAggregator::scale_to`]) requires it: its
-    /// journals are what a split shard replays.
+    /// retries a worker that cannot be reached at start-up or by a grow.
     pub recovery: Option<RecoveryPolicy>,
     /// Per-link read/write timeout on TCP links (`None` blocks forever —
     /// not recommended; the default keeps every failure mode bounded).
@@ -558,7 +555,9 @@ fn send_encoded_batch_capped<U: ClusterUpdate>(
 /// everything acknowledged, so a fresh worker that starts empty and
 /// replays the journal holds what the lost one had not yet reported: a
 /// shard is a pure fold of its batch stream, and the accumulator folds the
-/// replacement's replies as it folded the lost worker's.
+/// replacement's replies as it folded the lost worker's.  A reshard moves
+/// no journal: a grown shard starts with an empty one, and a retired
+/// shard's goes with it once its final reply is folded.
 ///
 /// The journal stores *encoded* `Batch` frames (prefix included, shared
 /// with the send path via `Arc`), not update values: replay is a straight
@@ -572,7 +571,7 @@ struct ShardJournal {
     /// Total updates across `frames`.
     journaled: usize,
     /// The journal exceeded its bound and was discarded; the shard can no
-    /// longer be replayed (until the next acknowledged snapshot re-anchors
+    /// longer be replayed (until the next acknowledged snapshot empties
     /// it).
     overflowed: bool,
 }
@@ -611,22 +610,6 @@ impl ShardJournal {
         self.journaled = 0;
         self.overflowed = false;
     }
-
-    /// Builds a shard's post-reshard journal: `updates` re-encoded as
-    /// capped `Batch` frames (the same chunking the send path applies, so
-    /// replaying the journal is indistinguishable from having dispatched
-    /// the updates directly).
-    fn from_split<U: ClusterUpdate>(updates: &[U]) -> Self {
-        let mut journal = Self::new();
-        let cap = max_updates_per_frame::<U>().max(1);
-        for chunk in updates.chunks(cap) {
-            let mut buf = Vec::new();
-            encode_batch_frame(&mut buf, chunk);
-            journal.frames.push((buf.into(), chunk.len()));
-            journal.journaled += chunk.len();
-        }
-        journal
-    }
 }
 
 /// The aggregator's link instrumentation: per-worker send / fault /
@@ -654,12 +637,6 @@ struct AggregatorMetrics {
     reshard_scale_ups: Arc<Counter>,
     /// Completed `scale_to` shrinks.
     reshard_scale_downs: Arc<Counter>,
-    /// Journal frames replayed onto fresh sessions by resharding (split
-    /// replays on grow; recovery replays are counted separately under
-    /// `knw_cluster_worker_replayed_frames_total`).
-    reshard_replayed_frames: Arc<Counter>,
-    /// Distinct routing keys moved to a different shard by resharding.
-    reshard_moved_keys: Arc<Counter>,
     /// End-to-end latency of one `scale_to` call, in nanoseconds.
     reshard_latency: Arc<Histogram>,
 }
@@ -677,9 +654,6 @@ impl AggregatorMetrics {
             snapshot_latency: registry.histogram("knw_cluster_snapshot_latency_ns", &[]),
             reshard_scale_ups: registry.counter("knw_cluster_reshard_scale_ups_total", &[]),
             reshard_scale_downs: registry.counter("knw_cluster_reshard_scale_downs_total", &[]),
-            reshard_replayed_frames: registry
-                .counter("knw_cluster_reshard_replayed_frames_total", &[]),
-            reshard_moved_keys: registry.counter("knw_cluster_reshard_moved_keys_total", &[]),
             reshard_latency: registry.histogram("knw_cluster_reshard_latency_ns", &[]),
         };
         metrics.ensure_workers(workers);
@@ -768,7 +742,8 @@ struct LinkSet {
     /// Reconnect-and-replay policy; `None` fails the run on the first
     /// worker fault (the pre-recovery contract).
     recovery: Option<RecoveryPolicy>,
-    /// One replay journal per shard (empty when recovery is off).
+    /// One replay journal per shard (each stays empty when recovery is
+    /// off).
     journals: Vec<ShardJournal>,
     /// First worker whose link failed terminally mid-stream, and how.
     fault: Option<(usize, WorkerFault)>,
@@ -845,17 +820,6 @@ impl LinkSet {
         }
     }
 
-    /// [`open_link`] for a reshard attaching a split or merged shard.
-    fn open(&mut self, index: usize, journal: &ShardJournal) -> Result<Link, ClusterError> {
-        open_link(
-            &mut self.placement,
-            index,
-            &self.spec,
-            self.recovery,
-            journal,
-        )
-    }
-
     /// Attempts reconnect-and-replay for `worker` after `error`.  Returns
     /// `Ok(())` with a fresh, caught-up link in place, or the terminal
     /// error (the original one when recovery is off or the fault is not a
@@ -883,12 +847,12 @@ impl LinkSet {
             error = error,
             max_retries = policy.max_retries,
         );
-        let journal = &self.journals[worker];
+        let journal = &self.journals[worker].frames;
         let (link, attempt) = with_backoff(policy, worker, 1, error, || {
             prime_link(&mut self.placement, worker, &self.spec, journal, true)
         })?;
         self.workers[worker] = link;
-        let replayed = journal.frames.len() as u64;
+        let replayed = journal.len() as u64;
         self.metrics.on_recovery(worker, replayed);
         knw_log!(
             INFO,
@@ -943,8 +907,8 @@ impl LinkSet {
         })
     }
 
-    /// Empties every journal (none when recovery is off) once the last
-    /// full-fleet exchange's replies are folded.
+    /// Empties every journal once the last full-fleet exchange's replies
+    /// are folded.
     fn acknowledge_journals(&mut self) {
         self.journals.iter_mut().for_each(ShardJournal::acknowledge);
     }
@@ -1056,9 +1020,6 @@ pub(crate) fn wire_fault(index: usize, error: WireError) -> ClusterError {
 /// undercounting.
 pub struct ClusterAggregator<U: ClusterUpdate> {
     batcher: ShardBatcher<U>,
-    /// The routing discipline the batcher was built with — kept so
-    /// `scale_to` can re-route journaled updates under a new epoch table.
-    routing: RoutingPolicy,
     precoalesce: bool,
     updates: u64,
     links: LinkSet,
@@ -1105,18 +1066,13 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
 
         let engine = config.pinned(config.engine);
         let mut placement = Placement::new(config, engine.shards)?;
-        let fresh = ShardJournal::new();
         let mut workers = Vec::with_capacity(engine.shards);
         for index in 0..engine.shards {
-            let link = open_link(&mut placement, index, &spec, config.recovery, &fresh)
+            let link = open_link(&mut placement, index, &spec, config.recovery)
                 .map_err(|error| placement.fleet_error(engine.shards, error))?;
             workers.push(link);
         }
-        let journals = if config.recovery.is_some() {
-            (0..engine.shards).map(|_| ShardJournal::new()).collect()
-        } else {
-            Vec::new()
-        };
+        let journals = (0..engine.shards).map(|_| ShardJournal::new()).collect();
         Ok(Self {
             batcher: ShardBatcher::new(engine.routing, engine.shards, engine.batch_size)
                 .with_metrics(BatcherMetrics::register(
@@ -1124,7 +1080,6 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
                     "knw_cluster",
                     engine.shards,
                 )),
-            routing: engine.routing,
             precoalesce: engine.precoalesce && U::coalescible(),
             updates: 0,
             links: LinkSet {
@@ -1215,28 +1170,23 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     /// sequence of rescales is bit-identical to a single-process run over
     /// the same stream.
     ///
-    /// Routing follows a linear-hashing epoch table
-    /// ([`knw_hash::rng::epoch_shard_for_key`]): growing `n → n+1` moves
-    /// keys from exactly one *split parent* shard to the new shard, and
-    /// shrinking folds the retired shard's keys back into that parent.
-    /// Each step swaps the batcher's routing epoch
-    /// ([`ShardBatcher::install_epoch`]) after the shard states have been
-    /// made consistent with the new table:
+    /// A reshard is a routing change.  Every report folds the workers'
+    /// replies into one accumulator, and that fold does not depend on which
+    /// worker saw an update: an L0 fold is a sum of linear sketches, an F0
+    /// fold a union.  So no shard's history moves:
     ///
-    /// - **Grow** (hash-affine): the split parent's replay journal (its
-    ///   updates since the last acknowledged snapshot) is decoded and
-    ///   re-routed under the new table; the new shard starts empty and
-    ///   replays the moved updates, and the parent restarts on a fresh
-    ///   session replaying only the kept ones.  `kept ⊕ moved` is what the
-    ///   parent had not yet reported, and the accumulator holds the rest,
-    ///   so the fleet total is unchanged for idempotent (F0) and linear
-    ///   (L0) sketches alike.  Round-robin shards are an arbitrary
-    ///   partition, so a new shard simply starts empty and joins the
-    ///   rotation.
+    /// - **Grow**: a new worker starts empty with an empty journal, and
+    ///   the grown epoch table routes keys to it from the next batch on.
     /// - **Shrink**: the highest shard is `Finish`ed and its final reply
     ///   folded into the accumulator, as every report folds; its keys then
-    ///   route to the split parent, which runs on untouched.  Survivor
-    ///   indices never shift.
+    ///   route to its split parent.  Survivor indices never shift.
+    ///
+    /// Pending batches ship under the old table first.  Hash-affine routing
+    /// follows a linear-hashing epoch table
+    /// ([`knw_hash::rng::epoch_shard_for_key`]), so growing `n → n+1` moves
+    /// keys from exactly one *split parent* shard, and hash affinity is
+    /// kept for every other key.  Round-robin shards simply join or leave
+    /// the rotation.
     ///
     /// Retired TCP workers return their addresses to the registry pool;
     /// grown shards draw fresh ones (spawned children on pipes, registry
@@ -1244,23 +1194,14 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::RescaleUnsupported`] when no
-    /// [`RecoveryPolicy`] is configured (the journals are what a split
-    /// shard replays) or a prior fault has poisoned the run;
-    /// [`ClusterError::JournalOverflow`] when the split parent's journal
-    /// overflowed (snapshot more often, or raise the cap);
+    /// The fault that poisoned the run, if one did;
     /// [`ClusterError::PoolExhausted`] when a grow cannot draw a live
-    /// worker — the old fleet keeps running in that case; transport /
-    /// codec / merge failures otherwise (which poison the run, since a
-    /// partially resharded fleet cannot be trusted).
+    /// worker, which leaves the fleet as the steps before it left it; the
+    /// open failure of a grown worker likewise; transport / codec / merge
+    /// failures of a shrink's `Finish` exchange otherwise, which poison
+    /// the run, since the fleet lost that shard's updates.
     pub fn scale_to(&mut self, workers: usize) -> Result<(), ClusterError> {
         let target = workers.max(1);
-        if self.links.recovery.is_none() {
-            return Err(ClusterError::RescaleUnsupported {
-                reason: "journaling is off — configure a RecoveryPolicy so shard \
-                         streams can be split and replayed",
-            });
-        }
         // A prior fault poisoned the run; surface it, not a rescale.
         self.links.check_fault()?;
         let from = self.links.workers.len();
@@ -1322,91 +1263,16 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         result
     }
 
-    /// One grow step: attach shard `len` and install the `len + 1` epoch
-    /// table.  On a hash-affine fleet this splits the parent shard's
-    /// journal (see [`scale_to`](Self::scale_to)); failures *before* the
-    /// parent's session is severed leave the old fleet untouched.
+    /// One grow step: attach an empty shard `len` and install the
+    /// `len + 1` epoch table.  A failed open leaves the fleet untouched.
     fn grow_one(&mut self) -> Result<(), ClusterError> {
-        let new_index = self.links.workers.len();
-        let new_count = new_index + 1;
-        match self.routing {
-            RoutingPolicy::RoundRobin => {
-                let link = self.links.open(new_index, &ShardJournal::new())?;
-                self.links.workers.push(link);
-                self.links.journals.push(ShardJournal::new());
-            }
-            RoutingPolicy::HashAffine { seed } => {
-                let parent = split_parent(new_index);
-                let policy = self.links.recovery.expect("scale_to requires journaling");
-                if self.links.journals[parent].overflowed {
-                    return Err(ClusterError::JournalOverflow {
-                        worker: parent,
-                        cap: policy.journal_cap,
-                    });
-                }
-                // Re-route the parent's journaled updates under the NEW
-                // epoch table, preserving their relative order.  Linear
-                // hashing guarantees every update stays on `parent` or
-                // moves to `new_index` — never a third shard.
-                // The journal holds only frames it encoded itself, so each
-                // one reads back as a batch of this stream model.
-                let mut kept: Vec<U> = Vec::new();
-                let mut moved: Vec<U> = Vec::new();
-                let mut buf = FrameBuf::new();
-                for (frame, _) in &self.links.journals[parent].frames {
-                    let view = buf.read(&mut &frame[..]).ok().flatten();
-                    let batch = view.as_ref().and_then(U::batch_view);
-                    for &update in batch.expect("a journaled batch frame") {
-                        if epoch_shard_for_key(seed, update.routing_key(), new_count) == new_index {
-                            moved.push(update);
-                        } else {
-                            kept.push(update);
-                        }
-                    }
-                }
-                let moved_keys: HashSet<u64> = moved.iter().map(Routable::routing_key).collect();
-                let journal_new = ShardJournal::from_split(&moved);
-                let journal_parent = ShardJournal::from_split(&kept);
-                let replayed = (journal_new.frames.len() + journal_parent.frames.len()) as u64;
-                // Attach the new worker first: if the pool (or spawn)
-                // cannot cover it, the old fleet is untouched.
-                let new_link = self.links.open(new_index, &journal_new)?;
-                // The worker serve loop is one-session-at-a-time: sever
-                // the parent's old session before dialing the fresh one
-                // that replays only the kept updates.
-                let _ = self.links.workers[parent].kill();
-                let parent_link = match self.links.open(parent, &journal_parent) {
-                    Ok(link) => link,
-                    Err(error) => {
-                        // The parent's old session is gone and its fresh
-                        // one failed: the shard is unreachable — poison
-                        // the run so later reports refuse.
-                        self.links.poison(parent, &error);
-                        return Err(error);
-                    }
-                };
-                self.links.workers[parent] = parent_link;
-                self.links.workers.push(new_link);
-                self.links.journals[parent] = journal_parent;
-                self.links.journals.push(journal_new);
-                self.links.metrics.reshard_replayed_frames.add(replayed);
-                self.links
-                    .metrics
-                    .reshard_moved_keys
-                    .add(moved_keys.len() as u64);
-                knw_log!(
-                    INFO,
-                    "knw-aggregate",
-                    "shard split",
-                    parent = parent,
-                    new_shard = new_index,
-                    moved_keys = moved_keys.len(),
-                    replayed_frames = replayed,
-                );
-            }
-        }
-        self.links.metrics.ensure_workers(new_count);
-        self.batcher.install_epoch(new_count);
+        let links = &mut self.links;
+        let new_index = links.workers.len();
+        let link = open_link(&mut links.placement, new_index, &links.spec, links.recovery)?;
+        links.workers.push(link);
+        links.journals.push(ShardJournal::new());
+        links.metrics.ensure_workers(new_index + 1);
+        self.batcher.install_epoch(new_index + 1);
         Ok(())
     }
 
@@ -1543,13 +1409,12 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
 /// session from `journal`: `Hello`, then every journaled frame, byte for
 /// byte.  A session starts from empty state and a shard is a pure fold of
 /// its batch stream, so the primed session holds exactly the journaled
-/// updates.  Start-up, recovery and resharding all attach links through
-/// here.
+/// updates.  Start-up, recovery and grows all attach links through here.
 fn prime_link(
     placement: &mut Placement,
     index: usize,
     spec: &SketchSpec,
-    journal: &ShardJournal,
+    journal: &[(Arc<[u8]>, usize)],
     reopen: bool,
 ) -> Result<Link, ClusterError> {
     let mut link = if reopen {
@@ -1564,24 +1429,23 @@ fn prime_link(
     encode_frame(&hello)
         .and_then(|wire| link.send(&wire))
         .map_err(|e| wire_fault(index, e))?;
-    for (frame, _) in &journal.frames {
+    for (frame, _) in journal {
         link.send(frame).map_err(|e| wire_fault(index, e))?;
     }
     Ok(link)
 }
 
-/// Opens worker `index`'s link primed from `journal` (see [`prime_link`])
-/// — at start-up, or when a reshard attaches a split or merged shard.
-/// When the first open fails and a recovery policy is configured, the
-/// policy's remaining attempts re-open it before giving up.
+/// Opens worker `index`'s link on an empty session (see [`prime_link`])
+/// — at start-up, or when a grow attaches a new shard.  When the first
+/// open fails and a recovery policy is configured, the policy's remaining
+/// attempts re-open it before giving up.
 fn open_link(
     placement: &mut Placement,
     index: usize,
     spec: &SketchSpec,
     recovery: Option<RecoveryPolicy>,
-    journal: &ShardJournal,
 ) -> Result<Link, ClusterError> {
-    let error = match prime_link(placement, index, spec, journal, false) {
+    let error = match prime_link(placement, index, spec, &[], false) {
         Ok(link) => return Ok(link),
         Err(error) => error,
     };
@@ -1589,7 +1453,7 @@ fn open_link(
         return Err(error);
     };
     with_backoff(policy, index, 2, error, || {
-        prime_link(placement, index, spec, journal, true)
+        prime_link(placement, index, spec, &[], true)
     })
     .map(|(link, _)| link)
 }

@@ -39,8 +39,8 @@
 //! In `--serve` mode the process also reads **control commands** from
 //! stdin: `rescale N` elastically reshards the live fleet to N workers
 //! ([`ClusterAggregator::scale_to`]) with the merged estimate staying
-//! bit-identical; retired workers return to the pool and grows draw from
-//! it.
+//! bit-identical, with or without `--recover`; retired workers return to
+//! the pool and grows draw from it.
 //!
 //! With `--serve ADDR` (Linux) the binary stops generating its own
 //! workload and becomes **estimation-as-a-service**: it binds `ADDR`,
@@ -58,7 +58,8 @@
 //! skewed insert-only stream.  `--recover` turns worker loss from a
 //! run-fatal error into a supervised reconnect-and-replay (default
 //! [`RecoveryPolicy`]): on either transport the lost shard is rebuilt on a
-//! fresh link from the aggregator's replay journal.
+//! fresh link from the aggregator's replay journal.  Resharding does not
+//! need it.
 
 use knw_cluster::{
     sibling_worker_exe, ClusterAggregator, ClusterConfig, ClusterError, ClusterUpdate,
@@ -211,7 +212,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                      \u{20}          client sessions over the worker fleet (one nonblocking\n\
                      \u{20}          event loop, no thread per session; Linux only).\n\
                      \u{20}          stdin accepts `rescale N` to reshard the live fleet\n\
-                     \u{20}          elastically between sessions (estimates stay exact).\n\
+                     \u{20}          elastically between sessions (exact, no --recover needed).\n\
                      --metrics ADDR: serve Prometheus-text scrapes of the process\n\
                      \u{20}          metrics registry for the duration of the run (port 0\n\
                      \u{20}          picks a free port; prints `metrics on <addr>`).\n\

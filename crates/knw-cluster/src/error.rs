@@ -30,8 +30,10 @@ pub enum ClusterError {
         message: String,
     },
     /// A worker process died (its stream ended, or it exited nonzero)
-    /// before delivering its shard; the shard's updates are lost, so no
-    /// trustworthy merged estimate can be produced.
+    /// before delivering its shard.  Recovery, when configured, replays
+    /// the shard on a fresh link; as a report's error, the shard's
+    /// unreported updates are lost, so no trustworthy merged estimate can
+    /// be produced.
     WorkerDied {
         /// Index of the dead worker.
         worker: usize,
@@ -121,14 +123,6 @@ pub enum ClusterError {
         /// How many the pool could actually provide.
         live: usize,
     },
-    /// `scale_to` was called on an aggregator that cannot reshard exactly:
-    /// journaling is off (no [`RecoveryPolicy`](crate::RecoveryPolicy), so
-    /// there is nothing to replay onto a split shard), or a prior fault has
-    /// already poisoned the run.
-    RescaleUnsupported {
-        /// Why the aggregator refused to reshard.
-        reason: &'static str,
-    },
     /// The requested estimator name is not in the wire-format zoo.
     UnknownEstimator {
         /// The name that failed to resolve.
@@ -163,8 +157,7 @@ impl fmt::Display for ClusterError {
             ClusterError::WorkerDied { worker } => {
                 write!(
                     f,
-                    "worker process {worker} died before delivering its shard; \
-                     its updates are lost"
+                    "worker process {worker} died before delivering its shard"
                 )
             }
             ClusterError::ConnectFailed {
@@ -213,15 +206,17 @@ impl fmt::Display for ClusterError {
                 write!(
                     f,
                     "worker {worker} could not be recovered after {attempts} \
-                     reconnect attempt(s); last failure: {last}"
+                     reconnect attempt(s), so its shard's unreported updates \
+                     are lost; last failure: {last}"
                 )
             }
             ClusterError::JournalOverflow { worker, cap } => {
                 write!(
                     f,
                     "worker {worker}'s replay journal overflowed its \
-                     {cap}-update bound before the fault; the shard cannot \
-                     be replayed (snapshot more often, or raise the cap)"
+                     {cap}-update bound before the fault, so its shard's \
+                     unreported updates are lost (snapshot more often, or \
+                     raise the cap)"
                 )
             }
             ClusterError::PoolExhausted { needed, live } => {
@@ -231,9 +226,6 @@ impl fmt::Display for ClusterError {
                      {needed} live worker(s) needed, {live} available after \
                      health probing"
                 )
-            }
-            ClusterError::RescaleUnsupported { reason } => {
-                write!(f, "the aggregation cannot be resharded: {reason}")
             }
             ClusterError::UnknownEstimator { name } => {
                 write!(
@@ -270,8 +262,11 @@ mod tests {
 
     #[test]
     fn display_messages_name_the_worker() {
+        // A death states the fact only: recovery may still replay the
+        // shard, so only a recovery that fails says updates are lost.
         let died = ClusterError::WorkerDied { worker: 2 };
         assert!(died.to_string().contains("worker process 2"));
+        assert!(!died.to_string().contains("lost"));
         let proto = ClusterError::Protocol {
             worker: 1,
             expected: "Shard",
@@ -305,16 +300,14 @@ mod tests {
         assert!(exhausted.to_string().contains("worker 5"));
         assert!(exhausted.to_string().contains("3 reconnect"));
         assert!(exhausted.to_string().contains("connection refused"));
+        assert!(exhausted.to_string().contains("updates are lost"));
         let overflow = ClusterError::JournalOverflow { worker: 2, cap: 64 };
         assert!(overflow.to_string().contains("worker 2"));
         assert!(overflow.to_string().contains("64-update"));
+        assert!(overflow.to_string().contains("updates are lost"));
         let exhausted_pool = ClusterError::PoolExhausted { needed: 4, live: 2 };
         assert!(exhausted_pool.to_string().contains("4 live worker(s)"));
         assert!(exhausted_pool.to_string().contains("2 available"));
-        let unsupported = ClusterError::RescaleUnsupported {
-            reason: "journaling is off",
-        };
-        assert!(unsupported.to_string().contains("journaling is off"));
     }
 
     #[test]

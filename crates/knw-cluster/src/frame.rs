@@ -152,13 +152,6 @@ pub enum Frame {
     Shard(Vec<u8>),
     /// Worker → aggregator: a worker-side failure, in human-readable form.
     Err(String),
-    /// Aggregator → worker: start the session from these serialized shard
-    /// bytes instead of an empty shard; valid right after `Hello`, and a
-    /// `Restore` after any `Batch` is a protocol violation.  The
-    /// aggregator no longer sends it (a recovered worker starts empty and
-    /// replays the batches since the last acknowledged snapshot); workers
-    /// still accept it.
-    Restore(Vec<u8>),
     /// Worker → registry: a listening worker announcing the address it
     /// serves on (the `knw-worker --register` handshake; see
     /// [`WorkerRegistry`](crate::recovery::WorkerRegistry)).
@@ -181,7 +174,6 @@ impl Frame {
             Frame::Finish => "Finish",
             Frame::Shard(_) => "Shard",
             Frame::Err(_) => "Err",
-            Frame::Restore(_) => "Restore",
             Frame::Register(_) => "Register",
             Frame::Stats(_) => "Stats",
         }
@@ -751,7 +743,6 @@ mod tests {
             Frame::Finish,
             Frame::Shard(vec![0xDE, 0xAD, 0xBE, 0xEF]),
             Frame::Err("boom".into()),
-            Frame::Restore(vec![7, 7, 7]),
             Frame::Register("10.0.0.9:7001".into()),
             Frame::Stats(WorkerStats {
                 frames_received: 100,
@@ -802,36 +793,21 @@ mod tests {
             ]
         );
 
-        // Restore(vec![9]): the recovery prologue, appended as variant 6 so
-        // every pre-recovery variant index above stays untouched.
-        let mut restore = Vec::new();
-        write_frame(&mut restore, &Frame::Restore(vec![9])).expect("write");
-        assert_eq!(
-            restore,
-            [
-                13, 0, 0, 0, // frame length: 4 (tag) + 8 (vec len) + 1
-                6, 0, 0, 0, // variant index 6 = Restore
-                1, 0, 0, 0, 0, 0, 0, 0, // vec length 1 (u64 LE)
-                9, // the byte
-            ]
-        );
-
-        // Register("a:1"): the worker-discovery announcement, variant 7.
+        // Register("a:1"): the worker-discovery announcement, variant 6.
         let mut register = Vec::new();
         write_frame(&mut register, &Frame::Register("a:1".into())).expect("write");
         assert_eq!(
             register,
             [
                 15, 0, 0, 0, // frame length: 4 (tag) + 8 (string len) + 3
-                7, 0, 0, 0, // variant index 7 = Register
+                6, 0, 0, 0, // variant index 6 = Register
                 3, 0, 0, 0, 0, 0, 0, 0, // string length 3 (u64 LE)
                 b'a', b':', b'1', // the UTF-8 bytes
             ]
         );
 
-        // Stats: the worker-side ingest counters, appended as variant 8 so
-        // every earlier variant index stays untouched; four u64 fields in
-        // declaration order.
+        // Stats: the worker-side ingest counters, variant 7; four u64
+        // fields in declaration order.
         let mut stats = Vec::new();
         write_frame(
             &mut stats,
@@ -847,7 +823,7 @@ mod tests {
             stats,
             [
                 36, 0, 0, 0, // frame length: 4 (tag) + 4 × 8 (the counters)
-                8, 0, 0, 0, // variant index 8 = Stats
+                7, 0, 0, 0, // variant index 7 = Stats
                 9, 0, 0, 0, 0, 0, 0, 0, // frames_received
                 2, 0, 0, 0, 0, 0, 0, 0, // batches_ingested
                 44, 1, 0, 0, 0, 0, 0, 0, // updates_ingested = 300
@@ -925,7 +901,6 @@ mod tests {
             Frame::Finish,
             Frame::Shard(vec![0xAB; 100]),
             Frame::Err("boom".into()),
-            Frame::Restore(vec![1, 2, 3]),
             Frame::Register("h:1".into()),
             Frame::Stats(WorkerStats {
                 frames_received: 4,
@@ -1005,7 +980,6 @@ mod tests {
             Frame::Finish,
             Frame::Shard(vec![0xAB; 64]),
             Frame::Err("boom".into()),
-            Frame::Restore(vec![1, 2, 3]),
             Frame::Register("h:1".into()),
             Frame::Stats(WorkerStats {
                 frames_received: 7,

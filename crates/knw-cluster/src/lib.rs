@@ -64,13 +64,17 @@
 //! | `Finish` | aggregator → worker | finalize: send the shard and exit cleanly |
 //! | `Shard{bytes}` | worker → aggregator | the serialized shard sketch (the workspace serde codec) |
 //! | `Err{message}` | worker → aggregator | worker-side failure, before the worker exits nonzero |
+//! | `Register{addr}` | worker → registry | a listening spare announcing its address ([`WorkerRegistry`], `knw-worker --register`) |
 //! | `Stats{counters}` | worker → aggregator | session ingest counters ([`WorkerStats`]), sent once before the final `Finish` shard |
+//!
+//! Every session starts from an empty shard; recovery rebuilds a worker
+//! by replaying its journaled batches.
 //!
 //! A worker runs one generic session ([`worker`]): the spec's
 //! [`StreamMode`] picks the update type once — `u64` items for F0,
-//! `(u64, i64)` updates for L0 — and [`ClusterUpdate`] then builds, feeds,
-//! restores and encodes the shard, as it does for the aggregator, the
-//! serve loop and the `knw-aggregate` CLI.
+//! `(u64, i64)` updates for L0 — and [`ClusterUpdate`] then builds, feeds
+//! and encodes the shard, as it does for the aggregator, the serve loop
+//! and the `knw-aggregate` CLI.
 //!
 //! Routing reuses [`knw_engine::ShardBatcher`] — the *same* code that
 //! routes the in-process `ShardedEngine` — so in-process and
@@ -233,22 +237,24 @@
 //! On top of placement sits **exact elastic resharding**:
 //! [`ClusterAggregator::scale_to`] grows or shrinks the live fleet
 //! mid-stream with the estimate staying bit-identical to a single-process
-//! run.  Routing follows a versioned **epoch table**
+//! run, with or without a recovery policy.  A reshard is a routing change
+//! and moves no history: every report folds the workers' replies into one
+//! accumulator, an L0 fold is a sum of linear sketches and an F0 fold a
+//! union, so which worker saw an update does not change the total (the
+//! mergeable-summaries contract).  A grow opens an empty worker and
+//! installs the grown routing table; a shrink `Finish`es the top shard and
+//! folds its final reply into the accumulator, as every report folds.
+//! Hash-affine routing follows a versioned **epoch table**
 //! ([`knw_hash::rng::epoch_shard_for_key`] inside the shared
 //! [`ShardBatcher`](knw_engine::ShardBatcher) — still the single hash
-//! site): linear hashing makes each grow step a *refinement* that moves
-//! keys from exactly one split-parent shard to the new shard.  A grow
-//! splits the parent's replay journal under the new table (the new shard
-//! replays the moved updates and the parent restarts with the kept ones,
-//! both from empty: the accumulator holds what the parent reported), a
-//! shrink `Finish`es the top shard and folds its final reply into the
-//! accumulator, as every report folds; the split parent, which its keys
-//! route to from then on, runs on untouched.
+//! site): linear hashing makes each grow step move keys from exactly one
+//! split-parent shard to the new shard, so every other key keeps its
+//! worker.
 //! Retired workers hand their addresses back to the pool; `knw-aggregate
 //! --pool <reg> --workers N --serve …` exposes the whole flow on the CLI,
-//! including a runtime `rescale N` command.  Reshard traffic is counted under
-//! `knw_cluster_reshard_{scale_ups,scale_downs,replayed_frames,
-//! moved_keys}_total` and timed by `knw_cluster_reshard_latency_ns`.
+//! including a runtime `rescale N` command.  Reshards are counted under
+//! `knw_cluster_reshard_{scale_ups,scale_downs}_total` and timed by
+//! `knw_cluster_reshard_latency_ns`.
 //!
 //! # Observability
 //!

@@ -461,10 +461,9 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
     /// Drains the rescale command channel and applies each requested fleet
     /// size via [`ClusterAggregator::scale_to`] — between ticks, after this
     /// tick's snapshot merges, so a rescale never interleaves with a merge.
-    /// Refusals that leave the fleet intact (unsupported, pool exhausted,
-    /// journal overflow — all raised before any session is severed) are
-    /// logged and serving continues; a mid-reshard fault poisons the
-    /// aggregator and aborts the loop typed, like any other fleet fault.
+    /// An exhausted pool refuses a grow before it opens anything: that is
+    /// logged and serving continues.  Any other failure aborts the loop
+    /// typed, like any other fleet fault.
     fn apply_rescales(&mut self) -> Result<(), ClusterError> {
         let Some(channel) = &self.options.rescale else {
             return Ok(());
@@ -478,11 +477,7 @@ impl<U: ClusterUpdate> ServeLoop<'_, U> {
         for target in requests {
             match self.aggregator.scale_to(target) {
                 Ok(()) => {}
-                Err(
-                    error @ (ClusterError::RescaleUnsupported { .. }
-                    | ClusterError::PoolExhausted { .. }
-                    | ClusterError::JournalOverflow { .. }),
-                ) => {
+                Err(error @ ClusterError::PoolExhausted { .. }) => {
                     knw_log!(
                         WARN,
                         "knw-serve",

@@ -8,14 +8,12 @@
 //! sockets and in-process tests over byte buffers.
 //!
 //! A session is one generic loop: the `Hello` frame's stream model picks
-//! the update type once, and the shard sketch is then built, fed, restored
-//! and encoded through [`ClusterUpdate`].  It is a strict state machine:
+//! the update type once, and the shard sketch is then built, fed and
+//! encoded through [`ClusterUpdate`].  Every session starts from an empty
+//! shard.  It is a strict state machine:
 //!
 //! ```text
-//! wait Hello ──► ingest loop:  Restore   → adopt shard bytes (only before
-//!                                          the first Batch; the aggregator
-//!                                          no longer sends it)
-//!                              Batch     → apply to the shard sketch
+//! wait Hello ──► ingest loop:  Batch     → apply to the shard sketch
 //!                              Snapshot  → reply Shard{bytes}, then an L0
 //!                                          shard starts over; keep going
 //!                              Finish    → reply Shard{bytes}, exit Ok
@@ -112,9 +110,9 @@ fn run_session(
 }
 
 /// The ingest loop of a session whose `Hello` named the stream model of
-/// `U`: builds the shard sketch from `spec`, then applies batches, adopts a
-/// `Restore`, and answers `Snapshot` / `Finish` through [`ClusterUpdate`],
-/// applying [`ClusterUpdate::replied`] once a snapshot reply is written.
+/// `U`: builds the shard sketch from `spec`, then applies batches and
+/// answers `Snapshot` / `Finish` through [`ClusterUpdate`], applying
+/// [`ClusterUpdate::replied`] once a snapshot reply is written.
 fn ingest<U: ClusterUpdate>(
     input: &mut impl Read,
     output: &mut impl Write,
@@ -132,7 +130,6 @@ fn ingest<U: ClusterUpdate>(
     // worker side; control frames arrive as owned values.
     let mut buf = FrameBuf::new();
     let mut reply = Vec::new();
-    let mut ingested = false;
     loop {
         let view = match buf.read(input) {
             Ok(Some(view)) => view,
@@ -145,7 +142,6 @@ fn ingest<U: ClusterUpdate>(
         };
         stats.frames_received += 1;
         if let Some(batch) = U::batch_view(&view) {
-            ingested = true;
             stats.batches_ingested += 1;
             stats.updates_ingested += batch.len() as u64;
             U::apply(&mut shard, batch);
@@ -159,18 +155,6 @@ fn ingest<U: ClusterUpdate>(
                     _ => "turnstile batch sent to an F0",
                 };
                 return report(output, format!("stream-model mismatch: {sent} worker"));
-            }
-            FrameView::Owned(Frame::Restore(bytes)) => {
-                // The recovery prologue: only valid on a fresh session —
-                // replacing state that already absorbed batches would
-                // silently drop them.
-                if ingested {
-                    return report(output, "protocol violation: Restore after a Batch".into());
-                }
-                shard = match U::shard_from_bytes(spec, &bytes) {
-                    Ok(restored) => restored,
-                    Err(e) => return report(output, format!("restore rejected: {e}")),
-                };
             }
             FrameView::Owned(Frame::Snapshot) => {
                 stats.snapshots_served += 1;
@@ -436,77 +420,6 @@ mod tests {
         let (result, replies) = run(&wire);
         result.expect("quiet shutdown");
         assert!(replies.is_empty());
-    }
-
-    #[test]
-    fn restore_then_replay_reproduces_the_checkpointed_fold() {
-        // Build the "checkpoint": a local sketch over the first half of a
-        // stream, serialized exactly as a Shard frame would carry it.
-        let spec = SketchSpec::f0("knw-f0", 0.1, 1 << 16, 5);
-        let mut checkpointed = build_f0(&spec).expect("builds");
-        checkpointed.insert_batch(&(0..400).collect::<Vec<_>>());
-        let checkpoint = checkpointed.wire_bytes();
-
-        // A recovered session: Hello, Restore{checkpoint}, the second half
-        // of the stream, Finish.
-        let wire = script(&[
-            hello(spec.clone()),
-            Frame::Restore(checkpoint),
-            Frame::Batch(BatchPayload::Items((400..900).collect())),
-            Frame::Finish,
-        ]);
-        let (result, replies) = run(&wire);
-        result.expect("clean recovered session");
-        let Frame::Shard(bytes) = &replies[1] else {
-            panic!("expected Shard, got {}", replies[1].kind());
-        };
-        let restored = u64::shard_from_bytes(&spec, bytes).expect("decodes");
-        let mut local = build_f0(&spec).expect("builds");
-        local.insert_batch(&(0..900).collect::<Vec<_>>());
-        assert_eq!(restored.estimate().to_bits(), local.estimate().to_bits());
-    }
-
-    #[test]
-    fn restore_after_a_batch_is_a_protocol_violation() {
-        let spec = SketchSpec::f0("knw-f0", 0.1, 1 << 16, 5);
-        let checkpoint = build_f0(&spec).expect("builds").wire_bytes();
-        let wire = script(&[
-            hello(spec),
-            Frame::Batch(BatchPayload::Items(vec![1, 2, 3])),
-            Frame::Restore(checkpoint),
-        ]);
-        let (result, replies) = run(&wire);
-        assert!(result.is_err());
-        assert!(
-            matches!(replies.as_slice(), [Frame::Err(m)] if m.contains("Restore after a Batch"))
-        );
-    }
-
-    #[test]
-    fn corrupt_restore_bytes_are_reported_not_panicked() {
-        let wire = script(&[
-            hello(SketchSpec::l0("knw-l0", 0.2, 1 << 12, 9)),
-            Frame::Restore(vec![0xFF; 7]),
-        ]);
-        let (result, replies) = run(&wire);
-        assert!(result.is_err());
-        assert!(matches!(replies.as_slice(), [Frame::Err(m)] if m.contains("restore rejected")));
-    }
-
-    /// A checkpoint is read by the sketch the session's spec builds: a
-    /// knw-l0 shard of another ε is refused, as the aggregator's fold
-    /// refuses it, instead of replacing the session's sketch.
-    #[test]
-    fn restore_of_a_shard_built_for_another_spec_is_rejected() {
-        let other = crate::spec::build_l0(&SketchSpec::l0("knw-l0", 0.1, 1 << 12, 9));
-        let wire = script(&[
-            hello(SketchSpec::l0("knw-l0", 0.05, 1 << 12, 9)),
-            Frame::Restore(other.expect("builds").wire_bytes()),
-        ]);
-        let (result, replies) = run(&wire);
-        assert!(result.is_err());
-        let rejected = |m: &str| m.starts_with("restore rejected: ");
-        assert!(matches!(replies.as_slice(), [Frame::Err(m)] if rejected(m)));
     }
 
     #[test]

@@ -116,11 +116,11 @@ fn killed_worker_recovery_is_bit_identical_for_every_l0_estimator() {
     }
 }
 
-/// Snapshots double as journal checkpoints: after an acknowledged snapshot
-/// the journal holds only the batches since, and recovery of a later fault
-/// replays `Restore{checkpoint}` + the tail — exercised here with a journal
-/// cap too small to have held the whole stream, so only the checkpoint
-/// path can make recovery succeed.
+/// An acknowledged snapshot empties the journals: the accumulator holds
+/// every update the workers reported, so recovery of a later fault starts
+/// a fresh worker empty and replays only the batches since — exercised
+/// here with a journal cap too small to have held the whole stream, so
+/// only the emptied journal can make recovery succeed.
 #[test]
 fn snapshot_checkpoint_keeps_recovery_exact_beyond_the_journal_cap() {
     let fleet =
@@ -137,13 +137,13 @@ fn snapshot_checkpoint_keeps_recovery_exact_beyond_the_journal_cap() {
     let (first, rest) = stream.split_at(4_000);
     cluster.ingest_batch(first);
     single.update_batch(first);
-    // The acknowledged snapshot truncates both journals to checkpoints.
+    // The acknowledged snapshot empties both journals.
     assert_eq!(
         cluster.estimate().expect("snapshot").to_bits(),
         single.estimate().to_bits()
     );
-    // Second half, then sever worker 1's connection: recovery must restore
-    // the checkpoint and replay only the post-snapshot tail.
+    // Second half, then sever worker 1's connection: recovery starts a
+    // fresh worker empty and replays only the post-snapshot tail.
     cluster.ingest_batch(&rest[..2_000]);
     single.update_batch(&rest[..2_000]);
     cluster.kill_worker(1).expect("sever connection");

@@ -1,10 +1,10 @@
 //! The elastic-resharding acceptance tests: growing 2 → 4 and shrinking
-//! 4 → 2 **mid-stream** — checkpoint + filtered journal replay onto the
-//! split routing table on the way up, `merge_dyn` fold-back of retired
-//! shards into their split parents on the way down — yields results
-//! **bit-identical** to the single-process run for every estimator in
-//! both the F0 and L0 zoos, under both routing policies, including when
-//! a rescale races a worker fault; plus the placement half of the story:
+//! 4 → 2 **mid-stream** — an empty worker joining the grown routing table
+//! on the way up, each retiree's final reply folded into the accumulator
+//! on the way down — yields results **bit-identical** to the
+//! single-process run for every estimator in both the F0 and L0 zoos,
+//! under both routing policies, with or without a recovery policy, and
+//! when a rescale races a worker fault; plus the placement half of the story:
 //! a pool-placed fleet (a TCP config with no static address list and a
 //! registry) starts from the registry's spares and refuses typed when
 //! the pool cannot cover it, and retired workers return to the pool for
@@ -14,8 +14,9 @@
 //! only process spawning and loopback.
 
 use knw_cluster::{
-    build_f0, build_l0, f0_estimator_names, l0_estimator_names, ClusterConfig, ClusterError,
-    F0ClusterAggregator, L0ClusterAggregator, ListeningWorkerFleet, SketchSpec, WorkerRegistry,
+    build_f0, build_l0, f0_estimator_names, l0_estimator_names, ClusterAggregator, ClusterConfig,
+    ClusterError, ClusterUpdate, F0ClusterAggregator, L0ClusterAggregator, ListeningWorkerFleet,
+    SketchSpec, WorkerRegistry,
 };
 use knw_engine::{EngineConfig, RoutingPolicy};
 use knw_hash::rng::{epoch_shard_for_key, shard_for_key, split_parent};
@@ -38,10 +39,10 @@ fn pool_config(registry: &Arc<WorkerRegistry>, engine: EngineConfig) -> ClusterC
 
 /// Tentpole acceptance criterion, F0 grow half: for every estimator in
 /// the zoo and both routing policies, growing the fleet 2 → 4 mid-stream
-/// — the two new shards placed from the registry pool, each split
-/// parent's checkpoint + journal re-routed under the grown epoch table —
-/// leaves the final merged estimate bit-identical to the single-process
-/// run.
+/// — the two new shards placed empty from the registry pool, each parent
+/// keeping what it holds — leaves the final merged estimate bit-identical
+/// to the single-process run: a union does not care which shard saw an
+/// item.
 #[test]
 fn grow_2_to_4_mid_stream_is_bit_identical_for_every_f0_estimator() {
     for routing in [
@@ -84,9 +85,9 @@ fn grow_2_to_4_mid_stream_is_bit_identical_for_every_f0_estimator() {
 }
 
 /// Tentpole acceptance criterion, L0 grow half: same property over signed
-/// turnstile streams for every estimator in the L0 zoo — the linearity of
-/// L0 shard state is exactly what makes "parent restarts empty, the new
-/// shard inherits checkpoint + moved updates" mass-preserving.
+/// turnstile streams for every estimator in the L0 zoo — L0 shard state is
+/// linear, so an item's updates split between its old and its new shard
+/// still sum to its total in the accumulator.
 #[test]
 fn grow_2_to_4_mid_stream_is_bit_identical_for_every_l0_estimator() {
     for routing in [
@@ -129,9 +130,9 @@ fn grow_2_to_4_mid_stream_is_bit_identical_for_every_l0_estimator() {
 }
 
 /// Tentpole acceptance criterion, F0 shrink half: shrinking 4 → 2
-/// mid-stream — each retiree's final shard folded into its split parent
-/// via the exact merge, the survivor restarted on the merged checkpoint —
-/// is bit-identical for the whole zoo under both routing policies.
+/// mid-stream — each retiree's final shard folded into the accumulator
+/// via the exact merge, its split parent running on untouched — is
+/// bit-identical for the whole zoo under both routing policies.
 #[test]
 fn shrink_4_to_2_mid_stream_is_bit_identical_for_every_f0_estimator() {
     for routing in [
@@ -169,7 +170,7 @@ fn shrink_4_to_2_mid_stream_is_bit_identical_for_every_f0_estimator() {
 
 /// Tentpole acceptance criterion, L0 shrink half: signed turnstile
 /// streams shrink exactly too — cancellations already folded into a
-/// retiree's shard survive the merge into its split parent.
+/// retiree's shard survive its merge into the accumulator.
 #[test]
 fn shrink_4_to_2_mid_stream_is_bit_identical_for_every_l0_estimator() {
     for routing in [
@@ -293,33 +294,75 @@ fn retired_workers_return_to_the_pool_and_regrow_readopts_them() {
     assert_eq!(merged.estimate().to_bits(), single.estimate().to_bits());
 }
 
-/// Without a recovery policy there are no journals to split, so a rescale
-/// refuses with the typed [`ClusterError::RescaleUnsupported`] — and the
-/// refusal leaves the fleet fully usable: the stream continues and the
-/// final report stays bit-identical.
-#[test]
-fn rescale_without_journaling_is_a_typed_refusal_that_leaves_the_fleet_usable() {
-    let fleet =
-        ListeningWorkerFleet::spawn(WORKER_EXE.as_ref(), "127.0.0.1:0", 2).expect("spawn fleet");
-    let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
-    let stream = items(6_000);
-    let config = ClusterConfig::tcp(fleet.addrs().iter().cloned(), None)
-        .with_engine(EngineConfig::new(2).with_batch_size(512));
-    let mut cluster = F0ClusterAggregator::start(&config, &spec).expect("connect");
-    let (first, rest) = stream.split_at(3_000);
-    cluster.ingest_batch(first);
-    match cluster.scale_to(4) {
-        Err(ClusterError::RescaleUnsupported { .. }) => {}
-        other => panic!("expected RescaleUnsupported, got {other:?}"),
-    }
-    cluster.ingest_batch(rest);
-    let merged = cluster
-        .finish()
-        .expect("refused rescale leaves the fleet usable");
+/// Runs `stream` through a pipe fleet with **no** recovery policy:
+/// grow 2 → 4, snapshot, shrink 4 → 1, regrow 1 → 3, finish.  The
+/// snapshot and the final sketch must both match a single-process run
+/// bit for bit.
+fn rescale_cycle_without_recovery<U: ClusterUpdate>(
+    spec: &SketchSpec,
+    routing: RoutingPolicy,
+    stream: &[U],
+) {
+    let config = ClusterConfig::pipe(2, WORKER_EXE).with_engine(
+        EngineConfig::new(2)
+            .with_batch_size(512)
+            .with_routing(routing),
+    );
+    let mut cluster = ClusterAggregator::<U>::start(&config, spec).expect("spawn 2 workers");
+    let mut single = U::build(spec).expect("zoo name");
+    let name = &spec.estimator;
+    let quarter = stream.len() / 4;
+    let mut parts = stream.chunks(quarter);
+    let mut feed = |cluster: &mut ClusterAggregator<U>, single: &mut U::Shard| {
+        let part = parts.next().expect("a quarter of the stream");
+        for chunk in part.chunks(999) {
+            cluster.ingest_batch(chunk);
+        }
+        U::apply(single, part);
+    };
+    feed(&mut cluster, &mut single);
+    cluster.scale_to(4).expect("grow 2 -> 4 without recovery");
+    feed(&mut cluster, &mut single);
+    let snapshot = U::estimate(cluster.snapshot().expect("snapshot after the grow"));
+    assert_eq!(
+        snapshot.to_bits(),
+        U::estimate(&single).to_bits(),
+        "{name} snapshot deviates after a grow ({routing:?})"
+    );
+    cluster.scale_to(1).expect("shrink 4 -> 1 without recovery");
+    feed(&mut cluster, &mut single);
+    cluster.scale_to(3).expect("regrow 1 -> 3 without recovery");
+    assert_eq!(cluster.num_workers(), 3);
+    feed(&mut cluster, &mut single);
+    let merged = cluster.finish().expect("resharded run reports cleanly");
+    assert_eq!(
+        U::estimate(&merged).to_bits(),
+        U::estimate(&single).to_bits(),
+        "{name} deviates after grow, shrink and regrow ({routing:?})"
+    );
+}
 
-    let mut single = build_f0(&spec).expect("zoo name");
-    single.insert_batch(&stream);
-    assert_eq!(merged.estimate().to_bits(), single.estimate().to_bits());
+/// A reshard is a routing change, so it needs no replay journal: with no
+/// recovery policy, growing, snapshotting, shrinking and regrowing a live
+/// pipe fleet stays bit-identical to a single-process run for every
+/// estimator in both zoos, under both routing policies.
+#[test]
+fn rescales_without_a_recovery_policy_stay_exact() {
+    for routing in [
+        RoutingPolicy::RoundRobin,
+        RoutingPolicy::HashAffine { seed: 3 },
+    ] {
+        let stream = items(12_000);
+        for &name in f0_estimator_names() {
+            let spec = SketchSpec::f0(name, EPS, UNIVERSE, SEED);
+            rescale_cycle_without_recovery::<u64>(&spec, routing, &stream);
+        }
+        let stream = updates(12_000);
+        for &name in l0_estimator_names() {
+            let spec = SketchSpec::l0(name, EPS, UNIVERSE, SEED);
+            rescale_cycle_without_recovery::<(u64, i64)>(&spec, routing, &stream);
+        }
+    }
 }
 
 proptest! {
@@ -390,11 +433,12 @@ proptest! {
 
     /// The epoched routing function itself, property-based: deterministic
     /// in `(seed, key, shards)`, in-range, identical to the flat
-    /// [`shard_for_key`] at power-of-two counts, and — the invariant the
-    /// whole grow path leans on — **refining by single splits**: adding
-    /// one shard either leaves a key where it was, or moves it from
-    /// exactly [`split_parent`] onto the one new shard.  No third option,
-    /// so a grow only ever replays one parent's journal.
+    /// [`shard_for_key`] at power-of-two counts, and **refining by single
+    /// splits**: adding one shard either leaves a key where it was, or
+    /// moves it from exactly [`split_parent`] onto the one new shard.  No
+    /// third option, so a grow moves the fewest keys and every other key
+    /// keeps its worker (exactness does not rest on this: a reshard moves
+    /// no history).
     #[test]
     fn epoch_routing_is_deterministic_and_refines_by_single_splits(
         seed in any::<u64>(),

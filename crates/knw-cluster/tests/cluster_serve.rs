@@ -15,7 +15,7 @@ use knw_cluster::{
     L0ClusterAggregator, MetricsServer, SessionServeOptions, SketchSpec,
 };
 use knw_cluster::{drive_sessions, ClusterAggregator};
-use knw_engine::EngineConfig;
+use knw_engine::{EngineConfig, RoutingPolicy};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -373,6 +373,125 @@ fn a_one_batch_session_finishes_while_the_others_stream() {
     let mut single = build_l0(&spec).expect("zoo name");
     single.update_batch(&l0_stream);
     assert_eq!(merged.estimate().to_bits(), single.estimate().to_bits());
+}
+
+/// Serves `streams` plus one control session over a pipe fleet with no
+/// recovery policy, while the rescale channel asks for 2 → 3 and then
+/// 3 → 1.  Each command is sent before a control-session `Snapshot`
+/// whose reply the control session then waits for; the loop drains the
+/// channel in the tick that answers it, so both rescales land while the
+/// control session, and with it the loop, is still open.  Returns the
+/// serve stats, the fleet size before `finish`, and the merged shard.
+fn serve_with_rescales<U: ClusterUpdate + Send + 'static>(
+    spec: &SketchSpec,
+    routing: RoutingPolicy,
+    control: &[U],
+    streams: Vec<Vec<U>>,
+) -> (knw_cluster::ServeStats, usize, Box<U::Shard>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind serve listener");
+    let addr = listener.local_addr().expect("addr");
+    let (rescale, commands) = std::sync::mpsc::channel();
+    let options = SessionServeOptions::default()
+        .with_max_sessions(streams.len() + 1)
+        .with_rescale_channel(commands);
+    let config = ClusterConfig::pipe(2, WORKER_EXE).with_engine(
+        EngineConfig::new(2)
+            .with_batch_size(1024)
+            .with_routing(routing),
+    );
+    let mut aggregator = ClusterAggregator::<U>::start(&config, spec).expect("spawn fleet");
+    let server = std::thread::spawn(move || {
+        let stats = serve_sessions(&listener, &mut aggregator, &options)
+            .expect("serve loop completes cleanly");
+        let workers = aggregator.num_workers();
+        let merged = aggregator.finish().expect("post-serve finish");
+        (stats, workers, U::shard_bytes(merged.as_ref()))
+    });
+
+    let mut session = TcpStream::connect(addr).expect("connect the control session");
+    let mut send = |frames: &[Frame]| {
+        let mut wire = Vec::new();
+        for frame in frames {
+            write_frame(&mut wire, frame).expect("encode");
+        }
+        session.write_all(&wire).expect("send");
+        match read_frame(&mut session).expect("reply").expect("a frame") {
+            Frame::Shard(_) => {}
+            other => panic!("expected Shard, got {}", other.kind()),
+        }
+    };
+    let hello = Frame::Hello(knw_cluster::HelloConfig {
+        worker_index: 0,
+        spec: spec.clone(),
+    });
+    let mut parts = control.chunks(control.len().div_ceil(4));
+    let mut batch = || Frame::Batch(U::payload(parts.next().expect("a part").to_vec()));
+    send(&[hello, batch(), Frame::Snapshot]);
+    let drive_spec = spec.clone();
+    let drive = std::thread::spawn(move || {
+        drive_sessions::<U>(
+            &addr.to_string(),
+            &drive_spec,
+            &streams,
+            256,
+            Some(2),
+            DEADLINE,
+        )
+        .expect("all sessions complete")
+    });
+    rescale.send(3).expect("serve loop running");
+    send(&[batch(), Frame::Snapshot]);
+    rescale.send(1).expect("serve loop running");
+    send(&[batch(), Frame::Snapshot]);
+    send(&[batch(), Frame::Finish]);
+    drive.join().expect("drive thread");
+    let (stats, workers, merged) = server.join().expect("server thread");
+    let merged = U::shard_from_bytes(spec, &merged).expect("merged shard decodes");
+    (stats, workers, merged)
+}
+
+/// Runtime rescales through the serve loop need no recovery policy: with
+/// sessions streaming, a 2 → 3 grow and a 3 → 1 shrink arrive between
+/// ticks, and the merged estimate stays bit-identical to a single-process
+/// run over every session's stream, for both stream models and both
+/// routing policies.
+#[test]
+fn rescales_between_ticks_keep_the_served_aggregate_exact() {
+    const SESSIONS: usize = 8;
+    for routing in [
+        RoutingPolicy::RoundRobin,
+        RoutingPolicy::HashAffine { seed: 9 },
+    ] {
+        let stream = items(40_000);
+        let (control, rest) = stream.split_at(8_000);
+        let spec = SketchSpec::f0("knw-f0", EPS, UNIVERSE, SEED);
+        let (stats, workers, merged) =
+            serve_with_rescales(&spec, routing, control, split(rest, SESSIONS));
+        assert_eq!(stats.sessions_served, SESSIONS + 1, "{stats:?}");
+        assert_eq!(workers, 1, "both rescales were applied ({routing:?})");
+        let mut single = build_f0(&spec).expect("zoo name");
+        single.insert_batch(&stream);
+        assert_eq!(
+            merged.estimate().to_bits(),
+            single.estimate().to_bits(),
+            "F0 deviates across served rescales ({routing:?})"
+        );
+
+        let stream = updates(40_000);
+        let (control, rest) = stream.split_at(8_000);
+        let spec = SketchSpec::l0("knw-l0", EPS, UNIVERSE, SEED);
+        let (stats, workers, merged) =
+            serve_with_rescales(&spec, routing, control, split(rest, SESSIONS));
+        assert_eq!(stats.sessions_served, SESSIONS + 1, "{stats:?}");
+        assert_eq!(workers, 1, "both rescales were applied ({routing:?})");
+        let mut single = build_l0(&spec).expect("zoo name");
+        single.update_batch(&stream);
+        assert_eq!(
+            merged.estimate().to_bits(),
+            single.estimate().to_bits(),
+            "L0 deviates across served rescales ({routing:?})"
+        );
+    }
 }
 
 /// A client whose `Hello` carries the wrong spec is refused with a typed

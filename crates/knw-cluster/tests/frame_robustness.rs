@@ -10,7 +10,8 @@
 
 use knw_cluster::{
     encode_frame, encode_shard_frame, read_frame, read_frame_into, write_frame, BatchPayload,
-    Frame, FrameBuf, FrameDecoder, FrameView, HelloConfig, SketchSpec, WireError, MAX_FRAME_LEN,
+    Frame, FrameBuf, FrameDecoder, FrameView, HelloConfig, SketchSpec, WireError, WorkerStats,
+    MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 use std::io::Read;
@@ -57,8 +58,13 @@ fn arbitrary_frame(kind: u64, a: u64, payload: &[u8]) -> Frame {
         3 => Frame::Finish,
         4 => Frame::Shard(payload.to_vec()),
         5 => Frame::Err(String::from_utf8_lossy(payload).into_owned()),
-        6 => Frame::Restore(payload.to_vec()),
-        _ => Frame::Register(String::from_utf8_lossy(payload).into_owned()),
+        6 => Frame::Register(String::from_utf8_lossy(payload).into_owned()),
+        _ => Frame::Stats(WorkerStats {
+            frames_received: a,
+            batches_ingested: a / 2,
+            updates_ingested: payload.len() as u64,
+            snapshots_served: a % 3,
+        }),
     }
 }
 
