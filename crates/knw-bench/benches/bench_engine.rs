@@ -438,7 +438,8 @@ fn cluster_summary(_c: &mut Criterion) {
     // spares — hash-affine routing, so each grow opens an empty worker
     // that the split parent's moved keys reach from then on, the full cost
     // of an exact mid-stream grow landing next to the fault-free and
-    // recovery runs.
+    // recovery runs.  A grow needs no recovery policy, so none is set and
+    // nothing journals the stream.
     {
         struct Reaped(std::process::Child);
         impl Drop for Reaped {
@@ -474,8 +475,7 @@ fn cluster_summary(_c: &mut Criterion) {
                 )
                 .with_engine(
                     EngineConfig::new(2).with_routing(RoutingPolicy::HashAffine { seed: 7 }),
-                )
-                .with_recovery(RecoveryPolicy::default().with_journal_cap(usize::MAX));
+                );
                 let mut cluster = F0ClusterAggregator::start(&config, &f0_spec).expect("connect");
                 let half = items.len() / 2;
                 for chunk in items[..half].chunks(1 << 18) {

@@ -613,11 +613,11 @@ impl ShardJournal {
 }
 
 /// The aggregator's link instrumentation: per-worker send / fault /
-/// recovery counters, the snapshot-latency histogram, and the fold of
-/// worker-reported [`WorkerStats`] into the fleet-wide `knw_fleet_*`
-/// families.  All handles are resolved against the process-wide registry
-/// at construction, so the dispatch hot path touches nothing but
-/// pre-registered atomics.
+/// recovery counters, the snapshot- and fold-latency histograms, and the
+/// fold of worker-reported [`WorkerStats`] into the fleet-wide
+/// `knw_fleet_*` families.  All handles are resolved against the
+/// process-wide registry at construction, so the dispatch hot path touches
+/// nothing but pre-registered atomics.
 struct AggregatorMetrics {
     /// `Batch` frames shipped per worker (after chunking).
     sends: Vec<Arc<Counter>>,
@@ -633,6 +633,10 @@ struct AggregatorMetrics {
     coalesced: Arc<Counter>,
     /// End-to-end latency of the snapshot exchange, in nanoseconds.
     snapshot_latency: Arc<Histogram>,
+    /// Latency of folding one worker reply into the accumulator (check
+    /// and merge), in nanoseconds: a snapshot or finish adds one sample
+    /// per worker, a shrink one for the retiree.
+    fold_latency: Arc<Histogram>,
     /// Completed `scale_to` grows.
     reshard_scale_ups: Arc<Counter>,
     /// Completed `scale_to` shrinks.
@@ -652,6 +656,7 @@ impl AggregatorMetrics {
             replayed_frames: Vec::new(),
             coalesced: registry.counter("knw_cluster_coalesced_updates_total", &[]),
             snapshot_latency: registry.histogram("knw_cluster_snapshot_latency_ns", &[]),
+            fold_latency: registry.histogram("knw_cluster_fold_latency_ns", &[]),
             reshard_scale_ups: registry.counter("knw_cluster_reshard_scale_ups_total", &[]),
             reshard_scale_downs: registry.counter("knw_cluster_reshard_scale_downs_total", &[]),
             reshard_latency: registry.histogram("knw_cluster_reshard_latency_ns", &[]),
@@ -895,16 +900,34 @@ impl LinkSet {
         Ok(())
     }
 
-    /// The `Shard` replies the last [`exchange`](Self::exchange) over
-    /// `workers` left in their links' buffers, with their worker indices.
-    fn shards(
+    /// The fold every report ends in — snapshot, finish and shrink alike:
+    /// the `Shard` reply the last [`exchange`](Self::exchange) left in each
+    /// of `workers`' links merged from its bytes into `into`, which is
+    /// never replaced (exact for every workspace sketch; see
+    /// [`ClusterUpdate::replied`] for why the fold is the total).  Each
+    /// reply's merge is timed into `knw_cluster_fold_latency_ns`.  Failures
+    /// carry the worker the bytes came from; bytes the decoder refuses are
+    /// a [`ClusterError::Frame`] fault of that worker.
+    fn merge_shards<U: ClusterUpdate>(
         &self,
+        into: &mut U::Shard,
         workers: impl IntoIterator<Item = usize>,
-    ) -> impl Iterator<Item = (usize, &[u8])> {
-        workers.into_iter().map(|worker| {
-            let shard = self.workers[worker].shard();
-            (worker, shard.expect("an exchange left a Shard reply"))
-        })
+    ) -> Result<(), (usize, ClusterError)> {
+        for worker in workers {
+            let bytes = self.workers[worker].shard();
+            let bytes = bytes.expect("an exchange left a Shard reply");
+            let started = std::time::Instant::now();
+            let merged = U::merge_wire(into, bytes, false);
+            self.metrics.fold_latency.record_duration(started.elapsed());
+            merged.map_err(|error| {
+                let error = match error {
+                    SketchError::Decode(message) => ClusterError::Frame { worker, message },
+                    other => ClusterError::Sketch(other),
+                };
+                (worker, error)
+            })?;
+        }
+        Ok(())
     }
 
     /// Empties every journal once the last full-fleet exchange's replies
@@ -1289,7 +1312,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         let folded = self
             .links
             .exchange(retiree..retiree + 1, &Frame::Finish)
-            .and_then(|()| merge_shards::<U>(&mut self.merged, self.links.shards([retiree])));
+            .and_then(|()| self.links.merge_shards::<U>(&mut self.merged, [retiree]));
         if let Err((_, error)) = folded {
             self.links.poison(retiree, &error);
             return Err(error);
@@ -1355,7 +1378,7 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         let result = self
             .links
             .exchange(0..workers, &Frame::Snapshot)
-            .and_then(|()| merge_shards::<U>(&mut self.merged, self.links.shards(0..workers)));
+            .and_then(|()| self.links.merge_shards::<U>(&mut self.merged, 0..workers));
         self.links
             .metrics
             .snapshot_latency
@@ -1398,7 +1421,8 @@ impl<U: ClusterUpdate> ClusterAggregator<U> {
         self.links
             .exchange(0..workers, &Frame::Finish)
             .map_err(|(_, error)| error)?;
-        merge_shards::<U>(&mut self.merged, self.links.shards(0..workers))
+        self.links
+            .merge_shards::<U>(&mut self.merged, 0..workers)
             .map_err(|(_, error)| error)?;
         Ok(self.merged)
     }
@@ -1485,28 +1509,6 @@ fn with_backoff(
         attempts: policy.max_retries,
         last: last.to_string(),
     })
-}
-
-/// The fold every report ends in — snapshot, finish and shrink alike:
-/// each `(worker, bytes)` reply merged from its bytes into `into`, which
-/// is never replaced (exact for every workspace sketch; see
-/// [`ClusterUpdate::replied`] for why the fold is the total).  Failures
-/// carry the worker the bytes came from; bytes the decoder refuses are a
-/// [`ClusterError::Frame`] fault of that worker.
-fn merge_shards<'b, U: ClusterUpdate>(
-    into: &mut U::Shard,
-    shards: impl IntoIterator<Item = (usize, &'b [u8])>,
-) -> Result<(), (usize, ClusterError)> {
-    for (worker, bytes) in shards {
-        U::merge_wire(into, bytes, false).map_err(|error| {
-            let error = match error {
-                SketchError::Decode(message) => ClusterError::Frame { worker, message },
-                other => ClusterError::Sketch(other),
-            };
-            (worker, error)
-        })?;
-    }
-    Ok(())
 }
 
 // Dropping a `ClusterAggregator` drops its worker links; a link to a

@@ -269,9 +269,11 @@
 //!   `knw_cluster_shard_*` for batches the aggregator routes to workers;
 //! * **aggregator** — per-worker `knw_cluster_worker_{sends,send_bytes,
 //!   faults,recoveries,replayed_frames}_total`, turnstile
-//!   `knw_cluster_coalesced_updates_total`, and the
+//!   `knw_cluster_coalesced_updates_total`, the
 //!   `knw_cluster_snapshot_latency_ns` histogram around every merged
-//!   snapshot/finish exchange;
+//!   snapshot/finish exchange, and the `knw_cluster_fold_latency_ns`
+//!   histogram around each worker reply's fold (check and merge) into the
+//!   accumulator, one sample per reply on a snapshot, finish or shrink;
 //! * **workers** — each worker counts its own session ingest
 //!   ([`WorkerStats`]) and ships it to the aggregator
 //!   in a `Stats` frame just before its final `Finish` shard, where it

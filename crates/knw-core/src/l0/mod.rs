@@ -681,10 +681,12 @@ impl crate::estimator::MergeableEstimator for KnwL0Sketch {
     /// and, even with `replace`, refuses a configuration or draws other
     /// than this sketch's.  Only then does a second pass add the counters
     /// straight from the bytes (or, with `replace`, copy them): sparse
-    /// trials through the branch-free two-run merge, arrays and matrix
-    /// cells entrywise.  So a refused encoding leaves `self` untouched, and
-    /// a sketch merged into again and again keeps its memory: a trial held
-    /// as an array stays one, and a table keeps its capacity.
+    /// trials through the two-run merge (which gallops a run much shorter
+    /// than the trial's into it, and walks runs of similar length without
+    /// branches), arrays and matrix cells entrywise.  So a refused encoding
+    /// leaves `self` untouched, and a sketch merged into again and again
+    /// keeps its memory: a trial held as an array stays one, and a table
+    /// keeps its capacity.
     fn merge_from_bytes(&mut self, bytes: &[u8], replace: bool) -> Result<(), SketchError> {
         self.check_wire(bytes)?;
         self.merge_wire(bytes, replace);

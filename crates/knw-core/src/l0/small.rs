@@ -34,12 +34,13 @@
 //! follows from the state, so each state has one encoding.  In memory a
 //! trial holds the same forms: the pairs in an ordered hash table, or the
 //! array.  So encoding is a walk over what the trial holds, decoding copies
-//! the pairs in, and merging two sparse trials walks both: each costs the
-//! nonzero counters, not the buckets.  A trial starts empty and allocates
-//! nothing; updates grow its table and switch it to the array once a table
-//! would take half the array's bytes.  The per-trial occupancy count is
-//! not on the wire: decoding derives it from the counters, after checking
-//! every index and value.
+//! the pairs in, and merging two sparse trials walks both, or gallops the
+//! shorter into a much longer one: each costs the nonzero counters, not
+//! the buckets.  A trial starts empty and allocates nothing; updates grow
+//! its table and switch it to the array once a table would take half the
+//! array's bytes.  The per-trial occupancy count is not on the wire:
+//! decoding derives it from the counters, after checking every index and
+//! value.
 //!
 //! An empty sparse trial takes a few dozen bytes whatever its bucket count,
 //! yet updates can grow it into its full counter array.  The decoder
@@ -367,16 +368,48 @@ impl Run for WirePairs<'_> {
     }
 }
 
+/// [`merge_runs`] gallops when `theirs` holds fewer than one counter for
+/// every `GALLOP_RATIO` of `mine`, and walks both runs otherwise.
+///
+/// Measured on a 2-vCPU Xeon (release, medians of 15 rounds of 2,000
+/// merges of wire pairs into a resident run of 256, 1,024 or 4,096 random
+/// buckets of the rough oracle's 39,762, with none or half of the incoming
+/// buckets shared), galloping took this share of the walk's time:
+///
+/// | incoming / resident | 1/8 | 1/4 | 1/3 | 1/2 |
+/// |---|---|---|---|---|
+/// | galloping / walk | 0.38–0.45 | 0.54–0.70 | 0.69–0.86 | 0.87–1.13 |
+const GALLOP_RATIO: usize = 3;
+
 /// Adds the run `theirs` into the run `mine` mod `prime`, in place: the
 /// nonzero entrywise sums, in increasing bucket order.
 ///
-/// One forward walk over both runs with no branch on their contents.  Each
-/// step compares the two front buckets, adds the values the comparisons
-/// select (a side not taken adds 0), writes the sum to the next output slot
-/// and moves that slot on only if the sum is nonzero, then advances each
-/// run whose bucket it took.  `mine` first moves to the back of its buffer;
-/// the output, which never gets ahead of the input, fills it from the front.
+/// The two run lengths alone pick one of two strategies, at the crossover
+/// [`GALLOP_RATIO`].  Runs of similar length are walked together
+/// ([`walk_runs`]), which costs both runs.  A run much shorter than
+/// `mine` (a worker's delta, folded into the accumulator's long runs at
+/// every snapshot) gallops into it back to front ([`gallop_runs`]), which
+/// costs its own length and a few block moves.  Either way a buffer that
+/// must grow at least doubles, so a run folded into again and again stops
+/// reallocating.
 fn merge_runs<R: Run + ?Sized>(mine: &mut Vec<Slot>, theirs: &R, prime: u32) {
+    if theirs.count() * GALLOP_RATIO < mine.len() {
+        gallop_runs(mine, theirs, prime);
+    } else {
+        walk_runs(mine, theirs, prime);
+    }
+}
+
+/// [`merge_runs`] for runs of similar length: one forward walk over both
+/// with no branch on their contents.
+///
+/// Each step compares the two front buckets, adds the values the
+/// comparisons select (a side not taken adds 0), writes the sum to the next
+/// output slot and moves that slot on only if the sum is nonzero, then
+/// advances each run whose bucket it took.  `mine` first moves to the back
+/// of its buffer; the output, which never gets ahead of the input, fills it
+/// from the front.
+fn walk_runs<R: Run + ?Sized>(mine: &mut Vec<Slot>, theirs: &R, prime: u32) {
     let (ours, count) = (mine.len(), theirs.count());
     if ours == 0 {
         mine.extend((0..count).map(|index| theirs.at(index)));
@@ -385,7 +418,7 @@ fn merge_runs<R: Run + ?Sized>(mine: &mut Vec<Slot>, theirs: &R, prime: u32) {
     let end = ours + count;
     if mine.capacity() < end {
         // Growing in place would copy `mine` twice, to grow and to move.
-        let mut grown = Vec::with_capacity(end);
+        let mut grown = Vec::with_capacity(end.max(2 * mine.capacity()));
         grown.resize(count, EMPTY);
         grown.extend_from_slice(mine);
         *mine = grown;
@@ -419,6 +452,56 @@ fn merge_runs<R: Run + ?Sized>(mine: &mut Vec<Slot>, theirs: &R, prime: u32) {
     }
     mine.copy_within(i..end, out);
     mine.truncate(out + end - i);
+}
+
+/// [`merge_runs`] for a run `theirs` much shorter than `mine`, back to
+/// front and in place (Hwang and Lin, "A simple algorithm for merging two
+/// disjoint linearly ordered sets", 1972): `mine` grows by `theirs`'s
+/// length, each incoming counter, from the last, gallops back to its
+/// bucket, the stretch of `mine` above it moves up in one block, and the
+/// sum lands below that (nothing if it is 0).  A bucket that combined or
+/// cancelled leaves a gap, which one final move closes.
+fn gallop_runs<R: Run + ?Sized>(mine: &mut Vec<Slot>, theirs: &R, prime: u32) {
+    let (ours, count) = (mine.len(), theirs.count());
+    mine.resize(ours + count, EMPTY);
+    let end = mine.len();
+    // `mine[..read]` is still to merge and `mine[write..]` is merged;
+    // `write - read` is never below the counters of `theirs` still to go.
+    let (mut read, mut write) = (ours, end);
+    for index in (0..count).rev() {
+        let mut slot = theirs.at(index);
+        let above = gallop_back(&mine[..read], slot.bucket);
+        let moved = read - above;
+        mine.copy_within(above..read, write - moved);
+        (read, write) = (above, write - moved);
+        if let Some(at) = read.checked_sub(1) {
+            if mine[at].bucket == slot.bucket {
+                slot.value = add_mod(mine[at].value, slot.value, prime);
+                read = at;
+            }
+        }
+        if slot.value != 0 {
+            write -= 1;
+            mine[write] = slot;
+        }
+    }
+    if write > read {
+        mine.copy_within(write..end, read);
+        mine.truncate(read + end - write);
+    }
+}
+
+/// The start of the stretch of `run` above `bucket`: probes back from the
+/// end at steps of 1, 2, 4, … and then searches the last step by halving,
+/// so a stretch of `k` slots costs `O(log k)` comparisons.
+fn gallop_back(run: &[Slot], bucket: u32) -> usize {
+    let (mut above, mut step) = (run.len(), 1);
+    while step <= above && run[above - step].bucket > bucket {
+        above -= step;
+        step *= 2;
+    }
+    let from = above.saturating_sub(step);
+    from + run[from..above].partition_point(|slot| slot.bucket <= bucket)
 }
 
 /// Appends the nonzero counters of `counters` to `out`, in increasing
@@ -482,13 +565,15 @@ fn sum_slots(a: &[Slot], b: &[Slot], prime: u64, out: &mut Vec<Slot>) {
 /// docs): a [`Table`] of the nonzero ones, or the array.  Decoding picks
 /// the form from the count and leaves a table packed.  Merging leaves a
 /// table packed too, and makes it the array once more than half the
-/// buckets are nonzero.  Updates lay a table out with room, delete an
-/// entry whose counter returns to 0 (so `nonzero` stays the entry count),
-/// and switch to the array once a table with room would take half its
-/// bytes.  An array stays an array as it empties, under updates and merges
-/// alike, so a sketch merged into again and again keeps its memory.  The
-/// form in memory never shows in the bytes, the estimate or
-/// [`SpaceUsage`].
+/// buckets are nonzero; it walks both runs, or gallops a much shorter
+/// incoming run into the table, and a table that must grow at least
+/// doubles its buffer (see [`merge_runs`]).  Updates lay a table out with
+/// room, delete an entry whose counter returns to 0 (so `nonzero` stays
+/// the entry count), and switch to the array once a table with room would
+/// take half its bytes.  An array stays an array as it empties, under
+/// updates and merges alike, so a sketch merged into again and again keeps
+/// its memory.  The form in memory never shows in the bytes, the estimate
+/// or [`SpaceUsage`].
 ///
 /// # Wire form
 ///
@@ -685,10 +770,9 @@ impl Trial {
         }
     }
 
-    /// Adds the nonzero counters `theirs`.  A table takes them in one walk
-    /// over both runs ([`merge_runs`]), packed, and becomes the array once
-    /// more than half the buckets are nonzero; an array takes them one by
-    /// one.
+    /// Adds the nonzero counters `theirs`.  A table takes them through
+    /// [`merge_runs`], packed, and becomes the array once more than half
+    /// the buckets are nonzero; an array takes them one by one.
     fn add_run<R: Run + ?Sized>(&mut self, theirs: &R) {
         let (prime, buckets) = (self.modulus(), self.buckets());
         match &mut self.form {
@@ -1462,8 +1546,10 @@ mod tests {
         }
     }
 
-    /// Sorted runs with overlapping buckets, as `(mine, theirs)`; with
-    /// `cancel`, shared buckets sum to 0 about `cancel` times in four.
+    /// Sorted runs of random buckets in a common range, as `(mine,
+    /// theirs)`: about half of a short run's buckets are in a long one,
+    /// and with `cancel`, shared buckets sum to 0 about `cancel` times in
+    /// four.
     fn overlapping_runs(seed: u64, lens: (usize, usize), cancel: u64) -> (Vec<Slot>, Vec<Slot>) {
         let mut state = seed | 1;
         let mut next = move || {
@@ -1472,17 +1558,20 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let span = 2 * lens.0.max(lens.1) as u64 + 8;
         let mut run = |len: usize| {
-            let mut out = Vec::new();
-            let mut bucket = 0;
-            while out.len() < len {
-                if next() % 2 == 0 {
-                    let value = 1 + (next() % (P - 1)) as u32;
-                    out.push(Slot { bucket, value });
-                }
-                bucket += 1;
+            let mut buckets = std::collections::BTreeSet::new();
+            while buckets.len() < len {
+                buckets.insert((next() % span) as u32);
             }
-            out
+            let value = |bucket: u32| 1 + (u64::from(bucket) * 7919 % (P - 1)) as u32;
+            buckets
+                .into_iter()
+                .map(|bucket| Slot {
+                    bucket,
+                    value: value(bucket),
+                })
+                .collect::<Vec<_>>()
         };
         let (mine, mut theirs) = (run(lens.0), run(lens.1));
         for slot in &mut theirs {
@@ -1495,32 +1584,48 @@ mod tests {
         (mine, theirs)
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+    /// Merges `theirs` into `mine` from slots and from wire pairs, and
+    /// returns both results with the plain merge's.
+    fn merged_three_ways(mine: &[Slot], theirs: &[Slot]) -> [Vec<Slot>; 3] {
+        let mut expected = Vec::new();
+        sum_slots(mine, theirs, P, &mut expected);
+        let mut merged = mine.to_vec();
+        merge_runs(&mut merged, theirs, P as u32);
+        let pairs: Vec<u8> = theirs
+            .iter()
+            .flat_map(|slot| [slot.bucket.to_le_bytes(), slot.value.to_le_bytes()])
+            .flatten()
+            .collect();
+        let mut from_wire = mine.to_vec();
+        merge_runs(&mut from_wire, &WirePairs(&pairs), P as u32);
+        [expected, merged, from_wire]
+    }
 
-        /// The branch-free two-run merge, from slots and from wire pairs,
-        /// gives what the plain one-branch-per-entry merge gives: either run
-        /// empty, shared buckets, and shared buckets whose sums cancel.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Both strategies of the two-run merge, from slots and from wire
+        /// pairs, give what the plain one-branch-per-entry merge gives:
+        /// either run empty, a short run into a long one (galloping), the
+        /// reverse and runs of similar length (walking), lengths on either
+        /// side of the crossover, shared buckets, and shared buckets whose
+        /// sums cancel.
         #[test]
         fn merge_runs_matches_the_plain_merge(
             seed in proptest::prelude::any::<u64>(),
-            mine in 0usize..120,
-            theirs in 0usize..120,
+            long in 0usize..3000,
+            quarters in 0usize..9,
+            nudge in 0usize..5,
+            reverse in proptest::prelude::any::<bool>(),
             cancel in 0u64..5,
         ) {
-            let (mine, theirs) = overlapping_runs(seed, (mine, theirs), cancel);
-            let mut expected = Vec::new();
-            sum_slots(&mine, &theirs, P, &mut expected);
-            let mut merged = mine.clone();
-            merge_runs(&mut merged, &theirs[..], P as u32);
+            // From none to twice the crossover length, and at 4 quarters
+            // within 2 of it.
+            let short = (long / GALLOP_RATIO * quarters / 4 + nudge).saturating_sub(2);
+            let lens = if reverse { (short, long) } else { (long, short) };
+            let (mine, theirs) = overlapping_runs(seed, lens, cancel);
+            let [expected, merged, from_wire] = merged_three_ways(&mine, &theirs);
             proptest::prop_assert_eq!(&merged, &expected);
-            let pairs: Vec<u8> = theirs
-                .iter()
-                .flat_map(|slot| [slot.bucket.to_le_bytes(), slot.value.to_le_bytes()])
-                .flatten()
-                .collect();
-            let mut from_wire = mine.clone();
-            merge_runs(&mut from_wire, &WirePairs(&pairs), P as u32);
             proptest::prop_assert_eq!(&from_wire, &expected);
         }
     }
@@ -1528,27 +1633,46 @@ mod tests {
     #[test]
     fn merge_runs_covers_the_edges() {
         let slot = |bucket, value| Slot { bucket, value };
-        let cases: [(Vec<Slot>, Vec<Slot>); 5] = [
+        let p = P as u32;
+        let walks: [(Vec<Slot>, Vec<Slot>); 5] = [
             (vec![], vec![]),
             (vec![], vec![slot(3, 1)]),
             (vec![slot(3, 1)], vec![]),
             // Everything cancels.
             (
                 vec![slot(1, 5), slot(9, 1)],
-                vec![slot(1, P as u32 - 5), slot(9, P as u32 - 1)],
+                vec![slot(1, p - 5), slot(9, p - 1)],
             ),
             // Their run ends first, then mine's tail moves down.
             (
                 vec![slot(0, 1), slot(4, 2), slot(7, 3), slot(8, 4)],
-                vec![slot(0, P as u32 - 1), slot(5, 6)],
+                vec![slot(0, p - 1), slot(5, 6)],
             ),
         ];
-        for (mine, theirs) in cases {
-            let mut expected = Vec::new();
-            sum_slots(&mine, &theirs, P, &mut expected);
-            let mut merged = mine.clone();
-            merge_runs(&mut merged, &theirs[..], P as u32);
+        // Buckets 10, 20, …, 120 holding 1, 2, …, 12.
+        let long: Vec<Slot> = (1..=12).map(|k| slot(10 * k, k)).collect();
+        let gallops: [(Vec<Slot>, Vec<Slot>); 6] = [
+            (long.clone(), vec![]),
+            // Wholly before the long run, then wholly after it.
+            (long.clone(), vec![slot(2, 5), slot(5, 6)]),
+            (long.clone(), vec![slot(130, 1), slot(200, 2)]),
+            // Every incoming bucket cancels.
+            (long.clone(), vec![slot(30, p - 3), slot(80, p - 8)]),
+            // The long run's first and last buckets, added to, then
+            // cancelled.
+            (long.clone(), vec![slot(10, 4), slot(120, 9)]),
+            (long.clone(), vec![slot(10, p - 1), slot(120, p - 12)]),
+        ];
+        for (mine, theirs) in &gallops {
+            assert!(
+                theirs.len() * GALLOP_RATIO < mine.len(),
+                "{theirs:?} gallops"
+            );
+        }
+        for (mine, theirs) in walks.iter().chain(&gallops) {
+            let [expected, merged, from_wire] = merged_three_ways(mine, theirs);
             assert_eq!(merged, expected, "{mine:?} + {theirs:?}");
+            assert_eq!(from_wire, expected, "{mine:?} + {theirs:?} from the wire");
         }
     }
 

@@ -135,10 +135,12 @@ pub fn shard_for_key(seed: u64, key: u64, shards: usize) -> usize {
 
 /// The epoched (linear-hashing) shard assignment used by elastic fleets:
 /// deterministic in `(seed, key, shards)`, equal to [`shard_for_key`]
-/// whenever `shards` is a power of two, and — the property resharding is
-/// built on — a *refinement* under growth: going from `n` to `n + 1`
-/// shards moves keys **only** from shard [`split_parent`]`(n)` to the new
-/// shard `n`; every other key keeps its shard.
+/// whenever `shards` is a power of two, and a *refinement* under growth:
+/// going from `n` to `n + 1` shards moves keys **only** from shard
+/// [`split_parent`]`(n)` to the new shard `n`; every other key keeps its
+/// shard.  A grow moves no history, so exactness does not rest on this;
+/// moving the fewest keys keeps each key's worker, which is what
+/// hash-affine routing is for.
 ///
 /// The construction is classic linear hashing: hash into the next power of
 /// two `p ≥ shards`, and fold the not-yet-split top half back onto its
